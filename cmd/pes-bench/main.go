@@ -29,7 +29,6 @@ import (
 	"io"
 	"log"
 	"math/rand"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -282,7 +281,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *debugAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, obs.DebugHandler()); err != nil {
+			if err := obs.ServeDebug(*debugAddr); err != nil {
 				fmt.Fprintf(stderr, "pes-bench: debug listener: %v\n", err)
 			}
 		}()

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 
@@ -50,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *debugAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, obs.DebugHandler()); err != nil {
+			if err := obs.ServeDebug(*debugAddr); err != nil {
 				fmt.Fprintf(stderr, "pes-experiments: debug listener: %v\n", err)
 			}
 		}()

@@ -224,7 +224,7 @@ func startDebug(addr string, logger *slog.Logger) {
 	}
 	go func() {
 		logger.Info("debug listener serving pprof and expvar", "addr", addr)
-		if err := http.ListenAndServe(addr, obs.DebugHandler()); err != nil {
+		if err := obs.ServeDebug(addr); err != nil {
 			logger.Warn("debug listener failed", "addr", addr, "error", err)
 		}
 	}()
@@ -249,7 +249,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // listenUntilSignal serves handler on addr and blocks until SIGINT or
 // SIGTERM triggers a graceful shutdown (the shared tail of both roles).
 func listenUntilSignal(addr string, handler http.Handler, stdout io.Writer, shutdownMsg string) error {
-	httpSrv := &http.Server{Addr: addr, Handler: handler}
+	httpSrv := obs.NewHTTPServer(addr, handler)
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

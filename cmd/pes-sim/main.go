@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 
 	"repro/internal/acmp"
@@ -56,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *debugAddr != "" {
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, obs.DebugHandler()); err != nil {
+			if err := obs.ServeDebug(*debugAddr); err != nil {
 				fmt.Fprintf(stderr, "pes-sim: debug listener: %v\n", err)
 			}
 		}()

@@ -6,11 +6,12 @@
 // is exercised by tests and CI smokes instead of waiting for production to
 // exercise it first.
 //
-// Determinism: every injection decision is drawn from one seeded PRNG, so a
-// single-threaded op sequence (a store's write stream, a serial campaign)
-// replays identically for the same seed and config. Under concurrency the
-// *assignment* of faults to ops depends on scheduling, but the fault
-// density and the counters remain reproducible in distribution.
+// Determinism: a shard dispatch's rolls are a function of the dispatch
+// itself — the seed, the worker, the chunk's first memo key and how often
+// that worker has been sent that chunk before — not of the order in which
+// concurrent dispatches reach the injector; health probes are keyed the same
+// way on the worker and the probe count. The store's write faults come from
+// one seeded PRNG, which a single writer's op sequence replays identically.
 //
 // The injector is wired in two places: `pes-serve -chaos SPEC` (hidden flag
 // for the CI chaos smoke) wraps the coordinator transport and, with
@@ -18,7 +19,9 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -145,11 +148,14 @@ type Stats struct {
 type Injector struct {
 	cfg Config
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	writes  int64 // record writes seen by wrapped files
-	crashAt int64 // writes value at which the crash fires; 0 = disarmed
-	crashed bool
+	mu  sync.Mutex
+	rng *rand.Rand // store write faults
+	// attempts counts earlier dispatches per (worker, roll key), the last
+	// input of a dispatch's rolls.
+	attempts map[string]uint64
+	writes   int64 // record writes seen by wrapped files
+	crashAt  int64 // writes value at which the crash fires; 0 = disarmed
+	crashed  bool
 
 	shardFaults   int64
 	tornResponses int64
@@ -161,14 +167,13 @@ type Injector struct {
 // New builds an Injector for cfg. A CrashAfter in cfg arms the crash
 // immediately; use ArmCrashAfter to arm it later (e.g. after setup writes).
 func New(cfg Config) *Injector {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
 	}
 	if cfg.LatencyP > 0 && cfg.MaxLatency <= 0 {
 		cfg.MaxLatency = 50 * time.Millisecond
 	}
-	in := &Injector{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	in := &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), attempts: make(map[string]uint64)}
 	if cfg.CrashAfter > 0 {
 		in.crashAt = cfg.CrashAfter
 	}
@@ -198,11 +203,35 @@ func (in *Injector) Stats() Stats {
 	}
 }
 
-// roll draws one uniform sample in [0,1).
-func (in *Injector) roll() float64 {
+// rolls returns the uniform samples for one op on worker: a splitmix64
+// stream seeded by the injector's seed, the worker, key, and the number of
+// earlier ops with the same worker and key.
+func (in *Injector) rolls(worker, key string) *rollStream {
+	id := worker + "\x00" + key
 	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.rng.Float64()
+	attempt := in.attempts[id]
+	in.attempts[id]++
+	in.mu.Unlock()
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(in.cfg.Seed))
+	h.Write(buf[:])
+	h.Write([]byte(id))
+	binary.LittleEndian.PutUint64(buf[:], attempt)
+	h.Write(buf[:])
+	return &rollStream{state: h.Sum64()}
+}
+
+// rollStream is a splitmix64 generator of uniform samples in [0,1).
+type rollStream struct{ state uint64 }
+
+func (s *rollStream) next() float64 {
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
 }
 
 // Summary renders the non-zero counters for logs, sorted by name.

@@ -77,6 +77,50 @@ func TestInjectionDeterministic(t *testing.T) {
 	}
 }
 
+// TestInjectionKeyedOnDispatch asserts a dispatch's fate depends on the
+// dispatch, not on arrival order: two same-seeded injectors that see the
+// same dispatches in opposite orders inject the same faults into each.
+func TestInjectionKeyedOnDispatch(t *testing.T) {
+	cfg := Config{Seed: 2, FaultP: 0.15, TornP: 0.15}
+	specs := chaosSpecs()
+	fates := func(order []int) map[string]byte {
+		tr := New(cfg).WrapTransport(nopTransport{})
+		out := map[string]byte{}
+		for _, i := range order {
+			for _, worker := range []string{"a", "b"} {
+				req := cluster.ShardRequest{Sessions: specs[i : i+1]}
+				resp, err := tr.RunShard(context.Background(), worker, req)
+				fate := byte('.')
+				if err != nil {
+					fate = 'F'
+				} else if len(resp.Results) != 1 {
+					fate = 'T'
+				}
+				out[worker+specs[i].RouteKey()] = fate
+			}
+		}
+		return out
+	}
+	var fwd, rev []int
+	for i := range specs {
+		fwd = append(fwd, i)
+		rev = append(rev, len(specs)-1-i)
+	}
+	a, b := fates(fwd), fates(rev)
+	injected := 0
+	for k, fate := range a {
+		if b[k] != fate {
+			t.Errorf("dispatch %s: fate %c in one order, %c in the other", k, fate, b[k])
+		}
+		if fate != '.' {
+			injected++
+		}
+	}
+	if injected == 0 {
+		t.Fatal("no dispatch drew a fault; the comparison proves nothing")
+	}
+}
+
 // TestPingerSurfaceUnchanged asserts wrapping preserves whether the
 // transport exposes health probes.
 func TestPingerSurfaceUnchanged(t *testing.T) {

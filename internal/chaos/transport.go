@@ -34,16 +34,23 @@ func (in *Injector) WrapTransport(t cluster.Transport) cluster.Transport {
 
 func (t *transport) RunShard(ctx context.Context, worker string, req cluster.ShardRequest) (cluster.ShardResponse, error) {
 	in, cfg := t.in, t.in.cfg
-	if cfg.LatencyP > 0 && in.roll() < cfg.LatencyP {
-		d := time.Duration(in.roll() * float64(cfg.MaxLatency))
+	var key string
+	if len(req.Sessions) > 0 {
+		key = req.Sessions[0].RouteKey()
+	}
+	// Every dispatch draws its four rolls in a fixed order, whichever
+	// faults are enabled.
+	rs := in.rolls(worker, key)
+	latency, delay, fault, torn := rs.next(), rs.next(), rs.next(), rs.next()
+	if latency < cfg.LatencyP {
 		in.count(&in.delays)
 		select {
-		case <-time.After(d):
+		case <-time.After(time.Duration(delay * float64(cfg.MaxLatency))):
 		case <-ctx.Done():
 			return cluster.ShardResponse{}, ctx.Err()
 		}
 	}
-	if cfg.FaultP > 0 && in.roll() < cfg.FaultP {
+	if fault < cfg.FaultP {
 		in.count(&in.shardFaults)
 		return cluster.ShardResponse{}, fmt.Errorf("chaos: injected transport fault dispatching to %s", worker)
 	}
@@ -51,7 +58,7 @@ func (t *transport) RunShard(ctx context.Context, worker string, req cluster.Sha
 	if err != nil {
 		return resp, err
 	}
-	if cfg.TornP > 0 && len(resp.Results) > 0 && in.roll() < cfg.TornP {
+	if len(resp.Results) > 0 && torn < cfg.TornP {
 		// Drop the response tail: the coordinator's length check turns this
 		// into a worker fault and re-routes the whole chunk.
 		in.count(&in.tornResponses)
@@ -60,9 +67,12 @@ func (t *transport) RunShard(ctx context.Context, worker string, req cluster.Sha
 	return resp, err
 }
 
+// probeKey is the roll key of health probes; no memo key looks like it.
+const probeKey = "probe"
+
 func (t *pingerTransport) Ping(ctx context.Context, worker string) error {
-	in, cfg := t.in, t.in.cfg
-	if cfg.PingP > 0 && in.roll() < cfg.PingP {
+	in := t.in
+	if in.rolls(worker, probeKey).next() < in.cfg.PingP {
 		in.count(&in.pingFaults)
 		return fmt.Errorf("chaos: injected probe failure for %s", worker)
 	}

@@ -33,7 +33,8 @@
 // Failures are split by fault domain, because the two kinds must be treated
 // oppositely:
 //
-//   - Client fault (HTTP 4xx: invalid session spec, oracle-version skew).
+//   - Client fault (HTTP 4xx: invalid session spec, oracle-version or
+//     shard-frame-version skew).
 //     Deterministic — every worker would reject it identically — so the
 //     campaign fails immediately with the rejection and no worker is
 //     excluded. Treating these as worker failures would cascade the same
@@ -134,14 +135,16 @@ type ShardResponse struct {
 }
 
 // ClientFaultError is a shard rejection that is the campaign's fault — an
-// invalid session spec, an oracle-version skew, malformed shard JSON — not
-// the worker's. The rejection is deterministic: every worker would answer
-// it identically, so the dispatcher fails the campaign immediately and
-// excludes nobody instead of cascading the same 4xx across the ring.
+// invalid session spec, an oracle-version or frame-version skew, a
+// malformed shard request — not the worker's. The rejection is
+// deterministic: every worker would answer it identically, so the
+// dispatcher fails the campaign immediately and excludes nobody instead of
+// cascading the same 4xx across the ring.
 type ClientFaultError struct {
 	// Worker is the address that rejected the shard.
 	Worker string
-	// Status is the HTTP status code (4xx).
+	// Status is the HTTP status code: 4xx, or 200 for a worker that
+	// answered JSON instead of a shard-response frame.
 	Status int
 	// Msg is the worker's error message.
 	Msg string
@@ -967,13 +970,20 @@ func (r *run) localRunner() {
 // /healthz.
 type httpTransport struct {
 	client *http.Client
+	// maxResponse caps the shard-response bytes read before decoding; a
+	// larger response is a worker fault.
+	maxResponse int64
 }
+
+// maxShardResponseBytes is the production response cap: a warm 16-session
+// shard is tens of KiB, a cold one of long traces a few MiB.
+const maxShardResponseBytes = 64 << 20
 
 // NewHTTPTransport returns the production HTTP shard transport — the one a
 // nil Config.Transport selects. Exported so wrappers (internal/chaos) can
 // interpose on the real transport instead of a test fake.
 func NewHTTPTransport() Transport {
-	return &httpTransport{client: &http.Client{}}
+	return &httpTransport{client: &http.Client{}, maxResponse: maxShardResponseBytes}
 }
 
 // workerURL normalizes a worker address to a base URL.
@@ -994,6 +1004,7 @@ func (t *httpTransport) RunShard(ctx context.Context, worker string, req ShardRe
 		return ShardResponse{}, err
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set(frameVersionHeader, strconv.Itoa(frameVersion))
 	if id := obs.TraceIDFrom(ctx); id != "" {
 		httpReq.Header.Set(obs.TraceHeader, id)
 	}
@@ -1016,8 +1027,25 @@ func (t *httpTransport) RunShard(ctx context.Context, worker string, req ShardRe
 		}
 		return ShardResponse{}, fmt.Errorf("cluster: worker %s returned %d: %s", worker, httpResp.StatusCode, msg)
 	}
-	var resp ShardResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+	if ct := httpResp.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
+		// A build from before the frame ignores the version header and
+		// answers JSON. Every such worker would, so this is version skew,
+		// not a broken worker.
+		return ShardResponse{}, &ClientFaultError{Worker: worker, Status: httpResp.StatusCode, Msg: fmt.Sprintf(
+			"shard frame version mismatch: coordinator reads frame v%d but the worker answered JSON (no frame version); run matching pes-serve builds",
+			frameVersion)}
+	}
+	// Read at most one byte past the cap: enough to tell an oversized body
+	// without buffering it.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(httpResp.ContentLength, 0), t.maxResponse)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(httpResp.Body, t.maxResponse+1)); err != nil {
+		return ShardResponse{}, fmt.Errorf("cluster: reading worker %s response: %w", worker, err)
+	}
+	if int64(buf.Len()) > t.maxResponse {
+		return ShardResponse{}, fmt.Errorf("cluster: worker %s response exceeds the %d-byte cap", worker, t.maxResponse)
+	}
+	resp, err := decodeShardResponse(buf.Bytes())
+	if err != nil {
 		return ShardResponse{}, fmt.Errorf("cluster: decoding worker %s response: %w", worker, err)
 	}
 	return resp, nil

@@ -48,7 +48,7 @@ func smallConfig() experiments.Config {
 	return experiments.Config{TrainTracesPerApp: 2, EvalTracesPerApp: 1, Parallel: 2}
 }
 
-func newTestWorker(t *testing.T) *Worker {
+func newTestWorker(t testing.TB) *Worker {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("cluster tests train a predictor")
@@ -648,7 +648,7 @@ func TestMidCampaignWorkerDeathMergesByteIdentical(t *testing.T) {
 	ts2 := httptest.NewServer(w2.Handler())
 	defer ts2.Close() // idempotent after the mid-campaign kill
 
-	tr := &killAfterFirst{inner: &httpTransport{client: &http.Client{}}, victim: ts2.URL, kill: ts2.Close}
+	tr := &killAfterFirst{inner: NewHTTPTransport(), victim: ts2.URL, kill: ts2.Close}
 	// Small chunks so the victim owns several dispatches: the kill lands
 	// between them.
 	coord, err := New(Config{Workers: []string{ts1.URL, ts2.URL}, Transport: tr, MaxShardSessions: 2})
@@ -700,7 +700,7 @@ func TestMidCampaignWorkerJoinStealsAndMergesByteIdentical(t *testing.T) {
 	ts2 := httptest.NewServer(w2.Handler())
 	defer ts2.Close()
 
-	tr := &registerOnFirst{inner: &httpTransport{client: &http.Client{}}}
+	tr := &registerOnFirst{inner: NewHTTPTransport()}
 	coord, err := New(Config{Workers: []string{ts1.URL}, Transport: tr, MaxShardSessions: 2})
 	if err != nil {
 		t.Fatal(err)

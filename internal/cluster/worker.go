@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/acmp"
@@ -155,7 +157,7 @@ type workerHealth struct {
 
 // Handler returns the worker HTTP API:
 //
-//	POST /v1/shards  execute a shard of sessions, return merged-ready results
+//	POST /v1/shards  execute a shard of sessions, answer a shard-response frame
 //	GET  /healthz    liveness + cache counters
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -175,12 +177,30 @@ func (w *Worker) writeJSON(rw http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(rw).Encode(v)
 }
 
+// maxShardRequestBytes bounds a shard request body: thousands of session
+// specs, far beyond any chunk a coordinator sends.
+const maxShardRequestBytes = 4 << 20
+
 func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
+	if got := r.Header.Get(frameVersionHeader); got != strconv.Itoa(frameVersion) {
+		theirs := "v" + got
+		if got == "" {
+			theirs = "JSON (no frame version)"
+		}
+		w.writeJSON(rw, http.StatusBadRequest, shardError{Error: fmt.Sprintf(
+			"shard frame version mismatch: coordinator reads %s shard responses but this worker writes frame v%d; run matching pes-serve builds",
+			theirs, frameVersion)})
+		return
+	}
 	var req ShardRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		w.writeJSON(rw, http.StatusBadRequest, shardError{Error: "invalid shard JSON: " + err.Error()})
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		w.writeJSON(rw, code, shardError{Error: "invalid shard JSON: " + err.Error()})
 		return
 	}
 	resp, err := w.RunShardTraced(r.Header.Get(obs.TraceHeader), req)
@@ -188,7 +208,15 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		w.writeJSON(rw, http.StatusBadRequest, shardError{Error: err.Error()})
 		return
 	}
-	w.writeJSON(rw, http.StatusOK, resp)
+	frame, err := appendShardResponse(nil, resp)
+	if err != nil {
+		w.writeJSON(rw, http.StatusInternalServerError, shardError{Error: err.Error()})
+		return
+	}
+	rw.Header().Set("Content-Type", frameContentType)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	rw.WriteHeader(http.StatusOK)
+	_, _ = rw.Write(frame)
 }
 
 func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {

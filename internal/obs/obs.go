@@ -35,6 +35,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Label is one constant key="value" pair attached to a series at
@@ -435,6 +436,27 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
+}
+
+// NewHTTPServer returns a server for addr with the timeouts every listener
+// of the service binaries sets, so a stalled client cannot pin a connection:
+// headers must arrive within 10 s, a whole request within a minute, and an
+// idle keep-alive connection closes after two. There is deliberately no
+// WriteTimeout: NDJSON result streams, cold shards and CPU profiles write
+// for as long as they need.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
+// ServeDebug serves DebugHandler on addr until the listener fails.
+func ServeDebug(addr string) error {
+	return NewHTTPServer(addr, DebugHandler()).ListenAndServe()
 }
 
 // DebugHandler returns the live-profiling surface served on -debug-addr:

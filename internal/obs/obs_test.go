@@ -374,3 +374,15 @@ func ExampleRegistry_WritePrometheus() {
 	// # TYPE pes_sessions_total counter
 	// pes_sessions_total 42
 }
+
+// TestNewHTTPServerTimeouts pins the listener timeouts: reads are bounded,
+// writes are not (result streams and profiles run long).
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	s := NewHTTPServer(":0", DebugHandler())
+	if s.ReadHeaderTimeout <= 0 || s.ReadTimeout <= 0 || s.IdleTimeout <= 0 {
+		t.Errorf("read timeouts unset: header %v, read %v, idle %v", s.ReadHeaderTimeout, s.ReadTimeout, s.IdleTimeout)
+	}
+	if s.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none", s.WriteTimeout)
+	}
+}

@@ -621,10 +621,7 @@ type membersResponse struct {
 
 func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid registration JSON: " + err.Error()})
+	if !decodeBody(w, r, maxRegistrationBytes, "registration", &req) {
 		return
 	}
 	if err := s.cfg.Cluster.Register(req.Addr); err != nil {
@@ -656,20 +653,40 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers compact JSON; `jq .` pretty-prints it.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing left to report
+	_ = json.NewEncoder(w).Encode(v) // the status line is already out; nothing left to report
+}
+
+// Request body limits: a campaign spec is a few KiB even with long app and
+// sweep lists, a registration one address.
+const (
+	maxCampaignBytes     = 1 << 20
+	maxRegistrationBytes = 4 << 10
+)
+
+// decodeBody strictly decodes a JSON request body of at most limit bytes
+// into v. On failure it answers 413 for an oversized body and 400 for
+// anything else, prefixing the error with what, and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{Error: "invalid " + what + " JSON: " + err.Error()})
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var c Campaign
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid campaign JSON: " + err.Error()})
+	if !decodeBody(w, r, maxCampaignBytes, "campaign", &c) {
 		return
 	}
 	st, err := s.Submit(c)

@@ -695,3 +695,29 @@ func TestClusterMembershipEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestBodyLimits: a campaign or registration body over its limit is
+// answered 413 before it is decoded, and responses are one compact line.
+// The handlers reject before they touch the server's state, so no trained
+// harness is needed.
+func TestRequestBodyLimits(t *testing.T) {
+	s := &Server{}
+	for _, tc := range []struct {
+		name    string
+		handler http.HandlerFunc
+		limit   int
+	}{
+		{"campaign", s.handleSubmit, maxCampaignBytes},
+		{"registration", s.handleClusterRegister, maxRegistrationBytes},
+	} {
+		body := `{"apps":["` + strings.Repeat("x", tc.limit) + `"]}`
+		rec := httptest.NewRecorder()
+		tc.handler(rec, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s body of %d bytes: status %d, want 413", tc.name, len(body), rec.Code)
+		}
+		if out := rec.Body.String(); strings.Count(out, "\n") != 1 || !strings.HasSuffix(out, "}\n") {
+			t.Errorf("%s: error body %q is not one compact JSON line", tc.name, out)
+		}
+	}
+}

@@ -22,8 +22,6 @@
 package pes
 
 import (
-	"net/http"
-
 	"repro/internal/acmp"
 	"repro/internal/artifacts"
 	"repro/internal/batch"
@@ -31,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/predictor"
 	"repro/internal/sched"
@@ -348,5 +347,5 @@ func Serve(addr string, cfg ServerConfig) error {
 		return err
 	}
 	defer s.Close()
-	return http.ListenAndServe(addr, s.Handler())
+	return obs.NewHTTPServer(addr, s.Handler()).ListenAndServe()
 }
