@@ -183,9 +183,11 @@ func BenchmarkSec63SolverOverhead(b *testing.B) {
 		}
 		prob.Items = append(prob.Items, item)
 	}
+	var s ilp.Solver
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ilp.Solve(prob)
+		s.Solve(prob)
 	}
 }
 

@@ -208,8 +208,8 @@ const warmColdRatioFloor = 1.4
 // solver's budget-pinned cost is the artifact the version flag preserves.
 const oraclePESRatioFloor = 5.0
 
-// SolverReport summarizes the solver microbenchmark suite: the overhauled
-// Solve versus the frozen SolveReference on identical instances.
+// SolverReport summarizes the solver microbenchmark suite: ilp.Solver versus
+// the frozen SolveReference on identical instances.
 type SolverReport struct {
 	// Problems is the number of instances in the suite; Aborted counts
 	// instances where either solver exhausted its node budget (excluded
@@ -217,17 +217,19 @@ type SolverReport struct {
 	Problems int `json:"problems"`
 	Aborted  int `json:"aborted"`
 	// Nodes and RefNodes are the summed branch-and-bound nodes explored by
-	// Solve and SolveReference; NodeRatio = RefNodes/Nodes is the headline
-	// reduction (the acceptance floor is 2x). All three are deterministic.
+	// Solver.Solve and SolveReference; NodeRatio = RefNodes/Nodes is the
+	// headline reduction (the acceptance floor is 2x). All three are
+	// deterministic.
 	Nodes     int64   `json:"nodes"`
 	RefNodes  int64   `json:"ref_nodes"`
 	NodeRatio float64 `json:"node_ratio"`
-	// Wall-time per solve for Solve, SolveReference, and the Oracle's
-	// budget-pinned SolveReferenceOrder (host measurements).
+	// Wall-time per solve for Solver.Solve (on one reused Solver),
+	// SolveReference, and the Oracle's budget-pinned SolveReferenceOrder
+	// (host measurements).
 	NsPerSolve         float64 `json:"ns_per_solve"`
 	RefNsPerSolve      float64 `json:"ref_ns_per_solve"`
 	RefOrderNsPerSolve float64 `json:"ref_order_ns_per_solve"`
-	// EnergyMismatches counts non-aborted instances where Solve returned a
+	// EnergyMismatches counts non-aborted instances where Solver returned a
 	// different total energy than SolveReference; any value but 0 is a bug.
 	EnergyMismatches int `json:"energy_mismatches"`
 	// GreedyGapPct is the mean energy saving of the exact solve over the
@@ -452,7 +454,7 @@ func benchStore(dir string, syncEvery int, oracleVer sched.OracleVersion) (*Stor
 }
 
 // benchSolver runs the solver microbenchmark suite: identical instances
-// through Solve, SolveReference, and SolveReferenceOrder. The instances
+// through Solver.Solve, SolveReference, and SolveReferenceOrder. The instances
 // come from the shared chaingen distribution (the 17-point Exynos-shaped
 // ladder), the same one the ilp node-reduction property test pins.
 func benchSolver(seed int64) SolverReport {
@@ -475,9 +477,10 @@ func benchSolver(seed int64) SolverReport {
 	var gapSum float64
 	var wallNew, wallRef, wallRefOrder time.Duration
 	completed := 0
+	var s ilp.Solver
 	for _, p := range problems {
 		begun := time.Now()
-		a := ilp.Solve(p)
+		a := s.Solve(p)
 		dNew := time.Since(begun)
 
 		begun = time.Now()
@@ -485,7 +488,7 @@ func benchSolver(seed int64) SolverReport {
 		dRef := time.Since(begun)
 
 		begun = time.Now()
-		ilp.SolveReferenceOrder(p)
+		s.SolveReferenceOrder(p)
 		dRefOrder := time.Since(begun)
 
 		if a.Aborted() || r.Aborted() {
@@ -504,7 +507,7 @@ func benchSolver(seed int64) SolverReport {
 		if diff := a.TotalEnergy - r.TotalEnergy; diff > 1e-9 || diff < -1e-9 {
 			rep.EnergyMismatches++
 		}
-		if gr := ilp.SolveGreedy(p); gr.TotalEnergy > 0 {
+		if gr := s.Greedy(p); gr.TotalEnergy > 0 {
 			gapSum += 100 * (gr.TotalEnergy - a.TotalEnergy) / gr.TotalEnergy
 		}
 	}

@@ -31,7 +31,7 @@ func TestSolverSuiteReport(t *testing.T) {
 		t.Errorf("host section not populated: %+v", rep.Host)
 	}
 	if rep.Solver.EnergyMismatches != 0 {
-		t.Errorf("Solve and SolveReference disagreed on %d instances", rep.Solver.EnergyMismatches)
+		t.Errorf("Solver and SolveReference disagreed on %d instances", rep.Solver.EnergyMismatches)
 	}
 	if rep.Solver.NodeRatio < 2 {
 		t.Errorf("node-reduction ratio %.2f is below the 2x acceptance floor", rep.Solver.NodeRatio)

@@ -505,8 +505,8 @@ func serve(cfg serveConfig, stdout io.Writer, logger *slog.Logger) error {
 		return err
 	}
 	st := svc.Stats()
-	fmt.Fprintf(stdout, "pes-serve: served %d sessions (%d simulated, %d from cache, %d from store; %d solves, %d plan-cache hits)\n",
-		st.Sessions, st.UniqueRuns, st.CacheHits, st.StoreHits, st.Solver.Solves, st.Solver.PlanCacheHits)
+	fmt.Fprintf(stdout, "pes-serve: served %d sessions (%d simulated, %d from cache, %d from store; %d solves)\n",
+		st.Sessions, st.UniqueRuns, st.CacheHits, st.StoreHits, st.Solver.Solves)
 	if in != nil {
 		fmt.Fprintf(stdout, "pes-serve: chaos injected: %s\n", in.Stats().Summary())
 	}

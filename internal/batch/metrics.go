@@ -45,13 +45,13 @@ func (r *Runner) RegisterMetrics(reg *obs.Registry) *Runner {
 		func() float64 { return float64(r.storeHits.Load()) })
 
 	reg.CounterFunc("pes_solver_solves_total",
-		"ilp.Solve invocations across unique runs.",
+		"ilp.Solver calls across unique runs.",
 		func() float64 { return float64(r.solverSnapshot().Solves) })
 	reg.CounterFunc("pes_solver_nodes_total",
 		"Branch-and-bound nodes explored across unique runs.",
 		func() float64 { return float64(r.solverSnapshot().Nodes) })
 	reg.CounterFunc("pes_solver_plan_cache_hits_total",
-		"Schedule calls answered from the plan cache without solving.",
+		"Always 0: the schedulers keep no plan cache (kept for scrape compatibility).",
 		func() float64 { return float64(r.solverSnapshot().PlanCacheHits) })
 	reg.CounterFunc("pes_solver_budget_aborts_total",
 		"Solves that exhausted the branch-and-bound node budget.",

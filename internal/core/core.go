@@ -181,7 +181,7 @@ func (p *PES) OnReactiveEvent() { p.fallback.OnReactiveEvent() }
 func (p *PES) SpeculationEnabled() bool { return p.fallback.Enabled() }
 
 // SolverStats implements sched.SolverStatsProvider: the optimizer's
-// accumulated solve/node/plan-cache counters and solver wall time.
+// accumulated solve/node/abort counters and solver wall time.
 func (p *PES) SolverStats() optimizer.SolverStats { return p.opt.Stats() }
 
 var (

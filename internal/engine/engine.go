@@ -91,7 +91,7 @@ type Result struct {
 	Duration simtime.Duration
 
 	// Solver aggregates the constrained-optimization work of the session's
-	// scheduler: solve count, branch-and-bound nodes, plan-cache hits, and
+	// scheduler: solve count, branch-and-bound nodes, budget aborts, and
 	// solver wall time (Sec. 6.3 overhead analysis). It is zero for
 	// schedulers that never solve (the governors and EBS). All counters
 	// except the wall time are deterministic for a deterministic run.

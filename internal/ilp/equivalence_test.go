@@ -40,37 +40,63 @@ func problems(rng *rand.Rand, trial, maxItems, maxChoices int) Problem {
 	return ladderProblem(rng, 1+rng.Intn(maxItems), 1+rng.Intn(maxChoices))
 }
 
-// TestSolveEquivalentToReference is the core byte-identity property of the
-// overhauled solver: on random instances the dominance-pruned search must
-// return exactly the assignment of the pre-overhaul reference solver — same
-// choice indices (not just equal energy), same feasibility verdict, same
-// finish times — while exploring no more nodes.
+// TestSolveEquivalentToReference is the core equivalence property of the
+// solver. On random, ladder-shaped and chaingen instances (the optimizer's
+// distribution, including the Oracle's 12-item windows) the pruned search
+// must return exactly the assignment of the pre-overhaul reference solver —
+// same choice indices (not just equal energy), same feasibility verdict,
+// same finish times — while exploring no more nodes. Where an item has two
+// exactly equal energies, or the search escalates past its pure first
+// attempt, the two may legitimately return different optima (the reference
+// orders ties with sort.Slice), so only the verdict and the optimal energy
+// must agree. The solver must never exhaust its budget on a chaingen
+// instance.
 func TestSolveEquivalentToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 400; trial++ {
-		p := problems(rng, trial, 12, 17)
-		got := Solve(p)
+	pts := chainPoints()
+	s := NewSolver()
+	exact := 0
+	for trial := 0; trial < 600; trial++ {
+		chain := trial%3 == 2
+		var p Problem
+		if chain {
+			p = chainProblem(rng, pts, 1+rng.Intn(12))
+		} else {
+			p = problems(rng, trial, 12, 17)
+		}
+		got := s.Solve(p)
 		want := SolveReference(p)
-		if got.Nodes >= maxNodes || want.Nodes >= maxNodes {
+		if chain && got.Aborted() {
+			t.Fatalf("trial %d: solver exhausted its node budget on a production-shaped window", trial)
+		}
+		if got.Aborted() || want.Aborted() {
 			// An exhausted search budget returns the best incumbent found
 			// along the traversal, which legitimately differs between the
 			// two traversals; both must still be at least as good as the
 			// shared greedy seed.
-			if gr := SolveGreedy(p); got.TotalEnergy > gr.TotalEnergy+1e-9 || want.TotalEnergy > gr.TotalEnergy+1e-9 {
+			if gr := s.Greedy(p); got.TotalEnergy > gr.TotalEnergy+1e-9 || want.TotalEnergy > gr.TotalEnergy+1e-9 {
 				t.Fatalf("trial %d: aborted search returned worse than its greedy seed", trial)
 			}
 			continue
 		}
-		if !reflect.DeepEqual(got.Choice, want.Choice) {
+		if diff := got.TotalEnergy - want.TotalEnergy; diff > 1e-9 || diff < -1e-9 || got.Feasible != want.Feasible {
+			t.Fatalf("trial %d: optima diverge: solver E=%v feasible=%v, reference E=%v feasible=%v",
+				trial, got.TotalEnergy, got.Feasible, want.TotalEnergy, want.Feasible)
+		}
+		if hasEnergyTies(p) || got.Nodes >= fastAttempt0Cap {
+			continue
+		}
+		exact++
+		if !reflect.DeepEqual(got.Choice, want.Choice) || !reflect.DeepEqual(got.Finish, want.Finish) {
 			t.Fatalf("trial %d: choices diverge\n got %v (E=%v)\nwant %v (E=%v)\nproblem: %+v",
 				trial, got.Choice, got.TotalEnergy, want.Choice, want.TotalEnergy, p)
 		}
-		if got.Feasible != want.Feasible || !reflect.DeepEqual(got.Finish, want.Finish) {
-			t.Fatalf("trial %d: feasibility/finish diverge: %+v vs %+v", trial, got, want)
-		}
 		if got.Nodes > want.Nodes {
-			t.Fatalf("trial %d: overhauled solver explored %d nodes, reference only %d", trial, got.Nodes, want.Nodes)
+			t.Fatalf("trial %d: solver explored %d nodes, reference only %d", trial, got.Nodes, want.Nodes)
 		}
+	}
+	if exact < 300 {
+		t.Fatalf("only %d exact-match trials; the property went under-exercised", exact)
 	}
 }
 
@@ -79,10 +105,11 @@ func TestSolveEquivalentToReference(t *testing.T) {
 // greedy respects it (both operate on the same relaxed deadlines).
 func TestSolveNeverWorseThanGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
+	s := NewSolver()
 	for trial := 0; trial < 300; trial++ {
 		p := problems(rng, trial, 10, 12)
-		bb := Solve(p)
-		gr := SolveGreedy(p)
+		gr := s.Greedy(p) // only its scalar fields are read after the next call
+		bb := s.Solve(p)
 		if bb.TotalEnergy > gr.TotalEnergy+1e-9 {
 			t.Fatalf("trial %d: branch-and-bound energy %v exceeds greedy energy %v",
 				trial, bb.TotalEnergy, gr.TotalEnergy)
@@ -104,8 +131,10 @@ func TestSolveNeverWorseThanGreedy(t *testing.T) {
 // exhaustiveMin enumerates every assignment against the relaxed deadlines
 // and returns the minimum total energy. Only tractable for tiny instances.
 func exhaustiveMin(p Problem) float64 {
-	pr := prepare(p)
 	n := len(p.Items)
+	var relaxed Solver
+	relaxed.grow(n)
+	relaxed.prepare(p)
 	best := -1.0
 	var rec func(i int, now simtime.Time, energy float64)
 	rec = func(i int, now simtime.Time, energy float64) {
@@ -121,7 +150,7 @@ func exhaustiveMin(p Problem) float64 {
 		}
 		for _, c := range p.Items[i].Choices {
 			finish := now.Add(c.Latency)
-			if finish.After(pr.deadlines[i]) {
+			if finish.After(relaxed.deadlines[i]) {
 				continue
 			}
 			rec(i+1, finish, energy+c.Energy)
@@ -133,12 +162,13 @@ func exhaustiveMin(p Problem) float64 {
 
 // TestSolveOptimalOnSmallInstances cross-checks the solver against
 // exhaustive enumeration for N <= 6 events: the branch-and-bound must attain
-// the true minimum energy exactly.
+// the true minimum energy over the relaxed deadlines exactly.
 func TestSolveOptimalOnSmallInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
+	s := NewSolver()
 	for trial := 0; trial < 300; trial++ {
 		p := problems(rng, trial, 6, 8)
-		got := Solve(p)
+		got := s.Solve(p)
 		want := exhaustiveMin(p)
 		if want < 0 {
 			t.Fatalf("trial %d: relaxation left no feasible assignment", trial)
@@ -155,10 +185,11 @@ func TestSolveOptimalOnSmallInstances(t *testing.T) {
 // traversal — and with the identical node count.
 func TestSolveReferenceOrderBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
+	s := NewSolver()
 	aborted := 0
 	for trial := 0; trial < 200; trial++ {
 		p := problems(rng, trial, 14, 17)
-		got := SolveReferenceOrder(p)
+		got := s.SolveReferenceOrder(p)
 		want := SolveReference(p)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: reference-order solver diverged\n got %+v\nwant %+v", trial, got, want)

@@ -17,10 +17,11 @@ import (
 func TestFrontierReducesNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	pts := chaingen.Points()
+	s := ilp.NewSolver()
 	var nodes, refNodes int
 	for trial := 0; trial < 80; trial++ {
 		p := chaingen.Problem(rng, pts, 2+rng.Intn(5))
-		a := ilp.Solve(p)
+		a := s.Solve(p)
 		r := ilp.SolveReference(p)
 		if a.Aborted() || r.Aborted() {
 			t.Fatalf("trial %d: search budget exhausted on an optimizer-shaped instance", trial)

@@ -1,5 +1,5 @@
 // Package ilp provides the integer-linear-programming solver behind the PES
-// optimizer (Eqn. 2–5 of the paper).
+// optimizer and the Oracle (Eqn. 2–5 of the paper).
 //
 // The scheduling problem has a chain structure: events execute back to back
 // on the main thread, each event must be assigned exactly one ACMP
@@ -9,9 +9,10 @@
 // using a third-party LP package, this solver is specialized to that
 // structure.
 //
-// Solve is an exact branch-and-bound over per-event configuration choices
-// with three structural optimizations over the straightforward search
-// (preserved verbatim as SolveReference):
+// Solver is the one live solver: an exact branch-and-bound over per-event
+// configuration choices, run on scratch buffers reused across calls, with
+// three structural optimizations over the straightforward search (preserved
+// verbatim as SolveReference):
 //
 //   - Dominance pruning over ACMP configurations: a choice that is no
 //     faster and no cheaper than an earlier-ordered choice can never appear
@@ -26,20 +27,27 @@
 //     low-energy prefix at a node is skipped with a binary search instead of
 //     being enumerated.
 //
-// The optimizations only remove work that cannot change the answer: the
-// returned assignment — including its tie-breaking among equal-energy
-// optima — is identical to SolveReference's whenever neither search
-// exhausts its node budget (property-tested in equivalence_test.go; the
-// explored node sets themselves shrink, which is the point). SolveGreedy
-// exposes the deadline-aware greedy heuristic that seeds the incumbent.
+// Hard windows additionally escalate to an admissible arrival-time-grid
+// bound (see Solver).
+//
+// Two frozen traversals sit beside it. SolveReference is the equivalence
+// reference for the tests and for the node ratio cmd/pes-bench reports.
+// Solver.SolveReferenceOrder replays SolveReference's candidate order, node
+// accounting and budget aborts bit for bit with O(1) feasibility tests;
+// Oracle v1 runs it so that the paper-exact figures stay pinned.
+//
+// Tie-breaking: Solver orders each item's candidates by ascending energy and
+// equal energies by choice index, while both reference traversals order
+// them with sort.Slice, which leaves equal energies in an unspecified order.
+// Solver's pruning only removes work that cannot change the answer, so it
+// returns exactly SolveReference's assignment whenever no item has two
+// exactly equal energies, its pure first attempt completes (under 10,000
+// nodes), and the reference does not exhaust its budget (property-tested in
+// equivalence_test.go). Otherwise a completed Solver search still returns
+// the exact minimum energy, but possibly another optimum of that energy.
 package ilp
 
-import (
-	"math"
-	"sort"
-
-	"repro/internal/simtime"
-)
+import "repro/internal/simtime"
 
 // Choice is one candidate configuration for an item: its predicted latency
 // and energy under that configuration.
@@ -77,11 +85,11 @@ type Assignment struct {
 	// returned assignment.
 	Finish []simtime.Time
 	// Nodes is the number of branch-and-bound candidates explored (for
-	// overhead reporting and regression benchmarks). Solve and
-	// SolveReference count the same way — one node per candidate choice
-	// tried at a search position — so their Nodes values are directly
-	// comparable; Solve's dominance pruning and memoized suffix latencies
-	// make its count strictly smaller on non-trivial instances.
+	// overhead reporting and regression benchmarks). Every solver counts
+	// the same way — one node per candidate choice tried at a search
+	// position — so their Nodes values are directly comparable; Solver's
+	// dominance pruning and memoized suffix latencies make its count
+	// strictly smaller than SolveReference's on non-trivial instances.
 	Nodes int
 }
 
@@ -90,345 +98,6 @@ type Assignment struct {
 // along the traversal (a traversal artifact) rather than a proven optimum.
 func (a Assignment) Aborted() bool { return a.Nodes >= maxNodes }
 
-// maxNodes bounds the branch-and-bound search; beyond it the greedy solution
+// maxNodes bounds the branch-and-bound search; beyond it the best incumbent
 // stands. With ≤ ~16 items and 17 configurations the bound is generous.
 const maxNodes = 400000
-
-// prep is the shared precomputation of a solve: per-item minima, the
-// relaxed deadlines, and the memoized suffix quantities derived from them.
-type prep struct {
-	// minLat and minEnergy are the per-item minima over the choice set.
-	minLat    []simtime.Duration
-	minEnergy []float64
-	// deadlines are the relaxed deadlines: the original deadline, or the
-	// earliest achievable finish time when even maximum performance misses
-	// it (so the search space is never empty).
-	deadlines []simtime.Time
-	// feasible reports whether relaxation was unnecessary.
-	feasible bool
-	// latestFinish memoizes, per item, the latest finish time from which
-	// every remaining deadline is still reachable at minimum latencies:
-	// latestFinish[i] = min(deadlines[i], latestFinish[i+1] - minLat[i+1]).
-	// A partial schedule is extensible iff finish(i) <= latestFinish[i],
-	// replacing the O(n) suffix walk of the reference solver.
-	latestFinish []simtime.Time
-	// sufEnergy[i] is the deadline-ignoring energy lower bound of the
-	// suffix starting at item i.
-	sufEnergy []float64
-}
-
-// prepare computes the shared solve state for a non-empty problem.
-func prepare(p Problem) *prep {
-	n := len(p.Items)
-	pr := &prep{
-		minLat:       make([]simtime.Duration, n),
-		minEnergy:    make([]float64, n),
-		deadlines:    make([]simtime.Time, n),
-		feasible:     true,
-		latestFinish: make([]simtime.Time, n),
-		sufEnergy:    make([]float64, n+1),
-	}
-	for i, it := range p.Items {
-		if len(it.Choices) == 0 {
-			// A degenerate item with no choices: treat as zero-cost no-op.
-			continue
-		}
-		pr.minLat[i] = it.Choices[0].Latency
-		pr.minEnergy[i] = it.Choices[0].Energy
-		for _, c := range it.Choices[1:] {
-			if c.Latency < pr.minLat[i] {
-				pr.minLat[i] = c.Latency
-			}
-			if c.Energy < pr.minEnergy[i] {
-				pr.minEnergy[i] = c.Energy
-			}
-		}
-	}
-	earliest := p.Start
-	for i := range p.Items {
-		earliest = earliest.Add(pr.minLat[i])
-		pr.deadlines[i] = p.Items[i].Deadline
-		if earliest.After(pr.deadlines[i]) {
-			pr.deadlines[i] = earliest
-			pr.feasible = false
-		}
-	}
-	pr.latestFinish[n-1] = pr.deadlines[n-1]
-	for i := n - 2; i >= 0; i-- {
-		pr.latestFinish[i] = pr.latestFinish[i+1].Add(-pr.minLat[i+1])
-		if pr.deadlines[i].Before(pr.latestFinish[i]) {
-			pr.latestFinish[i] = pr.deadlines[i]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		pr.sufEnergy[i] = pr.sufEnergy[i+1] + pr.minEnergy[i]
-	}
-	return pr
-}
-
-// energyOrder returns each item's choice indices sorted by ascending energy
-// — the candidate ordering of the search, shared (including its
-// tie-breaking) with SolveReference so both solvers visit leaves in the same
-// order.
-func energyOrder(p Problem) [][]int {
-	order := make([][]int, len(p.Items))
-	for i, it := range p.Items {
-		idx := make([]int, len(it.Choices))
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			return it.Choices[idx[a]].Energy < it.Choices[idx[b]].Energy
-		})
-		order[i] = idx
-	}
-	return order
-}
-
-// frontiers reduces each item's energy-ordered candidate list to its
-// energy/latency Pareto frontier: walking in ascending-energy order, a
-// choice is kept only if it is strictly faster than every choice kept before
-// it. A pruned choice j is dominated by an earlier-ordered keeper k
-// (energy(k) <= energy(j), latency(k) <= latency(j)): substituting k for j
-// in any feasible assignment stays feasible at no more energy, and the
-// substituted assignment is visited first, so no dominated choice can appear
-// in the first optimal leaf the search finds — pruning never changes the
-// returned assignment. The kept lists have strictly descending latency,
-// which feasibleFrom exploits.
-func frontiers(p Problem, order [][]int) [][]int {
-	front := make([][]int, len(p.Items))
-	for i, it := range p.Items {
-		kept := order[i][:0] // reuse the order backing array; order is not used afterwards
-		var minLat simtime.Duration
-		for _, j := range order[i] {
-			if len(kept) == 0 || it.Choices[j].Latency < minLat {
-				kept = append(kept, j)
-				minLat = it.Choices[j].Latency
-			}
-		}
-		front[i] = kept
-	}
-	return front
-}
-
-// feasibleFrom returns the index of the first frontier candidate whose
-// latency fits the budget. Frontier latencies are strictly descending, so
-// the infeasible candidates form a prefix and binary search finds the cut
-// without visiting them.
-func feasibleFrom(choices []Choice, frontier []int, budget simtime.Duration) int {
-	return sort.Search(len(frontier), func(k int) bool {
-		return choices[frontier[k]].Latency <= budget
-	})
-}
-
-// Solve computes a minimum-energy assignment subject to the chain deadline
-// constraints. It always returns a complete assignment: when the original
-// deadlines cannot all be met even at maximum performance, the deadlines are
-// relaxed to the earliest achievable finish times (the infeasible events run
-// as fast as possible) and Feasible is false.
-//
-// The returned assignment (including its tie-breaking among equal-energy
-// optima) is identical to SolveReference's whenever neither search aborts
-// on the node budget; only the amount of search work differs.
-func Solve(p Problem) Assignment {
-	n := len(p.Items)
-	if n == 0 {
-		return Assignment{Feasible: true}
-	}
-	pr := prepare(p)
-	front := frontiers(p, energyOrder(p))
-
-	greedyChoice, greedyEnergy := greedy(p, pr)
-	best := append([]int(nil), greedyChoice...)
-	bestEnergy := greedyEnergy
-
-	cur := make([]int, n)
-	nodes := 0
-	var dfs func(i int, now simtime.Time, energy float64) bool
-	dfs = func(i int, now simtime.Time, energy float64) bool {
-		if nodes >= maxNodes {
-			return true // abort the search, keep the best found so far
-		}
-		if i == n {
-			if energy < bestEnergy {
-				bestEnergy = energy
-				copy(best, cur)
-			}
-			return false
-		}
-		if energy+pr.sufEnergy[i] >= bestEnergy {
-			return false
-		}
-		it := p.Items[i]
-		if len(it.Choices) == 0 {
-			cur[i] = 0
-			return dfs(i+1, now, energy)
-		}
-		f := front[i]
-		for _, j := range f[feasibleFrom(it.Choices, f, pr.latestFinish[i].Sub(now)):] {
-			c := it.Choices[j]
-			// The frontier ascends in energy, so once this candidate's
-			// energy lower bound reaches the incumbent no later candidate
-			// can beat it either: stop scanning. The skipped subtrees are
-			// exactly the ones the recursive bound check would reject on
-			// entry, so the returned assignment is unchanged.
-			if energy+c.Energy+pr.sufEnergy[i+1] >= bestEnergy {
-				break
-			}
-			nodes++
-			cur[i] = j
-			if dfs(i+1, now.Add(c.Latency), energy+c.Energy) {
-				return true
-			}
-		}
-		return false
-	}
-	dfs(0, p.Start, 0)
-
-	return materialize(p, best, pr.feasible, nodes)
-}
-
-// materialize derives the finish times and total energy of an assignment.
-func materialize(p Problem, choice []int, feasible bool, nodes int) Assignment {
-	finish := make([]simtime.Time, len(p.Items))
-	now := p.Start
-	total := 0.0
-	for i := range p.Items {
-		if len(p.Items[i].Choices) > 0 {
-			c := p.Items[i].Choices[choice[i]]
-			now = now.Add(c.Latency)
-			total += c.Energy
-		}
-		finish[i] = now
-	}
-	return Assignment{
-		Choice:      choice,
-		TotalEnergy: total,
-		Feasible:    feasible,
-		Finish:      finish,
-		Nodes:       nodes,
-	}
-}
-
-// SolveReferenceOrder explores candidates in exactly the order — and with
-// exactly the node accounting, budget, and abort behaviour — of
-// SolveReference, but performs each future-feasibility test as the O(1)
-// memoized-suffix-latency comparison instead of the reference's O(n) walk.
-// Its Assignment (including Nodes) is bit-identical to SolveReference's on
-// every instance, aborted searches included; only the wall time drops.
-//
-// It exists for budget-pinned baselines: the Oracle's published figures were
-// produced under the reference search budget, and on its hardest windows
-// that budget is exhausted, making the returned assignment an artifact of
-// the traversal itself. The Oracle therefore keeps this traversal, while the
-// PES optimizer — whose instances are far smaller — uses the pruned Solve.
-func SolveReferenceOrder(p Problem) Assignment {
-	n := len(p.Items)
-	if n == 0 {
-		return Assignment{Feasible: true}
-	}
-	pr := prepare(p)
-	order := energyOrder(p)
-
-	greedyChoice, greedyEnergy := greedy(p, pr)
-	best := append([]int(nil), greedyChoice...)
-	bestEnergy := greedyEnergy
-
-	cur := make([]int, n)
-	nodes := 0
-	var dfs func(i int, now simtime.Time, energy float64) bool
-	dfs = func(i int, now simtime.Time, energy float64) bool {
-		if nodes >= maxNodes {
-			return true // abort the search, keep the best found so far
-		}
-		if i == n {
-			if energy < bestEnergy {
-				bestEnergy = energy
-				copy(best, cur)
-			}
-			return false
-		}
-		if energy+pr.sufEnergy[i] >= bestEnergy {
-			return false
-		}
-		it := p.Items[i]
-		if len(it.Choices) == 0 {
-			cur[i] = 0
-			return dfs(i+1, now, energy)
-		}
-		for _, j := range order[i] {
-			nodes++
-			c := it.Choices[j]
-			finish := now.Add(c.Latency)
-			if finish.After(pr.latestFinish[i]) {
-				continue
-			}
-			cur[i] = j
-			if dfs(i+1, finish, energy+c.Energy) {
-				return true
-			}
-		}
-		return false
-	}
-	dfs(0, p.Start, 0)
-
-	return materialize(p, best, pr.feasible, nodes)
-}
-
-// SolveGreedy returns the assignment of the deadline-aware greedy heuristic
-// alone: for each item in order, the lowest-energy choice that keeps the
-// current and all future (relaxed) deadlines reachable. Solve uses it as the
-// incumbent seeding its branch-and-bound, so Solve's energy is never worse;
-// it is exported for equivalence tests and benchmarks.
-func SolveGreedy(p Problem) Assignment {
-	if len(p.Items) == 0 {
-		return Assignment{Feasible: true}
-	}
-	pr := prepare(p)
-	choice, _ := greedy(p, pr)
-	return materialize(p, choice, pr.feasible, 0)
-}
-
-// greedy assigns, for each item in order, the lowest-energy choice that
-// keeps the current and all future (relaxed) deadlines reachable — the
-// feasibility test is the O(1) latestFinish comparison. It always succeeds
-// because the deadlines have been relaxed to the max-performance schedule.
-// Choices are scanned in input order with strict-improvement updates,
-// matching the reference greedy's tie-breaking exactly.
-func greedy(p Problem, pr *prep) ([]int, float64) {
-	n := len(p.Items)
-	choice := make([]int, n)
-	total := 0.0
-	now := p.Start
-	for i, it := range p.Items {
-		if len(it.Choices) == 0 {
-			continue
-		}
-		bestJ := -1
-		bestEnergy := math.MaxFloat64
-		bestLat := simtime.Duration(0)
-		for j, c := range it.Choices {
-			if now.Add(c.Latency).After(pr.latestFinish[i]) {
-				continue
-			}
-			if c.Energy < bestEnergy {
-				bestEnergy, bestJ, bestLat = c.Energy, j, c.Latency
-			}
-		}
-		if bestJ == -1 {
-			// Should not happen after relaxation, but fall back to the
-			// fastest choice defensively.
-			for j, c := range it.Choices {
-				if bestJ == -1 || c.Latency < it.Choices[bestJ].Latency {
-					bestJ = j
-					bestLat = c.Latency
-					bestEnergy = c.Energy
-				}
-			}
-		}
-		choice[i] = bestJ
-		total += bestEnergy
-		now = now.Add(bestLat)
-	}
-	return choice, total
-}

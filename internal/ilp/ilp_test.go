@@ -20,7 +20,7 @@ func mkChoices(lats []simtime.Duration, energyPerMs float64) []Choice {
 }
 
 func TestEmptyProblem(t *testing.T) {
-	a := Solve(Problem{})
+	a := NewSolver().Solve(Problem{})
 	if !a.Feasible || a.TotalEnergy != 0 || len(a.Choice) != 0 {
 		t.Errorf("empty problem: %+v", a)
 	}
@@ -32,7 +32,7 @@ func TestSingleItemPicksCheapestFeasible(t *testing.T) {
 		Start: 0,
 		Items: []Item{{Deadline: simtime.Time(250 * simtime.Millisecond), Choices: mkChoices(lats, 10)}},
 	}
-	a := Solve(p)
+	a := NewSolver().Solve(p)
 	if !a.Feasible {
 		t.Fatal("should be feasible")
 	}
@@ -56,7 +56,7 @@ func TestChainConstraintForcesEarlierSpeedup(t *testing.T) {
 			{Deadline: simtime.Time(250 * simtime.Millisecond), Choices: []Choice{slow, fast}},
 		},
 	}
-	a := Solve(p)
+	a := NewSolver().Solve(p)
 	if !a.Feasible {
 		t.Fatal("should be feasible: fast+fast finishes at 200ms")
 	}
@@ -82,7 +82,7 @@ func TestInfeasibleRelaxation(t *testing.T) {
 			}},
 		},
 	}
-	a := Solve(p)
+	a := NewSolver().Solve(p)
 	if a.Feasible {
 		t.Error("problem should be reported infeasible")
 	}
@@ -97,9 +97,10 @@ func TestInfeasibleRelaxation(t *testing.T) {
 
 func TestFinishTimesAndEnergyConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	s := NewSolver()
 	for trial := 0; trial < 50; trial++ {
 		p := randomProblem(rng, 1+rng.Intn(8), 5)
-		a := Solve(p)
+		a := s.Solve(p)
 		now := p.Start
 		total := 0.0
 		for i, it := range p.Items {
@@ -118,9 +119,10 @@ func TestFinishTimesAndEnergyConsistent(t *testing.T) {
 
 func TestSolverMatchesBruteForceOnSmallInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	s := NewSolver()
 	for trial := 0; trial < 40; trial++ {
 		p := randomProblem(rng, 1+rng.Intn(4), 4)
-		got := Solve(p)
+		got := s.Solve(p)
 		want, feasible := bruteForce(p)
 		if feasible != got.Feasible {
 			t.Fatalf("trial %d: feasibility mismatch (brute=%v solver=%v)", trial, feasible, got.Feasible)
@@ -180,7 +182,7 @@ func TestDeadlineProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 1+rng.Intn(6), 3)
-		a := Solve(p)
+		a := NewSolver().Solve(p)
 		// Earliest achievable prefix finishes.
 		now := p.Start
 		for i, it := range p.Items {
@@ -208,7 +210,7 @@ func TestDeadlineProperty(t *testing.T) {
 
 func TestItemWithNoChoices(t *testing.T) {
 	p := Problem{Items: []Item{{Deadline: simtime.Time(simtime.Second)}}}
-	a := Solve(p)
+	a := NewSolver().Solve(p)
 	if len(a.Choice) != 1 || a.TotalEnergy != 0 {
 		t.Errorf("no-choice item mishandled: %+v", a)
 	}

@@ -10,10 +10,10 @@ import (
 // SolveReference is the pre-overhaul exact solver, kept verbatim as the
 // behavioural baseline: a branch-and-bound over the full per-item choice
 // sets whose future-feasibility test walks the remaining items at every
-// node. It returns the same assignment as Solve (property-tested in
-// equivalence_test.go) while exploring strictly more nodes on non-trivial
-// instances; the solver microbenchmarks in cmd/pes-bench report the ratio.
-// New code should call Solve.
+// node. Solver returns the same assignment under the conditions of the
+// package comment (property-tested in equivalence_test.go) while exploring
+// strictly fewer nodes on non-trivial instances; the solver microbenchmarks
+// in cmd/pes-bench report the ratio. New code should use Solver.
 func SolveReference(p Problem) Assignment {
 	n := len(p.Items)
 	if n == 0 {
@@ -136,7 +136,89 @@ func SolveReference(p Problem) Assignment {
 	}
 	dfs(0, p.Start, 0)
 
-	return materialize(p, best, feasible, nodes)
+	s := Solver{best: best, finish: make([]simtime.Time, n)}
+	return s.materialize(p, feasible, nodes)
+}
+
+// energyOrder returns each item's choice indices sorted by ascending energy
+// with sort.Slice — SolveReference's candidate ordering, tie-breaking
+// included, which SolveReferenceOrder must replay exactly.
+func energyOrder(p Problem) [][]int {
+	order := make([][]int, len(p.Items))
+	for i, it := range p.Items {
+		idx := make([]int, len(it.Choices))
+		for j := range idx {
+			idx[j] = j
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			return it.Choices[idx[a]].Energy < it.Choices[idx[b]].Energy
+		})
+		order[i] = idx
+	}
+	return order
+}
+
+// SolveReferenceOrder explores candidates in exactly the order — and with
+// exactly the node accounting, budget, and abort behaviour — of
+// SolveReference, but performs each future-feasibility test as the O(1)
+// memoized-suffix-latency comparison instead of the reference's O(n) walk.
+// Its Assignment (including Nodes) is bit-identical to SolveReference's on
+// every instance, aborted searches included; only the wall time drops.
+//
+// It exists for budget-pinned baselines: the Oracle's published figures were
+// produced under the reference search budget, and on its hardest windows
+// that budget is exhausted, making the returned assignment an artifact of
+// the traversal itself. Oracle v1 therefore keeps this traversal, while the
+// PES optimizer and Oracle v2 run Solve. Like Solve's, the returned Choice
+// and Finish slices alias the Solver's scratch.
+func (s *Solver) SolveReferenceOrder(p Problem) Assignment {
+	n := len(p.Items)
+	if n == 0 {
+		return Assignment{Feasible: true}
+	}
+	s.grow(n)
+	feasible := s.prepare(p)
+	order := energyOrder(p)
+	bestEnergy := s.greedyInto(p)
+
+	nodes := 0
+	var dfs func(i int, now simtime.Time, energy float64) bool
+	dfs = func(i int, now simtime.Time, energy float64) bool {
+		if nodes >= maxNodes {
+			return true // abort the search, keep the best found so far
+		}
+		if i == n {
+			if energy < bestEnergy {
+				bestEnergy = energy
+				copy(s.best, s.cur)
+			}
+			return false
+		}
+		if energy+s.sufEnergy[i] >= bestEnergy {
+			return false
+		}
+		it := p.Items[i]
+		if len(it.Choices) == 0 {
+			s.cur[i] = 0
+			return dfs(i+1, now, energy)
+		}
+		for _, j := range order[i] {
+			nodes++
+			c := it.Choices[j]
+			finish := now.Add(c.Latency)
+			if finish.After(s.latestFinish[i]) {
+				continue
+			}
+			s.cur[i] = j
+			if dfs(i+1, finish, energy+c.Energy) {
+				return true
+			}
+		}
+		return false
+	}
+	dfs(0, p.Start, 0)
+
+	return s.materialize(p, feasible, nodes)
 }
 
 // referenceGreedy is the pre-overhaul greedy: for each item in order, the

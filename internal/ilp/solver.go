@@ -6,16 +6,15 @@ import (
 	"repro/internal/simtime"
 )
 
-// Solver is the reusable fast-path encoding of the chain-scheduling search
-// behind Oracle v2: the same dominance-pruned branch-and-bound as Solve —
-// energy-ordered Pareto frontiers, memoized suffix latencies, frontier
-// bisection, the same node budget — run as an iterative depth-first search
-// over flattened per-item choice tables held in scratch buffers recycled
-// across calls, with a staged escalation for hard windows:
+// Solver is the exact chain-scheduling solver of the PES optimizer and
+// Oracle v2: the dominance-pruned branch-and-bound of the package comment,
+// run as an iterative depth-first search over flattened per-item choice
+// tables held in scratch buffers recycled across calls, with a staged
+// escalation for hard windows:
 //
-//   - Attempt 0 runs the pruned search as-is under a small node cap. Easy
-//     instances (the overwhelming majority) finish here at pure search cost,
-//     and the result is bit-identical to Solve's, node count included.
+//   - Attempt 0 runs the pruned search as-is under a 10,000-node cap. Easy
+//     instances finish here at pure search cost; every PES solve does (the
+//     largest measured PES search is 32 nodes).
 //   - If the cap is hit, the search restarts under an admissible
 //     arrival-time-grid lower bound: a backward DP tabulates, per item, a
 //     lower bound on the minimum suffix energy as a step function of the
@@ -30,23 +29,25 @@ import (
 //     does a still-incomplete search exhaust the shared node budget and
 //     report an abort.
 //
-// All attempts explore candidates in Solve's order and only ever prune
-// subtrees whose admissible bound proves they cannot beat the incumbent, so
-// whenever the search completes the returned energy is the exact optimum of
-// the (relaxed) instance — equal to Solve's wherever Solve itself completes.
-// The choice vector can differ from Solve's only when distinct optimal
-// assignments tie at the exact minimum energy (then the escalated attempts
-// may return the table-guided representative).
+// Every attempt explores each item's candidates by ascending energy, equal
+// energies by choice index, and only ever prunes subtrees whose admissible
+// bound proves they cannot beat the incumbent, so whenever the search
+// completes the returned energy is the exact optimum of the (relaxed)
+// instance. The choice vector is SolveReference's under the conditions of
+// the package comment; otherwise it may be another optimum of equal energy —
+// the reference orders ties with sort.Slice, and the escalated attempts may
+// return the table-guided representative.
 //
 // After the buffers have grown to the largest instance seen, a solve
-// performs no allocation at all, which is what lets the Oracle policy solve
-// one 12-event window per plan at the same per-event cost discipline as the
-// PES hot path.
+// performs no allocation at all, which is what keeps the PES plan path and
+// the Oracle's one 12-event window per plan allocation-free.
 //
-// A Solver is not safe for concurrent use: it belongs to one scheduler
-// instance, exactly like the optimizer's reusable problem buffers.
+// The zero value is ready to use. A Solver is not safe for concurrent use:
+// it belongs to one scheduler instance, exactly like the optimizer's
+// reusable problem buffers.
 type Solver struct {
-	// Prep scratch, mirroring prepare's per-item arrays.
+	// Per-item minima, the relaxed deadlines, and the memoized suffix
+	// quantities derived from them (filled by prepare).
 	minLat       []simtime.Duration
 	minEnergy    []float64
 	deadlines    []simtime.Time
@@ -93,7 +94,7 @@ func NewSolver() *Solver { return &Solver{} }
 // add the grid bound at increasing resolution. Node caps are cumulative
 // shares of the shared maxNodes budget (50k + 100k + 250k = maxNodes), so an
 // instance that defeats every attempt reports the same abort condition as
-// the recursive solvers: Nodes >= maxNodes.
+// the reference traversals: Nodes >= maxNodes.
 var (
 	attemptCells = [3]int{0, 4096, 16384}
 	attemptCap   = [3]int{10000, 50000, maxNodes}
@@ -136,8 +137,14 @@ func (s *Solver) grow(n int) {
 	s.finish = s.finish[:n]
 }
 
-// prepare fills the prep arrays (the logic of prepare, on scratch) and
-// returns whether the original deadlines are all reachable.
+// prepare fills the per-item arrays and returns whether the original
+// deadlines are all reachable. The deadlines are relaxed to the earliest
+// achievable finish time wherever even maximum performance misses them, so
+// the search space is never empty. latestFinish[i] = min(deadlines[i],
+// latestFinish[i+1] - minLat[i+1]) is the latest finish time of item i from
+// which every remaining deadline is still reachable at minimum latencies,
+// and sufEnergy[i] is the deadline-ignoring energy lower bound of the suffix
+// starting at item i.
 func (s *Solver) prepare(p Problem) bool {
 	n := len(p.Items)
 	s.earliestArr[0] = p.Start
@@ -186,7 +193,12 @@ func (s *Solver) prepare(p Problem) bool {
 // flatten builds the flattened Pareto-frontier tables: each item's choices
 // are index-sorted by ascending energy (stable insertion sort — zero-alloc,
 // and the item sets are at most a platform ladder long), then reduced to the
-// strictly-faster-than-anything-cheaper frontier exactly as frontiers does.
+// strictly-faster-than-anything-cheaper frontier. A pruned choice j is
+// dominated by an earlier-ordered keeper k (energy(k) <= energy(j),
+// latency(k) <= latency(j)): substituting k for j in any feasible assignment
+// stays feasible at no more energy, and the substituted assignment is
+// visited first, so no dominated choice can appear in the first optimal leaf
+// the search finds — pruning never changes the returned assignment.
 func (s *Solver) flatten(p Problem) {
 	s.frontLat = s.frontLat[:0]
 	s.frontEnergy = s.frontEnergy[:0]
@@ -243,8 +255,12 @@ func (s *Solver) firstFeasible(lo, hi int, budget simtime.Duration) int {
 	return lo
 }
 
-// greedyInto runs the deadline-aware greedy of greedy() writing the choices
-// into s.best, and returns the incumbent energy.
+// greedyInto assigns, for each item in order, the lowest-energy choice that
+// keeps the current and all future (relaxed) deadlines reachable, writing
+// the choices into s.best, and returns their total energy. It always
+// succeeds because the deadlines have been relaxed to the max-performance
+// schedule. Choices are scanned in input order with strict-improvement
+// updates, matching the reference greedy's tie-breaking exactly.
 func (s *Solver) greedyInto(p Problem) float64 {
 	total := 0.0
 	now := p.Start
@@ -265,6 +281,8 @@ func (s *Solver) greedyInto(p Problem) float64 {
 			}
 		}
 		if bestJ == -1 {
+			// Should not happen after relaxation, but fall back to the
+			// fastest choice defensively.
 			for j, c := range it.Choices {
 				if bestJ == -1 || c.Latency < it.Choices[bestJ].Latency {
 					bestJ = j
@@ -425,13 +443,16 @@ func (s *Solver) guidedInto(p Problem, bestEnergy float64) float64 {
 	return bestEnergy
 }
 
-// Solve computes a minimum-energy assignment over the same relaxed deadline
-// semantics as the package-level Solve. Whenever the search completes
+// Solve computes a minimum-energy assignment subject to the chain deadline
+// constraints. It always returns a complete assignment: when the original
+// deadlines cannot all be met even at maximum performance, the deadlines are
+// relaxed to the earliest achievable finish times (the infeasible events run
+// as fast as possible) and Feasible is false. Whenever the search completes
 // (Aborted() false — in practice every optimizer-shaped instance) the
-// returned energy is the exact optimum; see the type comment for when the
-// representative choice vector can differ from Solve's. The returned
-// Assignment's Choice and Finish slices alias the Solver's scratch and are
-// valid only until the next Solve call — callers that retain them must copy.
+// returned energy is the exact optimum; see the type comment for the
+// choice vector. The returned Assignment's Choice and Finish slices alias
+// the Solver's scratch and are valid only until the next call — callers
+// that retain them must copy.
 func (s *Solver) Solve(p Problem) Assignment {
 	n := len(p.Items)
 	if n == 0 {
@@ -455,8 +476,26 @@ func (s *Solver) Solve(p Problem) Assignment {
 			break
 		}
 	}
+	return s.materialize(p, feasible, nodes)
+}
 
-	// Materialize onto scratch (the logic of materialize, allocation-free).
+// Greedy returns the assignment of the deadline-aware greedy heuristic
+// alone (see greedyInto). Solve seeds its incumbent with it, so Solve's
+// energy is never worse; it is exported for tests and benchmarks. Like
+// Solve's, the returned slices alias the Solver's scratch.
+func (s *Solver) Greedy(p Problem) Assignment {
+	if len(p.Items) == 0 {
+		return Assignment{Feasible: true}
+	}
+	s.grow(len(p.Items))
+	feasible := s.prepare(p)
+	s.greedyInto(p)
+	return s.materialize(p, feasible, 0)
+}
+
+// materialize derives the finish times (into s.finish) and the total energy
+// of the assignment held in s.best.
+func (s *Solver) materialize(p Problem, feasible bool, nodes int) Assignment {
 	now := p.Start
 	total := 0.0
 	for i := range p.Items {
@@ -476,9 +515,9 @@ func (s *Solver) Solve(p Problem) Assignment {
 	}
 }
 
-// search runs one iterative depth-first attempt: Solve's traversal order and
-// node accounting, optionally strengthened by the grid bound, stopping once
-// nodes reaches cap. It returns whether the search ran to completion, the
+// search runs one iterative depth-first attempt of the pruned traversal,
+// counting nodes as the reference does and optionally strengthened by the
+// grid bound, stopping once nodes reaches cap. It returns whether the search ran to completion, the
 // final incumbent energy, and the accumulated node count. Improvements found
 // by an interrupted attempt are kept in s.best/bestEnergy.
 func (s *Solver) search(p Problem, bestEnergy float64, nodes, cap int, bound bool) (bool, float64, int) {
@@ -490,7 +529,7 @@ func (s *Solver) search(p Problem, bestEnergy float64, nodes, cap int, bound boo
 
 enter:
 	// Entering the search position at depth i with arrival state
-	// (s.nowAt[i], s.enAt[i]) — the body of the recursive dfs.
+	// (s.nowAt[i], s.enAt[i]) — the body of a recursive dfs.
 	if nodes >= cap {
 		complete = false
 		goto done // interrupt the attempt, keep the best found so far
@@ -518,14 +557,15 @@ enter:
 	s.pos[i] = s.firstFeasible(s.frontOff[i], s.frontOff[i+1], s.latestFinish[i].Sub(s.nowAt[i]))
 
 scan:
-	// Scanning item i's frontier from s.pos[i]: the candidate loop of the
+	// Scanning item i's frontier from s.pos[i]: the candidate loop of a
 	// recursive dfs, resumed here after every child returns.
 	for s.pos[i] < s.frontOff[i+1] {
 		k := s.pos[i]
 		en := s.frontEnergy[k]
 		// The frontier ascends in energy, so once this candidate's energy
 		// lower bound reaches the incumbent no later candidate can beat it
-		// either: stop scanning (exactly Solve's cutoff).
+		// either: stop scanning. The skipped subtrees are exactly the ones
+		// the bound check on entry would reject.
 		if s.enAt[i]+en+s.sufEnergy[i+1] >= bestEnergy {
 			break
 		}

@@ -7,7 +7,6 @@
 package optimizer
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/acmp"
@@ -38,9 +37,8 @@ type CostModel struct {
 	defaults map[webevent.Interaction]acmp.Workload
 
 	// rev counts Observe calls. Every observation can shift the workload
-	// estimate of its signature and therefore the latency/energy choices of
-	// any problem mentioning it; the optimizer's plan cache is valid only
-	// while the revision it was filled under is current.
+	// estimate of its signature, so a memoized estimate is valid only while
+	// the revision it was computed under is current.
 	rev int
 
 	// est memoizes the workload estimate per signature at the current
@@ -230,24 +228,26 @@ type Task struct {
 
 // SolverStats aggregates the constrained-optimization work of one scheduler
 // instance (and, summed, of whole sessions, batches, and campaigns): how
-// many solves ran, how much search they did, how many solves the plan cache
-// absorbed, and the wall-clock time spent inside the solver. The counters
-// other than WallNS are fully deterministic for a deterministic simulation.
+// many solves ran, how much search they did, and the wall-clock time spent
+// inside the solver. The counters other than WallNS are fully deterministic
+// for a deterministic simulation.
 type SolverStats struct {
-	// Solves counts ilp.Solve invocations (plan-cache misses included,
-	// cache hits excluded).
+	// Solves counts ilp.Solver calls: one per plan.
 	Solves int `json:"solves"`
 	// Nodes sums the branch-and-bound candidates explored across solves.
 	Nodes int64 `json:"nodes"`
-	// PlanCacheHits counts Schedule calls answered from the plan cache
-	// without solving.
+	// PlanCacheHits is always 0: neither scheduler caches plans, because
+	// real session horizons never repeat (start times advance). The field
+	// stays because the binary shard frame (v1), stored results and the
+	// end-to-end benchmark harness carry it; dropping it needs a frame
+	// version bump and a benchmark change.
 	PlanCacheHits int `json:"plan_cache_hits"`
 	// BudgetAborts counts solves that exhausted the branch-and-bound node
 	// budget, returning a traversal artifact instead of a proven optimum.
 	// Zero on the PES path and on Oracle v2's fast-path windows; Oracle v1's
 	// hardest windows abort by design (that is what pins its figures).
 	BudgetAborts int `json:"budget_aborts"`
-	// WallNS is the wall-clock time spent inside ilp.Solve, in nanoseconds.
+	// WallNS is the wall-clock time spent inside the solver, in nanoseconds.
 	// It is a host measurement: the one non-deterministic field.
 	WallNS int64 `json:"wall_ns"`
 }
@@ -263,48 +263,36 @@ func (s SolverStats) Add(o SolverStats) SolverStats {
 	}
 }
 
-// cachedPlan is one memoized solve: the chosen indices into the platform's
-// configuration list plus the solution's feasibility verdict.
-type cachedPlan struct {
-	choice   []int
-	feasible bool
+// Record accounts one solve that began at begun and returned sol.
+func (s *SolverStats) Record(sol ilp.Assignment, begun time.Time) {
+	s.WallNS += time.Since(begun).Nanoseconds()
+	s.Solves++
+	s.Nodes += int64(sol.Nodes)
+	if sol.Aborted() {
+		s.BudgetAborts++
+	}
 }
 
-// maxCachedPlans bounds the plan cache between invalidations; the cache is
-// cleared wholesale whenever the cost model learns, so the bound only
-// matters for pathological no-observation workloads.
-const maxCachedPlans = 256
-
 // Optimizer assembles and solves the constrained optimization problem over
-// outstanding plus predicted events. It is incremental: solved plans are
-// memoized in a cache keyed by a fingerprint of the problem — the start
-// time and every task's (signature, deadline) — and invalidated when the
-// cost model's revision moves, so re-planning over an unchanged horizon
-// (e.g. after a correct prediction confirmed the standing plan) reuses the
-// standing assignment instead of re-solving.
+// outstanding plus predicted events.
 type Optimizer struct {
 	platform *acmp.Platform
 	cost     *CostModel
 
-	stats SolverStats
+	stats  SolverStats
+	solver ilp.Solver
 
-	// plans is the plan cache; planRev is the cost-model revision its
-	// entries were computed under.
-	plans   map[string]cachedPlan
-	planRev int
-
-	// Reusable solve buffers: the plan-key bytes, the problem's item list,
-	// and one flat backing array for all items' choice lists. ilp.Solve does
-	// not retain the problem, and an Optimizer belongs to one scheduler
-	// instance (single goroutine), so recycling them across solves is safe.
-	keyBuf    []byte
+	// Reusable solve buffers: the problem's item list and one flat backing
+	// array for all items' choice lists. The solver does not retain the
+	// problem, and an Optimizer belongs to one scheduler instance (single
+	// goroutine), so recycling them across solves is safe.
 	itemsBuf  []ilp.Item
 	choiceBuf []ilp.Choice
 }
 
 // New creates an optimizer using the given cost model.
 func New(p *acmp.Platform, cost *CostModel) *Optimizer {
-	return &Optimizer{platform: p, cost: cost, plans: make(map[string]cachedPlan)}
+	return &Optimizer{platform: p, cost: cost}
 }
 
 // Cost exposes the cost model (shared with the EBS fallback path).
@@ -313,65 +301,19 @@ func (o *Optimizer) Cost() *CostModel { return o.cost }
 // Stats returns the accumulated solver statistics.
 func (o *Optimizer) Stats() SolverStats { return o.stats }
 
-// ResetPlanCache drops every memoized plan. Benchmarks and the overhead
-// table use it to measure the raw solve path; production code never needs
-// it (the cache self-invalidates on cost-model revisions).
-func (o *Optimizer) ResetPlanCache() {
-	clear(o.plans)
-}
-
-// appendPlanKey fingerprints a Schedule call into buf. Two calls with equal
-// keys under the same cost-model revision build the identical ilp.Problem —
-// the choice set of a task is a pure function of (signature, cost model,
-// platform), and the chain constraints are a pure function of (start,
-// deadlines) — so the memoized assignment is exactly what ilp.Solve would
-// return. The key spells out the full (outstanding events + predicted
-// suffix, deadlines) contents rather than hashing them, so a collision
-// cannot silently corrupt a plan. Appending into a reusable buffer keeps the
-// cache-hit fast path allocation-free (map lookup by string(buf) does not
-// copy).
-func appendPlanKey(buf []byte, start simtime.Time, tasks []*Task) []byte {
-	buf = strconv.AppendInt(buf, int64(start), 10)
-	for _, t := range tasks {
-		buf = append(buf, '|')
-		buf = append(buf, t.Signature.App...)
-		buf = append(buf, '/')
-		buf = strconv.AppendInt(buf, int64(t.Signature.Type), 10)
-		buf = append(buf, '/')
-		buf = strconv.AppendInt(buf, int64(t.Signature.TargetKind), 10)
-		buf = append(buf, '@')
-		buf = strconv.AppendInt(buf, int64(t.Deadline), 10)
-	}
-	return buf
-}
-
 // Schedule assigns a configuration to every task such that the total
 // predicted energy is minimized while each task finishes by its deadline
 // when execution starts at start (Eqn. 5). Infeasible deadlines (Type I
 // events) are met as early as possible. It returns whether all original
 // deadlines are predicted to be met.
-//
-// A repeated horizon (same start, same task signatures and deadlines, no
-// cost-model update in between) is answered from the plan cache without
-// solving; the applied assignment is identical either way.
 func (o *Optimizer) Schedule(start simtime.Time, tasks []*Task) bool {
 	if len(tasks) == 0 {
 		return true
 	}
-	if o.planRev != o.cost.rev {
-		clear(o.plans)
-		o.planRev = o.cost.rev
-	}
-	configs := o.platform.Configs()
-	o.keyBuf = appendPlanKey(o.keyBuf[:0], start, tasks)
-	if plan, ok := o.plans[string(o.keyBuf)]; ok {
-		o.stats.PlanCacheHits++
-		o.apply(tasks, plan.choice, configs)
-		return plan.feasible
-	}
 
 	// Build the problem on the reusable buffers: one Item per task, all
 	// choice lists carved out of one flat backing array.
+	configs := o.platform.Configs()
 	nc := len(configs)
 	if cap(o.itemsBuf) < len(tasks) {
 		o.itemsBuf = make([]ilp.Item, 0, 2*len(tasks))
@@ -395,25 +337,12 @@ func (o *Optimizer) Schedule(start simtime.Time, tasks []*Task) bool {
 		})
 	}
 	begun := time.Now()
-	sol := ilp.Solve(prob)
-	o.stats.WallNS += time.Since(begun).Nanoseconds()
-	o.stats.Solves++
-	o.stats.Nodes += int64(sol.Nodes)
-	if sol.Aborted() {
-		o.stats.BudgetAborts++
-	}
-	if len(o.plans) < maxCachedPlans {
-		o.plans[string(o.keyBuf)] = cachedPlan{choice: sol.Choice, feasible: sol.Feasible}
-	}
-	o.apply(tasks, sol.Choice, configs)
-	return sol.Feasible
-}
-
-// apply installs a solve's choice indices onto the tasks.
-func (o *Optimizer) apply(tasks []*Task, choice []int, configs []acmp.Config) {
+	sol := o.solver.Solve(prob)
+	o.stats.Record(sol, begun)
 	for i, t := range tasks {
-		cfg := configs[choice[i]]
+		cfg := configs[sol.Choice[i]]
 		t.Config = cfg
 		t.EstimatedLatency = o.cost.PredictLatency(t.Signature, cfg)
 	}
+	return sol.Feasible
 }

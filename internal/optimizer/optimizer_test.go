@@ -161,43 +161,60 @@ func TestScheduleCoordinatesAcrossEvents(t *testing.T) {
 		t.Error("empty schedule should be feasible")
 	}
 
-	// Re-planning the identical horizon with no cost-model update in
-	// between must come from the plan cache — no new solve — and must
-	// install the identical assignment.
+	// Re-planning the identical horizon solves again (there is no plan
+	// cache) and installs the identical assignment.
 	want := []acmp.Config{tasks[0].Config, tasks[1].Config}
 	for i := range tasks {
 		tasks[i].Config = acmp.Config{}
 		tasks[i].EstimatedLatency = 0
 	}
 	if !opt.Schedule(0, tasks) {
-		t.Error("cached schedule should be feasible")
+		t.Error("re-planned schedule should be feasible")
 	}
-	st := opt.Stats()
-	if st.Solves != 1 || st.PlanCacheHits != 1 {
-		t.Errorf("repeat Schedule should hit the plan cache: %+v", st)
+	if st := opt.Stats(); st.Solves != 2 || st.PlanCacheHits != 0 {
+		t.Errorf("repeat Schedule should solve again: %+v", st)
 	}
 	for i := range tasks {
 		if tasks[i].Config != want[i] {
-			t.Errorf("task %d: cached config %v, want %v", i, tasks[i].Config, want[i])
+			t.Errorf("task %d: re-planned config %v, want %v", i, tasks[i].Config, want[i])
 		}
 		if tasks[i].EstimatedLatency <= 0 {
-			t.Errorf("task %d: cached plan lost the latency estimate", i)
+			t.Errorf("task %d: re-planned schedule lost the latency estimate", i)
 		}
 	}
+}
 
-	// A cost-model observation invalidates the cache: the same horizon
-	// solves again.
-	c.Observe(tapSig, p.MaxPerformance(), p.Latency(tapWork, p.MaxPerformance()))
-	opt.Schedule(0, tasks)
-	if st := opt.Stats(); st.Solves != 2 || st.PlanCacheHits != 1 {
-		t.Errorf("cost-model revision should invalidate the plan cache: %+v", st)
+// TestScheduleZeroAlloc gates the PES plan path: once the problem and
+// solver buffers have grown, a Schedule call over a fresh horizon (the start
+// time advances every call, as in a real session) allocates nothing.
+func TestScheduleZeroAlloc(t *testing.T) {
+	p := acmp.Exynos5410()
+	c := NewCostModel(p)
+	opt := New(p, c)
+	tapSig := sig("cnn", webevent.Click)
+	loadSig := sig("cnn", webevent.Load)
+	for _, cfg := range []acmp.Config{{Core: acmp.BigCore, FreqMHz: 1000}, {Core: acmp.LittleCore, FreqMHz: 500}} {
+		c.Observe(tapSig, cfg, p.Latency(acmp.Workload{Tmem: 15 * simtime.Millisecond, Cycles: 300e6}, cfg))
 	}
-
-	// ResetPlanCache forces the next identical horizon to solve again.
-	opt.ResetPlanCache()
-	opt.Schedule(0, tasks)
-	if st := opt.Stats(); st.Solves != 3 {
-		t.Errorf("ResetPlanCache should force a fresh solve: %+v", st)
+	tasks := []*Task{
+		{Signature: tapSig, Type: webevent.Click},
+		{Signature: loadSig, Type: webevent.Load, Predicted: true},
+		{Signature: tapSig, Type: webevent.Click, Predicted: true},
+	}
+	var start simtime.Time
+	schedule := func() {
+		start = start.Add(7 * simtime.Millisecond)
+		for i, task := range tasks {
+			task.Deadline = start.Add(simtime.Duration(i+1) * 900 * simtime.Millisecond)
+		}
+		opt.Schedule(start, tasks)
+	}
+	schedule() // warmup: grow the buffers, memoize the estimates
+	if allocs := testing.AllocsPerRun(100, schedule); allocs != 0 {
+		t.Fatalf("Schedule allocates %.1f objects per call, want 0", allocs)
+	}
+	if st := opt.Stats(); st.Solves != 102 || st.BudgetAborts != 0 {
+		t.Errorf("every call should solve once: %+v", st)
 	}
 }
 

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -23,17 +22,17 @@ const OracleWindow = 12
 // OracleVersion selects which solver encoding the Oracle runs.
 //
 // v1 is the paper-exact baseline: the frozen reference-order traversal
-// (ilp.SolveReferenceOrder) whose hardest 12-event windows exhaust the node
-// budget, making the published figures artifacts of the traversal itself. v2
-// runs the pruned fast-path encoding (ilp.Solver): the same optimum wherever
-// v1 proved one, provably no worse energy where v1 was truncated, and
-// roughly the PES hot path's cost per solve.
+// (ilp.Solver.SolveReferenceOrder) whose hardest 12-event windows exhaust
+// the node budget, making the published figures artifacts of the traversal
+// itself. v2 runs the pruned search (ilp.Solver.Solve, the PES solver): the
+// same optimum wherever v1 proved one, provably no worse energy where v1
+// was truncated, and roughly the PES hot path's cost per solve.
 type OracleVersion int
 
 const (
 	// OracleV1 is the frozen paper-exact reference-order solver.
 	OracleV1 OracleVersion = 1
-	// OracleV2 is the pruned zero-alloc fast-path solver.
+	// OracleV2 is the pruned zero-alloc solver.
 	OracleV2 OracleVersion = 2
 )
 
@@ -83,17 +82,6 @@ type oracleEntry struct {
 	isPending bool
 }
 
-// oraclePlan is one memoized solve: the chosen indices into the platform's
-// configuration list.
-type oraclePlan struct {
-	choice []int
-}
-
-// maxCachedOraclePlans bounds the oracle plan cache. The oracle never
-// learns, so entries stay valid for the whole session and the bound only
-// caps memory.
-const maxCachedOraclePlans = 256
-
 // Oracle is the upper-bound scheduler of the paper's evaluation: it has a
 // priori knowledge of the entire event sequence (types, trigger times and
 // workloads), never mis-predicts, and globally minimizes energy under every
@@ -105,19 +93,15 @@ type Oracle struct {
 	nextIdx  int
 	stats    optimizer.SolverStats
 
-	// solver is the reusable v2 fast-path solver (nil under v1).
-	solver *ilp.Solver
-
-	// plans memoizes solved windows by (start, per-event workload and
-	// deadline); keyBuf is the reusable key scratch.
-	plans  map[string]oraclePlan
-	keyBuf []byte
+	// solver runs both versions' searches on reused scratch.
+	solver ilp.Solver
 
 	// Reusable plan-building buffers: the window's entries, the problem's
 	// item list with one flat backing array for every item's choices, and
 	// the returned task list (consumed synchronously by the engine's
-	// adoptPlan, which copies the values). Recycling them makes Plan calls
-	// allocation-free in the steady state for both versions.
+	// adoptPlan, which copies the values). Recycling them, together with
+	// the solver's scratch, makes v2 Plan calls allocation-free in the
+	// steady state.
 	entries   []oracleEntry
 	itemsBuf  []ilp.Item
 	choiceBuf []ilp.Choice
@@ -132,16 +116,7 @@ func NewOracle(p *acmp.Platform, events []*webevent.Event) *Oracle {
 // NewOracleWithVersion creates an oracle running the given solver version
 // (the zero value selects the default).
 func NewOracleWithVersion(p *acmp.Platform, events []*webevent.Event, v OracleVersion) *Oracle {
-	o := &Oracle{
-		platform: p,
-		events:   events,
-		version:  v.OrDefault(),
-		plans:    make(map[string]oraclePlan),
-	}
-	if o.version == OracleV2 {
-		o.solver = ilp.NewSolver()
-	}
-	return o
+	return &Oracle{platform: p, events: events, version: v.OrDefault()}
 }
 
 // Name implements ProactivePolicy.
@@ -157,31 +132,8 @@ func (o *Oracle) Observe(e *webevent.Event) {
 	}
 }
 
-// appendOraclePlanKey fingerprints a plan window into buf. The oracle's
-// choice set for an event is a pure function of its exact workload and the
-// platform, and the chain constraints are a pure function of (start,
-// deadlines), so two windows with equal keys build the identical
-// ilp.Problem. The key spells the contents out rather than hashing them, so
-// a collision cannot corrupt a plan; appending into a reusable buffer keeps
-// the lookup allocation-free (map access by string(buf) does not copy).
-func appendOraclePlanKey(buf []byte, start simtime.Time, entries []oracleEntry) []byte {
-	buf = strconv.AppendInt(buf, int64(start), 10)
-	for _, en := range entries {
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, int64(en.ev.Work.Tmem), 10)
-		buf = append(buf, '/')
-		buf = strconv.AppendInt(buf, en.ev.Work.Cycles, 10)
-		buf = append(buf, '@')
-		buf = strconv.AppendInt(buf, int64(en.ev.Deadline()), 10)
-	}
-	return buf
-}
-
 // Plan implements ProactivePolicy: it schedules the outstanding events plus
-// the next OracleWindow future events with exact workloads and deadlines. A
-// repeated identical window (same start, same workloads and deadlines) is
-// answered from the plan cache without solving; the applied assignment is
-// identical either way.
+// the next OracleWindow future events with exact workloads and deadlines.
 func (o *Oracle) Plan(start simtime.Time, outstanding []*webevent.Event) []SpecTask {
 	entries := o.entries[:0]
 	first := o.nextIdx
@@ -200,14 +152,7 @@ func (o *Oracle) Plan(start simtime.Time, outstanding []*webevent.Event) []SpecT
 	}
 
 	configs := o.platform.Configs()
-	o.keyBuf = appendOraclePlanKey(o.keyBuf[:0], start, entries)
-	var choice []int
-	if plan, ok := o.plans[string(o.keyBuf)]; ok {
-		o.stats.PlanCacheHits++
-		choice = plan.choice
-	} else {
-		choice = o.solve(start, entries, configs)
-	}
+	choice := o.solve(start, entries, configs)
 
 	out := o.out[:0]
 	for i, en := range entries {
@@ -228,8 +173,8 @@ func (o *Oracle) Plan(start simtime.Time, outstanding []*webevent.Event) []SpecT
 	return out
 }
 
-// solve runs the version-selected solver over the window and memoizes the
-// result. The returned choice slice is owned by the plan cache.
+// solve runs the version-selected search over the window. The returned
+// choice slice aliases the solver's scratch: valid until the next solve.
 func (o *Oracle) solve(start simtime.Time, entries []oracleEntry, configs []acmp.Config) []int {
 	// Build the problem on the reusable buffers: one Item per entry, all
 	// choice lists carved out of one flat backing array.
@@ -259,29 +204,18 @@ func (o *Oracle) solve(start simtime.Time, entries []oracleEntry, configs []acmp
 	var sol ilp.Assignment
 	begun := time.Now()
 	if o.version == OracleV1 {
-		// v1 keeps the reference-order solver: its figures are an upper-bound
-		// baseline produced under the reference search budget, and its
-		// hardest 12-item windows exhaust that budget, so the returned
-		// assignment depends on the traversal itself. SolveReferenceOrder
-		// pins the traversal (bit-identical assignments and node counts)
-		// while doing each feasibility test in O(1).
-		sol = ilp.SolveReferenceOrder(prob)
+		// v1 keeps the reference-order traversal: its figures are an
+		// upper-bound baseline produced under the reference search budget,
+		// and its hardest 12-item windows exhaust that budget, so the
+		// returned assignment depends on the traversal itself.
+		// SolveReferenceOrder pins the traversal (bit-identical assignments
+		// and node counts) while doing each feasibility test in O(1).
+		sol = o.solver.SolveReferenceOrder(prob)
 	} else {
 		sol = o.solver.Solve(prob)
 	}
-	o.stats.WallNS += time.Since(begun).Nanoseconds()
-	o.stats.Solves++
-	o.stats.Nodes += int64(sol.Nodes)
-	if sol.Aborted() {
-		o.stats.BudgetAborts++
-	}
-
-	// The v2 solver's Choice aliases its scratch; copy before retaining.
-	choice := append([]int(nil), sol.Choice...)
-	if len(o.plans) < maxCachedOraclePlans {
-		o.plans[string(o.keyBuf)] = oraclePlan{choice: choice}
-	}
-	return choice
+	o.stats.Record(sol, begun)
+	return sol.Choice
 }
 
 // ReactiveConfig implements ProactivePolicy: with perfect workload knowledge

@@ -65,10 +65,11 @@ func TestNewOracleDefaultsToV2(t *testing.T) {
 	}
 }
 
-// TestOraclePlanCacheHit is the counter assertion for the plan-cache fix:
-// planning the identical horizon twice must answer the second call from the
-// cache (one solve, one hit) with an identical task list, for both versions.
-func TestOraclePlanCacheHit(t *testing.T) {
+// TestOracleReplanIsIdentical: planning the identical horizon twice must
+// solve twice (there is no plan cache) and return an identical task list,
+// for both versions — the solver's reused scratch carries no state from one
+// plan into the next.
+func TestOracleReplanIsIdentical(t *testing.T) {
 	for _, v := range []OracleVersion{OracleV1, OracleV2} {
 		o := NewOracleWithVersion(acmp.Exynos5410(), oracleTrace(6), v)
 		start := simtime.Time(100 * simtime.Millisecond)
@@ -81,31 +82,24 @@ func TestOraclePlanCacheHit(t *testing.T) {
 		snap := make([]SpecTask, len(first))
 		copy(snap, first)
 		s1 := o.SolverStats()
-		if s1.Solves != 1 || s1.PlanCacheHits != 0 {
+		if s1.Solves != 1 || s1.Nodes <= 0 {
 			t.Fatalf("%v: after first plan stats = %+v", v, s1)
 		}
 
+		// A shifted horizon in between exercises the scratch with other data.
+		o.Plan(start.Add(simtime.Millisecond), nil)
 		second := o.Plan(start, nil)
-		s2 := o.SolverStats()
-		if s2.PlanCacheHits != 1 {
-			t.Errorf("%v: repeated identical horizon missed the plan cache: %+v", v, s2)
-		}
-		if s2.Solves != 1 || s2.Nodes != s1.Nodes {
-			t.Errorf("%v: cached plan re-ran the solver: %+v vs %+v", v, s2, s1)
+		s3 := o.SolverStats()
+		if s3.Solves != 3 || s3.PlanCacheHits != 0 {
+			t.Errorf("%v: every plan should solve: %+v", v, s3)
 		}
 		if len(second) != len(snap) {
-			t.Fatalf("%v: cached plan length %d != %d", v, len(second), len(snap))
+			t.Fatalf("%v: replanned length %d != %d", v, len(second), len(snap))
 		}
 		for i := range snap {
 			if second[i] != snap[i] {
-				t.Errorf("%v: cached task %d differs: %+v vs %+v", v, i, second[i], snap[i])
+				t.Errorf("%v: replanned task %d differs: %+v vs %+v", v, i, second[i], snap[i])
 			}
-		}
-
-		// A different start time is a different horizon: must solve again.
-		o.Plan(start.Add(simtime.Millisecond), nil)
-		if s3 := o.SolverStats(); s3.Solves != 2 || s3.PlanCacheHits != 1 {
-			t.Errorf("%v: shifted horizon should re-solve: %+v", v, s3)
 		}
 	}
 }
@@ -137,9 +131,9 @@ func TestOracleV2MatchesV1OnProvenWindows(t *testing.T) {
 	}
 }
 
-// TestOraclePlanSteadyStateAllocs pins the zero-alloc property of repeated
-// oracle planning (the v2 throughput path): after warmup, planning the same
-// session's horizons must not allocate.
+// TestOraclePlanSteadyStateAllocs pins the zero-alloc property of oracle
+// planning (the v2 throughput path): once the buffers have grown, every plan
+// solves without allocating.
 func TestOraclePlanSteadyStateAllocs(t *testing.T) {
 	o := NewOracleWithVersion(acmp.Exynos5410(), oracleTrace(8), OracleV2)
 	starts := []simtime.Time{
@@ -147,7 +141,7 @@ func TestOraclePlanSteadyStateAllocs(t *testing.T) {
 		simtime.Time(20 * simtime.Millisecond),
 		simtime.Time(30 * simtime.Millisecond),
 	}
-	for _, s := range starts { // warmup: solve + fill the plan cache
+	for _, s := range starts { // warmup: grow the plan and solver buffers
 		o.Plan(s, nil)
 	}
 	avg := testing.AllocsPerRun(50, func() {

@@ -1,7 +1,7 @@
 // Package sessions bridges traces and scheduler names to batch sessions: it
 // is the one place that knows how to construct every scheduler and run it on
-// the unified engine, shared by the experiment harness, cmd/pes-sim, and the
-// simcheck tool.
+// the unified engine, shared by the experiment harness, cmd/pes-sim and the
+// campaign service.
 package sessions
 
 import (

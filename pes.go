@@ -149,7 +149,7 @@ type (
 	// Outcome is the per-event record of a simulation.
 	Outcome = engine.Outcome
 	// SolverStats aggregates constrained-optimization work: solve count,
-	// branch-and-bound nodes explored, plan-cache hits, and solver wall
+	// branch-and-bound nodes explored, budget aborts, and solver wall
 	// time. It appears per session in Result.Solver, summed over a runner's
 	// unique runs in BatchStats.Solver, and summed over a campaign in
 	// CampaignResults.Solver.
