@@ -87,6 +87,112 @@ func cloneAssignment(a Assignment) Assignment {
 // reference's on tie-free instances.
 const fastAttempt0Cap = 10000
 
+// energyEqual reports whether two solution energies agree to 1e-9.
+func energyEqual(a, b float64) bool {
+	diff := a - b
+	return diff <= 1e-9 && diff >= -1e-9
+}
+
+// TestFastSolverMatchesSolve checks the solver on random and ladder-shaped
+// instances against SolveReference. Where the solver completes within its
+// pure first attempt and the instance has no equal-energy choices, so the
+// candidate order is determined, the choices, feasibility verdict, finish
+// times and energy must be bit-identical, with no more nodes explored. On
+// the other instances the optimum energy must agree whenever both complete.
+func TestFastSolverMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	s := NewSolver()
+	bitIdentical := 0
+	for trial := 0; trial < 400; trial++ {
+		p := problems(rng, trial, 12, 17)
+		got := cloneAssignment(s.Solve(p))
+		want := SolveReference(p)
+		if hasEnergyTies(p) || got.Nodes >= fastAttempt0Cap {
+			if got.Aborted() || want.Aborted() {
+				continue
+			}
+			if !energyEqual(got.TotalEnergy, want.TotalEnergy) {
+				t.Fatalf("trial %d: optimal energies diverge: solver=%v reference=%v", trial, got.TotalEnergy, want.TotalEnergy)
+			}
+			continue
+		}
+		if want.Aborted() {
+			continue // a truncated reference incumbent is a traversal artifact
+		}
+		bitIdentical++
+		if !reflect.DeepEqual(got.Choice, want.Choice) || !reflect.DeepEqual(got.Finish, want.Finish) ||
+			got.Feasible != want.Feasible || got.TotalEnergy != want.TotalEnergy {
+			t.Fatalf("trial %d: solver diverged\n got %+v\nwant %+v\nproblem: %+v", trial, got, want, p)
+		}
+		if got.Nodes > want.Nodes {
+			t.Fatalf("trial %d: solver explored %d nodes, reference only %d", trial, got.Nodes, want.Nodes)
+		}
+	}
+	if bitIdentical < 100 {
+		t.Fatalf("only %d bit-identity trials; the property went under-exercised", bitIdentical)
+	}
+}
+
+// TestFastSolverMatchesSolveOnChaingen pins the solver on the
+// optimizer-shaped distribution shared with cmd/pes-bench, including the
+// 12-item windows of the Oracle. The solver must never exhaust its node
+// budget on this distribution (the bench's budget_aborts == 0 gate in
+// miniature). It must agree with SolveReference bit for bit on the easy
+// instances, and on the optimum energy everywhere the reference completes.
+func TestFastSolverMatchesSolveOnChaingen(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	pts := chainPoints()
+	s := NewSolver()
+	escalated := 0
+	for trial := 0; trial < 200; trial++ {
+		p := chainProblem(rng, pts, 1+rng.Intn(12))
+		got := cloneAssignment(s.Solve(p))
+		want := SolveReference(p)
+		if got.Aborted() {
+			t.Fatalf("trial %d: solver exhausted its node budget on a production-shaped window", trial)
+		}
+		if want.Aborted() {
+			if got.TotalEnergy > want.TotalEnergy+1e-9 {
+				t.Fatalf("trial %d: solver optimum %v worse than truncated reference incumbent %v", trial, got.TotalEnergy, want.TotalEnergy)
+			}
+			continue
+		}
+		if !energyEqual(got.TotalEnergy, want.TotalEnergy) || got.Feasible != want.Feasible {
+			t.Fatalf("trial %d: optima diverge: solver E=%v feasible=%v, reference E=%v feasible=%v",
+				trial, got.TotalEnergy, got.Feasible, want.TotalEnergy, want.Feasible)
+		}
+		if got.Nodes >= fastAttempt0Cap {
+			escalated++
+			continue
+		}
+		if !hasEnergyTies(p) && (!reflect.DeepEqual(got.Choice, want.Choice) || !reflect.DeepEqual(got.Finish, want.Finish)) {
+			t.Fatalf("trial %d: solver diverged on chaingen instance\n got %+v\nwant %+v", trial, got, want)
+		}
+	}
+	if escalated == 0 {
+		t.Log("no trial escalated past the pure attempt; the grid-bound path went unexercised")
+	}
+}
+
+// TestFastSolverOptimalOnSmallInstances cross-checks the solver against
+// exhaustive enumeration for N <= 6 windows: it must attain the true minimum
+// energy over the relaxed deadlines exactly.
+func TestFastSolverOptimalOnSmallInstances(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	s := NewSolver()
+	for trial := 0; trial < 300; trial++ {
+		p := problems(rng, trial, 6, 8)
+		got := s.Solve(p)
+		want := exhaustiveMin(p)
+		if want < 0 {
+			t.Fatalf("trial %d: relaxation left no feasible assignment", trial)
+		}
+		if !energyEqual(got.TotalEnergy, want) {
+			t.Fatalf("trial %d: solver energy %v, exhaustive optimum %v", trial, got.TotalEnergy, want)
+		}
+	}
+}
+
 // TestFastSolverDominatesReferenceOrder is the v2-vs-v1 energy property: the
 // budget-truncated reference-order traversal (Oracle v1) can return a
 // traversal artifact, so the fast solver's energy must never exceed it on
