@@ -33,7 +33,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pes-experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "all", "experiment to run (fig2, fig3, table1, fig8, fig9, fig10, fig11, fig12, fig13, fig14, overhead, ablation, tx2, all)")
+	var names []string
+	for _, f := range experiments.Figures() {
+		names = append(names, f.Name)
+	}
+	fig := fs.String("fig", "all", "experiment to run ("+strings.Join(names, ", ")+", all)")
 	traces := fs.Int("traces", 3, "evaluation traces per application")
 	train := fs.Int("train", 8, "training traces per seen application")
 	seed := fs.Int64("seed", 1, "experiment seed")
@@ -46,6 +50,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	oracleVer, err := sched.ParseOracleVersion(*oracle)
 	if err != nil {
 		return err
+	}
+	figs := experiments.Figures()
+	if !strings.EqualFold(*fig, "all") {
+		f, err := experiments.LookupFigure(*fig)
+		if err != nil {
+			return err
+		}
+		figs = []experiments.Figure{f}
 	}
 	if *debugAddr != "" {
 		go func() {
@@ -67,41 +79,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var tables []*experiments.Table
-	switch strings.ToLower(*fig) {
-	case "all":
-		tables, err = setup.All()
-	case "fig2":
-		tables, err = one(setup.Fig2())
-	case "fig3":
-		tables, err = one(setup.Fig3())
-	case "table1":
-		tables, err = one(setup.Table1())
-	case "fig8":
-		tables, err = one(setup.Fig8())
-	case "fig9":
-		tables, err = one(setup.Fig9())
-	case "fig10":
-		tables, err = one(setup.Fig10())
-	case "fig11":
-		tables, err = one(setup.Fig11())
-	case "fig12":
-		tables, err = one(setup.Fig12())
-	case "fig13":
-		tables, err = one(setup.Fig13())
-	case "fig14":
-		tables, err = one(setup.Fig14(nil))
-	case "overhead", "sec6.3":
-		tables, err = one(setup.OverheadTable())
-	case "ablation", "nodom":
-		tables, err = one(setup.AblationNoDOM())
-	case "tx2", "otherdevice":
-		tables, err = one(setup.OtherDeviceTX2())
-	default:
-		return fmt.Errorf("unknown experiment %q", *fig)
-	}
-	if err != nil {
-		return err
+	tables := make([]*experiments.Table, 0, len(figs))
+	for _, f := range figs {
+		t, err := f.Run(setup)
+		if err != nil {
+			return err
+		}
+		tables = append(tables, t)
 	}
 	for _, t := range tables {
 		if err := t.Render(stdout); err != nil {
@@ -112,11 +96,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "completed %d experiment(s): %d sessions requested, %d simulated on %d worker(s), %d served from cache\n",
 		len(tables), st.Sessions, st.UniqueRuns, setup.Runner.Workers(), st.CacheHits)
 	return nil
-}
-
-func one(t *experiments.Table, err error) ([]*experiments.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []*experiments.Table{t}, nil
 }

@@ -1,5 +1,6 @@
 // Campaign client: drive a running pes-serve instance over HTTP — submit a
-// campaign, poll its progress, and print the aggregate energy/QoS tables.
+// campaign, poll its progress, print the aggregate energy/QoS tables, and
+// read the server's cache counters from /healthz.
 //
 // Start the service first, then run the client:
 //
@@ -52,8 +53,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// Deployment counters are served by /healthz (and /metrics), not with
+	// the campaign's results.
+	h := get[struct {
+		Stats pes.BatchStats `json:"stats"`
+	}](*addr + "/healthz")
 	fmt.Printf("server cache: %d sessions served, %d simulated, %d memo hits\n",
-		res.Stats.Sessions, res.Stats.UniqueRuns, res.Stats.CacheHits)
+		h.Stats.Sessions, h.Stats.UniqueRuns, h.Stats.CacheHits)
 }
 
 func post[T any](url string, body []byte) T {

@@ -80,27 +80,6 @@ func (cl *Cluster) MinFreq() int { return cl.FreqsMHz[0] }
 // MaxFreq returns the highest frequency of the cluster.
 func (cl *Cluster) MaxFreq() int { return cl.FreqsMHz[len(cl.FreqsMHz)-1] }
 
-// HasFreq reports whether f is a valid operating point of the cluster.
-func (cl *Cluster) HasFreq(f int) bool {
-	for _, x := range cl.FreqsMHz {
-		if x == f {
-			return true
-		}
-	}
-	return false
-}
-
-// ClosestFreqAtLeast returns the lowest ladder frequency ≥ f, or the maximum
-// frequency when f exceeds the ladder.
-func (cl *Cluster) ClosestFreqAtLeast(f int) int {
-	for _, x := range cl.FreqsMHz {
-		if x >= f {
-			return x
-		}
-	}
-	return cl.MaxFreq()
-}
-
 // Platform is a complete ACMP hardware model.
 type Platform struct {
 	Name string
@@ -148,11 +127,6 @@ func (p *Platform) Configs() []Config {
 	return p.configs
 }
 
-// ValidConfig reports whether cfg is an operating point of the platform.
-func (p *Platform) ValidConfig(cfg Config) bool {
-	return p.Cluster(cfg.Core).HasFreq(cfg.FreqMHz)
-}
-
 // MaxPerformance returns the highest-performance configuration of the
 // platform (big cluster at its maximum frequency).
 func (p *Platform) MaxPerformance() Config {
@@ -197,13 +171,6 @@ func (p *Platform) Latency(w Workload, cfg Config) simtime.Duration {
 	cycles := float64(w.Cycles) * cl.CPI
 	compute := cycles / float64(cfg.FreqMHz)
 	return w.Tmem + simtime.Duration(math.Ceil(compute))
-}
-
-// Energy returns the active energy in millijoules spent executing the
-// workload on cfg (latency × power).
-func (p *Platform) Energy(w Workload, cfg Config) float64 {
-	lat := p.Latency(w, cfg)
-	return EnergyMJ(p.Power(cfg), lat)
 }
 
 // SwitchOverhead returns the time cost of moving the main thread from one

@@ -28,13 +28,17 @@ func TestExynosLadders(t *testing.T) {
 
 func TestConfigValidity(t *testing.T) {
 	p := Exynos5410()
-	if !p.ValidConfig(Config{BigCore, 1800}) {
+	valid := make(map[Config]bool)
+	for _, cfg := range p.Configs() {
+		valid[cfg] = true
+	}
+	if !valid[Config{BigCore, 1800}] {
 		t.Error("big@1800 should be valid")
 	}
-	if p.ValidConfig(Config{BigCore, 1850}) {
+	if valid[Config{BigCore, 1850}] {
 		t.Error("big@1850 should be invalid")
 	}
-	if p.ValidConfig(Config{LittleCore, 800}) {
+	if valid[Config{LittleCore, 800}] {
 		t.Error("little@800 should be invalid")
 	}
 	if p.MaxPerformance() != (Config{BigCore, 1800}) {
@@ -112,7 +116,7 @@ func TestEnergyAndIdle(t *testing.T) {
 	cfg := Config{BigCore, 1800}
 	lat := p.Latency(w, cfg)
 	wantMJ := p.Power(cfg) * float64(lat) / 1e6
-	if got := p.Energy(w, cfg); got != wantMJ {
+	if got := EnergyMJ(p.Power(cfg), lat); got != wantMJ {
 		t.Errorf("Energy = %v, want %v", got, wantMJ)
 	}
 	if got := p.IdleEnergy(simtime.Second); got != p.IdlePowerMW*1e6/1e6 {
@@ -137,22 +141,6 @@ func TestSwitchOverhead(t *testing.T) {
 	}
 	if d := p.SwitchOverhead(Config{BigCore, 1000}, Config{LittleCore, 600}); d != 120*simtime.Microsecond {
 		t.Errorf("migration switch cost %v, want 120µs", d)
-	}
-}
-
-func TestClusterHelpers(t *testing.T) {
-	p := Exynos5410()
-	if !p.Big.HasFreq(1200) || p.Big.HasFreq(1250) {
-		t.Error("HasFreq wrong")
-	}
-	if got := p.Big.ClosestFreqAtLeast(1150); got != 1200 {
-		t.Errorf("ClosestFreqAtLeast(1150) = %d", got)
-	}
-	if got := p.Big.ClosestFreqAtLeast(5000); got != 1800 {
-		t.Errorf("ClosestFreqAtLeast(5000) = %d", got)
-	}
-	if got := p.Little.ClosestFreqAtLeast(0); got != 350 {
-		t.Errorf("ClosestFreqAtLeast(0) = %d", got)
 	}
 }
 
@@ -205,8 +193,11 @@ func TestTX2Platform(t *testing.T) {
 	// The newer SoC should be more efficient: same work at big-max costs less
 	// energy than on the Exynos big-max.
 	w := Workload{Tmem: 0, Cycles: 200_000_000}
-	e1 := Exynos5410().Energy(w, Exynos5410().MaxPerformance())
-	e2 := p.Energy(w, p.MaxPerformance())
+	energy := func(p *Platform) float64 {
+		cfg := p.MaxPerformance()
+		return EnergyMJ(p.Power(cfg), p.Latency(w, cfg))
+	}
+	e1, e2 := energy(Exynos5410()), energy(p)
 	if e2 >= e1 {
 		t.Errorf("TX2 energy %v should be below Exynos energy %v for the same work", e2, e1)
 	}

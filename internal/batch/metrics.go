@@ -129,8 +129,8 @@ func (r *Runner) RegisterMetrics(reg *obs.Registry) *Runner {
 	}
 
 	r.sessionSeconds = reg.Histogram("pes_session_seconds",
-		"Wall time to resolve one session (cache hits included).", nil)
+		"Wall time to resolve one session (cache hits included).")
 	r.solveSeconds = reg.Histogram("pes_solve_seconds",
-		"Solver wall time per unique run.", nil)
+		"Solver wall time per unique run.")
 	return r
 }

@@ -216,6 +216,25 @@ type Stats struct {
 	Remote batch.Stats `json:"remote"`
 }
 
+// Coordinator tuning that no deployment has needed to change.
+const (
+	// ringReplicas is the number of virtual nodes per worker on the hash
+	// ring.
+	ringReplicas = 64
+	// shardTimeout bounds one shard execution. A shard that exceeds it
+	// counts as a worker failure — the worker is excluded and the shard
+	// re-routed — so it sits well above the largest expected chunk's cold
+	// (cache-miss) run time.
+	shardTimeout = 10 * time.Minute
+	// probeBackoffBase is the first re-probe delay charged to a member
+	// after a failure. Each further consecutive failure — dispatch fault or
+	// probe — doubles it with jitter, up to probeBackoffMax, so a flapping
+	// worker is re-routed away from immediately but re-probed lazily instead
+	// of hammered. A passing probe or a re-registration clears the backoff.
+	probeBackoffBase = time.Second
+	probeBackoffMax  = time.Minute
+)
+
 // Config parameterizes a coordinator.
 type Config struct {
 	// Workers statically seeds the membership ("host:port" or a full URL
@@ -224,14 +243,6 @@ type Config struct {
 	Workers []string
 	// Transport overrides the shard transport; nil selects HTTP.
 	Transport Transport
-	// Replicas is the number of virtual nodes per worker on the hash ring
-	// (default 64).
-	Replicas int
-	// ShardTimeout bounds one shard execution (default 10 minutes). A
-	// shard that exceeds it counts as a worker failure — the worker is
-	// excluded and the shard re-routed — so size it above the largest
-	// expected chunk's cold (cache-miss) run time.
-	ShardTimeout time.Duration
 	// OracleVersion is this coordinator process's oracle version (zero
 	// value = default). It is stamped on every shard request; workers whose
 	// own -oracle flag disagrees reject the shard.
@@ -242,37 +253,24 @@ type Config struct {
 	// lost to a worker fault, larger chunks amortize transport overhead and
 	// preserve session→worker cache affinity.
 	MaxShardSessions int
-	// HeartbeatInterval is the period of the membership health-check loop
-	// (default 3s; negative disables). Probes run only when the transport
-	// implements Pinger.
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout bounds one health probe (default 2s).
-	HeartbeatTimeout time.Duration
-	// HeartbeatFailures is the number of consecutive failed probes that
+	// Logger receives the coordinator's structured events (membership
+	// transitions, worker faults, steals); nil selects slog.Default().
+	Logger *slog.Logger
+
+	// heartbeatInterval is the period of the membership health-check loop
+	// (default 3s). Probes run only when the transport implements Pinger.
+	heartbeatInterval time.Duration
+	// heartbeatTimeout bounds one health probe (default 2s).
+	heartbeatTimeout time.Duration
+	// heartbeatFailures is the number of consecutive failed probes that
 	// mark a member unhealthy (default 3). A single passing probe heals it.
-	HeartbeatFailures int
-	// RetryBudget caps worker-fault re-route events per campaign (default
+	heartbeatFailures int
+	// retryBudget caps worker-fault re-route events per campaign (default
 	// 16). Re-routing is immediate and cheap, but unbounded: a pathological
 	// fleet (every worker flapping) could otherwise bounce the same
 	// sessions around the ring forever. Exhausting the budget fails the
 	// campaign with the last worker error attached.
-	RetryBudget int
-	// ProbeBackoffBase is the first re-probe delay charged to a member
-	// after a failure (default 1s). Each further consecutive failure —
-	// dispatch fault or probe — doubles it with jitter, up to
-	// ProbeBackoffMax (default 60s), so a flapping worker is re-routed away
-	// from immediately but re-probed lazily instead of hammered. A passing
-	// probe or a re-registration clears the backoff.
-	ProbeBackoffBase time.Duration
-	ProbeBackoffMax  time.Duration
-	// Local optionally supplies the in-process spill-over worker: when the
-	// live worker set empties (none configured yet, or every member failed),
-	// remaining sessions execute on it instead of failing the campaign.
-	// server.New wires the service's own harness here automatically.
-	Local *Worker
-	// Logger receives the coordinator's structured events (membership
-	// transitions, worker faults, steals); nil selects slog.Default().
-	Logger *slog.Logger
+	retryBudget int
 }
 
 // Coordinator routes sessions to workers and merges their results. Safe for
@@ -315,40 +313,25 @@ func New(cfg Config) (*Coordinator, error) {
 	if err := validateSeed(cfg.Workers); err != nil {
 		return nil, err
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 64
-	}
-	if cfg.ShardTimeout <= 0 {
-		cfg.ShardTimeout = 10 * time.Minute
-	}
 	if cfg.MaxShardSessions <= 0 {
 		cfg.MaxShardSessions = 16
 	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 3 * time.Second
+	if cfg.heartbeatInterval <= 0 {
+		cfg.heartbeatInterval = 3 * time.Second
 	}
-	if cfg.HeartbeatTimeout <= 0 {
-		cfg.HeartbeatTimeout = 2 * time.Second
+	if cfg.heartbeatTimeout <= 0 {
+		cfg.heartbeatTimeout = 2 * time.Second
 	}
-	if cfg.HeartbeatFailures <= 0 {
-		cfg.HeartbeatFailures = 3
+	if cfg.heartbeatFailures <= 0 {
+		cfg.heartbeatFailures = 3
 	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 16
-	}
-	if cfg.ProbeBackoffBase <= 0 {
-		cfg.ProbeBackoffBase = time.Second
-	}
-	if cfg.ProbeBackoffMax < cfg.ProbeBackoffBase {
-		cfg.ProbeBackoffMax = time.Minute
+	if cfg.retryBudget <= 0 {
+		cfg.retryBudget = 16
 	}
 	t := cfg.Transport
 	if t == nil {
 		t = NewHTTPTransport()
 	}
-	members := newMembership(cfg.Workers, cfg.Replicas)
-	members.backoffBase = cfg.ProbeBackoffBase
-	members.backoffMax = cfg.ProbeBackoffMax
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -356,14 +339,13 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		transport:   t,
-		members:     members,
+		members:     newMembership(cfg.Workers),
 		log:         logger,
-		local:       cfg.Local,
 		workerStats: make(map[string]batch.Stats),
 		hbStop:      make(chan struct{}),
 		hbDone:      make(chan struct{}),
 	}
-	if p, ok := t.(Pinger); ok && cfg.HeartbeatInterval > 0 {
+	if p, ok := t.(Pinger); ok {
 		go c.heartbeat(p)
 	} else {
 		close(c.hbDone)
@@ -380,11 +362,11 @@ func (c *Coordinator) Close() {
 
 // heartbeat probes every member's /healthz on a fixed period, healing
 // members whose probes pass and marking members unhealthy after
-// HeartbeatFailures consecutive failures. Membership changes rebuild the
+// heartbeatFailures consecutive failures. Membership changes rebuild the
 // ring and wake in-flight runs.
 func (c *Coordinator) heartbeat(p Pinger) {
 	defer close(c.hbDone)
-	ticker := time.NewTicker(c.cfg.HeartbeatInterval)
+	ticker := time.NewTicker(c.cfg.heartbeatInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -395,15 +377,15 @@ func (c *Coordinator) heartbeat(p Pinger) {
 		due, skipped := c.members.probeTargets(time.Now())
 		c.probesSkipped.Add(int64(skipped))
 		for _, addr := range due {
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HeartbeatTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.heartbeatTimeout)
 			err := p.Ping(ctx, addr)
 			cancel()
 			if err != nil {
-				if c.members.probe(addr, false, c.cfg.HeartbeatFailures) {
+				if c.members.probe(addr, false, c.cfg.heartbeatFailures) {
 					c.dropStats(addr)
 					c.log.Warn("cluster member unhealthy", "worker", addr, "cause", "probe", "error", err)
 				}
-			} else if c.members.probe(addr, true, c.cfg.HeartbeatFailures) {
+			} else if c.members.probe(addr, true, c.cfg.heartbeatFailures) {
 				c.log.Info("cluster member healed", "worker", addr)
 			}
 		}
@@ -444,7 +426,10 @@ func (c *Coordinator) Members() []Member { return c.members.snapshot() }
 // the returned slice does not affect routing.
 func (c *Coordinator) Workers() []string { return c.members.addrs() }
 
-// SetLocal installs the in-process spill-over worker (see Config.Local).
+// SetLocal installs the in-process spill-over worker: when the live worker
+// set empties (none configured yet, or every member failed), remaining
+// sessions execute on it instead of failing the campaign. server.New wires
+// the service's own harness here.
 func (c *Coordinator) SetLocal(w *Worker) {
 	c.mu.Lock()
 	c.local = w
@@ -546,7 +531,7 @@ type run struct {
 	excluded      map[string]bool // members failed this run
 	inflight      int
 	resolved      int
-	retriesUsed   int // worker-fault re-routes charged against RetryBudget
+	retriesUsed   int // worker-fault re-routes charged against retryBudget
 	done          bool
 	fatalErr      error
 	sessErr       error
@@ -808,7 +793,7 @@ func (r *run) runner(addr string) {
 			req.Sessions[k] = r.specs[i]
 		}
 		start := time.Now()
-		ctx, cancel := context.WithTimeout(r.ctx, r.c.cfg.ShardTimeout)
+		ctx, cancel := context.WithTimeout(r.ctx, shardTimeout)
 		resp, err := r.c.transport.RunShard(ctx, addr, req)
 		cancel()
 		rtt := time.Since(start)
@@ -865,10 +850,10 @@ func (r *run) runner(addr string) {
 			r.lastWorkerErr = err
 			r.excluded[addr] = true
 			r.retriesUsed++
-			if r.retriesUsed > r.c.cfg.RetryBudget {
+			if r.retriesUsed > r.c.cfg.retryBudget {
 				if r.fatalErr == nil {
 					r.fatalErr = fmt.Errorf("cluster: campaign retry budget exhausted (%d worker faults > budget %d; last: %w)",
-						r.retriesUsed, r.c.cfg.RetryBudget, err)
+						r.retriesUsed, r.c.cfg.retryBudget, err)
 				}
 				r.cancel()
 				r.cond.Broadcast()

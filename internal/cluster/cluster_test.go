@@ -102,22 +102,13 @@ func directResults(t *testing.T, specs []SessionSpec) []*engine.Result {
 // nondeterministic byte of a Result.
 func normalize(t *testing.T, res *engine.Result) []byte {
 	t.Helper()
-	raw, err := json.Marshal(res)
+	clone := *res
+	clone.Solver.WallNS = 0
+	raw, err := json.Marshal(&clone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if solver, ok := m["Solver"].(map[string]any); ok {
-		solver["wall_ns"] = 0
-	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return raw
 }
 
 func assertIdentical(t *testing.T, specs []SessionSpec, merged, direct []*engine.Result) {
@@ -184,7 +175,7 @@ func TestRingDeterministicCompleteAndExclusive(t *testing.T) {
 // register/deregister, probe-driven health transitions, dispatch faults, and
 // watch-channel notifications.
 func TestMembershipTransitions(t *testing.T) {
-	m := newMembership([]string{"a:1", "b:2"}, 64)
+	m := newMembership([]string{"a:1", "b:2"})
 	if got := m.healthy(); len(got) != 2 {
 		t.Fatalf("static seed not healthy: %v", got)
 	}
@@ -849,9 +840,9 @@ func TestHeartbeatMarksDeadAndHealsRecovered(t *testing.T) {
 
 	coord, err := New(Config{
 		Workers:           []string{ts.URL},
-		HeartbeatInterval: 10 * time.Millisecond,
-		HeartbeatTimeout:  time.Second,
-		HeartbeatFailures: 2,
+		heartbeatInterval: 10 * time.Millisecond,
+		heartbeatTimeout:  time.Second,
+		heartbeatFailures: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -883,14 +874,14 @@ func TestHeartbeatMarksDeadAndHealsRecovered(t *testing.T) {
 }
 
 // TestRetryBudgetExhaustion asserts a campaign whose worker faults exceed
-// Config.RetryBudget fails with a budget error instead of bouncing the
+// Config.retryBudget fails with a budget error instead of bouncing the
 // sessions around the ring (or spilling) forever.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	coord, err := New(Config{
 		Workers:   []string{"worker-a:9001", "worker-b:9002", "worker-c:9003"},
 		Transport: everythingFails{},
 		// Budget 1: the first fault re-routes, the second fails the run.
-		RetryBudget: 1,
+		retryBudget: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -908,7 +899,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // failures push a member's next probe out on a growing jittered schedule,
 // success or re-registration clears it.
 func TestProbeBackoffSuppressesProbes(t *testing.T) {
-	m := newMembership([]string{"a:1", "b:2"}, 4)
+	m := newMembership([]string{"a:1", "b:2"})
 	m.backoffBase = 10 * time.Millisecond
 	m.backoffMax = 100 * time.Millisecond
 

@@ -55,7 +55,6 @@ type Member struct {
 // closed-and-replaced channel so a mid-campaign join can start stealing
 // work immediately.
 type membership struct {
-	replicas    int
 	backoffBase time.Duration // first re-probe gap after a failure
 	backoffMax  time.Duration // backoff growth cap
 
@@ -66,11 +65,10 @@ type membership struct {
 	rng     *rand.Rand    // backoff jitter; guarded by mu
 }
 
-func newMembership(seed []string, replicas int) *membership {
+func newMembership(seed []string) *membership {
 	m := &membership{
-		replicas:    replicas,
-		backoffBase: time.Second,
-		backoffMax:  time.Minute,
+		backoffBase: probeBackoffBase,
+		backoffMax:  probeBackoffMax,
 		members:     make(map[string]*Member, len(seed)),
 		watch:       make(chan struct{}),
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -92,7 +90,7 @@ func (m *membership) rebuildLocked() {
 		}
 	}
 	sort.Strings(healthy)
-	m.ring = newRing(healthy, m.replicas)
+	m.ring = newRing(healthy, ringReplicas)
 	close(m.watch)
 	m.watch = make(chan struct{})
 }

@@ -42,5 +42,5 @@ func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 		"Health probes suppressed by a member's failure backoff window.",
 		func() float64 { return float64(c.probesSkipped.Load()) })
 	c.shardLatency = reg.Histogram("pes_shard_roundtrip_seconds",
-		"Round-trip wall time of one successful shard dispatch.", nil)
+		"Round-trip wall time of one successful shard dispatch.")
 }

@@ -2,13 +2,15 @@
 // predictor analyzes.
 //
 // The model is intentionally structural: nodes have a kind, a vertical
-// position on the page, an on-screen area, registered event listeners, and
-// the two pieces of semantic information the paper's Semantic Tree memoizes
-// during parsing — whether activating the node toggles the visibility of
-// another subtree (collapsible menus) and whether it navigates to another
-// page. This is enough to compute the application-inherent prediction
-// features of Table 1 (clickable-region and visible-link percentages) and
-// the Likely-Next-Event-Set (LNES) used by the DOM analyzer, including the
+// position on the page, an on-screen area, and registered event listeners.
+// The paper's Semantic Tree is not a separate structure here: the two pieces
+// of semantic information it memoizes during parsing live directly on each
+// Node — TogglesMenu (activating the node toggles the visibility of another
+// subtree, i.e. a collapsible menu) and NavigatesTo (activating it navigates
+// to another page). The predictor's Analyzer reads them. This is enough to
+// compute the application-inherent prediction features of Table 1
+// (clickable-region and visible-link percentages) and the
+// Likely-Next-Event-Set (LNES) used by the DOM analyzer, including the
 // post-event DOM state after a menu toggle, without evaluating callbacks.
 package dom
 
@@ -88,16 +90,6 @@ type Node struct {
 	// NavigatesTo records that activating this node navigates to the named
 	// page ("" when it does not navigate).
 	NavigatesTo string
-}
-
-// HasListener reports whether the node has a listener for t.
-func (n *Node) HasListener(t webevent.Type) bool {
-	for _, l := range n.Listeners {
-		if l == t {
-			return true
-		}
-	}
-	return false
 }
 
 // Tappable reports whether the node reacts to any tap-interaction event.

@@ -217,72 +217,6 @@ func TestApplyEventNavigationAndScroll(t *testing.T) {
 	}
 }
 
-func TestSemanticTreeRoles(t *testing.T) {
-	tree, ids := buildTestPage()
-	st := BuildSemanticTree(tree)
-	if st.Len() != tree.Len() {
-		t.Errorf("semantic tree has %d entries, dom has %d", st.Len(), tree.Len())
-	}
-	if st.Role(ids["toggle"]) != RoleMenuToggle {
-		t.Errorf("toggle role = %v", st.Role(ids["toggle"]))
-	}
-	if st.Role(ids["link"]) != RoleLink {
-		t.Errorf("link role = %v", st.Role(ids["link"]))
-	}
-	if st.Role(ids["form"]) != RoleForm {
-		t.Errorf("form role = %v", st.Role(ids["form"]))
-	}
-	if st.Role(tree.Root()) != RoleDocument {
-		t.Errorf("root role = %v", st.Role(tree.Root()))
-	}
-	if st.Node(ids["item1"]).Navigates != "section1" {
-		t.Errorf("item1 navigates = %q", st.Node(ids["item1"]).Navigates)
-	}
-}
-
-func TestPostEventLNESMenuToggleWithoutEvaluation(t *testing.T) {
-	tree, ids := buildTestPage()
-	st := BuildSemanticTree(tree)
-	// Before the toggle, the menu items' navigation targets are invisible, so
-	// the post-click LNES (of the toggle) must include Load via the menu
-	// items becoming visible — computed WITHOUT mutating the live DOM.
-	menuHiddenBefore := tree.Node(ids["menu"]).Hidden
-	lnes := st.PostEventLNES(webevent.Click, ids["toggle"])
-	if tree.Node(ids["menu"]).Hidden != menuHiddenBefore {
-		t.Fatal("PostEventLNES must not leave the DOM mutated")
-	}
-	hasClick := false
-	for _, typ := range lnes {
-		if typ == webevent.Click {
-			hasClick = true
-		}
-	}
-	if !hasClick {
-		t.Errorf("post-toggle LNES = %v, want click present (menu items)", lnes)
-	}
-}
-
-func TestPostEventLNESNavigationAndMove(t *testing.T) {
-	tree, ids := buildTestPage()
-	st := BuildSemanticTree(tree)
-	if lnes := st.PostEventLNES(webevent.Click, ids["link"]); lnes != nil {
-		t.Errorf("navigation post-LNES should be nil (unknown page), got %v", lnes)
-	}
-	top := tree.ViewportTop
-	lnes := st.PostEventLNES(webevent.Scroll, None)
-	if tree.ViewportTop != top {
-		t.Error("PostEventLNES for a move must restore the scroll position")
-	}
-	if len(lnes) == 0 {
-		t.Error("post-scroll LNES should not be empty")
-	}
-	// A tap on a non-semantic node leaves the LNES unchanged.
-	plain := tree.Add(&Node{Kind: Text, Parent: tree.Root(), Y: 10, Height: 10})
-	if got := st.PostEventLNES(webevent.Click, plain); len(got) == 0 {
-		t.Error("plain-tap post-LNES should equal the current LNES")
-	}
-}
-
 func TestInvalidNodePanics(t *testing.T) {
 	tree, _ := buildTestPage()
 	defer func() {
@@ -297,11 +231,8 @@ func TestKindAndRoleStrings(t *testing.T) {
 	if Document.String() != "document" || MenuItem.String() != "menuitem" {
 		t.Error("Kind names wrong")
 	}
-	if Kind(99).String() == "" || Role(99).String() == "" {
-		t.Error("unknown kinds/roles should render")
-	}
-	if RoleMenuToggle.String() != "menutoggle" {
-		t.Error("Role names wrong")
+	if Kind(99).String() == "" {
+		t.Error("unknown kinds should render")
 	}
 }
 

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/acmp"
@@ -573,23 +577,47 @@ func avgRows(rows [][]float64) []float64 {
 	return out
 }
 
-// All runs every experiment in paper order.
-func (s *Setup) All() ([]*Table, error) {
-	type gen func() (*Table, error)
-	gens := []gen{
-		s.Fig2, s.Fig3, s.Table1, s.Fig8,
-		s.Fig9, s.Fig10, s.OverheadTable,
-		s.Fig11, s.Fig12, s.Fig13,
-		func() (*Table, error) { return s.Fig14(nil) },
-		s.AblationNoDOM, s.OtherDeviceTX2,
-	}
-	var out []*Table
-	for _, g := range gens {
-		t, err := g()
-		if err != nil {
-			return nil, err
+// Figure is one entry of the figure table: the canonical name that selects
+// an experiment (pes-experiments -fig, GET /v1/figures/{name}), the aliases
+// that select it too, and its generator.
+type Figure struct {
+	Name    string
+	Aliases []string
+	Run     func(*Setup) (*Table, error)
+}
+
+// figures is the figure table, in paper order — the order pes-experiments
+// runs them in.
+var figures = []Figure{
+	{Name: "fig2", Run: (*Setup).Fig2},
+	{Name: "fig3", Run: (*Setup).Fig3},
+	{Name: "table1", Run: (*Setup).Table1},
+	{Name: "fig8", Run: (*Setup).Fig8},
+	{Name: "fig9", Run: (*Setup).Fig9},
+	{Name: "fig10", Run: (*Setup).Fig10},
+	{Name: "overhead", Aliases: []string{"sec6.3"}, Run: (*Setup).OverheadTable},
+	{Name: "fig11", Run: (*Setup).Fig11},
+	{Name: "fig12", Run: (*Setup).Fig12},
+	{Name: "fig13", Run: (*Setup).Fig13},
+	{Name: "fig14", Run: func(s *Setup) (*Table, error) { return s.Fig14(nil) }},
+	{Name: "ablation", Aliases: []string{"nodom"}, Run: (*Setup).AblationNoDOM},
+	{Name: "tx2", Aliases: []string{"otherdevice"}, Run: (*Setup).OtherDeviceTX2},
+}
+
+// ErrUnknownFigure is returned by LookupFigure for a name that is neither a
+// figure's canonical name nor one of its aliases.
+var ErrUnknownFigure = errors.New("unknown figure")
+
+// Figures returns a copy of the figure table, in paper order.
+func Figures() []Figure { return append([]Figure(nil), figures...) }
+
+// LookupFigure resolves a canonical figure name or alias, ignoring case.
+func LookupFigure(name string) (Figure, error) {
+	key := strings.ToLower(name)
+	for _, f := range figures {
+		if f.Name == key || slices.Contains(f.Aliases, key) {
+			return f, nil
 		}
-		out = append(out, t)
 	}
-	return out, nil
+	return Figure{}, fmt.Errorf("%w %q", ErrUnknownFigure, name)
 }

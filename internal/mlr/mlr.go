@@ -257,43 +257,8 @@ func (m *Model) Fit(samples []Sample, cfg TrainConfig) error {
 	return nil
 }
 
-// Accuracy returns the top-1 accuracy of the model over the samples.
-func (m *Model) Accuracy(samples []Sample) (float64, error) {
-	if len(samples) == 0 {
-		return 0, errors.New("mlr: no samples")
-	}
-	correct := 0
-	for _, s := range samples {
-		c, _, err := m.Predict(s.Features)
-		if err != nil {
-			return 0, err
-		}
-		if c == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples)), nil
-}
-
 // Save serializes the model as JSON; the paper persists its trained model to
 // local storage and loads it when the application boots.
 func (m *Model) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(m)
-}
-
-// Load reads a model previously written with Save.
-func Load(r io.Reader) (*Model, error) {
-	var m Model
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("mlr: load: %w", err)
-	}
-	if m.NumClasses != len(m.Weights) {
-		return nil, errors.New("mlr: corrupt model: class count mismatch")
-	}
-	for _, w := range m.Weights {
-		if len(w) != m.NumFeatures+1 {
-			return nil, errors.New("mlr: corrupt model: weight vector length mismatch")
-		}
-	}
-	return &m, nil
 }

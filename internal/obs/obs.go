@@ -4,18 +4,15 @@
 // surface (pprof + expvar).
 //
 // The registry is the read side of the counters the rest of the system
-// already keeps. Two kinds of series coexist:
-//
-//   - Native metrics (Counter, Gauge, Histogram): atomic, nil-safe, and
-//     allocation-free on the increment/observe path, so they can sit on the
-//     simulation hot path the same way the engine's zero-alloc discipline
-//     demands (gated by AllocsPerRun tests). These carry the new
-//     time-series — session wall time, solve wall time, shard round-trips,
-//     HTTP handler latency.
-//   - Sampled metrics (CounterFunc, GaugeFunc): closures evaluated at scrape
-//     time over the same atomic counters the /healthz and results `stats`
-//     snapshots read, so every counter family the JSON views report is also
-//     a Prometheus series, with one source of truth and no double counting.
+// already keeps. Counters and gauges are sampled (CounterFunc, GaugeFunc):
+// closures evaluated at scrape time over the same atomic counters the
+// /healthz snapshot reads, so every counter family the JSON view reports is
+// also a Prometheus series, with one source of truth and no double counting.
+// Latency distributions (session wall time, solve wall time, shard
+// round-trips, HTTP handler latency) are native Histograms: atomic, nil-safe
+// and allocation-free on the observe path, so they can sit on the
+// simulation hot path the same way the engine's zero-alloc discipline
+// demands (gated by AllocsPerRun tests).
 //
 // Exposition follows the Prometheus text format version 0.0.4: families are
 // emitted in sorted order with one # HELP / # TYPE header each, series
@@ -50,70 +47,8 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing series. All methods are nil-safe so
-// instrumented code never has to check whether telemetry is wired; a nil
-// counter costs one predictable branch.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n (n must not be negative; counters only go up).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a series that can go up and down. Nil-safe like Counter.
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add shifts the gauge by delta (CAS loop; contended adds retry).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Histogram is a fixed-bucket cumulative histogram. Buckets are chosen at
-// registration and never change, so Observe is a linear scan over a small
+// Histogram is a fixed-bucket cumulative histogram over DefBuckets. The
+// buckets never change, so Observe is a linear scan over a small
 // array plus three atomic adds — no allocation, no locks. Nil-safe.
 type Histogram struct {
 	upper   []float64      // ascending bucket upper bounds (an implicit +Inf bucket follows)
@@ -206,10 +141,8 @@ type series struct {
 	labels string // rendered {k="v",...} block, "" when unlabeled
 	kind   metricKind
 
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	sample  func() float64 // CounterFunc / GaugeFunc
+	hist   *Histogram
+	sample func() float64 // CounterFunc / GaugeFunc
 }
 
 // family groups series sharing a name for exposition.
@@ -301,20 +234,6 @@ func (r *Registry) register(s *series, help string, labels []Label) {
 	sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 }
 
-// Counter registers and returns a native counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(&series{family: name, kind: kindCounter, counter: c}, help, labels)
-	return c
-}
-
-// Gauge registers and returns a native gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(&series{family: name, kind: kindGauge, gauge: g}, help, labels)
-	return g
-}
-
 // CounterFunc registers a counter series sampled from fn at scrape time.
 // Use it to expose an existing atomic counter (a Stats snapshot field)
 // without a second write path; fn must be monotonic for the series to obey
@@ -328,18 +247,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.register(&series{family: name, kind: kindGauge, sample: fn}, help, labels)
 }
 
-// Histogram registers and returns a native histogram with the given
-// ascending bucket upper bounds (nil selects DefBuckets).
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("obs: histogram %s buckets not ascending", name))
-		}
-	}
-	h := &Histogram{upper: buckets, counts: make([]atomic.Int64, len(buckets)+1)}
+// Histogram registers and returns a native histogram over DefBuckets.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
+	h := &Histogram{upper: DefBuckets, counts: make([]atomic.Int64, len(DefBuckets)+1)}
 	r.register(&series{family: name, kind: kindHistogram, hist: h}, help, labels)
 	return h
 }
@@ -353,8 +263,8 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// innerLabels re-renders a series' label block with one extra label (used
-// for the histogram le label); block is the rendered "{...}" or "".
+// withLabel re-renders a series' label block with one extra label (used for
+// the histogram le label); block is the rendered "{...}" or "".
 func withLabel(block, key, value string) string {
 	extra := key + "=" + strconv.Quote(value)
 	if block == "" {
@@ -397,16 +307,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func writeSeries(w io.Writer, name string, s *series) error {
 	switch s.kind {
 	case kindCounter, kindGauge:
-		var v float64
-		switch {
-		case s.sample != nil:
-			v = s.sample()
-		case s.counter != nil:
-			v = float64(s.counter.Value())
-		default:
-			v = s.gauge.Value()
-		}
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, s.labels, formatFloat(v))
+		_, err := fmt.Fprintf(w, "%s%s %s\n", name, s.labels, formatFloat(s.sample()))
 		return err
 	default:
 		h := s.hist

@@ -8,39 +8,18 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("pes_test_total", "a counter")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	g := r.Gauge("pes_test_depth", "a gauge")
-	g.Set(3)
-	g.Add(-1.5)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
-	}
-}
-
 func TestNilMetricsAreSafe(t *testing.T) {
-	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var rec *Recorder
-	c.Inc()
-	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	h.ObserveSeconds(100)
 	rec.Record(Span{Name: "x"})
 	rec.Merge([]Span{{Name: "y"}})
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.BucketCounts() != nil {
 		t.Fatal("nil metrics must read zero")
 	}
 	if rec.Timeline() != nil || rec.Len() != 0 || rec.TraceID() != "" {
@@ -50,8 +29,8 @@ func TestNilMetricsAreSafe(t *testing.T) {
 
 func TestHistogramBucketsSumToCount(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("pes_test_seconds", "latency", []float64{0.001, 0.01, 0.1, 1})
-	vals := []float64{0.0005, 0.001, 0.002, 0.05, 0.5, 2, 100}
+	h := r.Histogram("pes_test_seconds", "latency")
+	vals := []float64{0.00005, 0.0001, 0.002, 0.05, 0.5, 40, 100}
 	for _, v := range vals {
 		h.Observe(v)
 	}
@@ -72,12 +51,12 @@ func TestHistogramBucketsSumToCount(t *testing.T) {
 	if bucketTotal != h.Count() {
 		t.Fatalf("bucket counts sum to %d, want _count %d", bucketTotal, h.Count())
 	}
-	// 0.0005 and 0.001 land in le=0.001 (upper bound inclusive).
+	// 0.00005 and 0.0001 land in le=0.0001 (upper bound inclusive).
 	if got := h.BucketCounts()[0]; got != 2 {
 		t.Fatalf("first bucket = %d, want 2", got)
 	}
-	// 2 and 100 land in +Inf.
-	if got := h.BucketCounts()[4]; got != 2 {
+	// 40 and 100 land in +Inf.
+	if got := h.BucketCounts()[len(DefBuckets)]; got != 2 {
 		t.Fatalf("+Inf bucket = %d, want 2", got)
 	}
 }
@@ -146,11 +125,10 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("pes_jobs_total", "jobs", L("kind", "done"))
-	c.Add(7)
-	r.Counter("pes_jobs_total", "jobs", L("kind", "failed")).Add(2)
+	r.CounterFunc("pes_jobs_total", "jobs", func() float64 { return 7 }, L("kind", "done"))
+	r.CounterFunc("pes_jobs_total", "jobs", func() float64 { return 2 }, L("kind", "failed"))
 	r.GaugeFunc("pes_queue_depth", "depth", func() float64 { return 3 })
-	h := r.Histogram("pes_lat_seconds", "latency", []float64{0.01, 0.1})
+	h := r.Histogram("pes_lat_seconds", "latency")
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(5)
@@ -200,28 +178,26 @@ func TestRegistryPanicsOnBadRegistration(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("invalid name", func() { NewRegistry().Counter("9bad", "") })
-	expectPanic("invalid label", func() { NewRegistry().Counter("ok_total", "", L("9bad", "v")) })
+	zero := func() float64 { return 0 }
+	expectPanic("invalid name", func() { NewRegistry().CounterFunc("9bad", "", zero) })
+	expectPanic("invalid label", func() { NewRegistry().CounterFunc("ok_total", "", zero, L("9bad", "v")) })
 	expectPanic("kind conflict", func() {
 		r := NewRegistry()
-		r.Counter("pes_x", "")
-		r.Gauge("pes_x", "")
+		r.CounterFunc("pes_x", "", zero)
+		r.GaugeFunc("pes_x", "", zero)
 	})
 	expectPanic("duplicate series", func() {
 		r := NewRegistry()
-		r.Counter("pes_x", "", L("a", "b"))
-		r.Counter("pes_x", "", L("a", "b"))
-	})
-	expectPanic("non-ascending buckets", func() {
-		NewRegistry().Histogram("pes_h", "", []float64{1, 1})
+		r.CounterFunc("pes_x", "", zero, L("a", "b"))
+		r.CounterFunc("pes_x", "", zero, L("a", "b"))
 	})
 }
 
 func TestMetricsRaceClean(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("pes_race_total", "")
-	g := r.Gauge("pes_race_gauge", "")
-	h := r.Histogram("pes_race_seconds", "", nil)
+	var n atomic.Int64
+	r.CounterFunc("pes_race_total", "", func() float64 { return float64(n.Load()) })
+	h := r.Histogram("pes_race_seconds", "")
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -229,8 +205,7 @@ func TestMetricsRaceClean(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				g.Add(1)
+				n.Add(1)
 				h.Observe(float64(seed*perWorker+i) * 1e-6)
 			}
 		}(w)
@@ -246,12 +221,6 @@ func TestMetricsRaceClean(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if c.Value() != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", c.Value(), workers*perWorker)
-	}
-	if g.Value() != workers*perWorker {
-		t.Fatalf("gauge = %v, want %d", g.Value(), workers*perWorker)
-	}
 	if h.Count() != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*perWorker)
 	}
@@ -260,24 +229,15 @@ func TestMetricsRaceClean(t *testing.T) {
 // The hot-path increments must not allocate: they sit inside the
 // per-session simulate path that PR 4 drove to zero allocations.
 func TestHotPathZeroAlloc(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("pes_alloc_total", "")
-	g := r.Gauge("pes_alloc_gauge", "")
-	h := r.Histogram("pes_alloc_seconds", "", nil)
-	var nilC *Counter
+	h := NewRegistry().Histogram("pes_alloc_seconds", "")
 	var nilH *Histogram
 
 	cases := []struct {
 		name string
 		fn   func()
 	}{
-		{"Counter.Inc", func() { c.Inc() }},
-		{"Counter.Add", func() { c.Add(3) }},
-		{"Gauge.Set", func() { g.Set(1) }},
-		{"Gauge.Add", func() { g.Add(1) }},
 		{"Histogram.Observe", func() { h.Observe(0.003) }},
 		{"Histogram.ObserveSeconds", func() { h.ObserveSeconds(12345) }},
-		{"nil Counter.Inc", func() { nilC.Inc() }},
 		{"nil Histogram.Observe", func() { nilH.Observe(1) }},
 	}
 	for _, tc := range cases {
@@ -353,7 +313,7 @@ func TestFuncMetricsThroughHandler(t *testing.T) {
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	r := NewRegistry()
-	h := r.Histogram("pes_bench_seconds", "", nil)
+	h := r.Histogram("pes_bench_seconds", "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.00035)
@@ -365,7 +325,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 
 func ExampleRegistry_WritePrometheus() {
 	r := NewRegistry()
-	r.Counter("pes_sessions_total", "Sessions simulated.").Add(42)
+	r.CounterFunc("pes_sessions_total", "Sessions simulated.", func() float64 { return 42 })
 	var b strings.Builder
 	_ = r.WritePrometheus(&b)
 	fmt.Print(b.String())

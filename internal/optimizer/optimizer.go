@@ -171,12 +171,6 @@ func (c *CostModel) PredictLatency(sig webevent.Signature, cfg acmp.Config) simt
 	return c.platform.Latency(w, cfg)
 }
 
-// PredictEnergy estimates the active energy (mJ) of executing the signature
-// on cfg.
-func (c *CostModel) PredictEnergy(sig webevent.Signature, cfg acmp.Config) float64 {
-	return acmp.EnergyMJ(c.platform.Power(cfg), c.PredictLatency(sig, cfg))
-}
-
 // PickMinEnergyConfig returns the minimum-energy configuration whose
 // predicted latency meets the deadline when execution starts at start; when
 // no configuration can meet the deadline (a Type I event or a very late

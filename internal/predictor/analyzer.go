@@ -28,7 +28,8 @@ type Analysis struct {
 }
 
 // Analyzer performs the program-analysis half of the predictor. It inspects
-// the session's Semantic Tree to narrow the prediction space and to resolve
+// the Semantic Tree annotations on the session's DOM nodes (dom.Node's
+// TogglesMenu and NavigatesTo) to narrow the prediction space and to resolve
 // the cases where the application logic makes the next event near-certain:
 // a tap that navigates is followed by the destination page's load, and an
 // expanded menu is almost always followed by a tap on one of its items.

@@ -67,7 +67,7 @@ func (s *Server) initMetrics() {
 	s.httpLat = make(map[string]*obs.Histogram, len(httpRoutes))
 	for _, route := range httpRoutes {
 		s.httpLat[route] = reg.Histogram("pes_http_request_duration_seconds",
-			"HTTP handler latency by route pattern.", nil, obs.L("route", route))
+			"HTTP handler latency by route pattern.", obs.L("route", route))
 	}
 }
 

@@ -165,18 +165,7 @@ type Results struct {
 	// campaign's session results (cache-served sessions report the stats of
 	// the one simulation that produced them).
 	Solver optimizer.SolverStats `json:"solver"`
-	// Stats snapshots the shared runner's memo-cache counters after the
-	// campaign completed; its Solver field counts only work actually
-	// performed by this server's unique runs.
-	Stats batch.Stats `json:"stats"`
-	// Cluster snapshots the coordinator's shard/retry/worker counters when
-	// campaigns are sharded across workers (absent in-process).
-	Cluster *cluster.Stats `json:"cluster,omitempty"`
 }
-
-// errUnknownFigure distinguishes a bad figure name (HTTP 404) from a figure
-// that failed to compute (HTTP 500).
-var errUnknownFigure = errors.New("unknown figure")
 
 // figEntry is a singleflight cache slot for one figure.
 type figEntry struct {
@@ -492,53 +481,19 @@ func (s *Server) jobByID(id string) (*job, bool) {
 // simulations run on the shared runner, so campaigns covering the same
 // sessions are served from the same memo cache.
 func (s *Server) figure(name string) (*experiments.Table, error) {
-	gen, canon, err := s.figureGen(name)
+	f, err := experiments.LookupFigure(name)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	e, ok := s.figures[canon]
+	e, ok := s.figures[f.Name]
 	if !ok {
 		e = &figEntry{}
-		s.figures[canon] = e
+		s.figures[f.Name] = e
 	}
 	s.mu.Unlock()
-	e.once.Do(func() { e.tab, e.err = gen() })
+	e.once.Do(func() { e.tab, e.err = f.Run(s.setup) })
 	return e.tab, e.err
-}
-
-// figureGen resolves a figure name (with the same aliases as
-// cmd/pes-experiments) to its generator and canonical cache key.
-func (s *Server) figureGen(name string) (func() (*experiments.Table, error), string, error) {
-	switch strings.ToLower(name) {
-	case "fig2":
-		return s.setup.Fig2, "fig2", nil
-	case "fig3":
-		return s.setup.Fig3, "fig3", nil
-	case "table1":
-		return s.setup.Table1, "table1", nil
-	case "fig8":
-		return s.setup.Fig8, "fig8", nil
-	case "fig9":
-		return s.setup.Fig9, "fig9", nil
-	case "fig10":
-		return s.setup.Fig10, "fig10", nil
-	case "fig11":
-		return s.setup.Fig11, "fig11", nil
-	case "fig12":
-		return s.setup.Fig12, "fig12", nil
-	case "fig13":
-		return s.setup.Fig13, "fig13", nil
-	case "fig14":
-		return func() (*experiments.Table, error) { return s.setup.Fig14(nil) }, "fig14", nil
-	case "overhead", "sec6.3":
-		return s.setup.OverheadTable, "overhead", nil
-	case "ablation", "nodom":
-		return s.setup.AblationNoDOM, "ablation", nil
-	case "tx2", "otherdevice":
-		return s.setup.OtherDeviceTX2, "tx2", nil
-	}
-	return nil, "", fmt.Errorf("%w %q", errUnknownFigure, name)
 }
 
 // Handler returns the HTTP API:
@@ -815,11 +770,6 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		Rows:   rows,
 		Tables: j.plan.Tables(results),
 		Solver: solver,
-		Stats:  s.Stats(),
-	}
-	if s.cfg.Cluster != nil {
-		cs := s.cfg.Cluster.Stats()
-		out.Cluster = &cs
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -828,7 +778,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	tab, err := s.figure(r.PathValue("name"))
 	if err != nil {
 		code := http.StatusNotFound
-		if !errors.Is(err, errUnknownFigure) {
+		if !errors.Is(err, experiments.ErrUnknownFigure) {
 			code = http.StatusInternalServerError
 		}
 		writeJSON(w, code, apiError{Error: err.Error()})

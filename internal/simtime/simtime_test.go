@@ -3,7 +3,6 @@ package simtime
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestUnits(t *testing.T) {
@@ -27,11 +26,8 @@ func TestTimeArithmetic(t *testing.T) {
 	if !end.After(start) {
 		t.Error("end should be after start")
 	}
-	if end.Millis() != 250 {
-		t.Errorf("Millis = %v, want 250", end.Millis())
-	}
-	if end.Seconds() != 0.25 {
-		t.Errorf("Seconds = %v, want 0.25", end.Seconds())
+	if end.Micros() != 250000 {
+		t.Errorf("Micros = %v, want 250000", end.Micros())
 	}
 }
 
@@ -39,14 +35,11 @@ func TestConversions(t *testing.T) {
 	if FromMillis(33.0) != 33*Millisecond {
 		t.Errorf("FromMillis(33) = %v", FromMillis(33.0))
 	}
-	if FromSeconds(3.0) != 3*Second {
-		t.Errorf("FromSeconds(3) = %v", FromSeconds(3.0))
-	}
 	if d := FromMillis(0.5); d != 500 {
 		t.Errorf("FromMillis(0.5) = %v, want 500µs", d)
 	}
-	if got := (2 * Millisecond).Std(); got != 2*time.Millisecond {
-		t.Errorf("Std = %v, want 2ms", got)
+	if d := 250 * Millisecond; d.Millis() != 250 || d.Seconds() != 0.25 {
+		t.Errorf("Millis/Seconds = %v/%v, want 250/0.25", d.Millis(), d.Seconds())
 	}
 }
 
@@ -72,16 +65,10 @@ func TestMinMax(t *testing.T) {
 	if Max(a, b) != b || Max(b, a) != b {
 		t.Error("Max wrong")
 	}
-	if Min(a, b) != a || Min(b, a) != a {
-		t.Error("Min wrong")
-	}
-	if MaxDuration(3, 7) != 7 || MinDuration(3, 7) != 3 {
-		t.Error("duration min/max wrong")
-	}
 }
 
 func TestNeverIsLate(t *testing.T) {
-	huge := Time(0).Add(FromSeconds(1e6))
+	huge := Time(0).Add(1e6 * Second)
 	if !Never.After(huge) {
 		t.Error("Never should exceed any practical instant")
 	}
@@ -99,11 +86,12 @@ func TestAddSubRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Max/Min ordering invariants.
+// Property: Max returns one of its arguments, no earlier than either.
 func TestMinMaxProperties(t *testing.T) {
 	f := func(a, b int64) bool {
 		x, y := Time(a), Time(b)
-		return Max(x, y) >= Min(x, y) && (Max(x, y) == x || Max(x, y) == y)
+		m := Max(x, y)
+		return m >= x && m >= y && (m == x || m == y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

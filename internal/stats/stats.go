@@ -1,82 +1,12 @@
 // Package stats provides the small statistical toolbox used across the PES
-// reproduction: summary statistics for experiment reporting, percentiles for
-// latency distributions, a 2×2 linear solver for the Tmem/Ndep fit of the
-// DVFS latency model, and an online mean estimator used by the schedulers.
+// reproduction: percentiles for latency distributions and an online mean
+// estimator used by the predictor.
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrSingular is returned by Solve2x2 when the coefficient matrix is
-// (numerically) singular.
-var ErrSingular = errors.New("stats: singular system")
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs, or 0 when fewer
-// than two samples are available.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Min returns the minimum of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. It panics on an empty slice.
@@ -105,58 +35,16 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Ratio returns num/den, or 0 when den is 0. It keeps experiment code free of
-// divide-by-zero guards when a denominator can legitimately be empty.
-func Ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// Solve2x2 solves the linear system
-//
-//	a11·x + a12·y = b1
-//	a21·x + a22·y = b2
-//
-// and returns (x, y). It is used to recover Tmem and Ndep from two latency
-// observations at two different frequencies (Eqn. 1 of the paper).
-func Solve2x2(a11, a12, b1, a21, a22, b2 float64) (x, y float64, err error) {
-	det := a11*a22 - a12*a21
-	if math.Abs(det) < 1e-12 {
-		return 0, 0, ErrSingular
-	}
-	x = (b1*a22 - a12*b2) / det
-	y = (a11*b2 - b1*a21) / det
-	return x, y, nil
-}
-
-// Running maintains an online mean/variance (Welford) plus min/max. The zero
-// value is ready to use.
+// Running maintains an online mean. The zero value is ready to use.
 type Running struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
-// Add folds a new observation into the running statistics.
+// Add folds a new observation into the running mean.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
 
 // Count returns the number of observations folded in so far.
@@ -164,75 +52,3 @@ func (r *Running) Count() int { return r.n }
 
 // Mean returns the running mean (0 before any observation).
 func (r *Running) Mean() float64 { return r.mean }
-
-// StdDev returns the running population standard deviation.
-func (r *Running) StdDev() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return math.Sqrt(r.m2 / float64(r.n))
-}
-
-// Min returns the smallest observation (0 before any observation).
-func (r *Running) Min() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.min
-}
-
-// Max returns the largest observation (0 before any observation).
-func (r *Running) Max() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.max
-}
-
-// Histogram is a fixed-width-bucket histogram used to summarize latency and
-// PFB-occupancy distributions in the experiment harness.
-type Histogram struct {
-	lo, width float64
-	counts    []int
-	under     int
-	over      int
-	total     int
-}
-
-// NewHistogram builds a histogram of n buckets of the given width starting at
-// lo. It panics if n ≤ 0 or width ≤ 0.
-func NewHistogram(lo, width float64, n int) *Histogram {
-	if n <= 0 || width <= 0 {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, width: width, counts: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	idx := int(math.Floor((x - h.lo) / h.width))
-	switch {
-	case idx < 0:
-		h.under++
-	case idx >= len(h.counts):
-		h.over++
-	default:
-		h.counts[idx]++
-	}
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Bucket returns the count for bucket i.
-func (h *Histogram) Bucket(i int) int { return h.counts[i] }
-
-// Buckets returns the number of in-range buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Outliers returns the counts below and above the histogram range.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// BucketLow returns the lower bound of bucket i.
-func (h *Histogram) BucketLow(i int) float64 { return h.lo + float64(i)*h.width }

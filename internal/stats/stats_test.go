@@ -2,39 +2,20 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-func TestMeanStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); !almost(got, 5, 1e-12) {
-		t.Errorf("Mean = %v, want 5", got)
+// batchMean is the two-pass reference the online mean must match.
+func batchMean(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
 	}
-	if got := StdDev(xs); !almost(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Error("empty-slice mean/std should be 0")
-	}
-	if StdDev([]float64{3}) != 0 {
-		t.Error("single-sample std should be 0")
-	}
-}
-
-func TestSumMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Sum(xs) != 11 {
-		t.Errorf("Sum = %v", Sum(xs))
-	}
-	if Min(xs) != -1 {
-		t.Errorf("Min = %v", Min(xs))
-	}
-	if Max(xs) != 7 {
-		t.Errorf("Max = %v", Max(xs))
-	}
+	return sum / float64(len(xs))
 }
 
 func TestPercentile(t *testing.T) {
@@ -57,36 +38,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(4, 2) != 2 {
-		t.Error("Ratio(4,2) != 2")
-	}
-	if Ratio(4, 0) != 0 {
-		t.Error("Ratio with zero denominator should be 0")
-	}
-}
-
-func TestSolve2x2(t *testing.T) {
-	// Tmem + Ndep/f style system: T1 = Tmem + N/f1, T2 = Tmem + N/f2.
-	f1, f2 := 600.0, 1800.0
-	tmem, n := 5.0, 1.2e6 // 5µs mem, 1.2M cycles
-	t1 := tmem + n/f1
-	t2 := tmem + n/f2
-	x, y, err := Solve2x2(1, 1/f1, t1, 1, 1/f2, t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(x, tmem, 1e-6) || !almost(y, n, 1e-3) {
-		t.Errorf("Solve2x2 = (%v, %v), want (%v, %v)", x, y, tmem, n)
-	}
-}
-
-func TestSolve2x2Singular(t *testing.T) {
-	if _, _, err := Solve2x2(1, 2, 3, 2, 4, 6); err != ErrSingular {
-		t.Errorf("expected ErrSingular, got %v", err)
-	}
-}
-
 func TestRunning(t *testing.T) {
 	var r Running
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
@@ -96,51 +47,13 @@ func TestRunning(t *testing.T) {
 	if r.Count() != len(xs) {
 		t.Errorf("Count = %d", r.Count())
 	}
-	if !almost(r.Mean(), Mean(xs), 1e-12) {
-		t.Errorf("running mean %v != %v", r.Mean(), Mean(xs))
-	}
-	if !almost(r.StdDev(), StdDev(xs), 1e-9) {
-		t.Errorf("running std %v != %v", r.StdDev(), StdDev(xs))
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("min/max = %v/%v", r.Min(), r.Max())
+	if !almost(r.Mean(), 5, 1e-12) {
+		t.Errorf("running mean %v != 5", r.Mean())
 	}
 	var empty Running
-	if empty.Mean() != 0 || empty.StdDev() != 0 || empty.Min() != 0 || empty.Max() != 0 {
+	if empty.Mean() != 0 || empty.Count() != 0 {
 		t.Error("zero-value Running should report zeros")
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // [0,10) [10,20) ... [40,50)
-	for _, x := range []float64{-1, 0, 5, 15, 44, 49.9, 50, 120} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Errorf("outliers = %d/%d, want 1/2", under, over)
-	}
-	if h.Bucket(0) != 2 || h.Bucket(1) != 1 || h.Bucket(4) != 2 {
-		t.Errorf("bucket counts = %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(4))
-	}
-	if h.Buckets() != 5 {
-		t.Errorf("Buckets = %d", h.Buckets())
-	}
-	if h.BucketLow(3) != 30 {
-		t.Errorf("BucketLow(3) = %v", h.BucketLow(3))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for invalid histogram shape")
-		}
-	}()
-	NewHistogram(0, 0, 5)
 }
 
 // Property: running mean matches batch mean.
@@ -155,7 +68,7 @@ func TestRunningMatchesBatch(t *testing.T) {
 			xs[i] = float64(v)
 			r.Add(xs[i])
 		}
-		return almost(r.Mean(), Mean(xs), 1e-6) && almost(r.StdDev(), StdDev(xs), 1e-6)
+		return almost(r.Mean(), batchMean(xs), 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -174,24 +87,8 @@ func TestPercentileBounds(t *testing.T) {
 		}
 		p := float64(pRaw) / 255 * 100
 		v := Percentile(xs, p)
-		return v >= Min(xs)-1e-9 && v <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Solve2x2 recovers the parameters of any well-conditioned system.
-func TestSolve2x2Property(t *testing.T) {
-	f := func(xi, yi int16) bool {
-		x := float64(xi)
-		y := float64(yi)
-		// Fixed well-conditioned matrix.
-		a11, a12, a21, a22 := 2.0, 1.0, 1.0, 3.0
-		b1 := a11*x + a12*y
-		b2 := a21*x + a22*y
-		gx, gy, err := Solve2x2(a11, a12, b1, a21, a22, b2)
-		return err == nil && almost(gx, x, 1e-6) && almost(gy, y, 1e-6)
+		sort.Float64s(xs)
+		return v >= xs[0]-1e-9 && v <= xs[len(xs)-1]+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -140,14 +140,6 @@ type Stats struct {
 	SharedBuilds int64 `json:"shared_builds"`
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // ref locates one live record's value inside the log.
 type ref struct {
 	key string

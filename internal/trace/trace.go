@@ -431,31 +431,6 @@ func GenerateCorpus(apps []*webapp.Spec, tracesPerApp int, baseSeed int64, purpo
 	return out
 }
 
-// ByApp returns the traces of the corpus that belong to the application.
-func (c Corpus) ByApp(app string) Corpus {
-	var out Corpus
-	for _, t := range c {
-		if t.App == app {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Apps returns the distinct application names present in the corpus, in
-// first-appearance order.
-func (c Corpus) Apps() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, t := range c {
-		if !seen[t.App] {
-			seen[t.App] = true
-			out = append(out, t.App)
-		}
-	}
-	return out
-}
-
 // TotalEvents returns the number of events across the corpus.
 func (c Corpus) TotalEvents() int {
 	n := 0
@@ -474,20 +449,4 @@ func Encode(w io.Writer, c Corpus) error {
 		}
 	}
 	return nil
-}
-
-// Decode reads a corpus previously written by Encode.
-func Decode(r io.Reader) (Corpus, error) {
-	dec := json.NewDecoder(r)
-	var out Corpus
-	for {
-		var t Trace
-		if err := dec.Decode(&t); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decode: %w", err)
-		}
-		out = append(out, &t)
-	}
-	return out, nil
 }

@@ -41,52 +41,38 @@ func PageCacheStats() (builds, hits int64) {
 	return pageCacheBuilds.Load(), pageCacheHits.Load()
 }
 
-// builtPageEntry pairs a master page tree with its semantic view.
-type builtPageEntry struct {
-	tree *dom.Tree
-	sem  *dom.SemanticTree
-}
-
-// builtPage returns a mutable tree for the page plus its semantic view, from
-// the cache when enabled.
-func builtPage(spec *Spec, page string, seed int64) (*dom.Tree, *dom.SemanticTree) {
+// builtPage returns a mutable tree for the page, cloned from the cache when
+// enabled.
+func builtPage(spec *Spec, page string, seed int64) *dom.Tree {
 	if pageCacheOff.Load() {
-		t := spec.BuildPage(page, seed)
-		return t, dom.BuildSemanticTree(t)
+		return spec.BuildPage(page, seed)
 	}
 	k := pageKey{app: spec.Name, page: page, seed: seed}
 	if v, ok := pageCache.Load(k); ok {
 		pageCacheHits.Add(1)
-		e := v.(builtPageEntry)
-		t := e.tree.Clone()
-		return t, e.sem.Rebind(t)
+		return v.(*dom.Tree).Clone()
 	}
 	pageCacheBuilds.Add(1)
 	t := spec.BuildPage(page, seed)
-	sem := dom.BuildSemanticTree(t)
 	// Store an immutable snapshot; the freshly built tree itself is returned
 	// to the caller for mutation. A concurrent racer may have stored first —
-	// both snapshots are identical, so either winning is fine. The semantic
-	// entries are immutable and shared; only its tree binding is per-session.
-	master := t.Clone()
-	pageCache.LoadOrStore(k, builtPageEntry{tree: master, sem: sem.Rebind(master)})
-	return t, sem
+	// both snapshots are identical, so either winning is fine.
+	pageCache.LoadOrStore(k, t.Clone())
+	return t
 }
 
 // Session tracks the DOM state of one user's interaction with an
-// application: the current page's DOM tree (and its semantic view), the
-// scroll position, expanded menus, and any pending navigation. Both the
-// trace generator and the runtime predictor replay events through a Session
-// so that they observe exactly the same DOM state for the same event
-// history.
+// application: the current page's DOM tree, the scroll position, expanded
+// menus, and any pending navigation. Both the trace generator and the runtime
+// predictor replay events through a Session so that they observe exactly the
+// same DOM state for the same event history.
 type Session struct {
 	Spec *Spec
 	// DOMSeed parameterizes the deterministic page builder; traces record it
 	// so that replay reconstructs identical pages.
 	DOMSeed int64
 
-	tree     *dom.Tree
-	semantic *dom.SemanticTree
+	tree *dom.Tree
 	// pendingPage is the destination of a navigation tap that has not yet
 	// been followed by its Load event.
 	pendingPage string
@@ -101,15 +87,12 @@ func NewSession(spec *Spec, domSeed int64) *Session {
 }
 
 func (s *Session) loadPage(page string) {
-	s.tree, s.semantic = builtPage(s.Spec, page, s.DOMSeed)
+	s.tree = builtPage(s.Spec, page, s.DOMSeed)
 	s.pageVisits++
 }
 
 // Tree returns the current page's DOM tree.
 func (s *Session) Tree() *dom.Tree { return s.tree }
-
-// Semantic returns the semantic (accessibility) view of the current page.
-func (s *Session) Semantic() *dom.SemanticTree { return s.semantic }
 
 // PendingNavigation returns the page a navigation tap has committed to, or
 // "" when no navigation is outstanding.

@@ -13,8 +13,8 @@ func TestSessionInitialState(t *testing.T) {
 	if sess.CurrentPage() != "home" {
 		t.Errorf("initial page = %q", sess.CurrentPage())
 	}
-	if sess.Tree() == nil || sess.Semantic() == nil {
-		t.Fatal("session must expose a DOM and semantic tree")
+	if sess.Tree() == nil {
+		t.Fatal("session must expose a DOM tree")
 	}
 	if sess.PendingNavigation() != "" {
 		t.Error("no navigation should be pending initially")
@@ -138,10 +138,6 @@ func TestPageCacheClonesAndToggle(t *testing.T) {
 	a.Apply(spec.Behavior.MoveManifestation, 0)
 	if a.Tree().ViewportTop == b.Tree().ViewportTop {
 		t.Error("sessions share a mutable tree")
-	}
-	// And the shared semantic view still binds to each session's own tree.
-	if a.Semantic().Len() != b.Semantic().Len() {
-		t.Error("semantic views disagree")
 	}
 
 	// With the cache disabled, sessions build fresh pages again.

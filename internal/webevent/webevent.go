@@ -203,42 +203,3 @@ func (e *Event) Signature() Signature {
 func (e *Event) String() string {
 	return fmt.Sprintf("#%d %s %s @%s", e.Seq, e.App, e.Type, e.Trigger)
 }
-
-// Queue is a FIFO of outstanding events (triggered but not yet executed).
-// The paper observes the queue is almost always short (< 2) because humans
-// generate events slowly, but bursts do occur and produce the interference
-// the proactive scheduler exploits.
-type Queue struct {
-	events []*Event
-}
-
-// Push appends an event to the back of the queue.
-func (q *Queue) Push(e *Event) { q.events = append(q.events, e) }
-
-// Pop removes and returns the front event, or nil when the queue is empty.
-func (q *Queue) Pop() *Event {
-	if len(q.events) == 0 {
-		return nil
-	}
-	e := q.events[0]
-	q.events = q.events[1:]
-	return e
-}
-
-// Peek returns the front event without removing it, or nil when empty.
-func (q *Queue) Peek() *Event {
-	if len(q.events) == 0 {
-		return nil
-	}
-	return q.events[0]
-}
-
-// Len returns the number of outstanding events.
-func (q *Queue) Len() int { return len(q.events) }
-
-// Snapshot returns a copy of the queue contents front-to-back.
-func (q *Queue) Snapshot() []*Event {
-	out := make([]*Event, len(q.events))
-	copy(out, q.events)
-	return out
-}

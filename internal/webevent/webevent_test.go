@@ -87,39 +87,6 @@ func TestEventDeadlineAndSignature(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	var q Queue
-	if q.Pop() != nil || q.Peek() != nil || q.Len() != 0 {
-		t.Error("empty queue misbehaves")
-	}
-	e1 := &Event{Seq: 1}
-	e2 := &Event{Seq: 2}
-	e3 := &Event{Seq: 3}
-	q.Push(e1)
-	q.Push(e2)
-	q.Push(e3)
-	if q.Len() != 3 {
-		t.Errorf("Len = %d", q.Len())
-	}
-	if q.Peek() != e1 {
-		t.Error("Peek should return first event")
-	}
-	snap := q.Snapshot()
-	if len(snap) != 3 || snap[0] != e1 || snap[2] != e3 {
-		t.Error("Snapshot wrong")
-	}
-	if q.Pop() != e1 || q.Pop() != e2 || q.Pop() != e3 || q.Pop() != nil {
-		t.Error("Pop order wrong")
-	}
-	// Snapshot must be a copy.
-	q.Push(e1)
-	s := q.Snapshot()
-	s[0] = e2
-	if q.Peek() != e1 {
-		t.Error("Snapshot aliases queue storage")
-	}
-}
-
 func TestTypeStrings(t *testing.T) {
 	if Load.String() != "load" || Click.String() != "click" || Submit.String() != "submit" {
 		t.Error("type names wrong")

@@ -281,7 +281,9 @@ type (
 	// (the body of POST /v1/campaigns and GET /v1/campaigns/{id}).
 	CampaignStatus = server.JobStatus
 	// CampaignResults is the body of GET /v1/campaigns/{id}/results:
-	// per-session result rows plus aggregate energy/QoS tables.
+	// per-session result rows, aggregate energy/QoS tables and the summed
+	// solver statistics. Deployment counters (memo cache, store, cluster)
+	// are served by GET /healthz and /metrics instead.
 	CampaignResults = server.Results
 	// Server is the long-running simulation service. All campaigns and
 	// figure requests share one memo cache, so overlapping work simulates
@@ -304,8 +306,10 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 // Sharded multi-worker campaign execution.
 type (
 	// ClusterConfig parameterizes a campaign coordinator: static worker
-	// seed, transport, hash-ring replicas, shard timeout, heartbeat cadence,
-	// local spill-over worker.
+	// seed, transport, oracle version, per-shard session cap and logger.
+	// Ring replicas, shard timeout, heartbeat cadence and probe backoff are
+	// fixed; the in-process spill-over worker is installed with
+	// ClusterCoordinator.SetLocal.
 	ClusterConfig = cluster.Config
 	// ClusterCoordinator shards campaign sessions across an elastic worker
 	// set by consistent hashing on the batch memo key: workers join via

@@ -83,7 +83,6 @@ type rawResults struct {
 		Result    json.RawMessage `json:"result"`
 	} `json:"rows"`
 	Solver SolverStats `json:"solver"`
-	Stats  BatchStats  `json:"stats"`
 }
 
 func fetchRawResults(t *testing.T, base, id string) rawResults {

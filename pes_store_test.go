@@ -2,6 +2,7 @@ package pes
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -112,9 +113,20 @@ func TestServerRestartWarmStart(t *testing.T) {
 				i, warmRes.Rows[i].App, warmRes.Rows[i].TraceSeed, warmRes.Rows[i].Scheduler)
 		}
 	}
-	// The served stats payload surfaces the store snapshot.
-	if warmRes.Stats.Store == nil || warmRes.Stats.Store.Hits == 0 {
-		t.Errorf("results stats missing store section: %+v", warmRes.Stats.Store)
+	// The served health payload surfaces the store snapshot.
+	resp, err := http.Get(warmTS.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Stats BatchStats `json:"stats"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Stats.Store == nil || h.Stats.Store.Hits == 0 {
+		t.Errorf("healthz stats missing store section: %+v", h.Stats.Store)
 	}
 }
 
