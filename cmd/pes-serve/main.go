@@ -265,14 +265,6 @@ func listenUntilSignal(addr string, handler http.Handler, stdout io.Writer, shut
 	return nil
 }
 
-// coordinatorURL normalizes a coordinator address to a base URL.
-func coordinatorURL(c string) string {
-	if strings.Contains(c, "://") {
-		return strings.TrimRight(c, "/")
-	}
-	return "http://" + c
-}
-
 // registerLoop announces the worker to the coordinator: immediately, then
 // periodically — registration is idempotent, so re-announcing heals both a
 // restarted coordinator and a membership entry marked unhealthy while this
@@ -283,7 +275,7 @@ func coordinatorURL(c string) string {
 // synchronized stampede every 15s. The returned stop function ends the loop
 // and deregisters (best effort).
 func registerLoop(coordinator, advertise string, stdout io.Writer) (stop func()) {
-	base := coordinatorURL(coordinator)
+	base := cluster.BaseURL(coordinator)
 	client := &http.Client{Timeout: 5 * time.Second}
 	body, _ := json.Marshal(map[string]string{"addr": advertise})
 	announce := func() bool {
@@ -409,7 +401,7 @@ func serveWorker(cfg serveConfig, stdout io.Writer, logger *slog.Logger) error {
 	reg := obs.NewRegistry()
 	w.Setup().Runner.RegisterMetrics(reg)
 	if in != nil {
-		in.RegisterMetrics(reg)
+		obs.Snapshot(reg, in.Stats)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", w.Handler())
@@ -474,7 +466,7 @@ func serve(cfg serveConfig, stdout io.Writer, logger *slog.Logger) error {
 		return err
 	}
 	if in != nil {
-		in.RegisterMetrics(svc.Metrics())
+		obs.Snapshot(svc.Metrics(), in.Stats)
 	}
 	startDebug(cfg.debugAddr, logger)
 	if n := svc.Resumed(); n > 0 {

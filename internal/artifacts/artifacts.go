@@ -126,31 +126,31 @@ type (
 // hit is a request answered by an artifact that another request had already
 // begun building.
 type Stats struct {
-	TraceBuilds       int64 `json:"trace_builds"`
-	TraceHits         int64 `json:"trace_hits"`
-	RuntimeBuilds     int64 `json:"runtime_builds"`
-	RuntimeHits       int64 `json:"runtime_hits"`
-	FingerprintBuilds int64 `json:"fingerprint_builds"`
-	FingerprintHits   int64 `json:"fingerprint_hits"`
-	LearnerBuilds     int64 `json:"learner_builds"`
-	LearnerHits       int64 `json:"learner_hits"`
+	TraceBuilds       int64 `json:"trace_builds" metric:"pes_artifact_builds_total,kind=trace" help:"Artifacts built (by kind)."`
+	TraceHits         int64 `json:"trace_hits" metric:"pes_artifact_hits_total,kind=trace" help:"Artifacts served from cache (by kind)."`
+	RuntimeBuilds     int64 `json:"runtime_builds" metric:"pes_artifact_builds_total,kind=runtime" help:"Artifacts built (by kind)."`
+	RuntimeHits       int64 `json:"runtime_hits" metric:"pes_artifact_hits_total,kind=runtime" help:"Artifacts served from cache (by kind)."`
+	FingerprintBuilds int64 `json:"fingerprint_builds" metric:"pes_artifact_builds_total,kind=fingerprint" help:"Artifacts built (by kind)."`
+	FingerprintHits   int64 `json:"fingerprint_hits" metric:"pes_artifact_hits_total,kind=fingerprint" help:"Artifacts served from cache (by kind)."`
+	LearnerBuilds     int64 `json:"learner_builds" metric:"pes_artifact_builds_total,kind=learner" help:"Artifacts built (by kind)."`
+	LearnerHits       int64 `json:"learner_hits" metric:"pes_artifact_hits_total,kind=learner" help:"Artifacts served from cache (by kind)."`
 	// TraceEntries is the number of traces currently retained;
 	// TraceEvictions counts traces dropped by the LRU bound (zero on
 	// unbounded stores). Evicting a trace also drops its derived runtime
 	// events and fingerprint; regeneration is deterministic, so eviction
 	// never changes an artifact's content, only whether it is rebuilt.
-	TraceEntries   int64 `json:"trace_entries"`
-	TraceEvictions int64 `json:"trace_evictions"`
+	TraceEntries   int64 `json:"trace_entries" metric:"pes_artifact_trace_entries" help:"Traces currently retained in the artifact cache."`
+	TraceEvictions int64 `json:"trace_evictions" metric:"pes_artifact_trace_evictions_total" help:"Traces dropped by the artifact LRU bound."`
 	// TraceStoreHits and LearnerStoreHits count artifacts loaded from the
 	// persistent store instead of regenerated/retrained (zero when none is
 	// attached). A learner store hit skips the SGD training entirely —
 	// usually the single most expensive artifact build in a process's life.
-	TraceStoreHits   int64 `json:"trace_store_hits"`
-	LearnerStoreHits int64 `json:"learner_store_hits"`
+	TraceStoreHits   int64 `json:"trace_store_hits" metric:"pes_artifact_store_hits_total,kind=trace" help:"Artifacts loaded from the persistent store (by kind)."`
+	LearnerStoreHits int64 `json:"learner_store_hits" metric:"pes_artifact_store_hits_total,kind=learner" help:"Artifacts loaded from the persistent store (by kind)."`
 	// PageBuilds and PageHits are the process-wide DOM page-tree cache
 	// counters (webapp.PageCacheStats); they are global, not per store.
-	PageBuilds int64 `json:"page_builds"`
-	PageHits   int64 `json:"page_hits"`
+	PageBuilds int64 `json:"page_builds" metric:"pes_artifact_builds_total,kind=page" help:"Artifacts built (by kind)."`
+	PageHits   int64 `json:"page_hits" metric:"pes_artifact_hits_total,kind=page" help:"Artifacts served from cache (by kind)."`
 }
 
 // Store is one artifact cache. All methods are safe for concurrent use.

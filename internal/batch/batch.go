@@ -60,26 +60,26 @@ type Session struct {
 // Stats reports the work a Runner has performed.
 type Stats struct {
 	// Sessions is the number of sessions requested.
-	Sessions int64
+	Sessions int64 `metric:"pes_sessions_total" help:"Sessions requested through the batch runner (memo hits included)."`
 	// UniqueRuns is the number of simulations actually executed.
-	UniqueRuns int64
+	UniqueRuns int64 `metric:"pes_unique_runs_total" help:"Simulations actually executed (memo and store misses)."`
 	// CacheHits is the number of sessions served from the memo cache.
-	CacheHits int64
+	CacheHits int64 `metric:"pes_cache_hits_total" help:"Sessions served from the in-memory memo cache."`
 	// CacheEntries is the number of results currently retained in the memo
 	// cache.
-	CacheEntries int64
+	CacheEntries int64 `metric:"pes_cache_entries" help:"Results currently retained in the memo cache."`
 	// CacheEvictions is the number of results dropped by the LRU bound
 	// (zero on unbounded runners). An evicted session re-simulates on its
 	// next request — results are deterministic, so eviction never changes
 	// what a session returns, only whether it is recomputed.
-	CacheEvictions int64
+	CacheEvictions int64 `metric:"pes_cache_evictions_total" help:"Memo-cache results dropped by the LRU bound."`
 	// StoreHits is the number of sessions served from the persistent store
 	// (zero when none is attached): the memo cache missed, but the session's
 	// result was already on disk — from an earlier process, another runner
 	// sharing the store, or an entry this runner built and later evicted —
 	// so no simulation ran. Store-served sessions count toward neither
 	// UniqueRuns nor CacheHits.
-	StoreHits int64
+	StoreHits int64 `metric:"pes_store_hits_total" help:"Sessions served from the persistent store instead of simulated."`
 	// Solver sums the constrained-optimization work of the unique runs
 	// (sessions served from the memo cache or the persistent store
 	// contribute nothing — their solver work was never repeated).

@@ -129,17 +129,17 @@ func parseProb(v string) (float64, error) {
 // Stats counts the faults an Injector has inflicted.
 type Stats struct {
 	// ShardFaults counts RunShard calls failed with an injected error.
-	ShardFaults int64 `json:"shard_faults"`
+	ShardFaults int64 `json:"shard_faults" metric:"pes_chaos_shard_faults_total" help:"RunShard calls failed with an injected error."`
 	// TornResponses counts RunShard responses that lost their tail.
-	TornResponses int64 `json:"torn_responses"`
+	TornResponses int64 `json:"torn_responses" metric:"pes_chaos_torn_responses_total" help:"RunShard responses that lost their tail."`
 	// Delays counts injected latency sleeps.
-	Delays int64 `json:"delays"`
+	Delays int64 `json:"delays" metric:"pes_chaos_delays_total" help:"Injected latency sleeps."`
 	// PingFaults counts failed health probes.
-	PingFaults int64 `json:"ping_faults"`
+	PingFaults int64 `json:"ping_faults" metric:"pes_chaos_ping_faults_total" help:"Health probes failed by injection."`
 	// ShortWrites counts store log writes cut short.
-	ShortWrites int64 `json:"short_writes"`
+	ShortWrites int64 `json:"short_writes" metric:"pes_chaos_short_writes_total" help:"Store log writes cut short by injection."`
 	// Crashed reports whether the crash-at-record-N trigger has fired.
-	Crashed bool `json:"crashed"`
+	Crashed bool `json:"crashed" metric:"pes_chaos_crashed" help:"1 when the crash-at-record-N trigger has fired."`
 }
 
 // Injector injects the faults a Config selects. One Injector may wrap any

@@ -7,13 +7,13 @@ import (
 	"repro/internal/obs"
 )
 
-// TestRegisterMetricsExposesFaultCounters scrapes a fresh injector's
-// registry: every fault family must render (all zero — nothing injected
-// yet), because the chaos-smoke gate reads these series to prove faults
-// actually happened.
+// TestRegisterMetricsExposesFaultCounters scrapes a fresh injector's Stats
+// registered as a snapshot: every fault family must render (all zero —
+// nothing injected yet), because the chaos-smoke gate reads these series to
+// prove faults actually happened.
 func TestRegisterMetricsExposesFaultCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	New(Config{Seed: 1}).RegisterMetrics(reg)
+	obs.Snapshot(reg, New(Config{Seed: 1}).Stats)
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

@@ -181,39 +181,39 @@ type Pinger interface {
 // Stats snapshots a coordinator's counters.
 type Stats struct {
 	// Workers is the current healthy member count.
-	Workers int `json:"workers"`
+	Workers int `json:"workers" metric:"pes_cluster_workers" help:"Currently healthy cluster members."`
 	// Members lists every member (healthy or not) with its source.
 	Members []Member `json:"members,omitempty"`
 	// Shards counts shard dispatches (including re-dispatches after a
 	// worker failure); SessionsRouted counts the sessions inside them.
-	Shards         int64 `json:"shards"`
-	SessionsRouted int64 `json:"sessions_routed"`
+	Shards         int64 `json:"shards" metric:"pes_cluster_shards_total" help:"Shard dispatches, re-dispatches after worker failure included."`
+	SessionsRouted int64 `json:"sessions_routed" metric:"pes_cluster_sessions_routed_total" help:"Sessions inside dispatched shards."`
 	// Retries counts redistribution events after a worker failure;
 	// WorkerFailures counts the failed dispatches that caused them.
-	Retries        int64 `json:"retries"`
-	WorkerFailures int64 `json:"worker_failures"`
+	Retries        int64 `json:"retries" metric:"pes_cluster_retries_total" help:"Redistribution events after a worker failure."`
+	WorkerFailures int64 `json:"worker_failures" metric:"pes_cluster_worker_failures_total" help:"Failed shard dispatches that caused re-routing."`
 	// Steals counts dispatches an idle worker stole from the longest
 	// remaining queue; SessionsStolen counts the sessions inside them.
-	Steals         int64 `json:"steals"`
-	SessionsStolen int64 `json:"sessions_stolen"`
+	Steals         int64 `json:"steals" metric:"pes_cluster_steals_total" help:"Dispatches an idle worker stole from the longest queue."`
+	SessionsStolen int64 `json:"sessions_stolen" metric:"pes_cluster_sessions_stolen_total" help:"Sessions inside stolen dispatches."`
 	// SpillOvers counts the times sessions fell back to local in-process
 	// execution because no live worker remained; SessionsSpilled counts the
 	// sessions executed that way. Local executions are not counted in
 	// Shards/SessionsRouted.
-	SpillOvers      int64 `json:"spill_overs"`
-	SessionsSpilled int64 `json:"sessions_spilled"`
+	SpillOvers      int64 `json:"spill_overs" metric:"pes_cluster_spill_overs_total" help:"Fallbacks to local in-process execution (no live workers)."`
+	SessionsSpilled int64 `json:"sessions_spilled" metric:"pes_cluster_sessions_spilled_total" help:"Sessions executed on the local spill-over worker."`
 	// ClientFaults counts campaigns rejected for a deterministic client
 	// fault (4xx): the campaign fails, no worker is excluded.
-	ClientFaults int64 `json:"client_faults"`
+	ClientFaults int64 `json:"client_faults" metric:"pes_cluster_client_faults_total" help:"Campaigns rejected for a deterministic client fault (4xx)."`
 	// ProbesSkipped counts health probes suppressed because the member's
 	// failure backoff window had not elapsed (flap damping at work).
-	ProbesSkipped int64 `json:"probes_skipped"`
+	ProbesSkipped int64 `json:"probes_skipped" metric:"pes_cluster_probes_skipped_total" help:"Health probes suppressed by a member's failure backoff window."`
 	// Remote sums the latest runner-stats snapshot reported by each
 	// currently healthy member: cache hits here are sessions a worker
 	// served from its warm memo cache. Snapshots of excluded, unhealthy, or
 	// departed members are dropped, not summed — a dead worker's stale
 	// counters must not inflate the cluster's cache totals.
-	Remote batch.Stats `json:"remote"`
+	Remote batch.Stats `json:"remote" metric:"-"`
 }
 
 // Coordinator tuning that no deployment has needed to change.
@@ -971,12 +971,13 @@ func NewHTTPTransport() Transport {
 	return &httpTransport{client: &http.Client{}, maxResponse: maxShardResponseBytes}
 }
 
-// workerURL normalizes a worker address to a base URL.
-func workerURL(w string) string {
-	if strings.Contains(w, "://") {
-		return strings.TrimRight(w, "/")
+// BaseURL normalizes a worker or coordinator address (host:port or URL) to
+// a base URL without a trailing slash.
+func BaseURL(addr string) string {
+	if strings.Contains(addr, "://") {
+		return strings.TrimRight(addr, "/")
 	}
-	return "http://" + w
+	return "http://" + addr
 }
 
 func (t *httpTransport) RunShard(ctx context.Context, worker string, req ShardRequest) (ShardResponse, error) {
@@ -984,7 +985,7 @@ func (t *httpTransport) RunShard(ctx context.Context, worker string, req ShardRe
 	if err != nil {
 		return ShardResponse{}, fmt.Errorf("cluster: encoding shard: %w", err)
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL(worker)+"/v1/shards", bytes.NewReader(body))
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, BaseURL(worker)+"/v1/shards", bytes.NewReader(body))
 	if err != nil {
 		return ShardResponse{}, err
 	}
@@ -1038,7 +1039,7 @@ func (t *httpTransport) RunShard(ctx context.Context, worker string, req ShardRe
 
 // Ping satisfies Pinger: a member is healthy while its /healthz answers 200.
 func (t *httpTransport) Ping(ctx context.Context, worker string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, workerURL(worker)+"/healthz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, BaseURL(worker)+"/healthz", nil)
 	if err != nil {
 		return err
 	}

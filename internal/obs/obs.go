@@ -3,11 +3,11 @@
 // exposition, per-campaign tracing (see trace.go), and the live debug
 // surface (pprof + expvar).
 //
-// The registry is the read side of the counters the rest of the system
-// already keeps. Counters and gauges are sampled (CounterFunc, GaugeFunc):
-// closures evaluated at scrape time over the same atomic counters the
-// /healthz snapshot reads, so every counter family the JSON view reports is
-// also a Prometheus series, with one source of truth and no double counting.
+// The registry is a second encoding of the Stats snapshots /healthz serves
+// as JSON. Counters and gauges are declared once per field, by a metric
+// struct tag next to the json tag, and registered with Snapshot: a scrape
+// samples each snapshot once and reads every tagged field from that value,
+// so the two endpoints can never disagree.
 // Latency distributions (session wall time, solve wall time, shard
 // round-trips, HTTP handler latency) are native Histograms: atomic, nil-safe
 // and allocation-free on the observe path, so they can sit on the
@@ -28,6 +28,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"reflect"
 	"sort"
 	"strconv"
 	"sync"
@@ -141,8 +142,9 @@ type series struct {
 	labels string // rendered {k="v",...} block, "" when unlabeled
 	kind   metricKind
 
-	hist   *Histogram
-	sample func() float64 // CounterFunc / GaugeFunc
+	hist *Histogram
+	src  *source // counter/gauge: the snapshot the value is read from
+	path []int   // field index path of the value within src's snapshot
 }
 
 // family groups series sharing a name for exposition.
@@ -234,19 +236,6 @@ func (r *Registry) register(s *series, help string, labels []Label) {
 	sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 }
 
-// CounterFunc registers a counter series sampled from fn at scrape time.
-// Use it to expose an existing atomic counter (a Stats snapshot field)
-// without a second write path; fn must be monotonic for the series to obey
-// counter semantics.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(&series{family: name, kind: kindCounter, sample: fn}, help, labels)
-}
-
-// GaugeFunc registers a gauge series sampled from fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(&series{family: name, kind: kindGauge, sample: fn}, help, labels)
-}
-
 // Histogram registers and returns a native histogram over DefBuckets.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	h := &Histogram{upper: DefBuckets, counts: make([]atomic.Int64, len(DefBuckets)+1)}
@@ -274,7 +263,8 @@ func withLabel(block, key, value string) string {
 }
 
 // WritePrometheus renders every registered family in the text exposition
-// format, families sorted by name, series sorted by label block.
+// format, families sorted by name, series sorted by label block. Each
+// snapshot source is sampled once per call.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	names := append([]string(nil), r.names...)
@@ -286,6 +276,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.Unlock()
 
+	snaps := make(map[*source]reflect.Value)
 	for _, f := range fams {
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
@@ -296,7 +287,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		for _, s := range f.series {
-			if err := writeSeries(w, f.name, s); err != nil {
+			if err := writeSeries(w, f.name, s, snaps); err != nil {
 				return err
 			}
 		}
@@ -304,10 +295,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writeSeries(w io.Writer, name string, s *series) error {
+// writeSeries renders one series; snaps caches this scrape's samples.
+func writeSeries(w io.Writer, name string, s *series, snaps map[*source]reflect.Value) error {
 	switch s.kind {
 	case kindCounter, kindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, s.labels, formatFloat(s.sample()))
+		snap, ok := snaps[s.src]
+		if !ok {
+			snap = s.src.sample()
+			snaps[s.src] = snap
+		}
+		_, err := fmt.Fprintf(w, "%s%s %s\n", name, s.labels, formatFloat(fieldValue(snap, s.path)))
 		return err
 	default:
 		h := s.hist

@@ -123,11 +123,17 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 	return samples
 }
 
+// jobStats is a small tagged snapshot: a labelled counter family and a
+// gauge.
+type jobStats struct {
+	Done   int64 `json:"done" metric:"pes_jobs_total,kind=done" help:"jobs"`
+	Failed int64 `json:"failed" metric:"pes_jobs_total,kind=failed" help:"jobs"`
+	Depth  int   `json:"depth" metric:"pes_queue_depth" help:"depth"`
+}
+
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.CounterFunc("pes_jobs_total", "jobs", func() float64 { return 7 }, L("kind", "done"))
-	r.CounterFunc("pes_jobs_total", "jobs", func() float64 { return 2 }, L("kind", "failed"))
-	r.GaugeFunc("pes_queue_depth", "depth", func() float64 { return 3 })
+	Snapshot(r, func() jobStats { return jobStats{Done: 7, Failed: 2, Depth: 3} })
 	h := r.Histogram("pes_lat_seconds", "latency")
 	h.Observe(0.005)
 	h.Observe(0.05)
@@ -178,25 +184,56 @@ func TestRegistryPanicsOnBadRegistration(t *testing.T) {
 		}()
 		fn()
 	}
-	zero := func() float64 { return 0 }
-	expectPanic("invalid name", func() { NewRegistry().CounterFunc("9bad", "", zero) })
-	expectPanic("invalid label", func() { NewRegistry().CounterFunc("ok_total", "", zero, L("9bad", "v")) })
+	expectPanic("invalid name", snapshotOf(NewRegistry(), struct {
+		X int `metric:"9bad"`
+	}{}))
+	expectPanic("invalid label", snapshotOf(NewRegistry(), struct {
+		X int `metric:"ok_total,9bad=v"`
+	}{}))
+	expectPanic("malformed label", snapshotOf(NewRegistry(), struct {
+		X int `metric:"ok_total,kind"`
+	}{}))
 	expectPanic("kind conflict", func() {
 		r := NewRegistry()
-		r.CounterFunc("pes_x", "", zero)
-		r.GaugeFunc("pes_x", "", zero)
+		r.Histogram("pes_x", "")
+		snapshotOf(r, struct {
+			X int `metric:"pes_x"`
+		}{})()
 	})
-	expectPanic("duplicate series", func() {
-		r := NewRegistry()
-		r.CounterFunc("pes_x", "", zero, L("a", "b"))
-		r.CounterFunc("pes_x", "", zero, L("a", "b"))
+	expectPanic("duplicate series", snapshotOf(NewRegistry(), struct {
+		X int `metric:"pes_x_total,a=b"`
+		Y int `metric:"pes_x_total,a=b"`
+	}{}))
+	expectPanic("duplicate series across snapshots", func() {
+		register := snapshotOf(NewRegistry(), struct {
+			X int `metric:"pes_x"`
+		}{})
+		register()
+		register()
 	})
+	expectPanic("unsupported kind float64", snapshotOf(NewRegistry(), struct {
+		X float64 `metric:"pes_x"`
+	}{}))
+	expectPanic("unsupported kind string", snapshotOf(NewRegistry(), struct {
+		X string `metric:"pes_x"`
+	}{}))
+	expectPanic("not a struct", snapshotOf(NewRegistry(), 0))
+}
+
+// snapshotOf returns a function registering a constant snapshot v on r.
+func snapshotOf[T any](r *Registry, v T) func() {
+	return func() { Snapshot(r, func() T { return v }) }
 }
 
 func TestMetricsRaceClean(t *testing.T) {
 	r := NewRegistry()
 	var n atomic.Int64
-	r.CounterFunc("pes_race_total", "", func() float64 { return float64(n.Load()) })
+	Snapshot(r, func() (v struct {
+		N int64 `metric:"pes_race_total"`
+	}) {
+		v.N = n.Load()
+		return
+	})
 	h := r.Histogram("pes_race_seconds", "")
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
@@ -276,17 +313,21 @@ func TestDebugHandlerRoutes(t *testing.T) {
 	}
 }
 
-// TestFuncMetricsThroughHandler serves a registry of sampled (func-backed)
-// metrics over the HTTP handler: the closures must run at scrape time, every
-// scrape, and the exposition must carry the text content type.
+// TestFuncMetricsThroughHandler serves a registry of snapshot-backed
+// metrics over the HTTP handler: the sample function must run at scrape
+// time, every scrape, and the exposition must carry the text content type.
 func TestFuncMetricsThroughHandler(t *testing.T) {
 	r := NewRegistry()
 	calls := 0
-	r.CounterFunc("pes_func_total", "sampled counter", func() float64 {
+	Snapshot(r, func() (v struct {
+		Calls int  `metric:"pes_func_total" help:"sampled counter"`
+		Up    bool `metric:"pes_func_gauge,shard=a" help:"sampled gauge"`
+	}) {
+		v.Calls = calls
+		v.Up = true
 		calls++
-		return float64(calls)
+		return
 	})
-	r.GaugeFunc("pes_func_gauge", "sampled gauge", func() float64 { return 2.5 }, L("shard", "a"))
 	h := r.Handler()
 	scrape := func() string {
 		rw := httptest.NewRecorder()
@@ -306,7 +347,7 @@ func TestFuncMetricsThroughHandler(t *testing.T) {
 	if !strings.Contains(body, "pes_func_total 2\n") {
 		t.Errorf("second scrape did not re-sample the counter closure:\n%s", body)
 	}
-	if !strings.Contains(body, `pes_func_gauge{shard="a"} 2.5`+"\n") {
+	if !strings.Contains(body, `pes_func_gauge{shard="a"} 1`+"\n") {
 		t.Errorf("labelled gauge func missing from scrape:\n%s", body)
 	}
 }
@@ -324,8 +365,11 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 func ExampleRegistry_WritePrometheus() {
+	type stats struct {
+		Sessions int64 `json:"sessions" metric:"pes_sessions_total" help:"Sessions simulated."`
+	}
 	r := NewRegistry()
-	r.CounterFunc("pes_sessions_total", "Sessions simulated.", func() float64 { return 42 })
+	Snapshot(r, func() stats { return stats{Sessions: 42} })
 	var b strings.Builder
 	_ = r.WritePrometheus(&b)
 	fmt.Print(b.String())

@@ -227,20 +227,20 @@ type Task struct {
 // for a deterministic simulation.
 type SolverStats struct {
 	// Solves counts ilp.Solver calls: one per plan.
-	Solves int `json:"solves"`
+	Solves int `json:"solves" metric:"pes_solver_solves_total" help:"ilp.Solver calls across unique runs."`
 	// Nodes sums the branch-and-bound candidates explored across solves.
-	Nodes int64 `json:"nodes"`
+	Nodes int64 `json:"nodes" metric:"pes_solver_nodes_total" help:"Branch-and-bound nodes explored across unique runs."`
 	// PlanCacheHits is always 0: neither scheduler caches plans, because
 	// real session horizons never repeat (start times advance). The field
 	// stays because the binary shard frame (v1), stored results and the
 	// end-to-end benchmark harness carry it; dropping it needs a frame
 	// version bump and a benchmark change.
-	PlanCacheHits int `json:"plan_cache_hits"`
+	PlanCacheHits int `json:"plan_cache_hits" metric:"pes_solver_plan_cache_hits_total" help:"Always 0: the schedulers keep no plan cache (kept for scrape compatibility)."`
 	// BudgetAborts counts solves that exhausted the branch-and-bound node
 	// budget, returning a traversal artifact instead of a proven optimum.
 	// Zero on the PES path and on Oracle v2's fast-path windows; Oracle v1's
 	// hardest windows abort by design (that is what pins its figures).
-	BudgetAborts int `json:"budget_aborts"`
+	BudgetAborts int `json:"budget_aborts" metric:"pes_solver_budget_aborts_total" help:"Solves that exhausted the branch-and-bound node budget."`
 	// WallNS is the wall-clock time spent inside the solver, in nanoseconds.
 	// It is a host measurement: the one non-deterministic field.
 	WallNS int64 `json:"wall_ns"`

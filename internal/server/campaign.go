@@ -97,6 +97,11 @@ type Plan struct {
 	Specs []cluster.SessionSpec
 }
 
+// maxCampaignSessions caps a campaign's expansion, checked before any trace
+// is built so a small body naming many seeds cannot make the POST handler
+// generate traces without bound. The largest campaigns in use have 324.
+const maxCampaignSessions = 10_000
+
 // platformByName resolves a campaign platform name to its shared hardware
 // model (one instance per model keeps the artifact store's pointer-keyed
 // fingerprint memo effective across campaigns).
@@ -198,6 +203,11 @@ func (c Campaign) expand(setup *experiments.Setup, buildSessions bool) (*Plan, e
 			}
 		}
 		sort.Float64s(sweepThresholds)
+	}
+	// Every factor is at least 1; dividing cannot overflow.
+	if perSeed := len(scheds) + len(sweepThresholds); len(apps) > maxCampaignSessions/len(seeds)/perSeed {
+		return nil, fmt.Errorf("campaign expands to %d apps × %d seeds × %d sessions, more than the %d-session limit",
+			len(apps), len(seeds), perSeed, maxCampaignSessions)
 	}
 
 	plan := &Plan{Platform: platform.Name}

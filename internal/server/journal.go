@@ -221,12 +221,14 @@ func (jl *journal) scan() (resume []journalEntry, maxID int) {
 // RecoverySummary is the outcome of one journal recovery pass: how many
 // non-terminal campaigns were re-enqueued, how many failed to re-expand
 // (terminated in the journal, queryable as failed jobs), and how many
-// stayed journaled because the queue was full. The same counts back the
-// pes_campaigns_{resumed,recovery_failed,stayed_journaled} gauges.
+// stayed journaled because the queue was full. /healthz embeds it, and the
+// same counts back the pes_campaigns_{resumed,recovery_failed,stayed_journaled}
+// gauges: set once at boot, constant for the process's life, which is
+// exactly what a restart-counting alert wants.
 type RecoverySummary struct {
-	Resumed         int
-	Failed          int
-	StayedJournaled int
+	Resumed         int `json:"resumed" metric:"pes_campaigns_resumed" help:"Journaled campaigns re-enqueued at boot."`
+	Failed          int `json:"recovery_failed" metric:"pes_campaigns_recovery_failed" help:"Journaled campaigns that failed to re-expand at boot."`
+	StayedJournaled int `json:"stayed_journaled" metric:"pes_campaigns_stayed_journaled" help:"Journaled campaigns left for a later boot (queue full at recovery)."`
 }
 
 // recoverJournal re-enqueues every non-terminal journaled campaign under

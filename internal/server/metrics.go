@@ -23,46 +23,17 @@ var httpRoutes = []string{
 
 // initMetrics wires the server's registry: the shared runner's counter
 // families (sessions, memo/store hits, solver, artifacts, store log), the
-// cluster coordinator's when one is configured, the server's own queue and
-// journal-recovery gauges, and the per-route HTTP latency histograms.
-// Called once from New, before the server serves traffic.
+// cluster coordinator's when one is configured, the server's own queue, job
+// and journal-recovery gauges (the metric-tagged fields of the /healthz
+// body), and the per-route HTTP latency histograms. Called once from New,
+// before the server serves traffic.
 func (s *Server) initMetrics() {
 	reg := s.metrics
 	s.setup.Runner.RegisterMetrics(reg)
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.RegisterMetrics(reg)
 	}
-	reg.GaugeFunc("pes_campaign_queue_depth",
-		"Campaigns waiting in the admission queue.",
-		func() float64 { return float64(len(s.queue)) })
-	reg.GaugeFunc("pes_jobs",
-		"Jobs retained for status/result queries.",
-		func() float64 {
-			s.mu.Lock()
-			n := len(s.jobs)
-			s.mu.Unlock()
-			return float64(n)
-		})
-	reg.GaugeFunc("pes_journaled",
-		"1 when a persistent store journals campaign lifecycles.",
-		func() float64 {
-			if s.journal != nil {
-				return 1
-			}
-			return 0
-		})
-	// The journal recovery outcome, one gauge per disposition. Set once at
-	// boot (recovery runs before initMetrics); constant for the process's
-	// life, which is exactly what a restart-counting alert wants.
-	reg.GaugeFunc("pes_campaigns_resumed",
-		"Journaled campaigns re-enqueued at boot.",
-		func() float64 { return float64(s.recovery.Resumed) })
-	reg.GaugeFunc("pes_campaigns_recovery_failed",
-		"Journaled campaigns that failed to re-expand at boot.",
-		func() float64 { return float64(s.recovery.Failed) })
-	reg.GaugeFunc("pes_campaigns_stayed_journaled",
-		"Journaled campaigns left for a later boot (queue full at recovery).",
-		func() float64 { return float64(s.recovery.StayedJournaled) })
+	obs.Snapshot(reg, s.health)
 
 	s.httpLat = make(map[string]*obs.Histogram, len(httpRoutes))
 	for _, route := range httpRoutes {

@@ -5,11 +5,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/batch"
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -148,6 +152,172 @@ func TestMetricsEndpointMonotonicAcrossRepeatCampaign(t *testing.T) {
 	// must see the /metrics route histogram populated.
 	if got := after[`pes_http_request_duration_seconds_count{route="/metrics"}`]; got < 1 {
 		t.Errorf("HTTP latency histogram for /metrics has count %v, want >= 1", got)
+	}
+}
+
+// taggedFields maps the series key of every metric-tagged field of struct
+// type t (walked the way obs.Snapshot walks it) to the field's JSON path
+// below prefix.
+func taggedFields(t reflect.Type, prefix []string, out map[string][]string) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		path := prefix
+		if !f.Anonymous {
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" {
+				name = f.Name
+			}
+			path = append(prefix[:len(prefix):len(prefix)], name)
+		}
+		tag, tagged := f.Tag.Lookup("metric")
+		switch {
+		case tag == "-":
+		case !tagged && ft.Kind() == reflect.Struct:
+			taggedFields(ft, path, out)
+		case tagged:
+			family, labels, _ := strings.Cut(tag, ",")
+			key := family
+			if labels != "" {
+				var pairs []string
+				for _, kv := range strings.Split(labels, ",") {
+					k, v, _ := strings.Cut(kv, "=")
+					pairs = append(pairs, k+"="+strconv.Quote(v))
+				}
+				sort.Strings(pairs)
+				key += "{" + strings.Join(pairs, ",") + "}"
+			}
+			out[key] = path
+		}
+	}
+}
+
+// TestHealthzAgreesWithMetrics runs a campaign on a journaled server
+// fronting a coordinator and then checks the two encodings of its counters
+// against each other: every metric-tagged /healthz field equals its
+// /metrics sample, and every counter and gauge series on /metrics is such a
+// field — /metrics has no counter that /healthz does not report.
+func TestHealthzAgreesWithMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("server tests train a predictor")
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	coord, err := cluster.New(cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	cfg := smallConfig()
+	cfg.Experiments.Store = st
+	cfg.Cluster = coord
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	jst, err := s.Submit(Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "PES"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pollTerminal(t, s, jst.ID); got.Status != StatusDone {
+		t.Fatalf("campaign %s: %s (%s)", got.ID, got.Status, got.Error)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The journal's terminal record may land just after the status turns
+	// done; read until /healthz is the same on both sides of the scrape.
+	var healthBody string
+	var samples map[string]float64
+	for i := 0; ; i++ {
+		healthBody = getBody(t, ts.URL+"/healthz")
+		samples = scrapeMetrics(t, s.Handler())
+		if getBody(t, ts.URL+"/healthz") == healthBody {
+			break
+		}
+		if i == 50 {
+			t.Fatal("/healthz kept changing while the server was idle")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(healthBody), &doc); err != nil {
+		t.Fatal(err)
+	}
+
+	// The three snapshots the server registers: the runner's, the
+	// coordinator's and the /healthz body's own fields.
+	fields := make(map[string][]string)
+	taggedFields(reflect.TypeFor[batch.Stats](), []string{"stats"}, fields)
+	taggedFields(reflect.TypeFor[cluster.Stats](), []string{"cluster"}, fields)
+	taggedFields(reflect.TypeFor[health](), nil, fields)
+	if _, ok := fields["pes_campaign_queue_depth"]; !ok {
+		t.Fatal("/healthz has no queue_depth field tagged pes_campaign_queue_depth")
+	}
+	for key, path := range fields {
+		var v any = doc
+		for _, p := range path {
+			if m, ok := v.(map[string]any); ok {
+				v = m[p]
+			} else {
+				v = nil
+			}
+		}
+		got, inMetrics := samples[key]
+		switch v := v.(type) {
+		case nil:
+			if inMetrics {
+				t.Errorf("%s = %v on /metrics, but /healthz has no %s", key, got, strings.Join(path, "."))
+			}
+			continue
+		case bool:
+			want := 0.0
+			if v {
+				want = 1
+			}
+			if got != want || !inMetrics {
+				t.Errorf("%s = %v (present %v), /healthz %s = %v", key, got, inMetrics, strings.Join(path, "."), v)
+			}
+		case float64:
+			if got != v || !inMetrics {
+				t.Errorf("%s = %v (present %v), /healthz %s = %v", key, got, inMetrics, strings.Join(path, "."), v)
+			}
+		default:
+			t.Errorf("/healthz %s is %T, want a number or bool", strings.Join(path, "."), v)
+		}
+	}
+
+	// Coverage: every non-histogram series is one of the tagged fields.
+	histograms := make(map[string]bool)
+	for _, line := range strings.Split(getBody(t, ts.URL+"/metrics"), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && f[3] == "histogram" {
+			histograms[f[2]] = true
+		}
+	}
+	counted := 0
+	for key := range samples {
+		family, _, _ := strings.Cut(key, "{")
+		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(family, "_bucket"), "_sum"), "_count")
+		if histograms[base] {
+			continue
+		}
+		counted++
+		if _, ok := fields[key]; !ok {
+			t.Errorf("/metrics series %s has no /healthz field", key)
+		}
+	}
+	if counted < 40 {
+		t.Errorf("only %d counter/gauge series on /metrics, want the runner, store, artifact, cluster and server families", counted)
+	}
+	if t.Failed() {
+		t.Logf("/healthz: %s", healthBody)
 	}
 }
 

@@ -184,10 +184,8 @@ type Server struct {
 	// journal persists campaign lifecycle records when a store backs the
 	// server; nil otherwise (every journal method is nil-safe).
 	journal *journal
-	// recovery is the boot-time journal replay outcome; resumed mirrors its
-	// Resumed count (kept for the /healthz payload).
+	// recovery is the boot-time journal replay outcome.
 	recovery RecoverySummary
-	resumed  int
 
 	// metrics is the registry /metrics serves; log receives structured
 	// events; httpLat holds the per-route latency histograms.
@@ -263,7 +261,6 @@ func New(cfg Config) (*Server, error) {
 		// campaign re-enqueues under its original ID, and s.nextID advances
 		// past every journaled ID so fresh submissions never collide.
 		s.recovery = s.recoverJournal()
-		s.resumed = s.recovery.Resumed
 	}
 	s.initMetrics()
 	for i := 0; i < cfg.JobWorkers; i++ {
@@ -275,7 +272,7 @@ func New(cfg Config) (*Server, error) {
 
 // Resumed reports how many journaled campaigns this server re-enqueued at
 // boot.
-func (s *Server) Resumed() int { return s.resumed }
+func (s *Server) Resumed() int { return s.recovery.Resumed }
 
 // Setup exposes the shared harness state (trained learner, corpus, runner).
 func (s *Server) Setup() *experiments.Setup { return s.setup }
@@ -787,39 +784,49 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tab)
 }
 
-// health is the response body of GET /healthz.
+// health is the response body of GET /healthz, and the snapshot the
+// server's own /metrics gauges are read from (its metric-tagged fields).
 type health struct {
-	Status string      `json:"status"`
-	Jobs   int         `json:"jobs"`
-	Stats  batch.Stats `json:"stats"`
+	Status string `json:"status"`
+	Jobs   int    `json:"jobs" metric:"pes_jobs" help:"Jobs retained for status/result queries."`
+	// Stats and Cluster register their own series (Runner.RegisterMetrics,
+	// Coordinator.RegisterMetrics).
+	Stats batch.Stats `json:"stats" metric:"-"`
 	// Workers is the simulation worker-pool size of the shared runner.
 	Workers int `json:"workers"`
 	// Cluster reports shard/retry/remote-worker counters when campaigns
 	// are sharded across workers (absent in-process).
-	Cluster *cluster.Stats `json:"cluster,omitempty"`
+	Cluster    *cluster.Stats `json:"cluster,omitempty" metric:"-"`
+	QueueDepth int            `json:"queue_depth" metric:"pes_campaign_queue_depth" help:"Campaigns waiting in the admission queue."`
 	// Journaled reports whether a persistent store journals campaign
-	// lifecycles; Resumed counts the campaigns re-enqueued from it at boot.
-	// Always present (no omitempty): the CI chaos smoke gates on the exact
-	// count, and 0 is an answer, not an absence.
-	Journaled bool `json:"journaled"`
-	Resumed   int  `json:"resumed"`
+	// lifecycles; the embedded RecoverySummary counts what happened to its
+	// campaigns at boot. Always present (no omitempty): the CI chaos smoke
+	// gates on the exact resumed count, and 0 is an answer, not an absence.
+	Journaled bool `json:"journaled" metric:"pes_journaled" help:"1 when a persistent store journals campaign lifecycles."`
+	RecoverySummary
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+// health snapshots the /healthz body.
+func (s *Server) health() health {
 	s.mu.Lock()
 	jobs := len(s.jobs)
 	s.mu.Unlock()
 	h := health{
-		Status:    "ok",
-		Jobs:      jobs,
-		Stats:     s.Stats(),
-		Workers:   s.setup.Runner.Workers(),
-		Journaled: s.journal != nil,
-		Resumed:   s.resumed,
+		Status:          "ok",
+		Jobs:            jobs,
+		Stats:           s.Stats(),
+		Workers:         s.setup.Runner.Workers(),
+		QueueDepth:      len(s.queue),
+		Journaled:       s.journal != nil,
+		RecoverySummary: s.recovery,
 	}
 	if s.cfg.Cluster != nil {
 		cs := s.cfg.Cluster.Stats()
 		h.Cluster = &cs
 	}
-	writeJSON(w, http.StatusOK, h)
+	return h
+}
+
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.health())
 }

@@ -721,3 +721,41 @@ func TestRequestBodyLimits(t *testing.T) {
 		}
 	}
 }
+
+// TestOverCapCampaignRejectedBeforeExpansion posts campaigns whose
+// expansion exceeds maxCampaignSessions: each must be a 400, and no trace
+// may be generated for it (the cap is checked before any session is built).
+func TestOverCapCampaignRejectedBeforeExpansion(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	seeds := func(n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(i + 1)
+		}
+		return out
+	}
+	for name, c := range map[string]Campaign{
+		"seeds":           {Apps: []string{"cnn"}, Schedulers: []string{"EBS"}, TraceSeeds: seeds(maxCampaignSessions + 1)},
+		"apps x seeds":    {TraceSeeds: seeds(maxCampaignSessions/18/5 + 1)},
+		"sweep threshold": {Apps: []string{"cnn"}, Schedulers: []string{"PES"}, TraceSeeds: seeds(maxCampaignSessions/2 + 1), Sweep: &Sweep{ConfidenceThresholds: []float64{0.9}}},
+	} {
+		body, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Setup().Artifacts.Stats().TraceBuilds
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST = %d, want 400", name, resp.StatusCode)
+		}
+		if after := s.Setup().Artifacts.Stats().TraceBuilds; after != before {
+			t.Errorf("%s: rejected campaign generated %d traces, want 0", name, after-before)
+		}
+	}
+}

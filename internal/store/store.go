@@ -116,28 +116,28 @@ func WithSyncEvery(n int) Option {
 // and constant afterwards; the rest accumulate over the store's lifetime.
 type Stats struct {
 	// Records is the number of distinct keys currently readable.
-	Records int64 `json:"records"`
+	Records int64 `json:"records" metric:"pes_store_log_records" help:"Distinct keys currently readable from the persistent log."`
 	// Recovered is the number of intact records replayed at Open — non-zero
 	// means this process warm-started from a previous one's work.
-	Recovered int64 `json:"recovered"`
+	Recovered int64 `json:"recovered" metric:"pes_store_log_recovered" help:"Intact records replayed when the log was opened."`
 	// CorruptRecords counts records dropped for a checksum mismatch, at
 	// replay or on a later read. Each drop is also logged as a warning.
-	CorruptRecords int64 `json:"corrupt_records"`
+	CorruptRecords int64 `json:"corrupt_records" metric:"pes_store_log_corrupt_records_total" help:"Records dropped for a checksum mismatch."`
 	// TornBytes is the size of the unparseable log tail truncated at Open
 	// (a crash mid-append, or corruption that broke the record framing).
-	TornBytes int64 `json:"torn_bytes"`
+	TornBytes int64 `json:"torn_bytes" metric:"pes_store_log_torn_bytes" help:"Unparseable log tail truncated at open, in bytes."`
 	// Hits and Misses count Get/GetOrBuild lookups.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	Hits   int64 `json:"hits" metric:"pes_store_log_hits_total" help:"Persistent-log lookups that found a record."`
+	Misses int64 `json:"misses" metric:"pes_store_log_misses_total" help:"Persistent-log lookups that missed."`
 	// Puts counts records appended.
-	Puts int64 `json:"puts"`
+	Puts int64 `json:"puts" metric:"pes_store_log_puts_total" help:"Records appended to the persistent log."`
 	// Syncs counts explicit log flushes to stable storage: the WithSyncEvery
 	// cadence, PutDurable calls, and Sync/Close. Zero syncs on a no-fsync
 	// store until Close.
-	Syncs int64 `json:"syncs"`
+	Syncs int64 `json:"syncs" metric:"pes_store_log_syncs_total" help:"Explicit log flushes to stable storage."`
 	// SharedBuilds counts GetOrBuild callers that were served by another
 	// caller's in-flight build instead of building or reading themselves.
-	SharedBuilds int64 `json:"shared_builds"`
+	SharedBuilds int64 `json:"shared_builds" metric:"pes_store_log_shared_builds_total" help:"GetOrBuild callers served by another caller's in-flight build."`
 }
 
 // ref locates one live record's value inside the log.
