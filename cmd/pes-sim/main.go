@@ -38,7 +38,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("pes-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	app := fs.String("app", "cnn", "application name (see pes-trace -list)")
+	app := fs.String("app", "cnn", "application name (an unknown name lists the suite)")
 	seed := fs.Int64("seed", 42, "user/session seed (first seed with -sessions > 1)")
 	scheduler := fs.String("scheduler", "pes", "scheduler: interactive, ondemand, ebs, pes, oracle")
 	nSessions := fs.Int("sessions", 1, "number of sessions to simulate (seeds seed..seed+N-1)")

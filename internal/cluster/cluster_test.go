@@ -7,20 +7,18 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/acmp"
 	"repro/internal/batch"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/predictor"
 	"repro/internal/sessions"
-	"repro/internal/trace"
-	"repro/internal/webapp"
 )
 
 // testSpecs expands a small campaign — 2 apps × 2 seeds × all 5 schedulers,
@@ -61,35 +59,17 @@ func newTestWorker(t testing.TB) *Worker {
 }
 
 // directResults simulates the specs single-process on a fresh serial runner
-// sharing the workers' harness configuration.
+// sharing the workers' harness configuration, built by the same BuildSessions
+// the workers run.
 func directResults(t *testing.T, specs []SessionSpec) []*engine.Result {
 	t.Helper()
 	setup, err := experiments.NewSetup(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batchSessions []batch.Session
-	for _, spec := range specs {
-		platform, err := acmp.ByName(spec.Platform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app, err := webapp.ByName(spec.App)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := sessions.New(sessions.Spec{
-			Platform:  platform,
-			Trace:     setup.Artifacts.Trace(app, spec.TraceSeed, trace.PurposeEval, trace.Options{}),
-			Scheduler: spec.Scheduler,
-			Learner:   setup.Learner,
-			Predictor: spec.Predictor,
-			Artifacts: setup.Artifacts,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchSessions = append(batchSessions, sess)
+	batchSessions, err := BuildSessions(setup, specs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	out, err := batch.NewRunner(1).Run(batchSessions)
 	if err != nil {
@@ -458,6 +438,35 @@ func TestWorkerRejectsOracleVersionMismatch(t *testing.T) {
 
 	if _, err := w.RunShard(ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v9"}); err == nil {
 		t.Error("worker accepted an unknown oracle version")
+	}
+}
+
+// TestWorkerRejectsOverCapShard: a shard of MaxSessions+1 valid specs, small
+// enough to pass the body limit, is answered 400 — a client fault to the
+// coordinator — before the worker generates a single trace.
+func TestWorkerRejectsOverCapShard(t *testing.T) {
+	w := newTestWorker(t)
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	specs := make([]SessionSpec, MaxSessions+1)
+	for i := range specs {
+		specs[i] = SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: int64(i + 1),
+			Scheduler: sessions.EBS, Predictor: predictor.DefaultConfig()}
+	}
+	body, err := json.Marshal(ShardRequest{Sessions: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) >= maxShardRequestBytes {
+		t.Fatalf("over-cap shard is %d bytes, not under the %d-byte body limit", len(body), maxShardRequestBytes)
+	}
+	before := w.Setup().Artifacts.Stats().TraceBuilds
+	code, msg := postShard(t, ts.URL, strconv.Itoa(frameVersion), string(body))
+	if code != http.StatusBadRequest || !strings.Contains(msg, "limit") {
+		t.Errorf("over-cap shard: status %d (%s), want 400 naming the limit", code, msg)
+	}
+	if after := w.Setup().Artifacts.Stats().TraceBuilds; after != before {
+		t.Errorf("over-cap shard generated %d traces, want 0", after-before)
 	}
 }
 

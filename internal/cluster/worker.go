@@ -50,11 +50,22 @@ func (w *Worker) Setup() *experiments.Setup { return w.setup }
 // Stats snapshots the worker's runner/artifact counters.
 func (w *Worker) Stats() batch.Stats { return w.setup.Runner.Stats() }
 
-// buildSessions turns wire specs into self-contained batch sessions, the
-// same construction the campaign layer performs in-process: the trace comes
-// from the worker's artifact store, the learner is the worker's trained
+// MaxSessions caps the sessions one build turns specs into: a campaign's
+// expansion is checked against it at admission, and BuildSessions refuses a
+// longer spec list before generating any trace, so neither a small campaign
+// body nor a hand-made shard can make a process build traces without bound.
+// The largest campaigns in use have 324 sessions.
+const MaxSessions = 10_000
+
+// BuildSessions turns wire specs into self-contained batch sessions. It is
+// the one builder: the in-process server, worker shards and the
+// coordinator's spill-over lane all run what it returns. The trace comes
+// from the setup's artifact store, the learner is the setup's trained
 // model, and the predictor configuration is taken verbatim from the spec.
-func (w *Worker) buildSessions(specs []SessionSpec) ([]batch.Session, error) {
+func BuildSessions(setup *experiments.Setup, specs []SessionSpec) ([]batch.Session, error) {
+	if len(specs) > MaxSessions {
+		return nil, fmt.Errorf("%d sessions exceed the %d-session limit", len(specs), MaxSessions)
+	}
 	out := make([]batch.Session, 0, len(specs))
 	for i, spec := range specs {
 		platform, err := acmp.ByName(spec.Platform)
@@ -69,14 +80,14 @@ func (w *Worker) buildSessions(specs []SessionSpec) ([]batch.Session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("session %d: %w", i, err)
 		}
-		tr := w.setup.Artifacts.Trace(app, spec.TraceSeed, trace.PurposeEval, trace.Options{})
+		tr := setup.Artifacts.Trace(app, spec.TraceSeed, trace.PurposeEval, trace.Options{})
 		sess, err := sessions.New(sessions.Spec{
 			Platform:      platform,
 			Trace:         tr,
 			Scheduler:     spec.Scheduler,
-			Learner:       w.setup.Learner,
+			Learner:       setup.Learner,
 			Predictor:     spec.Predictor,
-			Artifacts:     w.setup.Artifacts,
+			Artifacts:     setup.Artifacts,
 			OracleVersion: ov,
 		})
 		if err != nil {
@@ -115,7 +126,7 @@ func (w *Worker) RunShardTraced(traceID string, req ShardRequest) (ShardResponse
 				theirs, mine)
 		}
 	}
-	sess, err := w.buildSessions(req.Sessions)
+	sess, err := BuildSessions(w.setup, req.Sessions)
 	if err != nil {
 		return ShardResponse{}, err
 	}

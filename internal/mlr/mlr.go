@@ -11,10 +11,8 @@
 package mlr
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 )
@@ -255,10 +253,4 @@ func (m *Model) Fit(samples []Sample, cfg TrainConfig) error {
 		}
 	}
 	return nil
-}
-
-// Save serializes the model as JSON; the paper persists its trained model to
-// local storage and loads it when the application boots.
-func (m *Model) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(m)
 }

@@ -1,7 +1,6 @@
 package mlr
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -149,17 +148,19 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip round-trips a trained model through json.Marshal
+// and json.Unmarshal, the encoding artifacts.Store persists.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := NewModel(3, 3)
 	if err := m.Fit(synthSamples(500, 6), TrainConfig{Epochs: 20}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	val, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Model
-	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
+	if err := json.Unmarshal(val, &back); err != nil {
 		t.Fatal(err)
 	}
 	x := []float64{0.3, 0.7, 0.2}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/artifacts"
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 )
 
@@ -29,13 +30,19 @@ func TestConcurrentCampaignsBuildArtifactsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// The setup generated the training corpus and the 18-app evaluation
+	// corpus; everything after this is the campaigns' share.
+	setupTraces := store.Stats().TraceBuilds
+	if setupTraces <= 0 {
+		t.Fatalf("implausible setup trace count: %+v", store.Stats())
+	}
 
 	apps := []string{"cnn", "ebay"}
 	seeds := []int64{21, 22}
 	campaign := Campaign{Apps: apps, TraceSeeds: seeds}
 
-	// Campaign expansion happens in Submit (concurrently here) and the
-	// simulations on the shared job workers.
+	// Campaign expansion (specs only) happens in Submit, concurrently here;
+	// trace building and the simulations happen on the shared job workers.
 	const overlapping = 4
 	var wg sync.WaitGroup
 	ids := make([]string, overlapping)
@@ -78,20 +85,23 @@ func TestConcurrentCampaignsBuildArtifactsOnce(t *testing.T) {
 	}
 
 	ast := store.Stats()
-	// Campaign traces: one per (app, seed); the setup additionally generated
-	// the training corpus and the 18-app evaluation corpus. The campaign
-	// seeds (21, 22) are distinct from every corpus seed, so the campaign's
-	// share is exactly len(apps)*len(seeds) builds on top of the setup's.
-	setupTraces := store.Stats().TraceBuilds - int64(len(apps)*len(seeds))
-	if setupTraces <= 0 {
-		t.Fatalf("implausible setup trace count: %+v", ast)
+	// Campaign traces: one per (app, seed). The campaign seeds (21, 22) are
+	// distinct from every corpus seed, so the four overlapping campaigns
+	// add exactly len(apps)*len(seeds) builds on top of the setup's.
+	if got, want := ast.TraceBuilds-setupTraces, int64(len(apps)*len(seeds)); got != want {
+		t.Errorf("campaigns generated %d traces, want %d (one per (app, seed))", got, want)
 	}
-	// Re-expanding the same campaign must add no trace builds at all.
-	if _, err := campaign.Expand(s.Setup()); err != nil {
+	// Re-expanding the same campaign and building its sessions again must
+	// add no trace builds at all: the builder reuses the stored traces.
+	plan, err := campaign.Expand(s.Setup())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.BuildSessions(s.Setup(), plan.Specs); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.Stats().TraceBuilds; got != ast.TraceBuilds {
-		t.Errorf("re-expansion generated %d extra traces, want 0", got-ast.TraceBuilds)
+		t.Errorf("rebuilding the campaign's sessions generated %d extra traces, want 0", got-ast.TraceBuilds)
 	}
 	// Each campaign trace was requested once per (scheduler, campaign); all
 	// but the first request per (app, seed) must have been hits.

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/acmp"
-	"repro/internal/batch"
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/sessions"
 	"repro/internal/simtime"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/webapp"
 )
 
@@ -82,31 +80,14 @@ type SessionMeta struct {
 	Label string `json:"label"`
 }
 
-// Plan is a validated, fully expanded campaign: the batch sessions to run
-// in-process and, index-aligned, the metadata describing each one plus the
-// wire specs the cluster coordinator routes to workers instead.
+// Plan is a validated, fully expanded campaign: one self-describing wire
+// spec per session and, index-aligned, the metadata describing it. A plan
+// holds no runnable sessions; cluster.BuildSessions turns its Specs into
+// them when the campaign runs, in-process or on a worker.
 type Plan struct {
 	Platform string
-	// Sessions holds the runnable in-process sessions; it is nil for plans
-	// a coordinator expanded for cluster execution (workers rebuild the
-	// sessions from Specs).
-	Sessions []batch.Session
 	Meta     []SessionMeta
-	// Specs mirrors Sessions as self-describing wire specs: a cluster
-	// worker rebuilds session i of this plan from Specs[i].
-	Specs []cluster.SessionSpec
-}
-
-// maxCampaignSessions caps a campaign's expansion, checked before any trace
-// is built so a small body naming many seeds cannot make the POST handler
-// generate traces without bound. The largest campaigns in use have 324.
-const maxCampaignSessions = 10_000
-
-// platformByName resolves a campaign platform name to its shared hardware
-// model (one instance per model keeps the artifact store's pointer-keyed
-// fingerprint memo effective across campaigns).
-func platformByName(name string) (*acmp.Platform, error) {
-	return acmp.ByName(name)
+	Specs    []cluster.SessionSpec
 }
 
 // predictorConfig merges a PredictorSpec over the setup's base configuration.
@@ -127,22 +108,14 @@ func predictorConfig(base predictor.Config, spec *PredictorSpec) predictor.Confi
 	return cfg
 }
 
-// Expand validates the campaign and expands it into batch sessions, reusing
-// the setup's trained learner and predictor defaults. The expansion is the
+// Expand validates the campaign and expands it into wire specs, filling in
+// the setup's predictor defaults and oracle version. The expansion is the
 // apps × seeds × schedulers cross product at the base predictor
-// configuration, plus one extra PES pass per distinct sweep threshold.
+// configuration, plus one extra PES pass per distinct sweep threshold. It
+// never touches the artifact store: no trace is generated until the plan
+// runs.
 func (c Campaign) Expand(setup *experiments.Setup) (*Plan, error) {
-	return c.expand(setup, true)
-}
-
-// expand is Expand with the in-process sessions optional: a coordinator
-// executes a plan through its cluster (only Specs cross the wire), so
-// building the runnable sessions — which generates every (app, seed) trace
-// locally — would spend the exact work sharding exists to offload.
-// Validation is unchanged either way: platforms, apps, schedulers, and
-// sweep thresholds are checked during expansion itself.
-func (c Campaign) expand(setup *experiments.Setup, buildSessions bool) (*Plan, error) {
-	platform, err := platformByName(c.Platform)
+	platform, err := acmp.ByName(c.Platform)
 	if err != nil {
 		return nil, err
 	}
@@ -205,32 +178,13 @@ func (c Campaign) expand(setup *experiments.Setup, buildSessions bool) (*Plan, e
 		sort.Float64s(sweepThresholds)
 	}
 	// Every factor is at least 1; dividing cannot overflow.
-	if perSeed := len(scheds) + len(sweepThresholds); len(apps) > maxCampaignSessions/len(seeds)/perSeed {
+	if perSeed := len(scheds) + len(sweepThresholds); len(apps) > cluster.MaxSessions/len(seeds)/perSeed {
 		return nil, fmt.Errorf("campaign expands to %d apps × %d seeds × %d sessions, more than the %d-session limit",
-			len(apps), len(seeds), perSeed, maxCampaignSessions)
+			len(apps), len(seeds), perSeed, cluster.MaxSessions)
 	}
 
 	plan := &Plan{Platform: platform.Name}
-	add := func(app *webapp.Spec, seed int64, schedName string, cfg predictor.Config, label string) error {
-		if buildSessions {
-			// The artifact store generates each (app, seed) trace exactly
-			// once per process, no matter how many schedulers, sweep
-			// points, or overlapping campaigns replay it.
-			tr := setup.Artifacts.Trace(app, seed, trace.PurposeEval, trace.Options{})
-			sess, err := sessions.New(sessions.Spec{
-				Platform:      platform,
-				Trace:         tr,
-				Scheduler:     schedName,
-				Learner:       setup.Learner,
-				Predictor:     cfg,
-				Artifacts:     setup.Artifacts,
-				OracleVersion: oracleVer,
-			})
-			if err != nil {
-				return err
-			}
-			plan.Sessions = append(plan.Sessions, sess)
-		}
+	add := func(app *webapp.Spec, seed int64, schedName string, cfg predictor.Config, label string) {
 		meta := SessionMeta{
 			Platform:  platform.Name,
 			App:       app.Name,
@@ -254,22 +208,17 @@ func (c Campaign) expand(setup *experiments.Setup, buildSessions bool) (*Plan, e
 		}
 		plan.Meta = append(plan.Meta, meta)
 		plan.Specs = append(plan.Specs, spec)
-		return nil
 	}
 	for _, app := range apps {
 		for _, seed := range seeds {
 			for _, name := range scheds {
-				if err := add(app, seed, name, baseCfg, name); err != nil {
-					return nil, err
-				}
+				add(app, seed, name, baseCfg, name)
 			}
 			for _, th := range sweepThresholds {
 				cfg := baseCfg
 				cfg.ConfidenceThreshold = th
 				label := fmt.Sprintf("%s@%d%%", sessions.PES, int(th*100+0.5))
-				if err := add(app, seed, sessions.PES, cfg, label); err != nil {
-					return nil, err
-				}
+				add(app, seed, sessions.PES, cfg, label)
 			}
 		}
 	}
@@ -283,8 +232,8 @@ func (c Campaign) expand(setup *experiments.Setup, buildSessions bool) (*Plan, e
 // figure harness computes (the shape of Fig. 11 and 12): one row per
 // application, one column per scheduler label, averaged over trace seeds.
 // Sessions without a result (failed batch entries) are skipped. results must
-// be index-aligned with the plan's sessions, as returned by the batch
-// runner.
+// be index-aligned with the plan's specs, as returned by the batch runner or
+// the cluster.
 func (p *Plan) Tables(results []*engine.Result) []*experiments.Table {
 	var labels, apps []string
 	haveLabel := map[string]bool{}

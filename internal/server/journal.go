@@ -241,7 +241,7 @@ func (s *Server) recoverJournal() RecoverySummary {
 	}
 	var sum RecoverySummary
 	for _, e := range entries {
-		plan, err := e.spec.Campaign.expand(s.setup, s.cfg.Cluster == nil)
+		plan, err := e.spec.Campaign.Expand(s.setup)
 		if err == nil && len(plan.Meta) != e.spec.Sessions {
 			err = fmt.Errorf("journaled campaign expanded to %d sessions, was submitted with %d (server configuration changed under the journal)",
 				len(plan.Meta), e.spec.Sessions)

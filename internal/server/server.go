@@ -84,8 +84,9 @@ type job struct {
 	id       string
 	campaign Campaign
 	plan     *Plan
-	// total is the session count of the plan, kept separately because the
-	// plan's session closures are released once the job is terminal.
+	// total is the campaign's session count. It is kept apart from the
+	// plan because a campaign that fails to re-expand on journal recovery
+	// has an empty plan but still reports its journaled count.
 	total int
 	// trace accumulates the campaign's span timeline. Its trace ID is
 	// minted deterministically from the job ID, so a journal-resumed
@@ -112,12 +113,6 @@ func (j *job) setStatus(status, errMsg string) {
 	j.mu.Lock()
 	j.status = status
 	j.errMsg = errMsg
-	if terminal(status) {
-		// The session closures (and the traces they capture) are only
-		// needed to run the campaign; results are served from j.results
-		// and j.plan.Meta.
-		j.plan.Sessions = nil
-	}
 	j.mu.Unlock()
 }
 
@@ -373,12 +368,15 @@ func (s *Server) worker() {
 // execute runs one expanded campaign: through the cluster coordinator when
 // one is configured (each worker resolves its shard against its own warm
 // memo/artifact caches), in-process on the shared runner otherwise. Both
-// paths return results index-aligned with the plan, so the merge — and
-// everything downstream of it (rows, tables, solver aggregation) — is
-// identical. In-process execution is bounded by the server's run context
-// (the drain deadline); cluster dispatch is not — a coordinator killed
-// mid-campaign relies on the journal plus the workers' own stores, which is
-// the same guarantee with no cooperation needed from remote processes.
+// paths build their sessions from the plan's specs with
+// cluster.BuildSessions when the campaign starts (locally here, on the
+// workers otherwise), and both return results index-aligned with the plan,
+// so the merge — and everything downstream of it (rows, tables, solver
+// aggregation) — is identical. In-process execution is bounded by the
+// server's run context (the drain deadline); cluster dispatch is not — a
+// coordinator killed mid-campaign relies on the journal plus the workers'
+// own stores, which is the same guarantee with no cooperation needed from
+// remote processes.
 func (s *Server) execute(j *job, progress func(completed, total int)) ([]*engine.Result, error) {
 	plan := j.plan
 	if s.cfg.Cluster != nil {
@@ -388,20 +386,23 @@ func (s *Server) execute(j *job, progress func(completed, total int)) ([]*engine
 		return s.cfg.Cluster.RunContext(obs.WithTrace(context.Background(), j.trace), plan.Specs, progress)
 	}
 	start := time.Now()
-	results, err := s.setup.Runner.RunContext(obs.WithTrace(s.runCtx, j.trace), plan.Sessions, progress)
+	sess, err := cluster.BuildSessions(s.setup, plan.Specs)
+	if err != nil {
+		return nil, err
+	}
+	results, err := s.setup.Runner.RunContext(obs.WithTrace(s.runCtx, j.trace), sess, progress)
 	j.trace.Record(obs.Span{
-		Name: "simulate", Worker: "local", Sessions: len(plan.Sessions),
+		Name: "simulate", Worker: "local", Sessions: len(sess),
 		StartUS: start.UnixMicro(), DurUS: time.Since(start).Microseconds(),
 	})
 	return results, err
 }
 
-// Submit validates and enqueues a campaign, returning its job status. In
-// cluster mode the expansion skips building runnable in-process sessions
-// (the workers rebuild them from the plan's wire specs), so submission
-// never generates traces the coordinator will not simulate.
+// Submit validates and enqueues a campaign, returning its job status. The
+// campaign is expanded into wire specs only, in either mode: submission
+// generates no trace, and the sessions are built when the campaign runs.
 func (s *Server) Submit(c Campaign) (JobStatus, error) {
-	plan, err := c.expand(s.setup, s.cfg.Cluster == nil)
+	plan, err := c.Expand(s.setup)
 	if err != nil {
 		return JobStatus{}, err
 	}

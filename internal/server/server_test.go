@@ -48,11 +48,11 @@ func TestCampaignExpansionDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 18 applications × 1 seed × 5 schedulers.
-	if got, want := len(plan.Sessions), 18*5; got != want {
+	if got, want := len(plan.Specs), 18*5; got != want {
 		t.Errorf("default campaign expands to %d sessions, want %d", got, want)
 	}
-	if len(plan.Meta) != len(plan.Sessions) {
-		t.Errorf("meta (%d) not aligned with sessions (%d)", len(plan.Meta), len(plan.Sessions))
+	if len(plan.Meta) != len(plan.Specs) {
+		t.Errorf("meta (%d) not aligned with sessions (%d)", len(plan.Meta), len(plan.Specs))
 	}
 	if plan.Platform != "Exynos5410" {
 		t.Errorf("default platform %q", plan.Platform)
@@ -74,7 +74,7 @@ func TestCampaignExpansionSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per seed: EBS + PES at base, plus PES at 0.5 and 0.9.
-	if got, want := len(plan.Sessions), 2*(2+2); got != want {
+	if got, want := len(plan.Specs), 2*(2+2); got != want {
 		t.Fatalf("sweep campaign expands to %d sessions, want %d", got, want)
 	}
 	var labels []string
@@ -121,13 +121,17 @@ func TestCampaignOracleVersionStamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess, err := cluster.BuildSessions(s.Setup(), plan.Specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, m := range plan.Meta {
 		spec := plan.Specs[i]
 		if m.Scheduler == sessions.Oracle {
 			if m.OracleVersion != "v1" || spec.OracleVersion != "v1" {
 				t.Errorf("Oracle session not stamped v1: meta=%q spec=%q", m.OracleVersion, spec.OracleVersion)
 			}
-			if key := plan.Sessions[i].Key; !strings.Contains(key.Variant, "oracle=v1") {
+			if key := sess[i].Key; !strings.Contains(key.Variant, "oracle=v1") {
 				t.Errorf("Oracle memo key missing version: %q", key.Variant)
 			}
 		} else if m.OracleVersion != "" || spec.OracleVersion != "" {
@@ -151,7 +155,11 @@ func TestPlanTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := s.Setup().Runner.Run(plan.Sessions)
+	sess, err := cluster.BuildSessions(s.Setup(), plan.Specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := s.Setup().Runner.Run(sess)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,19 +554,17 @@ func TestResultsFiltersAndNDJSON(t *testing.T) {
 	}
 }
 
-// TestClusterModeExpandSkipsSessionConstruction asserts a coordinator-side
-// expansion produces wire specs and metadata without building runnable
-// sessions (and thus without generating any trace locally).
+// TestClusterModeExpandSkipsSessionConstruction asserts expansion — the
+// only one, in-process and coordinator alike — produces wire specs and
+// metadata without building runnable sessions (and thus without generating
+// any trace locally).
 func TestClusterModeExpandSkipsSessionConstruction(t *testing.T) {
 	s := testServer(t)
 	before := s.Setup().Artifacts.Stats().TraceBuilds
 	c := Campaign{Apps: []string{"twitter"}, TraceSeeds: []int64{991, 992}, Schedulers: []string{"Interactive", "PES"}}
-	plan, err := c.expand(s.Setup(), false)
+	plan, err := c.Expand(s.Setup())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plan.Sessions != nil {
-		t.Errorf("cluster-mode plan built %d in-process sessions, want none", len(plan.Sessions))
 	}
 	if len(plan.Specs) != 4 || len(plan.Meta) != 4 {
 		t.Fatalf("plan has %d specs / %d meta, want 4 each", len(plan.Specs), len(plan.Meta))
@@ -573,7 +579,7 @@ func TestClusterModeExpandSkipsSessionConstruction(t *testing.T) {
 		}
 	}
 	// Validation still runs without session construction.
-	if _, err := (Campaign{Apps: []string{"nosuchapp"}}).expand(s.Setup(), false); err == nil {
+	if _, err := (Campaign{Apps: []string{"nosuchapp"}}).Expand(s.Setup()); err == nil {
 		t.Error("cluster-mode expansion accepted an unknown app")
 	}
 }
@@ -723,7 +729,7 @@ func TestRequestBodyLimits(t *testing.T) {
 }
 
 // TestOverCapCampaignRejectedBeforeExpansion posts campaigns whose
-// expansion exceeds maxCampaignSessions: each must be a 400, and no trace
+// expansion exceeds cluster.MaxSessions: each must be a 400, and no trace
 // may be generated for it (the cap is checked before any session is built).
 func TestOverCapCampaignRejectedBeforeExpansion(t *testing.T) {
 	s := testServer(t)
@@ -737,9 +743,9 @@ func TestOverCapCampaignRejectedBeforeExpansion(t *testing.T) {
 		return out
 	}
 	for name, c := range map[string]Campaign{
-		"seeds":           {Apps: []string{"cnn"}, Schedulers: []string{"EBS"}, TraceSeeds: seeds(maxCampaignSessions + 1)},
-		"apps x seeds":    {TraceSeeds: seeds(maxCampaignSessions/18/5 + 1)},
-		"sweep threshold": {Apps: []string{"cnn"}, Schedulers: []string{"PES"}, TraceSeeds: seeds(maxCampaignSessions/2 + 1), Sweep: &Sweep{ConfidenceThresholds: []float64{0.9}}},
+		"seeds":           {Apps: []string{"cnn"}, Schedulers: []string{"EBS"}, TraceSeeds: seeds(cluster.MaxSessions + 1)},
+		"apps x seeds":    {TraceSeeds: seeds(cluster.MaxSessions/18/5 + 1)},
+		"sweep threshold": {Apps: []string{"cnn"}, Schedulers: []string{"PES"}, TraceSeeds: seeds(cluster.MaxSessions/2 + 1), Sweep: &Sweep{ConfidenceThresholds: []float64{0.9}}},
 	} {
 		body, err := json.Marshal(c)
 		if err != nil {

@@ -16,9 +16,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/acmp"
@@ -438,15 +436,4 @@ func (c Corpus) TotalEvents() int {
 		n += t.Count()
 	}
 	return n
-}
-
-// Encode writes the corpus as a JSON stream (one trace per line).
-func Encode(w io.Writer, c Corpus) error {
-	enc := json.NewEncoder(w)
-	for _, t := range c {
-		if err := enc.Encode(t); err != nil {
-			return fmt.Errorf("trace: encode: %w", err)
-		}
-	}
-	return nil
 }

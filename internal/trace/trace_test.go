@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -162,21 +161,21 @@ func TestGenerateCorpusAndFilters(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip round-trips traces through per-value
+// json.Marshal/json.Unmarshal, the encoding artifacts.Store persists.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := GenerateCorpus(webapp.SeenApps()[:2], 1, 55, PurposeEval, Options{})
-	var buf bytes.Buffer
-	if err := Encode(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	// One JSON document per line, each a complete Trace.
 	var back Corpus
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var tr Trace
-		if err := dec.Decode(&tr); err != nil {
+	for _, tr := range c {
+		val, err := json.Marshal(tr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		back = append(back, &tr)
+		dec := new(Trace)
+		if err := json.Unmarshal(val, dec); err != nil {
+			t.Fatal(err)
+		}
+		back = append(back, dec)
 	}
 	if len(back) != len(c) {
 		t.Fatalf("decoded %d traces, want %d", len(back), len(c))

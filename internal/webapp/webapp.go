@@ -17,6 +17,7 @@ package webapp
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/acmp"
 	"repro/internal/dom"
@@ -283,14 +284,19 @@ func SeenApps() []*Spec { return filter(true) }
 // UnseenApps returns the 6 applications only used for evaluation.
 func UnseenApps() []*Spec { return filter(false) }
 
-// ByName returns the spec with the given name or an error.
+// ByName returns the spec with the given name, or an error that lists the
+// suite's names.
 func ByName(name string) (*Spec, error) {
 	for _, s := range registry {
 		if s.Name == name {
 			return s, nil
 		}
 	}
-	return nil, fmt.Errorf("webapp: unknown application %q", name)
+	names := make([]string, len(registry))
+	for i, s := range registry {
+		names[i] = s.Name
+	}
+	return nil, fmt.Errorf("webapp: unknown application %q (known: %s)", name, strings.Join(names, ", "))
 }
 
 func filter(seen bool) []*Spec {

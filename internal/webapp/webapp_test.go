@@ -2,6 +2,7 @@ package webapp
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/acmp"
@@ -30,6 +31,8 @@ func TestRegistryShape(t *testing.T) {
 	}
 	if _, err := ByName("nonexistent"); err == nil {
 		t.Error("expected error for unknown application")
+	} else if msg := err.Error(); !strings.Contains(msg, "unknown application") || !strings.Contains(msg, "cnn, twitter") {
+		t.Errorf("unknown-app error %q does not list the suite", msg)
 	}
 }
 

@@ -274,8 +274,9 @@ type (
 	// CampaignSweep adds a confidence-threshold sensitivity sweep to a
 	// campaign.
 	CampaignSweep = server.Sweep
-	// CampaignPlan is a validated, expanded campaign: batch sessions plus
-	// index-aligned per-session metadata.
+	// CampaignPlan is a validated, expanded campaign: one wire spec per
+	// session plus index-aligned per-session metadata. It holds no runnable
+	// sessions; CampaignSessions builds them.
 	CampaignPlan = server.Plan
 	// CampaignStatus is the status/progress view of a submitted campaign
 	// (the body of POST /v1/campaigns and GET /v1/campaigns/{id}).
@@ -293,10 +294,18 @@ type (
 	ServerConfig = server.Config
 )
 
-// NewCampaign validates a campaign and expands it into batch sessions using
-// the harness's trained learner and predictor defaults; run the plan's
-// Sessions with RunBatch (or a kept BatchRunner).
+// NewCampaign validates a campaign and expands it into wire specs using the
+// harness's predictor defaults; no trace is generated. Build the runnable
+// sessions with CampaignSessions.
 func NewCampaign(c Campaign, x *Experiments) (*CampaignPlan, error) { return c.Expand(x) }
+
+// CampaignSessions builds a plan's runnable batch sessions, index-aligned
+// with its metadata, from the harness's artifact store and trained learner.
+// It is the same builder the server, cluster workers and the spill-over
+// lane use; run the result with RunBatch (or a kept BatchRunner).
+func CampaignSessions(p *CampaignPlan, x *Experiments) ([]BatchSession, error) {
+	return cluster.BuildSessions(x, p.Specs)
+}
 
 // NewServer trains the shared harness state and starts the campaign
 // workers; expose it over HTTP with its Handler method, and Close it to

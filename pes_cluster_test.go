@@ -87,7 +87,7 @@ func TestClusteredCampaignMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunBatch(1, plan.Sessions)
+	direct, err := RunBatch(1, campaignSessions(t, plan, h.svc.Setup()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestClusteredSpillOverAndLiveRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunBatch(1, plan.Sessions)
+	direct, err := RunBatch(1, campaignSessions(t, plan, svc.Setup()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestClusteredSpillOverAndLiveRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct2, err := RunBatch(1, plan2.Sessions)
+	direct2, err := RunBatch(1, campaignSessions(t, plan2, svc.Setup()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,6 +134,17 @@ func compactEqualResult(t *testing.T, served json.RawMessage, direct *Result) bo
 	return bytes.Equal(normalizeResult(t, served), normalizeResult(t, want))
 }
 
+// campaignSessions builds a plan's runnable sessions through
+// CampaignSessions, the builder the server and the cluster workers use.
+func campaignSessions(t *testing.T, p *CampaignPlan, x *Experiments) []BatchSession {
+	t.Helper()
+	sess, err := CampaignSessions(p, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
 // TestServedCampaignMatchesDirectRunBatch submits a campaign over HTTP,
 // polls it to completion, and asserts every served session result is
 // byte-identical to a direct RunBatch of the same sessions on a fresh
@@ -176,7 +187,7 @@ func TestServedCampaignMatchesDirectRunBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunBatch(1, plan.Sessions)
+	direct, err := RunBatch(1, campaignSessions(t, plan, svc.Setup()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +261,7 @@ func TestConcurrentCampaignsShareMemoCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := RunBatch(1, plan.Sessions)
+		direct, err := RunBatch(1, campaignSessions(t, plan, svc.Setup()))
 		if err != nil {
 			t.Fatal(err)
 		}
