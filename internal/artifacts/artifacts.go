@@ -22,15 +22,15 @@
 //   - trained learners are read-only at prediction time (each predictor owns
 //     its own scratch buffers).
 //
-// Construction is singleflight: concurrent campaigns requesting the same
-// artifact block on one build and share the result. The cache is unbounded
-// and process-lived, like the batch memo cache it feeds: artifacts are a few
-// kilobytes each and bounded by the distinct (app, seed) pairs and training
-// configurations a process touches. The per-trace derivations (runtime
-// events, fingerprints) are memoized only for traces the store itself
-// generated — pointer-keyed entries for externally built traces would never
-// be hit again and would grow without bound, so they are computed without
-// caching instead.
+// Construction is singleflight (each cache is a memo.Cache): concurrent
+// campaigns requesting the same artifact block on one build and share the
+// result. The caches are process-lived, like the batch memo cache they feed;
+// only traces can be bounded (WithMaxTraces), since learners and corpora are
+// bounded by the handful of training configurations a process touches. The
+// per-trace derivations (runtime events, fingerprints) live in the trace's
+// own cache entry, so they exist only for traces the store itself generated
+// and leave with them on eviction — externally built traces are parsed and
+// hashed per call, since entries keyed by them would never be hit again.
 //
 // The DOM page-tree half of session setup is cached one layer down, in
 // package webapp (every webapp.NewSession clones cached master pages); its
@@ -39,7 +39,6 @@
 package artifacts
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -47,6 +46,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/acmp"
+	"repro/internal/memo"
 	"repro/internal/mlr"
 	"repro/internal/predictor"
 	"repro/internal/store"
@@ -90,36 +90,39 @@ type corpusKey struct {
 	opts         trace.Options
 }
 
-// Singleflight slots. The first requester builds inside the Once; everyone
-// else blocks on it and shares the built value.
-type (
-	traceEntry struct {
-		once sync.Once
-		tr   *trace.Trace
-		// elem is the entry's LRU slot, linked (under Store.mu) once the
-		// trace is built; in-flight entries are never evicted.
-		elem *list.Element
+// traceArtifacts is one generated trace's cache entry: the trace plus the
+// derivations memoized on it, which therefore leave the cache with it.
+type traceArtifacts struct {
+	tr      *trace.Trace
+	runtime derived[[]*webevent.Event]
+	hash    derived[string] // content hash of the trace half of a fingerprint
+}
+
+// derived is one lazily computed per-trace artifact. The first request
+// builds it; every later one counts as a hit.
+type derived[T any] struct {
+	asked atomic.Bool
+	once  sync.Once
+	val   T
+	err   error
+}
+
+func (d *derived[T]) get(build func() (T, error), builds, hits *atomic.Int64) (T, error) {
+	if d.asked.Swap(true) {
+		hits.Add(1)
 	}
-	runtimeEntry struct {
-		once sync.Once
-		evs  []*webevent.Event
-		err  error
-	}
-	fingerprintEntry struct {
-		once sync.Once
-		hash string // content hash of the trace half of a fingerprint
-	}
-	learnerEntry struct {
-		once    sync.Once
-		learner *predictor.SequenceLearner
-		corpus  trace.Corpus
-		err     error
-	}
-	corpusEntry struct {
-		once   sync.Once
-		corpus trace.Corpus
-	}
-)
+	d.once.Do(func() {
+		builds.Add(1)
+		d.val, d.err = build()
+	})
+	return d.val, d.err
+}
+
+// learned is one learner cache entry: the model and its training corpus.
+type learned struct {
+	learner *predictor.SequenceLearner
+	corpus  trace.Corpus
+}
 
 // Stats snapshots the store's build/hit counters (plus the process-wide
 // page-tree cache of package webapp). A build is one artifact constructed; a
@@ -155,22 +158,20 @@ type Stats struct {
 
 // Store is one artifact cache. All methods are safe for concurrent use.
 type Store struct {
-	mu           sync.Mutex
-	traces       map[traceKey]*traceEntry
-	owned        map[*trace.Trace]bool // traces this store generated
-	runtimes     map[*trace.Trace]*runtimeEntry
-	fingerprints map[*trace.Trace]*fingerprintEntry
-	learners     map[LearnerKey]*learnerEntry
-	corpora      map[corpusKey]*corpusEntry
-	maxTraces    int        // 0 = unbounded
-	traceLRU     *list.List // completed trace keys, most recently used first
-	persist      *store.Store
+	traces   memo.Cache[traceKey, *traceArtifacts]
+	learners memo.Cache[LearnerKey, learned]
+	corpora  memo.Cache[corpusKey, trace.Corpus]
+	persist  *store.Store
+
+	// mu guards index, which finds the cache entry of a trace this store
+	// generated (and still holds) from the trace pointer.
+	mu    sync.Mutex
+	index map[*trace.Trace]*traceArtifacts
 
 	traceBuilds, traceHits             atomic.Int64
 	runtimeBuilds, runtimeHits         atomic.Int64
 	fingerprintBuilds, fingerprintHits atomic.Int64
 	learnerBuilds, learnerHits         atomic.Int64
-	traceEvictions                     atomic.Int64
 	traceStoreHits, learnerStoreHits   atomic.Int64
 }
 
@@ -178,15 +179,13 @@ type Store struct {
 // private store only makes sense for isolation in tests and cold-path
 // benchmarks.
 func NewStore() *Store {
-	return &Store{
-		traces:       make(map[traceKey]*traceEntry),
-		owned:        make(map[*trace.Trace]bool),
-		runtimes:     make(map[*trace.Trace]*runtimeEntry),
-		fingerprints: make(map[*trace.Trace]*fingerprintEntry),
-		learners:     make(map[LearnerKey]*learnerEntry),
-		corpora:      make(map[corpusKey]*corpusEntry),
-		traceLRU:     list.New(),
+	s := &Store{index: make(map[*trace.Trace]*traceArtifacts)}
+	s.traces.OnEvict = func(_ traceKey, e *traceArtifacts) {
+		s.mu.Lock()
+		delete(s.index, e.tr)
+		s.mu.Unlock()
 	}
+	return s
 }
 
 // WithMaxTraces bounds the per-trace cache to at most n generated traces,
@@ -198,9 +197,7 @@ func NewStore() *Store {
 // process-wide Default while other consumers run), but the bound only
 // applies to traces completed after it is set.
 func (s *Store) WithMaxTraces(n int) *Store {
-	s.mu.Lock()
-	s.maxTraces = n
-	s.mu.Unlock()
+	s.traces.SetMax(n)
 	return s
 }
 
@@ -218,20 +215,17 @@ func (s *Store) WithPersistent(ps *store.Store) *Store {
 	return s
 }
 
-// owns reports whether the store generated the trace (and thus keeps its
-// derived artifacts).
-func (s *Store) owns(tr *trace.Trace) bool {
+// artifactsOf returns the cache entry of a trace the store generated and
+// still holds, or nil.
+func (s *Store) artifactsOf(tr *trace.Trace) *traceArtifacts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.owned[tr]
+	return s.index[tr]
 }
 
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
 	pageBuilds, pageHits := webapp.PageCacheStats()
-	s.mu.Lock()
-	entries := int64(len(s.traces))
-	s.mu.Unlock()
 	return Stats{
 		TraceBuilds:       s.traceBuilds.Load(),
 		TraceHits:         s.traceHits.Load(),
@@ -241,8 +235,8 @@ func (s *Store) Stats() Stats {
 		FingerprintHits:   s.fingerprintHits.Load(),
 		LearnerBuilds:     s.learnerBuilds.Load(),
 		LearnerHits:       s.learnerHits.Load(),
-		TraceEntries:      entries,
-		TraceEvictions:    s.traceEvictions.Load(),
+		TraceEntries:      int64(s.traces.Len()),
+		TraceEvictions:    s.traces.Evictions(),
 		TraceStoreHits:    s.traceStoreHits.Load(),
 		LearnerStoreHits:  s.learnerStoreHits.Load(),
 		PageBuilds:        pageBuilds,
@@ -250,36 +244,21 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// entryLocked returns m[k], creating it with mk on first request, and
-// reports whether the entry already existed. Generics keep the five
-// singleflight maps on one code path.
-func entryLocked[K comparable, E any](mu *sync.Mutex, m map[K]*E, k K, mk func() *E) (*E, bool) {
-	mu.Lock()
-	defer mu.Unlock()
-	if e, ok := m[k]; ok {
-		return e, true
-	}
-	e := mk()
-	m[k] = e
-	return e, false
-}
-
 // Trace returns the deterministic trace for (application, seed, purpose,
 // options), generating it on first request. The returned trace is shared;
 // callers must not mutate it.
 func (s *Store) Trace(spec *webapp.Spec, seed int64, purpose string, opts trace.Options) *trace.Trace {
 	k := traceKey{app: spec.Name, seed: seed, purpose: purpose, opts: opts}
-	e, hit := entryLocked(&s.mu, s.traces, k, func() *traceEntry { return &traceEntry{} })
+	e, hit, _ := s.traces.Get(k, func() (*traceArtifacts, error) {
+		e := &traceArtifacts{tr: s.buildTrace(spec, seed, purpose, opts)}
+		s.mu.Lock()
+		s.index[e.tr] = e
+		s.mu.Unlock()
+		return e, nil
+	})
 	if hit {
 		s.traceHits.Add(1)
 	}
-	e.once.Do(func() {
-		e.tr = s.buildTrace(spec, seed, purpose, opts)
-		s.mu.Lock()
-		s.owned[e.tr] = true
-		s.mu.Unlock()
-	})
-	s.touchTrace(k, e)
 	return e.tr
 }
 
@@ -319,42 +298,6 @@ func (s *Store) buildTrace(spec *webapp.Spec, seed int64, purpose string, opts t
 	return generate()
 }
 
-// touchTrace marks a trace entry most-recently-used once it is built and
-// applies the LRU bound. Evicting a trace drops its derived runtime-event
-// and fingerprint entries too; consumers already holding the trace pointer
-// keep working (the trace itself is immutable), and a later request for the
-// same key regenerates a bit-identical trace.
-func (s *Store) touchTrace(k traceKey, e *traceEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e.elem != nil {
-		s.traceLRU.MoveToFront(e.elem)
-		return
-	}
-	if s.traces[k] != e {
-		return // evicted while (or before) completing
-	}
-	e.elem = s.traceLRU.PushFront(k)
-	if s.maxTraces <= 0 {
-		return
-	}
-	for len(s.traces) > s.maxTraces {
-		back := s.traceLRU.Back()
-		if back == nil {
-			break // only in-flight entries remain
-		}
-		old := back.Value.(traceKey)
-		if oe, ok := s.traces[old]; ok && oe.elem == back {
-			delete(s.traces, old)
-			delete(s.owned, oe.tr)
-			delete(s.runtimes, oe.tr)
-			delete(s.fingerprints, oe.tr)
-			s.traceEvictions.Add(1)
-		}
-		s.traceLRU.Remove(back)
-	}
-}
-
 // Runtime returns the runtime event instances of a trace, parsing them on
 // first request. Runtime events are immutable by engine convention, so one
 // list serves every scheduler replaying the trace. Only traces generated by
@@ -362,18 +305,11 @@ func (s *Store) touchTrace(k traceKey, e *traceEntry) {
 // external traces are parsed per call, since a pointer-keyed entry for them
 // would never be hit again.
 func (s *Store) Runtime(tr *trace.Trace) ([]*webevent.Event, error) {
-	if !s.owns(tr) {
+	e := s.artifactsOf(tr)
+	if e == nil {
 		return tr.Runtime()
 	}
-	e, hit := entryLocked(&s.mu, s.runtimes, tr, func() *runtimeEntry { return &runtimeEntry{} })
-	if hit {
-		s.runtimeHits.Add(1)
-	}
-	e.once.Do(func() {
-		s.runtimeBuilds.Add(1)
-		e.evs, e.err = tr.Runtime()
-	})
-	return e.evs, e.err
+	return e.runtime.get(tr.Runtime, &s.runtimeBuilds, &s.runtimeHits)
 }
 
 // Fingerprint hashes the platform parameters and the full trace content.
@@ -393,18 +329,11 @@ func (s *Store) Runtime(tr *trace.Trace) ([]*webevent.Event, error) {
 // artifact makes.
 func (s *Store) Fingerprint(p *acmp.Platform, tr *trace.Trace) string {
 	var traceHash string
-	if !s.owns(tr) {
-		traceHash = computeTraceHash(tr)
+	if e := s.artifactsOf(tr); e != nil {
+		traceHash, _ = e.hash.get(func() (string, error) { return computeTraceHash(tr), nil },
+			&s.fingerprintBuilds, &s.fingerprintHits)
 	} else {
-		e, hit := entryLocked(&s.mu, s.fingerprints, tr, func() *fingerprintEntry { return &fingerprintEntry{} })
-		if hit {
-			s.fingerprintHits.Add(1)
-		}
-		e.once.Do(func() {
-			s.fingerprintBuilds.Add(1)
-			e.hash = computeTraceHash(tr)
-		})
-		traceHash = e.hash
+		traceHash = computeTraceHash(tr)
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%+v|%+v|%d|%d|%g|%s",
@@ -435,17 +364,16 @@ func (s *Store) Corpus(apps []*webapp.Spec, tracesPerApp int, baseSeed int64, pu
 		names += spec.Name
 	}
 	k := corpusKey{apps: names, tracesPerApp: tracesPerApp, baseSeed: baseSeed, purpose: purpose, opts: opts}
-	e, _ := entryLocked(&s.mu, s.corpora, k, func() *corpusEntry { return &corpusEntry{} })
-	e.once.Do(func() {
+	corpus, _, _ := s.corpora.Get(k, func() (trace.Corpus, error) {
 		out := make(trace.Corpus, 0, len(apps)*tracesPerApp)
 		for ai, spec := range apps {
 			for u := 0; u < tracesPerApp; u++ {
 				out = append(out, s.Trace(spec, trace.CorpusSeed(baseSeed, ai, u), purpose, opts))
 			}
 		}
-		e.corpus = out
+		return out, nil
 	})
-	return e.corpus
+	return corpus
 }
 
 // Learner returns the trained sequence learner for the key (and the training
@@ -454,64 +382,60 @@ func (s *Store) Corpus(apps []*webapp.Spec, tracesPerApp int, baseSeed int64, pu
 // and, through the session memo key's learner identity, one batch cache
 // slot per session.
 func (s *Store) Learner(k LearnerKey) (*predictor.SequenceLearner, trace.Corpus, error) {
-	e, hit := entryLocked(&s.mu, s.learners, k, func() *learnerEntry { return &learnerEntry{} })
+	e, hit, err := s.learners.Get(k, func() (learned, error) { return s.buildLearner(k) })
 	if hit {
 		s.learnerHits.Add(1)
 	}
-	e.once.Do(func() {
-		// The corpus is needed in both paths: a freshly trained learner fits
-		// on it, and a store-loaded one is still returned alongside it (the
-		// harness replays training traces for its own reporting). Corpus
-		// traces go through the per-trace cache, so a persistent store warms
-		// them too.
-		corpus := s.Corpus(webapp.SeenApps(), k.TracesPerApp, k.CorpusSeed, trace.PurposeTrain, trace.Options{})
-		train := func() (*predictor.SequenceLearner, error) {
-			s.learnerBuilds.Add(1)
-			learner := predictor.NewSequenceLearner()
-			if err := learner.Train(corpus, mlr.TrainConfig{Seed: k.TrainSeed}); err != nil {
-				return nil, fmt.Errorf("artifacts: training %+v: %w", k, err)
-			}
-			return learner, nil
+	return e.learner, e.corpus, err
+}
+
+// buildLearner resolves a learner-cache miss: training without a persistent
+// store, get-or-build through it otherwise.
+func (s *Store) buildLearner(k LearnerKey) (learned, error) {
+	// The corpus is needed in both paths: a freshly trained learner fits on
+	// it, and a store-loaded one is still returned alongside it (the harness
+	// replays training traces for its own reporting). Corpus traces go
+	// through the per-trace cache, so a persistent store warms them too.
+	corpus := s.Corpus(webapp.SeenApps(), k.TracesPerApp, k.CorpusSeed, trace.PurposeTrain, trace.Options{})
+	train := func() (learned, error) {
+		s.learnerBuilds.Add(1)
+		learner := predictor.NewSequenceLearner()
+		if err := learner.Train(corpus, mlr.TrainConfig{Seed: k.TrainSeed}); err != nil {
+			return learned{corpus: corpus}, fmt.Errorf("artifacts: training %+v: %w", k, err)
 		}
-		if s.persist == nil {
-			e.learner, e.err = train()
-			e.corpus = corpus
-			return
-		}
-		// The key is configuration-addressed, not content-addressed — safe
-		// because training is deterministic: equal configurations produce
-		// bit-identical models, which is the same contract LearnerKey
-		// already guarantees in memory.
-		key := fmt.Sprintf("learner|tpa=%d|corpus=%d|train=%d", k.TracesPerApp, k.CorpusSeed, k.TrainSeed)
-		var built *predictor.SequenceLearner
-		val, _, err := s.persist.GetOrBuild(key, func() ([]byte, error) {
-			l, err := train()
-			if err != nil {
-				return nil, err
-			}
-			built = l
-			return json.Marshal(l.Model())
-		})
-		if built != nil {
-			e.learner, e.corpus = built, corpus
-			return
-		}
+		return learned{learner, corpus}, nil
+	}
+	if s.persist == nil {
+		return train()
+	}
+	// The key is configuration-addressed, not content-addressed — safe
+	// because training is deterministic: equal configurations produce
+	// bit-identical models, which is the same contract LearnerKey already
+	// guarantees in memory.
+	key := fmt.Sprintf("learner|tpa=%d|corpus=%d|train=%d", k.TracesPerApp, k.CorpusSeed, k.TrainSeed)
+	var built learned
+	val, _, err := s.persist.GetOrBuild(key, func() ([]byte, error) {
+		l, err := train()
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		m := new(mlr.Model)
-		if err := json.Unmarshal(val, m); err == nil {
-			if l, lerr := predictor.LearnerFromModel(m); lerr == nil {
-				s.learnerStoreHits.Add(1)
-				e.learner, e.corpus = l, corpus
-				return
-			}
-		}
-		// A stored model that doesn't decode or doesn't match the current
-		// feature shape (written by an older build) falls back to training.
-		e.learner, e.err = train()
-		e.corpus = corpus
+		built = l
+		return json.Marshal(l.learner.Model())
 	})
-	return e.learner, e.corpus, e.err
+	if built.learner != nil {
+		return built, nil
+	}
+	if err != nil {
+		return learned{}, err
+	}
+	m := new(mlr.Model)
+	if err := json.Unmarshal(val, m); err == nil {
+		if l, lerr := predictor.LearnerFromModel(m); lerr == nil {
+			s.learnerStoreHits.Add(1)
+			return learned{l, corpus}, nil
+		}
+	}
+	// A stored model that doesn't decode or doesn't match the current
+	// feature shape (written by an older build) falls back to training.
+	return train()
 }

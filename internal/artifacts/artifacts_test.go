@@ -138,11 +138,10 @@ func TestExternalTracesAreNotRetained(t *testing.T) {
 		}
 	}
 	store.mu.Lock()
-	runtimes, fingerprints := len(store.runtimes), len(store.fingerprints)
+	indexed := len(store.index)
 	store.mu.Unlock()
-	if runtimes > 0 || fingerprints > 1 {
-		t.Errorf("external traces were retained: %d runtime entries (want 0), %d fingerprint entries (want ≤1)",
-			runtimes, fingerprints)
+	if indexed != 1 {
+		t.Errorf("external traces were retained: %d indexed traces, want 1 (the store's own)", indexed)
 	}
 	st := store.Stats()
 	if st.RuntimeBuilds != 0 {
@@ -227,8 +226,8 @@ func TestTraceLRUBound(t *testing.T) {
 		t.Fatalf("after 3 builds on a 2-slot cache: %+v", st)
 	}
 	// The evicted trace's derived entries are gone with it.
-	if store.owns(first) {
-		t.Error("evicted trace still owned by the store")
+	if store.artifactsOf(first) != nil {
+		t.Error("evicted trace still indexed by the store")
 	}
 
 	// A consumer still holding the evicted pointer keeps working, uncached.

@@ -52,10 +52,10 @@ func TestPersistentTraceRoundTrip(t *testing.T) {
 	if fpWarm := warm.Fingerprint(p, trWarm); fpWarm != fpCold {
 		t.Fatalf("fingerprint changed across restart: %s != %s", fpWarm, fpCold)
 	}
-	// The loaded trace is owned: its derivations are memoized like a
+	// The loaded trace is indexed: its derivations are memoized like a
 	// generated one's.
-	if !warm.owns(trWarm) {
-		t.Error("store-loaded trace not owned by the artifact store")
+	if warm.artifactsOf(trWarm) == nil {
+		t.Error("store-loaded trace not indexed by the artifact store")
 	}
 }
 

@@ -8,18 +8,17 @@
 package batch
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
 	"time"
 
 	"repro/internal/artifacts"
 	"repro/internal/engine"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/store"
@@ -105,16 +104,12 @@ type Runner struct {
 	artifacts *artifacts.Store
 	persist   *store.Store
 
-	mu         sync.Mutex
-	cache      map[Key]*entry
-	maxEntries int        // 0 = unbounded
-	lru        *list.List // completed keys, most recently used first
+	cache memo.Cache[Key, *engine.Result]
 
 	sessions   atomic.Int64
 	uniqueRuns atomic.Int64
 	cacheHits  atomic.Int64
 	storeHits  atomic.Int64
-	evictions  atomic.Int64
 
 	solverMu sync.Mutex
 	solver   optimizer.SolverStats
@@ -126,25 +121,13 @@ type Runner struct {
 	solveSeconds   *obs.Histogram
 }
 
-// entry is a singleflight-style cache slot: the first requester simulates,
-// concurrent requesters for the same key block on the Once and then share
-// the result.
-type entry struct {
-	once sync.Once
-	res  *engine.Result
-	err  error
-	// elem is the entry's LRU slot, linked (under Runner.mu) once the build
-	// completes; in-flight entries are never evicted.
-	elem *list.Element
-}
-
 // NewRunner creates a runner with the given worker-pool size; workers <= 0
 // selects runtime.NumCPU().
 func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	return &Runner{workers: workers, cache: make(map[Key]*entry), lru: list.New()}
+	return &Runner{workers: workers}
 }
 
 // WithMaxEntries bounds the memo cache to at most n completed results,
@@ -153,9 +136,7 @@ func NewRunner(workers int) *Runner {
 // synchronized, but the bound only applies to entries completed after it is
 // set — set it before running batches.
 func (r *Runner) WithMaxEntries(n int) *Runner {
-	r.mu.Lock()
-	r.maxEntries = n
-	r.mu.Unlock()
+	r.cache.SetMax(n)
 	return r
 }
 
@@ -203,15 +184,12 @@ func (r *Runner) Stats() Stats {
 	r.solverMu.Lock()
 	solver := r.solver
 	r.solverMu.Unlock()
-	r.mu.Lock()
-	entries := int64(len(r.cache))
-	r.mu.Unlock()
 	st := Stats{
 		Sessions:       r.sessions.Load(),
 		UniqueRuns:     r.uniqueRuns.Load(),
 		CacheHits:      r.cacheHits.Load(),
-		CacheEntries:   entries,
-		CacheEvictions: r.evictions.Load(),
+		CacheEntries:   int64(r.cache.Len()),
+		CacheEvictions: r.cache.Evictions(),
 		StoreHits:      r.storeHits.Load(),
 		Solver:         solver,
 	}
@@ -226,51 +204,6 @@ func (r *Runner) Stats() Stats {
 	return st
 }
 
-// entryFor returns the cache slot for a key, creating it if needed.
-func (r *Runner) entryFor(k Key) *entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.cache[k]
-	if !ok {
-		e = &entry{}
-		r.cache[k] = e
-	}
-	return e
-}
-
-// touch marks an entry most-recently-used once its build has completed and
-// applies the LRU bound. Only completed entries join the LRU list, so an
-// in-flight simulation can never be evicted from under its waiters; an
-// entry evicted between its build and this touch (possible when another
-// key's touch ran eviction first) is simply not re-linked.
-func (r *Runner) touch(k Key, e *entry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e.elem != nil {
-		r.lru.MoveToFront(e.elem)
-		return
-	}
-	if r.cache[k] != e {
-		return // evicted while (or before) completing
-	}
-	e.elem = r.lru.PushFront(k)
-	if r.maxEntries <= 0 {
-		return
-	}
-	for len(r.cache) > r.maxEntries {
-		back := r.lru.Back()
-		if back == nil {
-			break // only in-flight entries remain
-		}
-		old := back.Value.(Key)
-		if oe, ok := r.cache[old]; ok && oe.elem == back {
-			delete(r.cache, old)
-			r.evictions.Add(1)
-		}
-		r.lru.Remove(back)
-	}
-}
-
 // one resolves a single session through the cache.
 func (r *Runner) one(s Session) (*engine.Result, error) {
 	r.sessions.Add(1)
@@ -278,20 +211,14 @@ func (r *Runner) one(s Session) (*engine.Result, error) {
 	if r.sessionSeconds != nil {
 		start = time.Now()
 	}
-	e := r.entryFor(s.Key)
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		e.res, e.err = r.build(s)
-	})
-	r.touch(s.Key, e)
+	res, hit, err := r.cache.Get(s.Key, func() (*engine.Result, error) { return r.build(s) })
 	if hit {
 		r.cacheHits.Add(1)
 	}
 	if r.sessionSeconds != nil {
 		r.sessionSeconds.ObserveSeconds(int64(time.Since(start)))
 	}
-	return e.res, e.err
+	return res, err
 }
 
 // build resolves a memo-cache miss: straight simulation when no persistent

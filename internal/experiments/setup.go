@@ -46,9 +46,9 @@ type Config struct {
 	// Parallel is the batch runner's worker-pool size; 0 selects the number
 	// of CPUs, 1 forces serial simulation.
 	Parallel int
-	// CacheMaxEntries bounds the session memo cache (and, with a small
-	// multiple, the artifact store's trace cache) to at most this many
-	// entries with LRU eviction; 0 keeps both unbounded. Long-lived servers
+	// CacheMaxEntries bounds the session memo cache and the artifact
+	// store's trace cache to at most this many entries each (the same n for
+	// both) with LRU eviction; 0 keeps both unbounded. Long-lived servers
 	// sweeping many seeds set it to cap memory; eviction only ever costs
 	// recomputation, never changes a result.
 	CacheMaxEntries int
@@ -141,9 +141,10 @@ func NewSetup(cfg Config) (*Setup, error) {
 		store.WithPersistent(cfg.Store)
 	}
 	if cfg.CacheMaxEntries > 0 {
-		// A memo entry is one (app, seed, scheduler, predictor) tuple; its
-		// trace is shared by every scheduler, so the trace cache needs far
-		// fewer slots for the same working set.
+		// The trace cache gets the same bound as the memo cache. A memo
+		// entry is one (app, seed, scheduler, predictor) tuple while a trace
+		// is shared by every scheduler, so n traces cover a larger working
+		// set than n results.
 		store.WithMaxTraces(cfg.CacheMaxEntries)
 	}
 	learner, train, err := store.Learner(artifacts.LearnerKey{

@@ -1,7 +1,11 @@
 package predictor
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"sync"
 
 	"repro/internal/dom"
 	"repro/internal/mlr"
@@ -15,6 +19,9 @@ import (
 // classes are the DOM-level event types.
 type SequenceLearner struct {
 	model *mlr.Model
+
+	fpOnce sync.Once
+	fp     string
 }
 
 // NewSequenceLearner creates an untrained learner.
@@ -33,6 +40,32 @@ func LearnerFromModel(m *mlr.Model) (*SequenceLearner, error) {
 
 // Model exposes the underlying logistic model (for persistence).
 func (l *SequenceLearner) Model() *mlr.Model { return l.model }
+
+// Fingerprint returns the trained model's content hash: FNV-64a over its
+// shape and weight bits. It is stable across restarts and equal exactly when
+// the trained weights are equal, which is what lets PES memo keys address a
+// persistent store: two processes that trained the same model (training is
+// deterministic) produce the same key, and two differently trained models
+// never alias. It is computed on the first call, so call it only once the
+// learner is trained; models are immutable after that.
+func (l *SequenceLearner) Fingerprint() string {
+	l.fpOnce.Do(func() {
+		h := fnv.New64a()
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], uint64(l.model.NumFeatures))
+		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[:], uint64(l.model.NumClasses))
+		h.Write(buf[:])
+		for _, row := range l.model.Weights {
+			for _, w := range row {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
+				h.Write(buf[:])
+			}
+		}
+		l.fp = fmt.Sprintf("%016x", h.Sum64())
+	})
+	return l.fp
+}
 
 // TrainingSamples replays every trace of the corpus through its DOM session
 // and produces one training sample per event: the Table 1 features computed

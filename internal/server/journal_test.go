@@ -232,11 +232,10 @@ func TestSubmitQueueFull429(t *testing.T) {
 	shared := testServer(t)
 	// No workers: the queue never drains, so fullness is deterministic.
 	s := &Server{
-		cfg:     Config{QueueDepth: 1, MaxJobs: 16},
-		setup:   shared.setup,
-		jobs:    make(map[string]*job),
-		queue:   make(chan *job, 1),
-		figures: make(map[string]*figEntry),
+		cfg:   Config{QueueDepth: 1, MaxJobs: 16},
+		setup: shared.setup,
+		jobs:  make(map[string]*job),
+		queue: make(chan *job, 1),
 	}
 	if _, err := s.Submit(Campaign{Apps: []string{"cnn"}}); err != nil {
 		t.Fatalf("first Submit: %v", err)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/sessions"
@@ -162,13 +163,6 @@ type Results struct {
 	Solver optimizer.SolverStats `json:"solver"`
 }
 
-// figEntry is a singleflight cache slot for one figure.
-type figEntry struct {
-	once sync.Once
-	tab  *experiments.Table
-	err  error
-}
-
 // Server is the simulation service: one trained harness setup, one shared
 // batch runner (and thus one cross-request memo cache), a bounded campaign
 // queue, and the HTTP handlers on top.
@@ -201,7 +195,7 @@ type Server struct {
 
 	queue   chan *job
 	wg      sync.WaitGroup
-	figures map[string]*figEntry
+	figures memo.Cache[string, *experiments.Table]
 }
 
 // New trains the shared predictor, generates the evaluation corpus, and
@@ -241,7 +235,6 @@ func New(cfg Config) (*Server, error) {
 		log:     cfg.Logger,
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, cfg.QueueDepth),
-		figures: make(map[string]*figEntry),
 	}
 	if s.metrics == nil {
 		s.metrics = obs.NewRegistry()
@@ -483,15 +476,8 @@ func (s *Server) figure(name string) (*experiments.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	e, ok := s.figures[f.Name]
-	if !ok {
-		e = &figEntry{}
-		s.figures[f.Name] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.tab, e.err = f.Run(s.setup) })
-	return e.tab, e.err
+	tab, _, err := s.figures.Get(f.Name, func() (*experiments.Table, error) { return f.Run(s.setup) })
+	return tab, err
 }
 
 // Handler returns the HTTP API:

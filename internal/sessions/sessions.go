@@ -5,12 +5,8 @@
 package sessions
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/acmp"
 	"repro/internal/artifacts"
@@ -69,44 +65,6 @@ type Spec struct {
 	// consulted only for Oracle sessions and participates in their memo key,
 	// so v1 and v2 results never alias in caches or on the cluster wire.
 	OracleVersion sched.OracleVersion
-}
-
-// learnerFPs caches each trained learner's content fingerprint — an FNV-64a
-// hash of the model's shape and weight bits. Unlike the per-process
-// sequential identifier it replaced, the fingerprint is stable across
-// restarts and equal exactly when the trained weights are equal, which is
-// what lets PES memo keys address a persistent store: two processes that
-// trained the same model (training is deterministic) produce the same key,
-// and two differently-trained models can never alias. The map retains the
-// learner, bounded by the number of trainings in the process; models are
-// immutable once trained, so the cached hash never goes stale.
-var (
-	learnerMu  sync.Mutex
-	learnerFPs = map[*predictor.SequenceLearner]string{}
-)
-
-func learnerFingerprint(l *predictor.SequenceLearner) string {
-	learnerMu.Lock()
-	defer learnerMu.Unlock()
-	fp, ok := learnerFPs[l]
-	if !ok {
-		m := l.Model()
-		h := fnv.New64a()
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(m.NumFeatures))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], uint64(m.NumClasses))
-		h.Write(buf[:])
-		for _, row := range m.Weights {
-			for _, w := range row {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
-				h.Write(buf[:])
-			}
-		}
-		fp = fmt.Sprintf("%016x", h.Sum64())
-		learnerFPs[l] = fp
-	}
-	return fp
 }
 
 // predictorKey canonically encodes a predictor configuration for session
@@ -187,7 +145,7 @@ func New(s Spec) (batch.Session, error) {
 		// content so sessions built from different trainings never share a
 		// cache slot, while identically-trained models — in this process or
 		// a restarted one addressing a persistent store — share exactly one.
-		key.Variant += fmt.Sprintf(",learner=%s", learnerFingerprint(learner))
+		key.Variant += fmt.Sprintf(",learner=%s", learner.Fingerprint())
 		run = func() (*engine.Result, error) {
 			evs, err := store.Runtime(tr)
 			if err != nil {

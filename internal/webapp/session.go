@@ -1,10 +1,10 @@
 package webapp
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dom"
+	"repro/internal/memo"
 	"repro/internal/webevent"
 )
 
@@ -20,9 +20,10 @@ type pageKey struct {
 // the viewport, so every consumer — the trace generator, the predictor's DOM
 // replica, the accuracy evaluation — can start from a cloned master instead
 // of rebuilding the page. The cache is process-wide and immutable: masters
-// are never handed out directly, only clones.
+// are never handed out directly, only clones. It is unbounded: it holds one
+// master per distinct (application, page, seed) a process loads.
 var (
-	pageCache       sync.Map // pageKey -> *dom.Tree (immutable master)
+	pageCache       memo.Cache[pageKey, *dom.Tree] // immutable masters
 	pageCacheOff    atomic.Bool
 	pageCacheBuilds atomic.Int64
 	pageCacheHits   atomic.Int64
@@ -47,18 +48,19 @@ func builtPage(spec *Spec, page string, seed int64) *dom.Tree {
 	if pageCacheOff.Load() {
 		return spec.BuildPage(page, seed)
 	}
-	k := pageKey{app: spec.Name, page: page, seed: seed}
-	if v, ok := pageCache.Load(k); ok {
-		pageCacheHits.Add(1)
-		return v.(*dom.Tree).Clone()
+	// The cache keeps an immutable snapshot; the builder gets the freshly
+	// built tree itself to mutate.
+	var fresh *dom.Tree
+	master, hit, _ := pageCache.Get(pageKey{app: spec.Name, page: page, seed: seed}, func() (*dom.Tree, error) {
+		fresh = spec.BuildPage(page, seed)
+		return fresh.Clone(), nil
+	})
+	if !hit {
+		pageCacheBuilds.Add(1)
+		return fresh
 	}
-	pageCacheBuilds.Add(1)
-	t := spec.BuildPage(page, seed)
-	// Store an immutable snapshot; the freshly built tree itself is returned
-	// to the caller for mutation. A concurrent racer may have stored first —
-	// both snapshots are identical, so either winning is fine.
-	pageCache.LoadOrStore(k, t.Clone())
-	return t
+	pageCacheHits.Add(1)
+	return master.Clone()
 }
 
 // Session tracks the DOM state of one user's interaction with an
