@@ -33,3 +33,40 @@ func TestFrontierReducesNodes(t *testing.T) {
 		t.Fatalf("node reduction %d -> %d is below 2x", refNodes, nodes)
 	}
 }
+
+// TestEscalatedCountersPinned pins the deterministic work counters of the
+// escalated path — branch-and-bound nodes and tabulated bound cells, summed
+// over the fixed-seed 12-item chaingen windows that escalate past the pure
+// first attempt — so a change to the bound table or the search shows up as
+// a counter diff rather than only as wall time. Windows that finish in the
+// first attempt must tabulate nothing.
+func TestEscalatedCountersPinned(t *testing.T) {
+	const (
+		wantEscalated = 19
+		wantNodes     = 191062
+		wantCells     = 385381
+	)
+	rng := rand.New(rand.NewSource(61))
+	pts := chaingen.Points()
+	s := ilp.NewSolver()
+	escalated, nodes, cells := 0, 0, 0
+	for trial := 0; trial < 48; trial++ {
+		a := s.Solve(chaingen.Problem(rng, pts, 12))
+		if a.Aborted() {
+			t.Fatalf("trial %d: search budget exhausted", trial)
+		}
+		if a.Nodes < 10000 {
+			if a.Cells != 0 {
+				t.Fatalf("trial %d: first attempt completed but %d cells tabulated", trial, a.Cells)
+			}
+			continue
+		}
+		escalated++
+		nodes += a.Nodes
+		cells += a.Cells
+	}
+	if escalated != wantEscalated || nodes != wantNodes || cells != wantCells {
+		t.Fatalf("escalated windows %d, nodes %d, cells %d; want %d, %d, %d",
+			escalated, nodes, cells, wantEscalated, wantNodes, wantCells)
+	}
+}

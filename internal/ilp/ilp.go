@@ -28,7 +28,8 @@
 //     being enumerated.
 //
 // Hard windows additionally escalate to an admissible arrival-time-grid
-// bound (see Solver).
+// bound, tabulated eagerly on one absolute-time grid per window (see
+// Solver).
 //
 // Two frozen traversals sit beside it. SolveReference is the equivalence
 // reference for the tests and for the node ratio cmd/pes-bench reports.
@@ -91,6 +92,11 @@ type Assignment struct {
 	// dominance pruning and memoized suffix latencies make its count
 	// strictly smaller than SolveReference's on non-trivial instances.
 	Nodes int
+	// Cells is the number of arrival-time-grid bound cells tabulated by
+	// the escalated attempts of Solver.Solve (zero when the pure first
+	// attempt completes, and for every other entry point). Like Nodes it
+	// is deterministic.
+	Cells int
 }
 
 // Aborted reports whether the search exhausted its node budget before

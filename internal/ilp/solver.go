@@ -16,12 +16,13 @@ import (
 //     instances finish here at pure search cost; every PES solve does (the
 //     largest measured PES search is 32 nodes).
 //   - If the cap is hit, the search restarts under an admissible
-//     arrival-time-grid lower bound: a backward DP tabulates, per item, a
-//     lower bound on the minimum suffix energy as a step function of the
-//     arrival time (cells are power-of-two tick widths, so indexing is one
-//     shift). The bound is evaluated at each cell's left edge and the true
-//     suffix cost is nondecreasing in arrival time, so pruning with it can
-//     never cut off an improving leaf. The same table seeds a near-optimal
+//     arrival-time-grid lower bound: a backward DP eagerly tabulates, per
+//     item, a lower bound on the minimum suffix energy as a step function
+//     of the absolute arrival time (one power-of-two cell width per
+//     window, so indexing is one shift; see buildBound). The bound is
+//     evaluated at each cell's left edge and the true suffix cost is
+//     nondecreasing in arrival time, so pruning with it can never cut off
+//     an improving leaf. The same table seeds a near-optimal
 //     incumbent (walking the argmin of energy-plus-bound), which together
 //     with the bound collapses the budget-exhausting windows of the frozen
 //     reference traversal to a few thousand nodes.
@@ -69,12 +70,14 @@ type Solver struct {
 	// order is the per-item energy-sort scratch (one item at a time).
 	order []int
 
-	// Arrival-time-grid bound tables (built only on escalation): item i's
-	// cells occupy lbOff[i]:lbOff[i+1] of lbFlat; cell k of item i covers
-	// arrival times [earliestArr[i] + k<<lbShift[i], ...+(k+1)<<lbShift[i]).
+	// Arrival-time-grid bound table (built only on escalation, see
+	// buildBound): cell c covers the absolute arrival times
+	// [c<<lbShift, (c+1)<<lbShift); item i's row holds cells lbLo[i], ...
+	// at lbFlat[lbOff[i]:lbOff[i+1]].
 	lbFlat  []float64
 	lbOff   []int
-	lbShift []uint
+	lbLo    []int64
+	lbShift uint
 
 	// Iterative-search state: per-depth resume position in the flat frontier,
 	// arrival time and accumulated energy on entry, plus the current and best
@@ -111,8 +114,8 @@ func (s *Solver) grow(n int) {
 		s.sufEnergy = make([]float64, c+1)
 		s.earliestArr = make([]simtime.Time, c+1)
 		s.frontOff = make([]int, c+1)
-		s.lbOff = make([]int, c+2)
-		s.lbShift = make([]uint, c+1)
+		s.lbOff = make([]int, c+1)
+		s.lbLo = make([]int64, c)
 		s.pos = make([]int, c)
 		s.nowAt = make([]simtime.Time, c+1)
 		s.enAt = make([]float64, c+1)
@@ -127,8 +130,8 @@ func (s *Solver) grow(n int) {
 	s.sufEnergy = s.sufEnergy[:n+1]
 	s.earliestArr = s.earliestArr[:n+1]
 	s.frontOff = s.frontOff[:n+1]
-	s.lbOff = s.lbOff[:n+2]
-	s.lbShift = s.lbShift[:n+1]
+	s.lbOff = s.lbOff[:n+1]
+	s.lbLo = s.lbLo[:n]
 	s.pos = s.pos[:n]
 	s.nowAt = s.nowAt[:n+1]
 	s.enAt = s.enAt[:n+1]
@@ -298,106 +301,122 @@ func (s *Solver) greedyInto(p Problem) float64 {
 	return total
 }
 
-// lbAt returns the grid bound for arriving at item i at time t: the value
-// tabulated at the left edge of t's cell, which under-approximates the true
-// (nondecreasing) minimum suffix energy. math.MaxFloat64 marks arrival
-// times with no feasible completion. Cells are filled lazily on first query
-// — the search trajectory touches a small fraction of the table, so eager
-// tabulation would dominate the cost of an escalated solve.
+// lbAt returns the grid bound for arriving at item i (i >= 1) at time t:
+// the value tabulated for t's cell, which under-approximates the true
+// (nondecreasing) minimum suffix energy. math.MaxFloat64 marks arrival times
+// with no feasible completion. The search only queries arrival times inside
+// the row's span; the clamp keeps any other time on the row's nearest cell.
 func (s *Solver) lbAt(i int, t simtime.Time) float64 {
-	k := int(t.Sub(s.earliestArr[i])) >> s.lbShift[i]
-	if hi := s.lbOff[i+1] - s.lbOff[i] - 1; k > hi {
-		k = hi
+	k := int(int64(t)>>s.lbShift - s.lbLo[i])
+	if last := s.lbOff[i+1] - s.lbOff[i] - 1; k > last {
+		k = last
 	}
 	if k < 0 {
 		k = 0
 	}
-	return s.lbCell(i, k)
+	return s.lbFlat[s.lbOff[i]+k]
 }
 
-// lbCell fills (if needed) and returns one bound cell: the minimum over item
-// i's feasible frontier choices of the choice energy plus the next level's
-// bound at the resulting finish time — a backward DP over cell left edges,
-// using exactly the quantities the search itself prunes with. Uncomputed
-// cells hold NaN; recursion depth is bounded by the item count and every
-// cell is computed at most once per buildBound.
-func (s *Solver) lbCell(i, k int) float64 {
-	v := s.lbFlat[s.lbOff[i]+k]
-	if v == v { // not NaN: already filled
-		return v
-	}
-	n := len(s.lbOff) - 2
-	t := s.earliestArr[i].Add(simtime.Duration(int64(k) << s.lbShift[i]))
-	fLo, fHi := s.frontOff[i], s.frontOff[i+1]
-	if fLo == fHi {
-		// Degenerate zero-cost item: pass the next level's bound through.
-		v = 0
-		if i+1 < n {
-			v = s.lbAt(i+1, t)
-		}
-		s.lbFlat[s.lbOff[i]+k] = v
-		return v
-	}
-	best := math.MaxFloat64
-	for f := fLo; f < fHi; f++ {
-		ft := t.Add(s.frontLat[f])
-		if ft.After(s.latestFinish[i]) {
-			continue
-		}
-		v := s.frontEnergy[f]
-		if i+1 < n {
-			v += s.lbAt(i+1, ft)
-		}
-		if v < best {
-			best = v
-		}
-		if s.frontEnergy[f] >= best {
-			// Frontier energies ascend and the suffix term is nonnegative,
-			// so no later candidate can improve the cell.
-			break
-		}
-	}
-	s.lbFlat[s.lbOff[i]+k] = best
-	return best
-}
-
-// buildBound lays out the admissible arrival-time-grid lower bound with at
-// most maxCells cells per item and resets every cell to unfilled; lbCell
-// computes values on demand.
-func (s *Solver) buildBound(p Problem, maxCells int) {
+// buildBound tabulates the admissible arrival-time-grid lower bound and
+// returns the number of cells it filled. The grid is absolute: one
+// power-of-two cell width w = 1<<lbShift for the whole window, the smallest
+// that fits the widest arrival span [earliestArr[i], latestFinish[i-1]] in
+// maxCells cells, and cell c covers arrival times [c*w, (c+1)*w). Row i
+// holds item i's cells lbLo[i], lbLo[i]+1, ... up to the cell of
+// latestFinish[i-1]; row 0 is empty (item 0 arrives exactly at Start, and
+// the search only queries the bound of the item after a choice).
+//
+// Rows are filled eagerly, bottom-up from the last item. Cell c of row i is
+// the minimum, over item i's frontier choices f that fit (c*w + L_f <=
+// latestFinish[i]), of E_f plus row i+1 at the cell of c*w + L_f. Because
+// c*w is a multiple of w, that cell is c + L_f>>lbShift, a constant offset
+// per choice, so each choice is one flat vector min over the row. The value
+// is the exact DP at the cell's left edge, so by induction every cell
+// under-approximates the true minimum suffix energy of every arrival time
+// in the cell, and every row is nondecreasing (later cells fit a subset of
+// the choices and read later cells of the next row). The first cell's left
+// edge can precede the row's earliest arrival, and its offset then points
+// one cell before row i+1's first; reading that first cell instead is
+// admissible because a real arrival there lands on it or later, and the
+// row is nondecreasing.
+func (s *Solver) buildBound(p Problem, maxCells int) int {
 	n := len(p.Items)
-	// Size each item's grid: power-of-two cell widths so that indexing is a
-	// shift, spanning [earliestArr[i], latestFinish[i-1]] (the latest
-	// feasible arrival is bounded by the previous item's latest finish; for
-	// item 0 the arrival is exactly Start).
+	maxSpan := int64(0)
+	for i := 1; i < n; i++ {
+		if span := int64(s.latestFinish[i-1].Sub(s.earliestArr[i])); span > maxSpan {
+			maxSpan = span
+		}
+	}
+	shift := uint(0)
+	for maxSpan>>shift >= int64(maxCells) {
+		shift++
+	}
+	s.lbShift = shift
 	total := 0
-	for i := 0; i <= n; i++ {
+	s.lbOff[0] = 0
+	for i := 1; i < n; i++ {
 		s.lbOff[i] = total
-		if i == n {
-			break
-		}
-		span := int64(0)
-		if i > 0 {
-			span = int64(s.latestFinish[i-1].Sub(s.earliestArr[i]))
-		}
-		if span < 0 {
-			span = 0
-		}
-		shift := uint(0)
-		for span>>shift >= int64(maxCells) {
-			shift++
-		}
-		s.lbShift[i] = shift
-		total += int(span>>shift) + 1
+		lo := int64(s.earliestArr[i]) >> shift
+		hi := int64(s.latestFinish[i-1]) >> shift
+		s.lbLo[i] = lo
+		total += int(max(hi-lo, 0)) + 1
 	}
 	s.lbOff[n] = total
 	if cap(s.lbFlat) < total {
 		s.lbFlat = make([]float64, 2*total)
 	}
-	unfilled := math.NaN()
-	for k := range s.lbFlat[:total] {
-		s.lbFlat[k] = unfilled
+
+	var next []float64 // row i+1; nil past the last item
+	for i := n - 1; i >= 1; i-- {
+		row := s.lbFlat[s.lbOff[i]:s.lbOff[i+1]]
+		lo := s.lbLo[i]
+		fLo, fHi := s.frontOff[i], s.frontOff[i+1]
+		if fLo == fHi {
+			// Degenerate zero-cost item: it finishes when it arrives, so its
+			// row is the next row's prefix (both start at the same cell, and
+			// latestFinish[i-1] <= latestFinish[i] keeps it no longer).
+			if next == nil {
+				clear(row)
+			} else {
+				copy(row, next)
+			}
+			next = row
+			continue
+		}
+		for k := range row {
+			row[k] = math.MaxFloat64
+		}
+		for f := fLo; f < fHi; f++ {
+			// Cells up to last fit choice f: c*w + L_f <= latestFinish[i].
+			last := int((int64(s.latestFinish[i])-int64(s.frontLat[f]))>>shift - lo)
+			if last < 0 {
+				continue
+			}
+			dst := row[:min(last+1, len(row))]
+			e := s.frontEnergy[f]
+			if next == nil {
+				for k := range dst {
+					if e < dst[k] {
+						dst[k] = e
+					}
+				}
+				continue
+			}
+			d := int(lo + int64(s.frontLat[f])>>shift - s.lbLo[i+1])
+			for len(dst) > 0 && d < 0 {
+				dst[0] = min(dst[0], e+next[0])
+				dst, d = dst[1:], d+1
+			}
+			src := next[d : d+len(dst)]
+			for k, v := range src {
+				if v += e; v < dst[k] {
+					dst[k] = v
+				}
+			}
+		}
+		next = row
 	}
+	return total
 }
 
 // guidedInto walks the bound table greedily — at each item the feasible
@@ -463,11 +482,11 @@ func (s *Solver) Solve(p Problem) Assignment {
 	s.flatten(p)
 	bestEnergy := s.greedyInto(p)
 
-	nodes := 0
+	nodes, cells := 0, 0
 	for attempt := 0; attempt < len(attemptCap); attempt++ {
 		bound := attemptCells[attempt] > 0
 		if bound {
-			s.buildBound(p, attemptCells[attempt])
+			cells += s.buildBound(p, attemptCells[attempt])
 			bestEnergy = s.guidedInto(p, bestEnergy)
 		}
 		var complete bool
@@ -476,7 +495,9 @@ func (s *Solver) Solve(p Problem) Assignment {
 			break
 		}
 	}
-	return s.materialize(p, feasible, nodes)
+	a := s.materialize(p, feasible, nodes)
+	a.Cells = cells
+	return a
 }
 
 // Greedy returns the assignment of the deadline-aware greedy heuristic

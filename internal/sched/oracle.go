@@ -92,6 +92,7 @@ type Oracle struct {
 	version  OracleVersion
 	nextIdx  int
 	stats    optimizer.SolverStats
+	cells    int64
 
 	// solver runs both versions' searches on reused scratch.
 	solver ilp.Solver
@@ -215,6 +216,7 @@ func (o *Oracle) solve(start simtime.Time, entries []oracleEntry, configs []acmp
 		sol = o.solver.Solve(prob)
 	}
 	o.stats.Record(sol, begun)
+	o.cells += int64(sol.Cells)
 	return sol.Choice
 }
 
@@ -261,6 +263,11 @@ func (o *Oracle) SpeculationEnabled() bool { return true }
 
 // SolverStats implements SolverStatsProvider.
 func (o *Oracle) SolverStats() optimizer.SolverStats { return o.stats }
+
+// BoundCells returns the number of grid-bound cells the oracle's v2 solves
+// have tabulated (ilp.Assignment.Cells, summed). It is kept beside rather
+// than in SolverStats, whose fields travel in every Result.
+func (o *Oracle) BoundCells() int64 { return o.cells }
 
 var (
 	_ ProactivePolicy     = (*Oracle)(nil)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/acmp"
@@ -15,6 +16,32 @@ func oracleTrace(n int) []*webevent.Event {
 			Seq: i, App: "cnn", Type: webevent.Click,
 			Trigger: simtime.Time(i+1) * simtime.Time(300*simtime.Millisecond),
 			Work:    acmp.Workload{Tmem: 12 * simtime.Millisecond, Cycles: int64(200e6 + 40e6*float64(i))},
+		}
+	}
+	return evs
+}
+
+// mixedTrace returns n events drawn like the chaingen solver instances:
+// mostly taps, with occasional moves and loads, scaled workloads and
+// trigger gaps around each type's QoS target. Its 12-event windows are hard
+// enough that the v2 solver escalates to the grid bound on most seeds.
+func mixedTrace(seed int64, n int) []*webevent.Event {
+	rng := rand.New(rand.NewSource(seed))
+	evs := make([]*webevent.Event, n)
+	now := simtime.Time(0)
+	for i := range evs {
+		typ, tmemMS, mcycles, gapMS := webevent.Click, 26.0, 520.0, 300.0
+		switch rng.Intn(6) {
+		case 0:
+			typ, tmemMS, mcycles, gapMS = webevent.Scroll, 3, 18, 33
+		case 1:
+			typ, tmemMS, mcycles, gapMS = webevent.Load, 380, 4400, 3000
+		}
+		scale := 0.5 + rng.Float64()
+		now = now.Add(simtime.Duration(gapMS * (0.4 + 1.2*rng.Float64()) * 1000))
+		evs[i] = &webevent.Event{
+			Seq: i, App: "cnn", Type: typ, Trigger: now,
+			Work: acmp.Workload{Tmem: simtime.Duration(scale * tmemMS * 1000), Cycles: int64(scale * mcycles * 1e6)},
 		}
 	}
 	return evs
@@ -133,9 +160,10 @@ func TestOracleV2MatchesV1OnProvenWindows(t *testing.T) {
 
 // TestOraclePlanSteadyStateAllocs pins the zero-alloc property of oracle
 // planning (the v2 throughput path): once the buffers have grown, every plan
-// solves without allocating.
+// solves without allocating. The windows escalate past the pure first
+// attempt, so the measured plans tabulate the grid-bound table too.
 func TestOraclePlanSteadyStateAllocs(t *testing.T) {
-	o := NewOracleWithVersion(acmp.Exynos5410(), oracleTrace(8), OracleV2)
+	o := NewOracleWithVersion(acmp.Exynos5410(), mixedTrace(3, 14), OracleV2)
 	starts := []simtime.Time{
 		simtime.Time(10 * simtime.Millisecond),
 		simtime.Time(20 * simtime.Millisecond),
@@ -143,6 +171,9 @@ func TestOraclePlanSteadyStateAllocs(t *testing.T) {
 	}
 	for _, s := range starts { // warmup: grow the plan and solver buffers
 		o.Plan(s, nil)
+	}
+	if st := o.SolverStats(); st.Nodes < 10000 || o.BoundCells() == 0 {
+		t.Fatalf("warm-up never escalated to the grid bound: %d nodes, %d cells", st.Nodes, o.BoundCells())
 	}
 	avg := testing.AllocsPerRun(50, func() {
 		for _, s := range starts {
