@@ -527,8 +527,8 @@ func benchSolver(seed int64) SolverReport {
 }
 
 // benchSessions replays fixed-seed sessions under the solver-bearing
-// schedulers and reports wall time plus the solver statistics threaded
-// through engine.Result.
+// schedulers and reports wall time plus each scheduler's solver statistics
+// (solver wall time included).
 func benchSessions(quick bool, oracleVer sched.OracleVersion) ([]SessionReport, error) {
 	type sess struct {
 		app  string
@@ -571,7 +571,7 @@ func benchSessions(quick bool, oracleVer sched.OracleVersion) ([]SessionReport, 
 				Scheduler: schedName,
 				Events:    len(res.Outcomes),
 				WallMS:    float64(time.Since(begun).Nanoseconds()) / 1e6,
-				Solver:    res.Solver,
+				Solver:    policy.(sched.SolverStatsProvider).SolverStats(),
 			})
 		}
 	}
@@ -662,7 +662,7 @@ func benchThroughputScaled(scale throughputScale) (*ThroughputReport, error) {
 						OracleVersion: scale.oracle,
 					})
 					if err == nil {
-						_, err = sess.Run()
+						_, _, err = sess.Run()
 					}
 					if err != nil {
 						return nil, err // the deferred SetPageCache restores the caller's state
@@ -739,7 +739,7 @@ func benchThroughputScaled(scale throughputScale) (*ThroughputReport, error) {
 		begun := time.Now()
 		for i, sess := range list {
 			sessBegun := time.Now()
-			if _, err := sess.Run(); err != nil {
+			if _, _, err := sess.Run(); err != nil {
 				return nil, err
 			}
 			perSched[names[i]] += time.Since(sessBegun)

@@ -88,7 +88,7 @@ func TestOracleV2Gates(t *testing.T) {
 				{Scheduler: "Oracle", WarmSerialSPS: oracleSPS},
 			},
 		}
-		cur.Sessions = []SessionReport{{Scheduler: "Oracle", Solver: optimizer.SolverStats{BudgetAborts: aborts}}}
+		cur.Sessions = []SessionReport{{Scheduler: "Oracle", Solver: optimizer.SolverStats{SolverCounts: optimizer.SolverCounts{BudgetAborts: aborts}}}}
 		return cur
 	}
 

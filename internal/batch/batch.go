@@ -50,10 +50,12 @@ type Key struct {
 // Session is one unit of batch work: the memoization key plus the function
 // that simulates the session on a cache miss. Run must be self-contained
 // (construct its own scheduler instance) so that sessions can execute on
-// any worker concurrently.
+// any worker concurrently. Beside the result it returns the wall time its
+// scheduler spent in the solver: a host measurement the runner feeds to its
+// solve-time histogram and trace spans, and which never enters the result.
 type Session struct {
 	Key Key
-	Run func() (*engine.Result, error)
+	Run func() (*engine.Result, time.Duration, error)
 }
 
 // Stats reports the work a Runner has performed.
@@ -82,7 +84,7 @@ type Stats struct {
 	// Solver sums the constrained-optimization work of the unique runs
 	// (sessions served from the memo cache or the persistent store
 	// contribute nothing — their solver work was never repeated).
-	Solver optimizer.SolverStats
+	Solver optimizer.SolverCounts
 	// Artifacts snapshots the shared artifact store attached to the runner
 	// (nil when none is attached): how often the session inputs — traces,
 	// runtime events, fingerprints, trained learners, DOM pages — were
@@ -112,7 +114,7 @@ type Runner struct {
 	storeHits  atomic.Int64
 
 	solverMu sync.Mutex
-	solver   optimizer.SolverStats
+	solver   optimizer.SolverCounts
 
 	// sessionSeconds and solveSeconds are native latency histograms set by
 	// RegisterMetrics at wiring time (nil when telemetry is unwired — all
@@ -204,21 +206,27 @@ func (r *Runner) Stats() Stats {
 	return st
 }
 
-// one resolves a single session through the cache.
-func (r *Runner) one(s Session) (*engine.Result, error) {
+// one resolves a single session through the cache. It returns the solver
+// wall time of the simulation it ran, which is 0 when the memo cache or the
+// persistent store served the session.
+func (r *Runner) one(s Session) (*engine.Result, time.Duration, error) {
 	r.sessions.Add(1)
 	var start time.Time
 	if r.sessionSeconds != nil {
 		start = time.Now()
 	}
-	res, hit, err := r.cache.Get(s.Key, func() (*engine.Result, error) { return r.build(s) })
+	var solve time.Duration
+	res, hit, err := r.cache.Get(s.Key, func() (res *engine.Result, err error) {
+		res, solve, err = r.build(s)
+		return res, err
+	})
 	if hit {
 		r.cacheHits.Add(1)
 	}
 	if r.sessionSeconds != nil {
 		r.sessionSeconds.ObserveSeconds(int64(time.Since(start)))
 	}
-	return res, err
+	return res, solve, err
 }
 
 // build resolves a memo-cache miss: straight simulation when no persistent
@@ -226,46 +234,47 @@ func (r *Runner) one(s Session) (*engine.Result, error) {
 // singleflight spans runners — when another runner sharing the store is
 // already simulating this key, we block on its build instead of starting a
 // second one. Only a simulation this runner actually executed counts as a
-// unique run and contributes solver stats; a session decoded from stored
-// bytes counts as a store hit.
-func (r *Runner) build(s Session) (*engine.Result, error) {
+// unique run and contributes solver counters and solve time; a session
+// decoded from stored bytes counts as a store hit.
+func (r *Runner) build(s Session) (*engine.Result, time.Duration, error) {
 	if r.persist == nil {
 		r.uniqueRuns.Add(1)
-		res, err := s.Run()
-		r.addSolver(res)
-		return res, err
+		res, solve, err := s.Run()
+		r.addSolver(res, solve)
+		return res, solve, err
 	}
 	var built *engine.Result
+	var solve time.Duration
 	val, _, err := r.persist.GetOrBuild(storeKey(s.Key), func() ([]byte, error) {
-		res, err := s.Run()
+		res, d, err := s.Run()
 		if err != nil {
 			return nil, err
 		}
-		built = res
+		built, solve = res, d
 		return json.Marshal(res)
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if built != nil {
 		r.uniqueRuns.Add(1)
-		r.addSolver(built)
-		return built, nil
+		r.addSolver(built, solve)
+		return built, solve, nil
 	}
 	res := new(engine.Result)
 	if err := json.Unmarshal(val, res); err != nil {
-		return nil, fmt.Errorf("batch: decoding stored result for %s: %w", storeKey(s.Key), err)
+		return nil, 0, fmt.Errorf("batch: decoding stored result for %s: %w", storeKey(s.Key), err)
 	}
 	r.storeHits.Add(1)
-	return res, nil
+	return res, 0, nil
 }
 
 // addSolver folds a unique run's solver work into the aggregate.
-func (r *Runner) addSolver(res *engine.Result) {
+func (r *Runner) addSolver(res *engine.Result, solve time.Duration) {
 	if res == nil {
 		return
 	}
-	r.solveSeconds.ObserveSeconds(res.Solver.WallNS)
+	r.solveSeconds.ObserveSeconds(int64(solve))
 	r.solverMu.Lock()
 	r.solver = r.solver.Add(res.Solver)
 	r.solverMu.Unlock()
@@ -290,50 +299,25 @@ func (r *Runner) RunWithProgress(sessions []Session, progress func(completed, to
 }
 
 // RunContext is RunWithProgress bounded by a context: the runner checks ctx
-// between sessions and stops dispatching new work once it is done, returning
-// ctx.Err() as the error (unless a session error came first). Simulations
-// already in flight run to completion — the engine is not preemptible — and
-// their results stay in the cache and the persistent store, so a canceled
-// batch re-run later costs only the sessions it never reached. Results for
-// unreached sessions are nil.
+// before dispatching each session and stops dispatching new work once it is
+// done, returning ctx.Err() as the error (unless a session error came
+// first). Simulations already in flight run to completion — the engine is
+// not preemptible — and their results stay in the cache and the persistent
+// store, so a canceled batch re-run later costs only the sessions it never
+// reached. Results for unreached sessions are nil.
+//
+// When ctx carries an obs.Recorder, the call records two spans: "simulate",
+// its wall time, and "solve", the solver wall time of the sessions this
+// call simulated summed over the workers (memo and store hits add nothing).
 func (r *Runner) RunContext(ctx context.Context, sessions []Session, progress func(completed, total int)) ([]*engine.Result, error) {
+	start := time.Now()
 	out := make([]*engine.Result, len(sessions))
-	var completed atomic.Int64
-	note := func() {
-		if progress != nil {
-			progress(int(completed.Add(1)), len(sessions))
-		}
-	}
-	workers := r.workers
-	if workers > len(sessions) {
-		workers = len(sessions)
-	}
-	if workers <= 1 {
-		var firstErr error
-		for i, s := range sessions {
-			if err := ctx.Err(); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				break
-			}
-			res, err := r.one(s)
-			note()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			out[i] = res
-		}
-		return out, firstErr
-	}
-
 	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
+		completed atomic.Int64
+		solveNS   atomic.Int64
+		wg        sync.WaitGroup
+		errMu     sync.Mutex
+		firstErr  error
 	)
 	setErr := func(err error) {
 		errMu.Lock()
@@ -342,14 +326,20 @@ func (r *Runner) RunContext(ctx context.Context, sessions []Session, progress fu
 		}
 		errMu.Unlock()
 	}
+	// A serial run is a pool of one: the unbuffered channel hands each
+	// index to a worker only once one is free, so nothing is dispatched
+	// ahead of the context check.
 	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range min(r.workers, len(sessions)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				res, err := r.one(sessions[i])
-				note()
+				res, solve, err := r.one(sessions[i])
+				solveNS.Add(int64(solve))
+				if progress != nil {
+					progress(int(completed.Add(1)), len(sessions))
+				}
 				if err != nil {
 					setErr(err)
 					continue
@@ -360,6 +350,10 @@ func (r *Runner) RunContext(ctx context.Context, sessions []Session, progress fu
 	}
 feed:
 	for i := range sessions {
+		if err := ctx.Err(); err != nil {
+			setErr(err)
+			break
+		}
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -369,5 +363,12 @@ feed:
 	}
 	close(idx)
 	wg.Wait()
+	if rec := obs.TraceFrom(ctx); rec != nil {
+		startUS := start.UnixMicro()
+		rec.Record(obs.Span{Name: "simulate", Sessions: len(sessions),
+			StartUS: startUS, DurUS: time.Since(start).Microseconds()})
+		rec.Record(obs.Span{Name: "solve", Sessions: len(sessions),
+			StartUS: startUS, DurUS: solveNS.Load() / 1e3})
+	}
 	return out, firstErr
 }

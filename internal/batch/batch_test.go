@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/acmp"
 	"repro/internal/artifacts"
@@ -27,13 +28,13 @@ func ebsSession(t testing.TB, app string, seed int64) Session {
 	p := acmp.Exynos5410()
 	return Session{
 		Key: Key{Platform: p.Name, App: app, TraceSeed: seed, Scheduler: "EBS"},
-		Run: func() (*engine.Result, error) {
+		Run: func() (*engine.Result, time.Duration, error) {
 			tr := trace.Generate(spec, seed, trace.Options{MaxEvents: 25})
 			evs, err := tr.Runtime()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			return engine.RunReactive(p, app, evs, sched.NewEBS(p)), nil
+			return engine.RunReactive(p, app, evs, sched.NewEBS(p)), 0, nil
 		},
 	}
 }
@@ -130,7 +131,7 @@ func TestRunnerPropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	sessions := []Session{
 		ebsSession(t, "cnn", 1),
-		{Key: Key{App: "bad", Scheduler: "x"}, Run: func() (*engine.Result, error) { return nil, boom }},
+		{Key: Key{App: "bad", Scheduler: "x"}, Run: func() (*engine.Result, time.Duration, error) { return nil, 0, boom }},
 		ebsSession(t, "cnn", 2),
 	}
 	out, err := r.Run(sessions)
@@ -200,13 +201,13 @@ func ExampleRunner() {
 	mk := func(seed int64) Session {
 		return Session{
 			Key: Key{Platform: p.Name, App: "cnn", TraceSeed: seed, Scheduler: "EBS"},
-			Run: func() (*engine.Result, error) {
+			Run: func() (*engine.Result, time.Duration, error) {
 				tr := trace.Generate(spec, seed, trace.Options{MaxEvents: 10})
 				evs, err := tr.Runtime()
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
-				return engine.RunReactive(p, "cnn", evs, sched.NewEBS(p)), nil
+				return engine.RunReactive(p, "cnn", evs, sched.NewEBS(p)), 0, nil
 			},
 		}
 	}
@@ -258,7 +259,7 @@ func TestRunWithProgressErrorsStillReport(t *testing.T) {
 	r := NewRunner(1)
 	boom := errors.New("boom")
 	sessions := []Session{
-		{Key: Key{App: "x", TraceSeed: 1}, Run: func() (*engine.Result, error) { return nil, boom }},
+		{Key: Key{App: "x", TraceSeed: 1}, Run: func() (*engine.Result, time.Duration, error) { return nil, 0, boom }},
 		ebsSession(t, "cnn", 2),
 	}
 	calls := 0
@@ -380,13 +381,13 @@ func TestRunContextCancellation(t *testing.T) {
 				i := i
 				sessions = append(sessions, Session{
 					Key: Key{Platform: "p", App: "a", TraceSeed: int64(i), Scheduler: "s"},
-					Run: func() (*engine.Result, error) {
+					Run: func() (*engine.Result, time.Duration, error) {
 						// The 10th simulation triggers the cancellation; later
 						// sessions must never be dispatched.
 						if started.Add(1) == 10 {
 							cancel()
 						}
-						return &engine.Result{App: "a"}, nil
+						return &engine.Result{App: "a"}, 0, nil
 					},
 				})
 			}

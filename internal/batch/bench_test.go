@@ -3,6 +3,7 @@ package batch
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/acmp"
 	"repro/internal/engine"
@@ -23,11 +24,11 @@ func benchSessions(b *testing.B) []Session {
 			seed := int64(100 + len(sessions))
 			sessions = append(sessions, Session{
 				Key: Key{Platform: p.Name, App: spec.Name, TraceSeed: seed, Scheduler: schedName},
-				Run: func() (*engine.Result, error) {
+				Run: func() (*engine.Result, time.Duration, error) {
 					tr := trace.Generate(spec, seed, trace.Options{})
 					evs, err := tr.Runtime()
 					if err != nil {
-						return nil, err
+						return nil, 0, err
 					}
 					var pol sched.ReactivePolicy
 					switch schedName {
@@ -38,7 +39,7 @@ func benchSessions(b *testing.B) []Session {
 					default:
 						pol = sched.NewEBS(p)
 					}
-					return engine.RunReactive(p, spec.Name, evs, pol), nil
+					return engine.RunReactive(p, spec.Name, evs, pol), 0, nil
 				},
 			})
 		}

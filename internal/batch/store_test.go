@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/store"
@@ -29,7 +30,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 func countedSession(t testing.TB, app string, seed int64, runs *atomic.Int64) Session {
 	s := ebsSession(t, app, seed)
 	run := s.Run
-	s.Run = func() (*engine.Result, error) {
+	s.Run = func() (*engine.Result, time.Duration, error) {
 		runs.Add(1)
 		return run()
 	}
@@ -204,8 +205,8 @@ func TestStoreErrorNotPersisted(t *testing.T) {
 	ps := openStore(t, t.TempDir())
 	r := NewRunner(1).WithStore(ps)
 	s := ebsSession(t, "cnn", 7)
-	boom := Session{Key: s.Key, Run: func() (*engine.Result, error) {
-		return nil, errTest
+	boom := Session{Key: s.Key, Run: func() (*engine.Result, time.Duration, error) {
+		return nil, 0, errTest
 	}}
 	if _, err := r.Run([]Session{boom}); err == nil {
 		t.Fatal("error not propagated")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -325,22 +326,14 @@ func TestCampaignSurvivesChaosByteIdentical(t *testing.T) {
 			if chaotic[i] == nil {
 				t.Fatalf("seed %d: result %d missing", seed, i)
 			}
-			if !bytes.Equal(normalize(t, clean[i]), normalize(t, chaotic[i])) {
+			want, err1 := json.Marshal(clean[i])
+			got, err2 := json.Marshal(chaotic[i])
+			if err := errors.Join(err1, err2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
 				t.Fatalf("seed %d: result %d differs from chaos-free run", seed, i)
 			}
 		}
 	}
-}
-
-// normalize re-encodes a result with the solver wall time zeroed — the only
-// nondeterministic byte of a Result.
-func normalize(t *testing.T, res *engine.Result) []byte {
-	t.Helper()
-	clone := *res
-	clone.Solver.WallNS = 0
-	raw, err := json.Marshal(&clone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
 }

@@ -69,6 +69,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/predictor"
 	"repro/internal/sched"
+	"repro/internal/sessions"
 )
 
 // SessionSpec is the wire description of one session: the same tuple that
@@ -99,7 +100,7 @@ func (s SessionSpec) RouteKey() string {
 	b.WriteByte('|')
 	b.WriteString(s.Scheduler)
 	b.WriteByte('|')
-	fmt.Fprintf(&b, "ct=%g,deg=%d,dom=%t", s.Predictor.ConfidenceThreshold, s.Predictor.MaxDegree, s.Predictor.UseDOMAnalysis)
+	b.WriteString(sessions.PredictorKey(s.Predictor))
 	if s.OracleVersion != "" {
 		b.WriteString("|oracle=")
 		b.WriteString(s.OracleVersion)
@@ -127,8 +128,9 @@ type ShardResponse struct {
 	Results []*engine.Result `json:"results"`
 	Error   string           `json:"error,omitempty"`
 	Stats   batch.Stats      `json:"stats"`
-	// Spans are the worker-side trace spans for this shard (simulate wall
-	// time, solve totals), present only when the request carried a trace ID.
+	// Spans are the worker-side trace spans for this shard (the batch
+	// runner's simulate and solve spans), present only when the request
+	// carried a trace ID.
 	// The coordinator merges them into the campaign's timeline, stamping the
 	// worker address the worker itself does not know.
 	Spans []obs.Span `json:"spans,omitempty"`
@@ -806,12 +808,7 @@ func (r *run) runner(addr string) {
 				Name: spanName, Worker: addr, Sessions: len(chunk),
 				StartUS: start.UnixMicro(), DurUS: rtt.Microseconds(),
 			})
-			for i := range resp.Spans {
-				if resp.Spans[i].Worker == "" {
-					resp.Spans[i].Worker = addr
-				}
-			}
-			r.trace.Merge(resp.Spans)
+			r.trace.Merge(addr, resp.Spans)
 		}
 
 		r.mu.Lock()
@@ -919,12 +916,7 @@ func (r *run) localRunner() {
 				Name: "spill", Worker: "local", Sessions: len(chunk),
 				StartUS: start.UnixMicro(), DurUS: time.Since(start).Microseconds(),
 			})
-			for i := range resp.Spans {
-				if resp.Spans[i].Worker == "" {
-					resp.Spans[i].Worker = "local"
-				}
-			}
-			r.trace.Merge(resp.Spans)
+			r.trace.Merge("local", resp.Spans)
 		}
 
 		r.mu.Lock()

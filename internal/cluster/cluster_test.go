@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -78,19 +79,6 @@ func directResults(t *testing.T, specs []SessionSpec) []*engine.Result {
 	return out
 }
 
-// normalize re-encodes a result with the solver wall time zeroed — the only
-// nondeterministic byte of a Result.
-func normalize(t *testing.T, res *engine.Result) []byte {
-	t.Helper()
-	clone := *res
-	clone.Solver.WallNS = 0
-	raw, err := json.Marshal(&clone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
 func assertIdentical(t *testing.T, specs []SessionSpec, merged, direct []*engine.Result) {
 	t.Helper()
 	if len(merged) != len(direct) {
@@ -100,7 +88,12 @@ func assertIdentical(t *testing.T, specs []SessionSpec, merged, direct []*engine
 		if merged[i] == nil {
 			t.Fatalf("result %d (%s/%d/%s) missing", i, specs[i].App, specs[i].TraceSeed, specs[i].Scheduler)
 		}
-		if !bytes.Equal(normalize(t, merged[i]), normalize(t, direct[i])) {
+		got, err1 := json.Marshal(merged[i])
+		want, err2 := json.Marshal(direct[i])
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
 			t.Errorf("result %d (%s/%d/%s) differs from single-process run",
 				i, specs[i].App, specs[i].TraceSeed, specs[i].Scheduler)
 		}
@@ -379,7 +372,12 @@ func TestWarmShardCacheHitsOnRepeatCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range first {
-		if !bytes.Equal(normalize(t, first[i]), normalize(t, second[i])) {
+		a, err1 := json.Marshal(first[i])
+		b, err2 := json.Marshal(second[i])
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
 			t.Errorf("repeat campaign result %d differs", i)
 		}
 	}
@@ -407,6 +405,66 @@ func TestRouteKeyIncludesOracleVersion(t *testing.T) {
 	plain.Scheduler = sessions.Ondemand
 	if got := plain.RouteKey(); strings.Contains(got, "oracle") {
 		t.Errorf("non-Oracle route key grew an oracle component: %q", got)
+	}
+}
+
+// TestWorkerSolveSpanCountsOnlyThisCall: a traced shard's "solve" span is
+// the solver time the call itself spent. A cold 20-session shard solves
+// (PES and Oracle sessions), so its span is positive; the same shard re-run
+// is served entirely from the worker's memo cache, so its span is 0 — not
+// the solver time of the runs that first built the cached results.
+func TestWorkerSolveSpanCountsOnlyThisCall(t *testing.T) {
+	w := newTestWorker(t)
+	req := ShardRequest{Sessions: testSpecs()}
+	solveUS := func() int64 {
+		t.Helper()
+		resp, err := w.RunShardTraced("trace", req)
+		if err != nil || resp.Error != "" {
+			t.Fatalf("shard: %v %s", err, resp.Error)
+		}
+		var spans []string
+		var solve int64 = -1
+		for _, s := range resp.Spans {
+			spans = append(spans, s.Name)
+			if s.TraceID != "trace" || s.Sessions != len(req.Sessions) {
+				t.Errorf("span %+v: want trace ID %q and %d sessions", s, "trace", len(req.Sessions))
+			}
+			if s.Name == "solve" {
+				solve = s.DurUS
+			}
+		}
+		if len(spans) != 2 || solve < 0 {
+			t.Fatalf("spans %v, want one simulate and one solve", spans)
+		}
+		return solve
+	}
+	if cold := solveUS(); cold <= 0 {
+		t.Errorf("cold shard solve span = %d µs, want > 0", cold)
+	}
+	if warm := solveUS(); warm != 0 {
+		t.Errorf("warm shard solve span = %d µs, want 0: every session was a memo hit", warm)
+	}
+}
+
+// TestRouteKeyBytesPinned pins the exact route-key bytes, with and without
+// an oracle version: the ring places sessions by these bytes, so any change
+// to them (or to the predictor encoding they share with the memo key)
+// silently moves every session to a cold worker.
+func TestRouteKeyBytesPinned(t *testing.T) {
+	pes := SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: 11, Scheduler: sessions.PES,
+		Predictor: predictor.Config{ConfidenceThreshold: 0.55, MaxDegree: 3}}
+	oracle := SessionSpec{Platform: "Exynos5410", App: "espn", TraceSeed: -9, Scheduler: sessions.Oracle,
+		Predictor: predictor.DefaultConfig(), OracleVersion: "v2"}
+	for _, c := range []struct {
+		spec SessionSpec
+		want string
+	}{
+		{pes, "Exynos5410|cnn|11|PES|ct=0.55,deg=3,dom=false"},
+		{oracle, "Exynos5410|espn|-9|Oracle|ct=0.7,deg=8,dom=true|oracle=v2"},
+	} {
+		if got := c.spec.RouteKey(); got != c.want {
+			t.Errorf("RouteKey() = %q, want %q", got, c.want)
+		}
 	}
 }
 

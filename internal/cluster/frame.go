@@ -23,7 +23,7 @@ import (
 // the small fields that change shape with the code (Error, Stats, Spans)
 // ride as one JSON tail.
 //
-// Layout, version 1. Unsigned integers are uvarints, signed ones zig-zag
+// Layout, version 2. Unsigned integers are uvarints, signed ones zig-zag
 // varints, floats their IEEE-754 bits as 8 little-endian bytes (so every
 // result merges bit-identically), strings a uvarint length and the bytes.
 // A slice is written as a uvarint of its length plus one, 0 meaning nil, so
@@ -43,19 +43,22 @@ import (
 //	  SquashedFrames, MispredictWaste
 //	  slice of PFBSamples, each Seq, Size
 //	  SpeculationStops, TotalBusy, BigBusy, MaxPerfBusy, Duration
-//	  Solver: Solves, Nodes, PlanCacheHits, BudgetAborts, WallNS
+//	  Solver: Solves, Nodes, PlanCacheHits, BudgetAborts
 //	tail: uvarint length, then JSON {"error", "stats", "spans"}
 //
 // The decoder accepts only frames the encoder writes: minimal varints,
 // known flag bits, a canonical tail, no trailing bytes. So a frame that
 // decodes re-encodes to the same bytes, and every count is checked against
 // the bytes left before anything is allocated for it.
+//
+// Version 1 also carried the solver's host wall time after BudgetAborts;
+// version 2 results hold only deterministic fields.
 
 const (
 	// frameVersion is the frame version this build writes and reads. A
 	// coordinator sends it in frameVersionHeader; a worker built for another
 	// version rejects the shard with a 400 naming both.
-	frameVersion       = 1
+	frameVersion       = 2
 	frameVersionHeader = "X-Pes-Shard-Frame"
 	frameContentType   = "application/x-pes-shard-frame"
 )
@@ -211,7 +214,6 @@ func (w *frameWriter) result(res *engine.Result) {
 	w.varint(res.Solver.Nodes)
 	w.varint(int64(res.Solver.PlanCacheHits))
 	w.varint(int64(res.Solver.BudgetAborts))
-	w.varint(res.Solver.WallNS)
 }
 
 func (w *frameWriter) outcome(o *engine.Outcome, app string) {
@@ -375,12 +377,11 @@ func (r *frameReader) result(res *engine.Result) {
 	res.BigBusy = simtime.Duration(r.varint())
 	res.MaxPerfBusy = simtime.Duration(r.varint())
 	res.Duration = simtime.Duration(r.varint())
-	res.Solver = optimizer.SolverStats{
+	res.Solver = optimizer.SolverCounts{
 		Solves:        r.int(),
 		Nodes:         r.varint(),
 		PlanCacheHits: r.int(),
 		BudgetAborts:  r.int(),
-		WallNS:        r.varint(),
 	}
 }
 

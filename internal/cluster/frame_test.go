@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -145,7 +146,13 @@ func TestFrameRejectsHostileBytes(t *testing.T) {
 
 // FuzzDecodeShardResponse feeds arbitrary bytes to the decoder: it must
 // never panic, and any frame it accepts must re-encode to the same bytes.
-// The seed corpus lives in testdata/fuzz/FuzzDecodeShardResponse.
+// The seed corpus lives in testdata/fuzz/FuzzDecodeShardResponse:
+// "two-sessions" is a real traced two-session worker response (Ondemand on
+// cnn) in the current frame version; "truncated" is its first half,
+// "trailing-bytes" appends 0x00 0x01, "wrong-magic" replaces the magic with
+// "PESX", and "huge-count" is the header followed by a 2^32-1 result
+// count. A frame version bump re-encodes "two-sessions" (decode it with the
+// old decoder, encode with the new encoder) and re-derives the rest.
 func FuzzDecodeShardResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		resp, err := decodeShardResponse(frame)
@@ -160,6 +167,28 @@ func FuzzDecodeShardResponse(f *testing.F) {
 			t.Fatalf("accepted frame re-encodes differently:\n in %x\nout %x", frame, again)
 		}
 	})
+}
+
+// TestFuzzSeedIsCurrentFrame: the corpus's valid seed decodes under this
+// build's frame version, so the fuzzer starts from inputs that reach the
+// result decoder instead of stopping at the version byte.
+func TestFuzzSeedIsCurrentFrame(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeShardResponse/two-sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	frame, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := decodeShardResponse([]byte(frame))
+	if err != nil {
+		t.Fatalf("seed two-sessions does not decode: %v", err)
+	}
+	if len(resp.Results) != 2 || resp.Results[0] == nil || resp.Results[1] == nil {
+		t.Fatalf("seed two-sessions decodes to %d results, want 2", len(resp.Results))
+	}
 }
 
 // postShard sends a raw shard request with the given frame-version header
@@ -191,8 +220,8 @@ func TestWorkerRejectsFrameVersionSkew(t *testing.T) {
 	ts := httptest.NewServer((&Worker{}).Handler())
 	defer ts.Close()
 	for version, wants := range map[string][]string{
-		"2": {"frame version mismatch", "v2", "v1"},
-		"":  {"frame version mismatch", "JSON", "v1"},
+		"1": {"frame version mismatch", "v1", "v2"},
+		"":  {"frame version mismatch", "JSON", "v2"},
 	} {
 		code, msg := postShard(t, ts.URL, version, `{"sessions":[]}`)
 		if code != http.StatusBadRequest {

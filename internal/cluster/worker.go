@@ -1,12 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/acmp"
 	"repro/internal/batch"
@@ -108,9 +108,11 @@ func (w *Worker) RunShard(req ShardRequest) (ShardResponse, error) {
 
 // RunShardTraced is RunShard joining a campaign trace: a non-empty traceID
 // (from the X-Pes-Trace-Id header, or the coordinator's recorder on the
-// local spill-over path) makes the response carry per-chunk simulate and
-// solve-total spans for the coordinator to merge into the campaign timeline.
-// An empty traceID records nothing and is byte-identical to RunShard.
+// local spill-over path) makes the response carry the runner's spans for
+// this shard — "simulate", the shard's wall time, and "solve", the solver
+// time of the sessions this call simulated (0 for a fully warm shard) — for
+// the coordinator to merge into the campaign timeline. An empty traceID
+// records nothing and is byte-identical to RunShard.
 func (w *Worker) RunShardTraced(traceID string, req ShardRequest) (ShardResponse, error) {
 	if len(req.Sessions) == 0 {
 		return ShardResponse{}, fmt.Errorf("shard contains no sessions")
@@ -130,27 +132,12 @@ func (w *Worker) RunShardTraced(traceID string, req ShardRequest) (ShardResponse
 	if err != nil {
 		return ShardResponse{}, err
 	}
-	start := time.Now()
-	results, runErr := w.setup.Runner.Run(sess)
-	resp := ShardResponse{Results: results, Stats: w.Stats()}
+	var rec *obs.Recorder
 	if traceID != "" {
-		// Solve totals sum the solver wall time embedded in each session's
-		// result — deterministic per shard, cache-served sessions included
-		// (their solver work happened once, wherever they were first built).
-		var solveNS int64
-		for _, res := range results {
-			if res != nil {
-				solveNS += res.Solver.WallNS
-			}
-		}
-		startUS := start.UnixMicro()
-		resp.Spans = []obs.Span{
-			{TraceID: traceID, Name: "simulate", Sessions: len(req.Sessions),
-				StartUS: startUS, DurUS: time.Since(start).Microseconds()},
-			{TraceID: traceID, Name: "solve", Sessions: len(req.Sessions),
-				StartUS: startUS, DurUS: solveNS / 1e3},
-		}
+		rec = obs.NewRecorder(traceID)
 	}
+	results, runErr := w.setup.Runner.RunContext(obs.WithTrace(context.Background(), rec), sess, nil)
+	resp := ShardResponse{Results: results, Stats: w.Stats(), Spans: rec.Timeline()}
 	if runErr != nil {
 		resp.Error = runErr.Error()
 	}

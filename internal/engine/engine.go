@@ -90,12 +90,12 @@ type Result struct {
 	// frame).
 	Duration simtime.Duration
 
-	// Solver aggregates the constrained-optimization work of the session's
-	// scheduler: solve count, branch-and-bound nodes, budget aborts, and
-	// solver wall time (Sec. 6.3 overhead analysis). It is zero for
-	// schedulers that never solve (the governors and EBS). All counters
-	// except the wall time are deterministic for a deterministic run.
-	Solver optimizer.SolverStats
+	// Solver counts the constrained-optimization work of the session's
+	// scheduler: solve count, branch-and-bound nodes, budget aborts. It is
+	// zero for schedulers that never solve (the governors and EBS). The
+	// solver's wall time is a host measurement and stays out of the result,
+	// which is thereby a pure function of the session.
+	Solver optimizer.SolverCounts
 }
 
 // finalize computes the derived aggregates.
@@ -293,7 +293,7 @@ func Run(p *acmp.Platform, app string, events []*webevent.Event, pol Policy) *Re
 	}
 	res.finalize()
 	if sp, ok := pol.(sched.SolverStatsProvider); ok {
-		res.Solver = sp.SolverStats()
+		res.Solver = sp.SolverStats().SolverCounts
 	}
 	return res
 }

@@ -18,7 +18,7 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	h.Observe(1)
 	h.ObserveSeconds(100)
 	rec.Record(Span{Name: "x"})
-	rec.Merge([]Span{{Name: "y"}})
+	rec.Merge("", []Span{{Name: "y"}})
 	if h.Count() != 0 || h.Sum() != 0 || h.BucketCounts() != nil {
 		t.Fatal("nil metrics must read zero")
 	}

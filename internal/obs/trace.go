@@ -71,16 +71,20 @@ func (r *Recorder) Record(s Span) {
 	r.mu.Unlock()
 }
 
-// Merge appends spans produced elsewhere (a worker's shard response),
-// restamping them with the recorder's trace ID so cross-process spans join
-// the same timeline even if the far side didn't know the ID.
-func (r *Recorder) Merge(spans []Span) {
+// Merge appends spans produced elsewhere (a worker's shard response, an
+// in-process batch run), restamping them with the recorder's trace ID so
+// they join the same timeline, and labeling spans that name no worker with
+// worker (the producer does not know its own address).
+func (r *Recorder) Merge(worker string, spans []Span) {
 	if r == nil || len(spans) == 0 {
 		return
 	}
 	r.mu.Lock()
 	for _, s := range spans {
 		s.TraceID = r.traceID
+		if s.Worker == "" {
+			s.Worker = worker
+		}
 		r.spans = append(r.spans, s)
 	}
 	r.mu.Unlock()

@@ -21,7 +21,7 @@ func TestMintTraceIDDeterministic(t *testing.T) {
 func TestRecorderStampsTraceID(t *testing.T) {
 	r := NewRecorder("abc123")
 	r.Record(Span{Name: "queue_wait", StartUS: 10, DurUS: 5})
-	r.Merge([]Span{{TraceID: "other", Name: "simulate", Worker: "w1", StartUS: 20, DurUS: 7}})
+	r.Merge("", []Span{{TraceID: "other", Name: "simulate", Worker: "w1", StartUS: 20, DurUS: 7}})
 	tl := r.Timeline()
 	if len(tl) != 2 {
 		t.Fatalf("timeline length = %d, want 2", len(tl))
@@ -54,7 +54,7 @@ func TestTimelineByteStableAcrossArrivalOrder(t *testing.T) {
 		r := NewRecorder("t1")
 		// Interleave Record and Merge arrival paths.
 		r.Record(shuffled[0])
-		r.Merge(shuffled[1:4])
+		r.Merge("", shuffled[1:4])
 		for _, s := range shuffled[4:] {
 			r.Record(s)
 		}

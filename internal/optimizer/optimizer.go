@@ -220,19 +220,18 @@ type Task struct {
 	Predicted bool
 }
 
-// SolverStats aggregates the constrained-optimization work of one scheduler
-// instance (and, summed, of whole sessions, batches, and campaigns): how
-// many solves ran, how much search they did, and the wall-clock time spent
-// inside the solver. The counters other than WallNS are fully deterministic
-// for a deterministic simulation.
-type SolverStats struct {
+// SolverCounts are the deterministic counters of a scheduler's
+// constrained-optimization work. They are a pure function of the simulated
+// session, so they travel in every engine.Result and sum across sessions,
+// batches and campaigns.
+type SolverCounts struct {
 	// Solves counts ilp.Solver calls: one per plan.
 	Solves int `json:"solves" metric:"pes_solver_solves_total" help:"ilp.Solver calls across unique runs."`
 	// Nodes sums the branch-and-bound candidates explored across solves.
 	Nodes int64 `json:"nodes" metric:"pes_solver_nodes_total" help:"Branch-and-bound nodes explored across unique runs."`
 	// PlanCacheHits is always 0: neither scheduler caches plans, because
 	// real session horizons never repeat (start times advance). The field
-	// stays because the binary shard frame (v1), stored results and the
+	// stays because stored results, the binary shard frame and the
 	// end-to-end benchmark harness carry it; dropping it needs a frame
 	// version bump and a benchmark change.
 	PlanCacheHits int `json:"plan_cache_hits" metric:"pes_solver_plan_cache_hits_total" help:"Always 0: the schedulers keep no plan cache (kept for scrape compatibility)."`
@@ -241,21 +240,29 @@ type SolverStats struct {
 	// Zero on the PES path and on Oracle v2's fast-path windows; Oracle v1's
 	// hardest windows abort by design (that is what pins its figures).
 	BudgetAborts int `json:"budget_aborts" metric:"pes_solver_budget_aborts_total" help:"Solves that exhausted the branch-and-bound node budget."`
-	// WallNS is the wall-clock time spent inside the solver, in nanoseconds.
-	// It is a host measurement: the one non-deterministic field.
-	WallNS int64 `json:"wall_ns"`
 }
 
-// Add returns the element-wise sum of two stat records.
-func (s SolverStats) Add(o SolverStats) SolverStats {
-	return SolverStats{
+// Add returns the element-wise sum of two counter records.
+func (s SolverCounts) Add(o SolverCounts) SolverCounts {
+	return SolverCounts{
 		Solves:        s.Solves + o.Solves,
 		Nodes:         s.Nodes + o.Nodes,
 		PlanCacheHits: s.PlanCacheHits + o.PlanCacheHits,
 		BudgetAborts:  s.BudgetAborts + o.BudgetAborts,
-		WallNS:        s.WallNS + o.WallNS,
 	}
 }
+
+// SolverStats is one scheduler instance's solver record: the counters plus
+// the solver's wall time, a host measurement that reaches the batch runner
+// through batch.Session.Run and never enters a result.
+type SolverStats struct {
+	SolverCounts
+	// WallNS is the wall-clock time spent inside the solver, in nanoseconds.
+	WallNS int64 `json:"wall_ns"`
+}
+
+// Wall returns the solver wall time as a duration.
+func (s SolverStats) Wall() time.Duration { return time.Duration(s.WallNS) }
 
 // Record accounts one solve that began at begun and returned sol.
 func (s *SolverStats) Record(sol ilp.Assignment, begun time.Time) {

@@ -266,7 +266,7 @@ func (o *Oracle) SolverStats() optimizer.SolverStats { return o.stats }
 
 // BoundCells returns the number of grid-bound cells the oracle's v2 solves
 // have tabulated (ilp.Assignment.Cells, summed). It is kept beside rather
-// than in SolverStats, whose fields travel in every Result.
+// than in SolverCounts, whose fields travel in every Result.
 func (o *Oracle) BoundCells() int64 { return o.cells }
 
 var (

@@ -81,9 +81,10 @@ type ProactivePolicy interface {
 }
 
 // SolverStatsProvider is implemented by schedulers that run the constrained
-// optimizer (PES and the Oracle). The engine copies the stats into the
-// session Result after a run, from where the batch runner and the campaign
-// results endpoint aggregate them.
+// optimizer (PES and the Oracle). The engine copies the deterministic
+// counters into the session Result after a run, from where the batch runner
+// and the campaign results endpoint aggregate them; the solver wall time
+// reaches the batch runner only through the session's Run.
 type SolverStatsProvider interface {
 	// SolverStats returns the scheduler's accumulated solver statistics.
 	SolverStats() optimizer.SolverStats

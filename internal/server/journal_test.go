@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -35,20 +34,6 @@ func pollTerminal(t *testing.T, s *Server, id string) JobStatus {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// normalizeResult re-encodes a result with the solver wall time zeroed — the
-// only nondeterministic byte of a Result (store-hit sessions replay the wall
-// time of the run that produced them; fresh simulations measure their own).
-func normalizeResult(t *testing.T, res *engine.Result) []byte {
-	t.Helper()
-	clone := *res
-	clone.Solver.WallNS = 0
-	raw, err := json.Marshal(&clone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
 }
 
 // TestJournalCrashResumeTailOnly is the server half of the resilience
@@ -75,7 +60,9 @@ func TestJournalCrashResumeTailOnly(t *testing.T) {
 	refJob, _ := ref.jobByID(refSt.ID)
 	want := make([][]byte, len(refJob.results))
 	for i, res := range refJob.results {
-		want[i] = normalizeResult(t, res)
+		if want[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for trial := 0; trial < 3; trial++ {
@@ -148,7 +135,11 @@ func TestJournalCrashResumeTailOnly(t *testing.T) {
 				t.Fatalf("resumed campaign has %d results, want %d", len(j2.results), len(want))
 			}
 			for i, res := range j2.results {
-				if !bytes.Equal(normalizeResult(t, res), want[i]) {
+				got, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want[i]) {
 					t.Fatalf("result %d differs from the uninterrupted reference", i)
 				}
 			}

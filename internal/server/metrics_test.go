@@ -323,8 +323,8 @@ func TestHealthzAgreesWithMetrics(t *testing.T) {
 
 // TestTraceEndpointTimeline gates GET /v1/campaigns/{id}/trace on the local
 // execution path: a deterministic trace ID minted from the campaign ID, a
-// queue-wait span from admission, and a simulate span from the local lane —
-// all stamped with the same trace ID.
+// queue-wait span from admission, and the runner's simulate and solve spans
+// labeled with the local lane — all stamped with the same trace ID.
 func TestTraceEndpointTimeline(t *testing.T) {
 	s := testServer(t)
 	st, err := s.Submit(Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS"}})
@@ -353,9 +353,12 @@ func TestTraceEndpointTimeline(t *testing.T) {
 		if sp.DurUS < 0 {
 			t.Errorf("span %s has negative duration %d", sp.Name, sp.DurUS)
 		}
+		if (sp.Name == "simulate" || sp.Name == "solve") && sp.Worker != "local" {
+			t.Errorf("span %s labeled worker %q, want local", sp.Name, sp.Worker)
+		}
 	}
-	if names["queue_wait"] != 1 || names["simulate"] < 1 {
-		t.Errorf("span names %v, want one queue_wait and at least one simulate", names)
+	if names["queue_wait"] != 1 || names["simulate"] != 1 || names["solve"] != 1 {
+		t.Errorf("span names %v, want one queue_wait, one simulate and one solve", names)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/campaigns/zzz/trace")

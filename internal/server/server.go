@@ -157,10 +157,10 @@ type Results struct {
 	// Tables are the aggregate energy and QoS tables (the shape the figure
 	// harness computes for Fig. 11/12) over the campaign's sessions.
 	Tables []*experiments.Table `json:"tables"`
-	// Solver sums the constrained-optimization statistics over the
-	// campaign's session results (cache-served sessions report the stats of
-	// the one simulation that produced them).
-	Solver optimizer.SolverStats `json:"solver"`
+	// Solver sums the constrained-optimization counters over the
+	// campaign's session results (cache-served sessions report the counters
+	// of the one simulation that produced them).
+	Solver optimizer.SolverCounts `json:"solver"`
 }
 
 // Server is the simulation service: one trained harness setup, one shared
@@ -378,16 +378,15 @@ func (s *Server) execute(j *job, progress func(completed, total int)) ([]*engine
 		// the recorder collects dispatch/steal/spill and worker spans.
 		return s.cfg.Cluster.RunContext(obs.WithTrace(context.Background(), j.trace), plan.Specs, progress)
 	}
-	start := time.Now()
 	sess, err := cluster.BuildSessions(s.setup, plan.Specs)
 	if err != nil {
 		return nil, err
 	}
-	results, err := s.setup.Runner.RunContext(obs.WithTrace(s.runCtx, j.trace), sess, progress)
-	j.trace.Record(obs.Span{
-		Name: "simulate", Worker: "local", Sessions: len(sess),
-		StartUS: start.UnixMicro(), DurUS: time.Since(start).Microseconds(),
-	})
+	// The runner records its simulate and solve spans on a recorder of its
+	// own, merged under the same "local" label the spill-over lane uses.
+	local := obs.NewRecorder(j.trace.TraceID())
+	results, err := s.setup.Runner.RunContext(obs.WithTrace(s.runCtx, local), sess, progress)
+	j.trace.Merge("local", local.Timeline())
 	return results, err
 }
 
@@ -738,7 +737,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rows := make([]ResultRow, 0, len(results))
-	var solver optimizer.SolverStats
+	var solver optimizer.SolverCounts
 	for i, res := range results {
 		if !filter.match(j.plan.Meta[i]) {
 			continue

@@ -1,30 +1,16 @@
 package sessions
 
 import (
+	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"repro/internal/acmp"
 	"repro/internal/artifacts"
-	"repro/internal/engine"
 	"repro/internal/predictor"
 	"repro/internal/trace"
 	"repro/internal/webapp"
 )
-
-// canonical serializes a result with its only non-deterministic field (the
-// solver's host wall time) zeroed.
-func canonical(t *testing.T, res *engine.Result) []byte {
-	t.Helper()
-	clone := *res
-	clone.Solver.WallNS = 0
-	raw, err := json.Marshal(&clone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
 
 // TestArtifactWarmEqualsColdPath is the byte-identity guarantee of the
 // shared-artifact layer: a session built from a pre-warmed store (shared
@@ -61,12 +47,14 @@ func TestArtifactWarmEqualsColdPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sess.Run()
+			res, _, err := sess.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if record {
-				warmResults[name] = canonical(t, res)
+				if warmResults[name], err = json.Marshal(res); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -90,11 +78,15 @@ func TestArtifactWarmEqualsColdPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sess.Run()
+		res, _, err := sess.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(canonical(t, res), warmResults[name]) {
+		cold, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cold, warmResults[name]) {
 			t.Errorf("%s: artifact-warm result differs from cold-path result", name)
 		}
 	}

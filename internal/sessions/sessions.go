@@ -7,6 +7,7 @@ package sessions
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/acmp"
 	"repro/internal/artifacts"
@@ -67,9 +68,10 @@ type Spec struct {
 	OracleVersion sched.OracleVersion
 }
 
-// predictorKey canonically encodes a predictor configuration for session
-// memoization.
-func predictorKey(cfg predictor.Config) string {
+// PredictorKey canonically encodes a predictor configuration. It is the
+// predictor component of both the batch memo key and the cluster route key,
+// so sessions that share a memo slot also share a worker.
+func PredictorKey(cfg predictor.Config) string {
 	return fmt.Sprintf("ct=%g,deg=%d,dom=%t", cfg.ConfidenceThreshold, cfg.MaxDegree, cfg.UseDOMAnalysis)
 }
 
@@ -99,13 +101,13 @@ func New(s Spec) (batch.Session, error) {
 		Scheduler: name,
 		Variant:   store.Fingerprint(p, tr),
 	}
-	var run func() (*engine.Result, error)
+	var run func() (*engine.Result, time.Duration, error)
 	switch name {
 	case Interactive, Ondemand, EBS:
-		run = func() (*engine.Result, error) {
+		run = func() (*engine.Result, time.Duration, error) {
 			evs, err := store.Runtime(tr)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			var pol sched.ReactivePolicy
 			switch name {
@@ -116,7 +118,7 @@ func New(s Spec) (batch.Session, error) {
 			default:
 				pol = sched.NewEBS(p)
 			}
-			return engine.RunReactive(p, tr.App, evs, pol), nil
+			return engine.RunReactive(p, tr.App, evs, pol), 0, nil
 		}
 	case Oracle:
 		ov := s.OracleVersion.OrDefault()
@@ -124,12 +126,14 @@ func New(s Spec) (batch.Session, error) {
 			return batch.Session{}, fmt.Errorf("sessions: invalid oracle version %d", ov)
 		}
 		key.Variant += fmt.Sprintf(",oracle=%s", ov)
-		run = func() (*engine.Result, error) {
+		run = func() (*engine.Result, time.Duration, error) {
 			evs, err := store.Runtime(tr)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			return engine.RunProactive(p, tr.App, evs, sched.NewOracleWithVersion(p, evs, ov)), nil
+			oracle := sched.NewOracleWithVersion(p, evs, ov)
+			res := engine.RunProactive(p, tr.App, evs, oracle)
+			return res, oracle.SolverStats().Wall(), nil
 		}
 	case PES:
 		if s.Learner == nil {
@@ -140,19 +144,20 @@ func New(s Spec) (batch.Session, error) {
 			return batch.Session{}, err
 		}
 		learner, predCfg := s.Learner, s.Predictor
-		key.Predictor = predictorKey(predCfg)
+		key.Predictor = PredictorKey(predCfg)
 		// PES results depend on the trained model; fingerprint the model
 		// content so sessions built from different trainings never share a
 		// cache slot, while identically-trained models — in this process or
 		// a restarted one addressing a persistent store — share exactly one.
 		key.Variant += fmt.Sprintf(",learner=%s", learner.Fingerprint())
-		run = func() (*engine.Result, error) {
+		run = func() (*engine.Result, time.Duration, error) {
 			evs, err := store.Runtime(tr)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			pes := core.NewPES(p, learner, spec, tr.DOMSeed, predCfg)
-			return engine.RunProactive(p, tr.App, evs, pes), nil
+			res := engine.RunProactive(p, tr.App, evs, pes)
+			return res, pes.SolverStats().Wall(), nil
 		}
 	}
 	return batch.Session{Key: key, Run: run}, nil

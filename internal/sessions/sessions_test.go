@@ -52,7 +52,7 @@ func TestNewBuildsEveryScheduler(t *testing.T) {
 		if (sess.Key.Predictor != "") != (name == PES) {
 			t.Errorf("%s: predictor key presence wrong: %q", name, sess.Key.Predictor)
 		}
-		r, err := sess.Run()
+		r, _, err := sess.Run()
 		if err != nil {
 			t.Fatalf("%s: run: %v", name, err)
 		}

@@ -148,12 +148,12 @@ type (
 	Result = engine.Result
 	// Outcome is the per-event record of a simulation.
 	Outcome = engine.Outcome
-	// SolverStats aggregates constrained-optimization work: solve count,
-	// branch-and-bound nodes explored, budget aborts, and solver wall
-	// time. It appears per session in Result.Solver, summed over a runner's
-	// unique runs in BatchStats.Solver, and summed over a campaign in
+	// SolverCounts counts constrained-optimization work: solve count,
+	// branch-and-bound nodes explored, budget aborts. It appears per
+	// session in Result.Solver, summed over a runner's unique runs in
+	// BatchStats.Solver, and summed over a campaign in
 	// CampaignResults.Solver.
-	SolverStats = optimizer.SolverStats
+	SolverCounts = optimizer.SolverCounts
 )
 
 // RunReactive replays events under a reactive scheduler.
