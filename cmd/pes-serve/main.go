@@ -20,10 +20,11 @@
 // health-checked over their /healthz, can be listed and removed at
 // /v1/cluster/workers, and idle workers steal queued work from slow ones.
 // If every worker dies, the coordinator runs remaining sessions in-process
-// instead of failing the campaign. Every process must share the harness
-// flags (-train, -traces, -seed, -oracle) so the workers' trained
-// predictors and solvers match the coordinator's; an -oracle mismatch is
-// rejected at shard submit.
+// instead of failing the campaign. Every process must share the training
+// flags (-train, -traces, -seed) so the workers' trained predictors match
+// the coordinator's. -oracle need not agree: it is the default Oracle
+// version of the campaigns a process expands, every Oracle session carries
+// its version to the worker, and a worker ignores its own -oracle.
 //
 //	pes-serve -cluster -addr :8080 &
 //	pes-serve -worker -addr :9001 -coordinator localhost:8080 &
@@ -109,7 +110,7 @@ func parseArgs(args []string, stderr io.Writer) (serveConfig, error) {
 	clusterMode := fs.Bool("cluster", false, "run as a cluster coordinator even with no static -workers (workers join via -coordinator registration)")
 	coordinator := fs.String("coordinator", "", "coordinator URL this worker registers with on startup (worker mode only)")
 	advertise := fs.String("advertise", "", "address the coordinator reaches this worker at (default: derived from -addr)")
-	oracle := fs.String("oracle", "", "oracle solver version: v2 (default, fast path) or v1 (paper-exact reference figures); cluster processes must agree")
+	oracle := fs.String("oracle", "", "default oracle solver version of the campaigns and figures this process serves: v2 (default, fast path) or v1 (paper-exact reference figures); no effect on a -worker")
 	storeDir := fs.String("store", "", "persistent store directory: session results, traces and trained models survive restarts (empty = in-memory only; one process per directory)")
 	storeSync := fs.Int("store-sync", 0, "fsync the -store log every n record writes; campaign terminal states always fsync when set (0 = rely on the OS page cache)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running campaigns when -store journals them; unfinished campaigns resume on the next boot")
@@ -448,7 +449,7 @@ func serve(cfg serveConfig, stdout io.Writer, logger *slog.Logger) error {
 	var coord *cluster.Coordinator
 	if len(cfg.workers) > 0 || cfg.clusterMode {
 		var err error
-		clCfg := cluster.Config{Workers: cfg.workers, OracleVersion: cfg.exp.OracleVersion, Logger: logger}
+		clCfg := cluster.Config{Workers: cfg.workers, Logger: logger}
 		if in != nil {
 			clCfg.Transport = in.WrapTransport(cluster.NewHTTPTransport())
 		}

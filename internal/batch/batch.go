@@ -168,10 +168,6 @@ func (r *Runner) WithStore(ps *store.Store) *Runner {
 	return r
 }
 
-// PersistentStore returns the persistent store attached with WithStore, or
-// nil.
-func (r *Runner) PersistentStore() *store.Store { return r.persist }
-
 // storeKey renders a memo key as the persistent store's content address.
 // Every component of Key is content-derived (Variant carries the platform,
 // trace and learner fingerprints), so equal strings across processes mean

@@ -63,7 +63,8 @@ func TestRunnerStoreWarmStart(t *testing.T) {
 		sessions = append(sessions, countedSession(t, "cnn", seed, &coldRuns))
 	}
 
-	cold := NewRunner(2).WithStore(openStore(t, dir))
+	coldStore := openStore(t, dir)
+	cold := NewRunner(2).WithStore(coldStore)
 	coldOut, err := cold.Run(sessions)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestRunnerStoreWarmStart(t *testing.T) {
 	if st := cold.Stats(); st.UniqueRuns != 4 || st.StoreHits != 0 {
 		t.Fatalf("cold stats: %+v", st)
 	}
-	if err := cold.PersistentStore().Close(); err != nil {
+	if err := coldStore.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -12,7 +12,9 @@
 //     that rebuilds the session from this description produces the same
 //     Result bytes the coordinator's own process would have (workers must
 //     run the same harness configuration — training scale and seed — which
-//     cmd/pes-serve enforces by sharing one flag set).
+//     cmd/pes-serve enforces by sharing one flag set). The Oracle solver
+//     version is not part of that configuration: every Oracle spec names
+//     its own, so workers need not agree on a default.
 //   - Keyed caching. Routing hashes the same tuple the batch memo cache is
 //     keyed by, so a given session always lands on the same worker; repeat
 //     campaigns hit that worker's warm memo cache, and sessions of one
@@ -33,8 +35,8 @@
 // Failures are split by fault domain, because the two kinds must be treated
 // oppositely:
 //
-//   - Client fault (HTTP 4xx: invalid session spec, oracle-version or
-//     shard-frame-version skew).
+//   - Client fault (HTTP 4xx: invalid session spec, shard-frame-version
+//     skew).
 //     Deterministic — every worker would reject it identically — so the
 //     campaign fails immediately with the rejection and no worker is
 //     excluded. Treating these as worker failures would cascade the same
@@ -68,7 +70,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/predictor"
-	"repro/internal/sched"
 	"repro/internal/sessions"
 )
 
@@ -109,15 +110,9 @@ func (s SessionSpec) RouteKey() string {
 }
 
 // ShardRequest is the body of POST /v1/shards: the sessions routed to one
-// worker, plus the coordinator's configured oracle version so
-// coordinator/worker harness-flag agreement is validated at shard submit
-// instead of surfacing later as a golden diff.
+// worker.
 type ShardRequest struct {
 	Sessions []SessionSpec `json:"sessions"`
-	// OracleVersion is the coordinator process's -oracle flag ("v1"/"v2").
-	// A worker whose own flag disagrees rejects the shard with a clear
-	// error. Empty (a pre-versioning coordinator) skips the check.
-	OracleVersion string `json:"oracle_version,omitempty"`
 }
 
 // ShardResponse is a worker's answer: results index-aligned with the
@@ -137,11 +132,11 @@ type ShardResponse struct {
 }
 
 // ClientFaultError is a shard rejection that is the campaign's fault — an
-// invalid session spec, an oracle-version or frame-version skew, a
-// malformed shard request — not the worker's. The rejection is
-// deterministic: every worker would answer it identically, so the
-// dispatcher fails the campaign immediately and excludes nobody instead of
-// cascading the same 4xx across the ring.
+// invalid session spec (an unknown oracle version included), a
+// frame-version skew, a malformed shard request — not the worker's. The
+// rejection is deterministic: every worker would answer it identically, so
+// the dispatcher fails the campaign immediately and excludes nobody instead
+// of cascading the same 4xx across the ring.
 type ClientFaultError struct {
 	// Worker is the address that rejected the shard.
 	Worker string
@@ -245,10 +240,6 @@ type Config struct {
 	Workers []string
 	// Transport overrides the shard transport; nil selects HTTP.
 	Transport Transport
-	// OracleVersion is this coordinator process's oracle version (zero
-	// value = default). It is stamped on every shard request; workers whose
-	// own -oracle flag disagrees reject the shard.
-	OracleVersion sched.OracleVersion
 	// MaxShardSessions caps the sessions per dispatched chunk (default 16).
 	// A worker is fed its queue in chunks of up to this cap; smaller chunks
 	// leave more queue behind for idle workers to steal and shrink the work
@@ -531,7 +522,6 @@ type run struct {
 	runners       map[string]bool
 	localOn       bool
 	excluded      map[string]bool // members failed this run
-	inflight      int
 	resolved      int
 	retriesUsed   int // worker-fault re-routes charged against retryBudget
 	done          bool
@@ -775,7 +765,6 @@ func (r *run) runner(addr string) {
 			}
 			r.cond.Wait()
 		}
-		r.inflight++
 		r.mu.Unlock()
 
 		spanName := "dispatch"
@@ -787,10 +776,7 @@ func (r *run) runner(addr string) {
 		}
 		r.c.shards.Add(1)
 		r.c.sessionsRouted.Add(int64(len(chunk)))
-		req := ShardRequest{
-			Sessions:      make([]SessionSpec, len(chunk)),
-			OracleVersion: r.c.cfg.OracleVersion.OrDefault().String(),
-		}
+		req := ShardRequest{Sessions: make([]SessionSpec, len(chunk))}
 		for k, i := range chunk {
 			req.Sessions[k] = r.specs[i]
 		}
@@ -812,7 +798,6 @@ func (r *run) runner(addr string) {
 		}
 
 		r.mu.Lock()
-		r.inflight--
 		if err != nil {
 			if r.ctx.Err() != nil {
 				// The run is over (done or fatal); the abort is ours.
@@ -881,7 +866,9 @@ func (r *run) runner(addr string) {
 // localRunner drains the spill-over lane on the coordinator's own
 // in-process worker. Local execution shares the service's harness, so its
 // results are byte-identical to a remote worker's; a local rejection is a
-// deterministic spec error and fails the campaign like a client fault.
+// deterministic spec error and fails the campaign like a client fault. The
+// lane runs on the run's context: once the run ends (a fault, or the
+// caller's cancellation) it stops dispatching sessions between simulations.
 func (r *run) localRunner() {
 	defer r.wg.Done()
 	w := r.c.localWorker()
@@ -902,15 +889,12 @@ func (r *run) localRunner() {
 		}
 		r.mu.Unlock()
 
-		req := ShardRequest{
-			Sessions:      make([]SessionSpec, len(chunk)),
-			OracleVersion: r.c.cfg.OracleVersion.OrDefault().String(),
-		}
+		req := ShardRequest{Sessions: make([]SessionSpec, len(chunk))}
 		for k, i := range chunk {
 			req.Sessions[k] = r.specs[i]
 		}
 		start := time.Now()
-		resp, err := w.RunShardTraced(r.trace.TraceID(), req)
+		resp, err := w.RunShardTraced(r.ctx, r.trace.TraceID(), req)
 		if err == nil {
 			r.trace.Record(obs.Span{
 				Name: "spill", Worker: "local", Sessions: len(chunk),
@@ -920,6 +904,12 @@ func (r *run) localRunner() {
 		}
 
 		r.mu.Lock()
+		if r.ctx.Err() != nil {
+			// The run is over (done or fatal); the spill was cut short.
+			r.cond.Broadcast()
+			r.mu.Unlock()
+			return
+		}
 		if err != nil {
 			r.c.clientFaults.Add(1)
 			if r.fatalErr == nil {

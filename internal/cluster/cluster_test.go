@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,11 +16,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/acmp"
 	"repro/internal/batch"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/predictor"
+	"repro/internal/sched"
 	"repro/internal/sessions"
+	"repro/internal/trace"
+	"repro/internal/webapp"
 )
 
 // testSpecs expands a small campaign — 2 apps × 2 seeds × all 5 schedulers,
@@ -418,7 +423,7 @@ func TestWorkerSolveSpanCountsOnlyThisCall(t *testing.T) {
 	req := ShardRequest{Sessions: testSpecs()}
 	solveUS := func() int64 {
 		t.Helper()
-		resp, err := w.RunShardTraced("trace", req)
+		resp, err := w.RunShardTraced(context.Background(), "trace", req)
 		if err != nil || resp.Error != "" {
 			t.Fatalf("shard: %v %s", err, resp.Error)
 		}
@@ -468,34 +473,81 @@ func TestRouteKeyBytesPinned(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsOracleVersionMismatch is the shard-submit agreement
-// check: a worker configured for one oracle version refuses a shard stamped
-// with the other, with an error naming both sides, and accepts a matching
-// or unstamped (legacy) shard.
-func TestWorkerRejectsOracleVersionMismatch(t *testing.T) {
+// TestWorkerServesShardsFromAnyOracleDefault: a shard names no
+// process-wide oracle version, each Oracle spec names its own. So a worker
+// on the default (v2) harness serves the shard of a coordinator whose
+// campaigns default to v1 — an Ondemand spec and an Oracle spec stamped
+// "v1" — and the Oracle result is byte-identical to an in-process v1 run.
+func TestWorkerServesShardsFromAnyOracleDefault(t *testing.T) {
 	w := newTestWorker(t) // smallConfig: oracle version defaults to v2
-	good := SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: 1,
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	coord, err := New(Config{Workers: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ondemand := SessionSpec{Platform: "Exynos5410", App: "espn", TraceSeed: 9,
 		Scheduler: sessions.Ondemand, Predictor: predictor.DefaultConfig()}
+	oracle := ondemand
+	oracle.Scheduler, oracle.OracleVersion = sessions.Oracle, "v1"
+	specs := []SessionSpec{ondemand, oracle}
+	merged, err := coord.Run(specs, nil)
+	if err != nil {
+		t.Fatalf("v2 worker refused a v1 coordinator's shard: %v", err)
+	}
+	assertIdentical(t, specs, merged, directResults(t, specs))
 
-	_, err := w.RunShard(ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v1"})
-	if err == nil {
-		t.Fatal("worker accepted a shard from a v1 coordinator while running v2")
+	setup := w.Setup()
+	platform, err := acmp.ByName(oracle.Platform)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"oracle version mismatch", "v1", "v2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("mismatch error %q does not mention %q", err, want)
-		}
+	app, err := webapp.ByName(oracle.App)
+	if err != nil {
+		t.Fatal(err)
 	}
+	evs, err := setup.Artifacts.Runtime(setup.Artifacts.Trace(app, oracle.TraceSeed, trace.PurposeEval, trace.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := engine.RunProactive(platform, app.Name, evs, sched.NewOracleWithVersion(platform, evs, sched.OracleV1))
+	got, err1 := json.Marshal(merged[1])
+	want, err2 := json.Marshal(v1)
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("Oracle v1 session served by a v2 worker differs from an in-process v1 run")
+	}
+}
 
-	if _, err := w.RunShard(ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v2"}); err != nil {
-		t.Errorf("matching shard rejected: %v", err)
+// TestUnknownOracleVersionIsClientFault: an Oracle spec naming a version no
+// build knows is answered 400, a client fault that fails the campaign and
+// excludes nobody.
+func TestUnknownOracleVersionIsClientFault(t *testing.T) {
+	w := newTestWorker(t)
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	bad := SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: 1,
+		Scheduler: sessions.Oracle, Predictor: predictor.DefaultConfig(), OracleVersion: "v9"}
+	body, err := json.Marshal(ShardRequest{Sessions: []SessionSpec{bad}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := w.RunShard(ShardRequest{Sessions: []SessionSpec{good}}); err != nil {
-		t.Errorf("unstamped legacy shard rejected: %v", err)
+	if code, msg := postShard(t, ts.URL, strconv.Itoa(frameVersion), string(body)); code != http.StatusBadRequest || !strings.Contains(msg, "v9") {
+		t.Errorf("unknown oracle version: status %d (%s), want 400 naming it", code, msg)
 	}
-
-	if _, err := w.RunShard(ShardRequest{Sessions: []SessionSpec{good}, OracleVersion: "v9"}); err == nil {
-		t.Error("worker accepted an unknown oracle version")
+	coord, err := New(Config{Workers: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if _, err := coord.Run([]SessionSpec{bad}, nil); !IsClientFault(err) {
+		t.Fatalf("Run = %v, want a client fault", err)
+	}
+	if st := coord.Stats(); st.ClientFaults != 1 || st.WorkerFailures != 0 || st.Workers != 1 {
+		t.Errorf("stats after the rejection: %+v, want one client fault and the worker still healthy", st)
 	}
 }
 
@@ -859,6 +911,52 @@ func TestSpillOverEmptyMembership(t *testing.T) {
 	}
 	if st.Shards != 0 || st.SessionsRouted != 0 {
 		t.Errorf("empty membership still routed remotely: %+v", st)
+	}
+}
+
+// TestSpillOverStopsOnCancel: the local spill-over lane runs on the run's
+// context. A coordinator with no members spills a 60-session campaign to a
+// one-goroutine local worker; cancelling the caller's context once the first
+// session has been simulated makes RunContext return the context's error
+// without simulating the rest of the spill.
+func TestSpillOverStopsOnCancel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster tests train a predictor")
+	}
+	cfg := smallConfig()
+	cfg.Parallel = 1
+	local, err := NewWorker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.SetLocal(local)
+	var specs []SessionSpec
+	for _, app := range []string{"cnn", "ebay", "espn"} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, name := range sessions.Names() {
+				specs = append(specs, SessionSpec{Platform: "Exynos5410", App: app, TraceSeed: seed,
+					Scheduler: name, Predictor: predictor.DefaultConfig()})
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for local.Stats().UniqueRuns == 0 && ctx.Err() == nil {
+			runtime.Gosched()
+		}
+		cancel()
+	}()
+	if _, err := coord.RunContext(ctx, specs, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want %v", err, context.Canceled)
+	}
+	if runs := local.Stats().UniqueRuns; runs >= int64(len(specs)) {
+		t.Errorf("local worker simulated %d of %d sessions after the cancel, want fewer", runs, len(specs))
 	}
 }
 

@@ -301,7 +301,7 @@ func warmShard(b *testing.B) ShardResponse {
 	if _, err := w.RunShard(req); err != nil {
 		b.Fatal(err)
 	}
-	resp, err := w.RunShardTraced("bench", req)
+	resp, err := w.RunShardTraced(context.Background(), "bench", req)
 	if err != nil {
 		b.Fatal(err)
 	}

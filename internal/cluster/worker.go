@@ -103,30 +103,23 @@ func BuildSessions(setup *experiments.Setup, specs []SessionSpec) ([]batch.Sessi
 // is reported in the response like the in-process runner's first error,
 // with the remaining sessions still completing.
 func (w *Worker) RunShard(req ShardRequest) (ShardResponse, error) {
-	return w.RunShardTraced("", req)
+	return w.RunShardTraced(context.Background(), "", req)
 }
 
-// RunShardTraced is RunShard joining a campaign trace: a non-empty traceID
-// (from the X-Pes-Trace-Id header, or the coordinator's recorder on the
-// local spill-over path) makes the response carry the runner's spans for
-// this shard — "simulate", the shard's wall time, and "solve", the solver
-// time of the sessions this call simulated (0 for a fully warm shard) — for
-// the coordinator to merge into the campaign timeline. An empty traceID
-// records nothing and is byte-identical to RunShard.
-func (w *Worker) RunShardTraced(traceID string, req ShardRequest) (ShardResponse, error) {
+// RunShardTraced is RunShard bounded by ctx and joining a campaign trace.
+// Once ctx is done the runner dispatches no further session (see
+// batch.Runner.RunContext): the coordinator's spill-over lane passes its
+// run's context, while the HTTP handler passes a background one, so a
+// remote shard always completes into the worker's caches. A non-empty
+// traceID (from the X-Pes-Trace-Id header, or the coordinator's recorder on
+// the local spill-over path) makes the response carry the runner's spans
+// for this shard — "simulate", the shard's wall time, and "solve", the
+// solver time of the sessions this call simulated (0 for a fully warm
+// shard) — for the coordinator to merge into the campaign timeline. An
+// empty traceID records nothing.
+func (w *Worker) RunShardTraced(ctx context.Context, traceID string, req ShardRequest) (ShardResponse, error) {
 	if len(req.Sessions) == 0 {
 		return ShardResponse{}, fmt.Errorf("shard contains no sessions")
-	}
-	if req.OracleVersion != "" {
-		theirs, err := sched.ParseOracleVersion(req.OracleVersion)
-		if err != nil {
-			return ShardResponse{}, fmt.Errorf("shard oracle version: %w", err)
-		}
-		if mine := w.setup.Config.OracleVersion.OrDefault(); theirs != mine {
-			return ShardResponse{}, fmt.Errorf(
-				"oracle version mismatch: coordinator submits %s shards but this worker runs %s; restart with matching -oracle flags",
-				theirs, mine)
-		}
 	}
 	sess, err := BuildSessions(w.setup, req.Sessions)
 	if err != nil {
@@ -136,7 +129,7 @@ func (w *Worker) RunShardTraced(traceID string, req ShardRequest) (ShardResponse
 	if traceID != "" {
 		rec = obs.NewRecorder(traceID)
 	}
-	results, runErr := w.setup.Runner.RunContext(obs.WithTrace(context.Background(), rec), sess, nil)
+	results, runErr := w.setup.Runner.RunContext(obs.WithTrace(ctx, rec), sess, nil)
 	resp := ShardResponse{Results: results, Stats: w.Stats(), Spans: rec.Timeline()}
 	if runErr != nil {
 		resp.Error = runErr.Error()
@@ -201,7 +194,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		w.writeJSON(rw, code, shardError{Error: "invalid shard JSON: " + err.Error()})
 		return
 	}
-	resp, err := w.RunShardTraced(r.Header.Get(obs.TraceHeader), req)
+	resp, err := w.RunShardTraced(context.Background(), r.Header.Get(obs.TraceHeader), req)
 	if err != nil {
 		w.writeJSON(rw, http.StatusBadRequest, shardError{Error: err.Error()})
 		return

@@ -14,8 +14,9 @@ import (
 type PendingFrame struct {
 	// Type is the predicted event type the frame answers.
 	Type webevent.Type
-	// Frame is the speculatively produced frame.
-	Frame *render.Frame
+	// Frame is the speculatively produced frame, held by value so its
+	// production record — energy included — travels with it.
+	Frame render.Frame
 }
 
 // PFB is the Pending Frame Buffer: an ordered queue of speculative frames.
@@ -23,31 +24,15 @@ type PendingFrame struct {
 // entire buffer.
 type PFB struct {
 	frames []PendingFrame
-
-	committed int
-	squashed  int
-	maxSize   int
 }
 
 // Push appends a completed speculative frame.
-func (b *PFB) Push(typ webevent.Type, f *render.Frame) {
+func (b *PFB) Push(typ webevent.Type, f render.Frame) {
 	b.frames = append(b.frames, PendingFrame{Type: typ, Frame: f})
-	if len(b.frames) > b.maxSize {
-		b.maxSize = len(b.frames)
-	}
 }
 
 // Size returns the current number of pending frames.
 func (b *PFB) Size() int { return len(b.frames) }
-
-// MaxSize returns the high-water mark of the buffer.
-func (b *PFB) MaxSize() int { return b.maxSize }
-
-// Committed and Squashed return lifetime counters.
-func (b *PFB) Committed() int { return b.committed }
-
-// Squashed returns how many frames have been dropped by squashes.
-func (b *PFB) Squashed() int { return b.squashed }
 
 // Head returns the oldest pending frame without removing it.
 func (b *PFB) Head() (PendingFrame, bool) {
@@ -65,18 +50,18 @@ func (b *PFB) Commit() (PendingFrame, bool) {
 	}
 	f := b.frames[0]
 	b.frames = b.frames[1:]
-	b.committed++
 	return f, true
 }
 
-// Squash drops every pending frame and returns the total production time
-// that is thereby wasted (the paper's mis-prediction waste metric).
-func (b *PFB) Squash() (dropped int, wasted simtime.Duration) {
-	for _, pf := range b.frames {
+// Squash drops every pending frame and returns the dropped frames, oldest
+// first, with their total production time: the paper's mis-prediction waste
+// metric. The returned slice aliases the buffer and is valid until the next
+// Push.
+func (b *PFB) Squash() (dropped []PendingFrame, wasted simtime.Duration) {
+	dropped = b.frames
+	for _, pf := range dropped {
 		wasted += pf.Frame.ProductionTime()
 	}
-	dropped = len(b.frames)
-	b.squashed += dropped
 	b.frames = b.frames[:0]
 	return dropped, wasted
 }
@@ -96,7 +81,6 @@ type Fallback struct {
 	consecutive   int
 	disabled      bool
 	reactiveCount int
-	disabledTotal int
 }
 
 // NewFallback returns a Fallback with the paper's defaults.
@@ -105,16 +89,12 @@ func NewFallback() *Fallback { return &Fallback{Threshold: 3, RearmAfter: 10} }
 // Enabled reports whether speculation is currently allowed.
 func (f *Fallback) Enabled() bool { return !f.disabled }
 
-// Disabled returns how many times speculation has been disabled in total.
-func (f *Fallback) Disabled() int { return f.disabledTotal }
-
 // OnMisprediction records a mis-prediction; it returns true when this
 // mis-prediction crosses the threshold and disables speculation.
 func (f *Fallback) OnMisprediction() bool {
 	f.consecutive++
 	if !f.disabled && f.consecutive > f.Threshold {
 		f.disabled = true
-		f.disabledTotal++
 		f.reactiveCount = 0
 		return true
 	}

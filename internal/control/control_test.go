@@ -9,9 +9,8 @@ import (
 	"repro/internal/webevent"
 )
 
-func mkFrame(dur simtime.Duration) *render.Frame {
-	return render.Produce(webevent.Click, acmp.Config{Core: acmp.BigCore, FreqMHz: 1800},
-		0, simtime.Time(dur), true)
+func mkFrame(dur simtime.Duration, energyMJ float64) render.Frame {
+	return render.Frame{Completed: simtime.Time(dur), Config: acmp.Config{Core: acmp.BigCore, FreqMHz: 1800}, EnergyMJ: energyMJ}
 }
 
 func TestPFBCommitOrder(t *testing.T) {
@@ -22,34 +21,37 @@ func TestPFBCommitOrder(t *testing.T) {
 	if _, ok := b.Commit(); ok {
 		t.Error("empty PFB should not commit")
 	}
-	b.Push(webevent.Click, mkFrame(10*simtime.Millisecond))
-	b.Push(webevent.Scroll, mkFrame(5*simtime.Millisecond))
-	if b.Size() != 2 || b.MaxSize() != 2 {
-		t.Errorf("size=%d max=%d", b.Size(), b.MaxSize())
+	b.Push(webevent.Click, mkFrame(10*simtime.Millisecond, 1))
+	b.Push(webevent.Scroll, mkFrame(5*simtime.Millisecond, 2))
+	if b.Size() != 2 {
+		t.Errorf("size=%d", b.Size())
 	}
 	head, ok := b.Head()
 	if !ok || head.Type != webevent.Click {
 		t.Fatalf("head = %+v", head)
 	}
 	got, _ := b.Commit()
-	if got.Type != webevent.Click || b.Size() != 1 || b.Committed() != 1 {
-		t.Error("commit should pop the oldest frame")
+	if got.Type != webevent.Click || got.Frame.EnergyMJ != 1 || b.Size() != 1 {
+		t.Error("commit should pop the oldest frame with its energy")
 	}
 }
 
 func TestPFBSquashWaste(t *testing.T) {
 	var b PFB
-	b.Push(webevent.Click, mkFrame(10*simtime.Millisecond))
-	b.Push(webevent.Scroll, mkFrame(15*simtime.Millisecond))
+	b.Push(webevent.Click, mkFrame(10*simtime.Millisecond, 3))
+	b.Push(webevent.Scroll, mkFrame(15*simtime.Millisecond, 4))
 	dropped, wasted := b.Squash()
-	if dropped != 2 || wasted != 25*simtime.Millisecond {
-		t.Errorf("dropped=%d wasted=%v", dropped, wasted)
+	if len(dropped) != 2 || wasted != 25*simtime.Millisecond {
+		t.Errorf("dropped=%d wasted=%v", len(dropped), wasted)
 	}
-	if b.Size() != 0 || b.Squashed() != 2 {
+	if dropped[0].Frame.EnergyMJ != 3 || dropped[1].Frame.EnergyMJ != 4 {
+		t.Errorf("dropped frames %+v, want oldest first with their energies", dropped)
+	}
+	if b.Size() != 0 {
 		t.Error("squash should empty the buffer")
 	}
 	// Squashing an empty buffer is a no-op.
-	if d, w := b.Squash(); d != 0 || w != 0 {
+	if d, w := b.Squash(); len(d) != 0 || w != 0 {
 		t.Error("empty squash should be free")
 	}
 }
@@ -71,8 +73,8 @@ func TestFallbackThresholdAndRearm(t *testing.T) {
 	if !f.OnMisprediction() {
 		t.Fatal("4th consecutive mis-prediction should disable speculation")
 	}
-	if f.Enabled() || f.Disabled() != 1 {
-		t.Error("speculation should be disabled once")
+	if f.Enabled() {
+		t.Error("speculation should be disabled")
 	}
 	// Re-arms after RearmAfter reactive events.
 	for i := 0; i < f.RearmAfter; i++ {

@@ -22,14 +22,12 @@ import (
 // layer in the browser); the predictor's logistic model is shared across
 // applications and trained offline.
 type PES struct {
-	platform *acmp.Platform
 	spec     *webapp.Spec
 	pred     *predictor.Predictor
 	opt      *optimizer.Optimizer
 	fallback *control.Fallback
 
 	lastTrigger simtime.Time
-	haveEvent   bool
 
 	// Reusable planning buffers: the optimizer tasks (values plus the
 	// pointer list Schedule takes) and the returned speculative schedule.
@@ -59,7 +57,6 @@ func NewPES(platform *acmp.Platform, learner *predictor.SequenceLearner, spec *w
 	domSeed int64, predCfg predictor.Config, opts ...Option) *PES {
 	cost := optimizer.NewCostModel(platform)
 	p := &PES{
-		platform: platform,
 		spec:     spec,
 		pred:     predictor.New(learner, spec, domSeed, predCfg),
 		opt:      optimizer.New(platform, cost),
@@ -85,7 +82,6 @@ func (p *PES) Optimizer() *optimizer.Optimizer { return p.opt }
 func (p *PES) Observe(e *webevent.Event) {
 	p.pred.Observe(e)
 	p.lastTrigger = e.Trigger
-	p.haveEvent = true
 }
 
 // Plan implements sched.ProactivePolicy: it predicts the upcoming event
@@ -132,7 +128,6 @@ func (p *PES) Plan(start simtime.Time, outstanding []*webevent.Event) []sched.Sp
 			Signature:       webevent.Signature{App: p.spec.Name, Type: pr.Type, TargetKind: webevent.NodeKind(pr.TargetKind)},
 			ExpectedTrigger: expected,
 			Deadline:        expected.Add(pr.Type.QoSTarget()),
-			Predicted:       true,
 		})
 	}
 	p.taskPtrs = p.taskPtrs[:0]

@@ -140,3 +140,42 @@ func TestEngineMatchesPreRefactorDrivers(t *testing.T) {
 		}
 	}
 }
+
+// TestSquashWasteBitsPinned pins, to the bit, the mis-prediction waste of
+// the two golden PES sessions that squash. The goldens above compare only
+// to %.10g; the squash sums dropped-frame energies in ascending order, and
+// that order is part of these bits.
+func TestSquashWasteBitsPinned(t *testing.T) {
+	p := acmp.Exynos5410()
+	learner, _, err := predictor.TrainOnSeenApps(3, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		app       string
+		seed      int64
+		wasteBits uint64
+		waste     int64 // simtime ticks
+	}{
+		{"ebay", 5, 0x405b896278b9e40a, 396479},
+		{"espn", 9, 0x404ae8454e30a141, 80571},
+	} {
+		spec, err := webapp.ByName(c.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.Generate(spec, c.seed, trace.Options{})
+		evs, err := tr.Runtime()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := RunProactive(p, c.app, evs, core.NewPES(p, learner, spec, tr.DOMSeed, predictor.DefaultConfig()))
+		if got := math.Float64bits(r.WastedEnergyMJ); got != c.wasteBits {
+			t.Errorf("%s/%d: WastedEnergyMJ bits = %#x (%v), want %#x (%v)",
+				c.app, c.seed, got, r.WastedEnergyMJ, c.wasteBits, math.Float64frombits(c.wasteBits))
+		}
+		if int64(r.MispredictWaste) != c.waste {
+			t.Errorf("%s/%d: MispredictWaste = %d, want %d", c.app, c.seed, r.MispredictWaste, c.waste)
+		}
+	}
+}

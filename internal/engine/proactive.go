@@ -42,8 +42,7 @@ type proactiveAdapter struct {
 	inflight    inflightTask
 	hasInflight bool
 	pfb         control.PFB
-	frameEnergy map[*render.Frame]float64
-	wasteSum    []float64 // scratch for squash's order-independent sum
+	wasteSum    []float64 // scratch for squash's sorted energy sum
 }
 
 // planLen returns the number of speculative tasks still queued.
@@ -57,10 +56,7 @@ func (a *proactiveAdapter) resetPlan() {
 
 // RunProactive replays the events under a proactive policy (PES or Oracle).
 func RunProactive(p *acmp.Platform, app string, events []*webevent.Event, policy sched.ProactivePolicy) *Result {
-	return Run(p, app, events, &proactiveAdapter{
-		policy:      policy,
-		frameEnergy: make(map[*render.Frame]float64),
-	})
+	return Run(p, app, events, &proactiveAdapter{policy: policy})
 }
 
 func (a *proactiveAdapter) Name() string { return a.policy.Name() }
@@ -131,9 +127,10 @@ func (a *proactiveAdapter) Advance(ec *Context, until simtime.Time) {
 			fl.energy += ec.chargeBusy(fl.task.task.Config, fl.start, fl.finish)
 			a.policy.ObserveExecution(fl.task.task.Signature, fl.task.task.Config, fl.finish.Sub(fl.start))
 			if !fl.committed {
-				frame := render.Produce(fl.task.task.Type, fl.task.task.Config, fl.start, fl.finish, true)
-				a.frameEnergy[frame] = fl.energy
-				a.pfb.Push(fl.task.task.Type, frame)
+				a.pfb.Push(fl.task.task.Type, render.Frame{
+					Started: fl.start, Completed: fl.finish,
+					Config: fl.task.task.Config, EnergyMJ: fl.energy,
+				})
 			}
 			ec.cpuFree = fl.finish
 			a.hasInflight = false
@@ -204,17 +201,15 @@ func (a *proactiveAdapter) adoptPlan(tasks []sched.SpecTask, nextEventIdx int, n
 func (a *proactiveAdapter) squash(ec *Context, at simtime.Time) {
 	res := ec.res
 	dropped, wasted := a.pfb.Squash()
-	res.SquashedFrames += dropped
+	res.SquashedFrames += len(dropped)
 	res.MispredictWaste += wasted
 	// Energy of squashed frames stays charged (it was really spent) but
-	// is also tracked as waste. Map iteration order is randomized and
-	// float addition is not associative, so sum the energies in sorted
-	// order — otherwise the same session produces last-ULP-different
-	// results across runs, breaking byte-identical crash resume.
+	// is also tracked as waste. Float addition is not associative, so the
+	// summation order is part of the pinned result bits: ascending energy,
+	// not buffer order.
 	a.wasteSum = a.wasteSum[:0]
-	for f, e := range a.frameEnergy {
-		a.wasteSum = append(a.wasteSum, e)
-		delete(a.frameEnergy, f)
+	for _, pf := range dropped {
+		a.wasteSum = append(a.wasteSum, pf.Frame.EnergyMJ)
 	}
 	sort.Float64s(a.wasteSum)
 	for _, e := range a.wasteSum {
@@ -252,8 +247,7 @@ func (a *proactiveAdapter) Dispatch(ec *Context, e *webevent.Event, idx int) {
 		res.CommittedFrames++
 		if pf, ok := a.pfb.Head(); ok && pf.Type == e.Type {
 			a.pfb.Commit()
-			ec.addOutcome(e, pf.Frame.Started, pf.Frame.Completed, pf.Frame.Config, a.frameEnergy[pf.Frame], true)
-			delete(a.frameEnergy, pf.Frame)
+			ec.addOutcome(e, pf.Frame.Started, pf.Frame.Completed, pf.Frame.Config, pf.Frame.EnergyMJ, true)
 		} else if a.hasInflight && !a.inflight.committed {
 			// The matching speculative execution is still running; the
 			// frame commits when it completes.

@@ -153,7 +153,7 @@ func (s *Setup) Table1() (*Table, error) {
 				sums[i] += v
 			}
 			n++
-			win.Observe(e.Type, sess.Tree().ViewportCenterY(), e.Trigger)
+			win.Observe(e.Type, sess.Tree().ViewportCenterY())
 			sess.ApplyEvent(e)
 		}
 	}

@@ -107,7 +107,6 @@ func (c Config) withDefaults() Config {
 type Setup struct {
 	Config  Config
 	Learner *predictor.SequenceLearner
-	Train   trace.Corpus
 	Eval    trace.Corpus
 
 	// Runner executes simulation sessions concurrently and memoizes their
@@ -147,7 +146,7 @@ func NewSetup(cfg Config) (*Setup, error) {
 		// set than n results.
 		store.WithMaxTraces(cfg.CacheMaxEntries)
 	}
-	learner, train, err := store.Learner(artifacts.LearnerKey{
+	learner, _, err := store.Learner(artifacts.LearnerKey{
 		TracesPerApp: cfg.TrainTracesPerApp,
 		CorpusSeed:   cfg.Seed * 1000,
 		TrainSeed:    trainConfig(cfg.Seed).Seed,
@@ -159,7 +158,6 @@ func NewSetup(cfg Config) (*Setup, error) {
 	return &Setup{
 		Config:    cfg,
 		Learner:   learner,
-		Train:     train,
 		Eval:      eval,
 		Runner:    batch.NewRunner(cfg.Parallel).WithMaxEntries(cfg.CacheMaxEntries).AttachArtifacts(store).WithStore(cfg.Store),
 		Artifacts: store,

@@ -216,8 +216,6 @@ type Task struct {
 	Config acmp.Config
 	// EstimatedLatency is the cost model's latency estimate under Config.
 	EstimatedLatency simtime.Duration
-	// Predicted marks speculative (not yet triggered) tasks.
-	Predicted bool
 }
 
 // SolverCounts are the deterministic counters of a scheduler's

@@ -136,7 +136,7 @@ func TestScheduleCoordinatesAcrossEvents(t *testing.T) {
 		{Signature: tapSig, Type: webevent.Click, ExpectedTrigger: 0,
 			Deadline: simtime.Time(300 * simtime.Millisecond)},
 		{Signature: loadSig, Type: webevent.Load, ExpectedTrigger: simtime.Time(500 * simtime.Millisecond),
-			Deadline: simtime.Time(3500 * simtime.Millisecond), Predicted: true},
+			Deadline: simtime.Time(3500 * simtime.Millisecond)},
 	}
 	feasible := opt.Schedule(0, tasks)
 	if !feasible {
@@ -198,8 +198,8 @@ func TestScheduleZeroAlloc(t *testing.T) {
 	}
 	tasks := []*Task{
 		{Signature: tapSig, Type: webevent.Click},
-		{Signature: loadSig, Type: webevent.Load, Predicted: true},
-		{Signature: tapSig, Type: webevent.Click, Predicted: true},
+		{Signature: loadSig, Type: webevent.Load},
+		{Signature: tapSig, Type: webevent.Click},
 	}
 	var start simtime.Time
 	schedule := func() {

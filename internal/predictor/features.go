@@ -6,7 +6,6 @@ package predictor
 
 import (
 	"repro/internal/dom"
-	"repro/internal/simtime"
 	"repro/internal/webevent"
 )
 
@@ -32,7 +31,6 @@ var FeatureNames = [NumFeatures]string{
 type windowEntry struct {
 	typ       webevent.Type
 	viewportY float64
-	trigger   simtime.Time
 }
 
 // Window is a fixed-size buffer of the most recent events of the current
@@ -46,8 +44,8 @@ type Window struct {
 
 // Observe appends an event to the window, evicting the oldest entry beyond
 // WindowSize.
-func (w *Window) Observe(typ webevent.Type, viewportY float64, trigger simtime.Time) {
-	e := windowEntry{typ: typ, viewportY: viewportY, trigger: trigger}
+func (w *Window) Observe(typ webevent.Type, viewportY float64) {
+	e := windowEntry{typ: typ, viewportY: viewportY}
 	if w.n == WindowSize {
 		copy(w.entries[:], w.entries[1:])
 		w.entries[WindowSize-1] = e

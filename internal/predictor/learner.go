@@ -91,7 +91,7 @@ func TrainingSamples(corpus trace.Corpus) ([]mlr.Sample, error) {
 					Label:    int(e.Type),
 				})
 			}
-			win.Observe(e.Type, sess.Tree().ViewportCenterY(), e.Trigger)
+			win.Observe(e.Type, sess.Tree().ViewportCenterY())
 			sess.ApplyEvent(e)
 		}
 	}

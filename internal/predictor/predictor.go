@@ -109,7 +109,7 @@ func (p *Predictor) Observe(e *webevent.Event) {
 	p.lastTrigger = e.Trigger
 	p.haveLast = true
 
-	p.win.Observe(e.Type, p.sess.Tree().ViewportCenterY(), e.Trigger)
+	p.win.Observe(e.Type, p.sess.Tree().ViewportCenterY())
 	mut := p.sess.Apply(e.Type, dom.NodeID(e.Target))
 	if mut.Kind == dom.MenuToggled && !p.sess.Tree().Node(mut.Menu).Hidden {
 		p.menuOpened = mut.Menu
@@ -232,7 +232,7 @@ func (p *Predictor) PredictSequence() []Predicted {
 		preds = append(preds, pred)
 
 		// Advance the virtual state as if the predicted event had occurred.
-		vwin.Observe(pred.Type, viewportY, 0)
+		vwin.Observe(pred.Type, viewportY)
 		switch {
 		case pred.Type == webevent.Load:
 			pendingNav = false

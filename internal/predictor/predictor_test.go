@@ -24,11 +24,11 @@ func TestWindowFeatures(t *testing.T) {
 		t.Errorf("empty-window features = %v", feats)
 	}
 	// Observe a click and three scrolls plus a load.
-	w.Observe(webevent.Click, tree.ViewportCenterY(), 0)
-	w.Observe(webevent.Scroll, 0.1, 1)
-	w.Observe(webevent.Scroll, 0.2, 2)
-	w.Observe(webevent.Scroll, 0.3, 3)
-	w.Observe(webevent.Load, 0.0, 4)
+	w.Observe(webevent.Click, tree.ViewportCenterY())
+	w.Observe(webevent.Scroll, 0.1)
+	w.Observe(webevent.Scroll, 0.2)
+	w.Observe(webevent.Scroll, 0.3)
+	w.Observe(webevent.Load, 0.0)
 	feats = Features(tree, &w)
 	if feats[3] != 1.0/WindowSize {
 		t.Errorf("navigations feature = %v, want %v", feats[3], 1.0/WindowSize)
@@ -40,7 +40,7 @@ func TestWindowFeatures(t *testing.T) {
 		t.Errorf("distance to previous click should be < 1 after a click, got %v", feats[2])
 	}
 	// Window keeps only the last five entries.
-	w.Observe(webevent.Scroll, 0.4, 5)
+	w.Observe(webevent.Scroll, 0.4)
 	if w.Len() != WindowSize {
 		t.Errorf("window length = %d, want %d", w.Len(), WindowSize)
 	}

@@ -263,13 +263,12 @@ func (o *Ondemand) Observe(e *webevent.Event, cfg acmp.Config, start simtime.Tim
 // configuration that still meets the event's QoS target, considering only
 // that single event.
 type EBS struct {
-	platform *acmp.Platform
-	cost     *optimizer.CostModel
+	cost *optimizer.CostModel
 }
 
 // NewEBS creates an EBS instance with its own cost model.
 func NewEBS(p *acmp.Platform) *EBS {
-	return &EBS{platform: p, cost: optimizer.NewCostModel(p)}
+	return &EBS{cost: optimizer.NewCostModel(p)}
 }
 
 // Name implements ReactivePolicy.

@@ -85,9 +85,8 @@ type SessionMeta struct {
 // holds no runnable sessions; cluster.BuildSessions turns its Specs into
 // them when the campaign runs, in-process or on a worker.
 type Plan struct {
-	Platform string
-	Meta     []SessionMeta
-	Specs    []cluster.SessionSpec
+	Meta  []SessionMeta
+	Specs []cluster.SessionSpec
 }
 
 // predictorConfig merges a PredictorSpec over the setup's base configuration.
@@ -183,7 +182,7 @@ func (c Campaign) Expand(setup *experiments.Setup) (*Plan, error) {
 			len(apps), len(seeds), perSeed, cluster.MaxSessions)
 	}
 
-	plan := &Plan{Platform: platform.Name}
+	plan := &Plan{}
 	add := func(app *webapp.Spec, seed int64, schedName string, cfg predictor.Config, label string) {
 		meta := SessionMeta{
 			Platform:  platform.Name,

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -17,17 +16,12 @@ import (
 // The campaign journal makes campaign *lifecycle* durable the same way PR 8
 // made results durable: by writing records through the persistent store's
 // append-only log (same framing, CRC, torn-tail recovery — no second file
-// format). Three record kinds per campaign, keyed under the reserved
+// format). Two record kinds per campaign, keyed under the reserved
 // "campaign|" prefix (disjoint from "result|", "trace|", "learner|"):
 //
 //	campaign|<id>|spec   the submitted Campaign + its expanded session count,
 //	                     written at submit. Its presence means the campaign
 //	                     must reach a terminal state.
-//	campaign|<id>|mark   advisory completion watermark, re-Put every few
-//	                     sessions (replay keeps the last). Progress
-//	                     observability across restarts; correctness never
-//	                     depends on it — resume re-runs the whole plan and
-//	                     lets completed sessions come back as store hits.
 //	campaign|<id>|state  the terminal state (done/failed), written exactly
 //	                     once through PutDurable so on a syncing store
 //	                     "campaign done" can never outlive the results it
@@ -37,16 +31,11 @@ import (
 // spec without a terminal state is re-expanded (expansion is deterministic)
 // and re-enqueued under its original ID. Sessions that persisted before the
 // crash are store hits, so a resumed campaign re-simulates only the missing
-// tail and serves results byte-identical to an uninterrupted run.
-
-// markEvery is the watermark cadence: one mark record per this many
-// completed sessions (plus one at campaign end). Coarse on purpose — the
-// mark is advisory, and one tiny record per session would double the log's
-// record count for no recovery benefit.
-const markEvery = 8
+// tail and serves results byte-identical to an uninterrupted run. No
+// progress is journaled: resume re-runs the whole plan, and a resumed
+// campaign counts its completed sessions from zero.
 
 func specKey(id string) string  { return "campaign|" + id + "|spec" }
-func markKey(id string) string  { return "campaign|" + id + "|mark" }
 func stateKey(id string) string { return "campaign|" + id + "|state" }
 
 // journalSpec is the value of a spec record: everything needed to re-expand
@@ -66,27 +55,12 @@ type journalState struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// journalMark is the value of a watermark record.
-type journalMark struct {
-	Completed int `json:"completed"`
-}
-
 // journal writes campaign lifecycle records through the persistent store.
 // Nil-safe: a nil journal (no -store) makes every method a no-op, so call
 // sites read unconditionally.
 type journal struct {
 	st  *store.Store
 	log *slog.Logger
-
-	mu    sync.Mutex
-	marks map[string]int // last persisted watermark per campaign
-}
-
-func newJournal(st *store.Store, logger *slog.Logger) *journal {
-	if logger == nil {
-		logger = slog.Default()
-	}
-	return &journal{st: st, log: logger, marks: make(map[string]int)}
 }
 
 // spec records a submitted campaign. Failure to journal is logged, not
@@ -104,35 +78,11 @@ func (jl *journal) spec(id string, c Campaign, sessions int) {
 	}
 }
 
-// mark advances a campaign's completion watermark, writing every markEvery
-// sessions and at the end. Monotonic: stale (out-of-order) completions
-// never move the watermark backwards.
-func (jl *journal) mark(id string, completed, total int) {
-	if jl == nil {
-		return
-	}
-	jl.mu.Lock()
-	last := jl.marks[id]
-	if completed <= last || (completed-last < markEvery && completed != total) {
-		jl.mu.Unlock()
-		return
-	}
-	jl.marks[id] = completed
-	jl.mu.Unlock()
-	val, _ := json.Marshal(journalMark{Completed: completed})
-	if err := jl.st.Put(markKey(id), val); err != nil {
-		jl.log.Warn("journaling campaign watermark failed", "campaign", id, "completed", completed, "error", err)
-	}
-}
-
 // state records a campaign's terminal state, durably on a syncing store.
 func (jl *journal) state(id, status, errMsg string) {
 	if jl == nil {
 		return
 	}
-	jl.mu.Lock()
-	delete(jl.marks, id)
-	jl.mu.Unlock()
 	val, err := json.Marshal(journalState{Status: status, Error: errMsg})
 	if err == nil {
 		err = jl.st.PutDurable(stateKey(id), val)
@@ -252,7 +202,7 @@ func (s *Server) recoverJournal() RecoverySummary {
 			// retried forever, and surface the failure as a queryable job.
 			s.log.Warn("resuming campaign failed", "campaign", e.id, "error", err)
 			s.journal.state(e.id, StatusFailed, err.Error())
-			j := &job{id: e.id, campaign: e.spec.Campaign, plan: &Plan{}, total: e.spec.Sessions, status: StatusFailed, errMsg: err.Error()}
+			j := &job{id: e.id, plan: &Plan{}, total: e.spec.Sessions, status: StatusFailed, errMsg: err.Error()}
 			s.jobs[e.id] = j
 			s.order = append(s.order, e.id)
 			sum.Failed++
@@ -260,7 +210,6 @@ func (s *Server) recoverJournal() RecoverySummary {
 		}
 		j := &job{
 			id:       e.id,
-			campaign: e.spec.Campaign,
 			plan:     plan,
 			total:    len(plan.Meta),
 			status:   StatusQueued,

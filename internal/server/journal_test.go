@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +35,39 @@ func pollTerminal(t *testing.T, s *Server, id string) JobStatus {
 			t.Fatalf("campaign %s still %s (%d/%d) at deadline", id, st.Status, st.Completed, st.Sessions)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestJournalWritesOnlySpecAndState: a campaign's journal is its spec,
+// written at submit, and its terminal state — nothing in between.
+func TestJournalWritesOnlySpecAndState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("server tests train a predictor")
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := smallConfig()
+	cfg.Experiments.Store = st
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	js, err := s.Submit(Campaign{Apps: []string{"cnn", "ebay"}}) // 10 sessions
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pollTerminal(t, s, js.ID); got.Status != StatusDone {
+		t.Fatalf("campaign %s: %s (%s)", got.ID, got.Status, got.Error)
+	}
+	s.Close() // the terminal state is journaled just after the status flips
+	keys := st.Keys("campaign|")
+	sort.Strings(keys)
+	if want := []string{specKey(js.ID), stateKey(js.ID)}; !slices.Equal(keys, want) {
+		t.Errorf("journal keys %q, want %q", keys, want)
 	}
 }
 

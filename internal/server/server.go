@@ -56,11 +56,6 @@ type Config struct {
 	// boot. Default 30s. Without a store, Close waits for running
 	// campaigns unconditionally, as before.
 	DrainTimeout time.Duration
-	// Metrics optionally supplies the registry /metrics serves, letting the
-	// embedding process (cmd/pes-serve) add series of its own — chaos
-	// injection counters, for instance — to the same exposition. Nil makes
-	// the server create a private registry; /metrics is served either way.
-	Metrics *obs.Registry
 	// Logger receives the server's structured events (campaign lifecycle,
 	// journal recovery); nil selects slog.Default().
 	Logger *slog.Logger
@@ -82,9 +77,8 @@ const (
 
 // job is one submitted campaign and its lifecycle state.
 type job struct {
-	id       string
-	campaign Campaign
-	plan     *Plan
+	id   string
+	plan *Plan
 	// total is the campaign's session count. It is kept apart from the
 	// plan because a campaign that fails to re-expand on journal recovery
 	// has an empty plan but still reports its journaled count.
@@ -231,20 +225,17 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		setup:   setup,
-		metrics: cfg.Metrics,
+		metrics: obs.NewRegistry(),
 		log:     cfg.Logger,
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, cfg.QueueDepth),
-	}
-	if s.metrics == nil {
-		s.metrics = obs.NewRegistry()
 	}
 	if s.log == nil {
 		s.log = slog.Default()
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	if st := cfg.Experiments.Store; st != nil {
-		s.journal = newJournal(st, s.log)
+		s.journal = &journal{st: st, log: s.log}
 		// Replay the journal before the workers start: every non-terminal
 		// campaign re-enqueues under its original ID, and s.nextID advances
 		// past every journaled ID so fresh submissions never collide.
@@ -326,7 +317,7 @@ func (s *Server) worker() {
 			"campaign", j.id, "trace", j.trace.TraceID(), "sessions", j.total)
 		start := time.Now()
 		results, err := s.execute(j, func(completed, total int) {
-			s.journal.mark(j.id, int(j.completed.Add(1)), j.total)
+			j.completed.Add(1)
 		})
 		if err != nil && errors.Is(err, context.Canceled) && s.journal != nil {
 			// The drain deadline passed mid-campaign. Completed sessions are
@@ -407,7 +398,6 @@ func (s *Server) Submit(c Campaign) (JobStatus, error) {
 	id := fmt.Sprintf("c%04d", s.nextID)
 	j := &job{
 		id:       id,
-		campaign: c,
 		plan:     plan,
 		total:    len(plan.Meta),
 		trace:    obs.NewRecorder(obs.MintTraceID(id)),

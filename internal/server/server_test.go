@@ -54,8 +54,8 @@ func TestCampaignExpansionDefaults(t *testing.T) {
 	if len(plan.Meta) != len(plan.Specs) {
 		t.Errorf("meta (%d) not aligned with sessions (%d)", len(plan.Meta), len(plan.Specs))
 	}
-	if plan.Platform != "Exynos5410" {
-		t.Errorf("default platform %q", plan.Platform)
+	if plan.Meta[0].Platform != "Exynos5410" {
+		t.Errorf("default platform %q", plan.Meta[0].Platform)
 	}
 }
 

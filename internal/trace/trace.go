@@ -163,7 +163,6 @@ type generator struct {
 
 	scrollRemaining int
 	lastWasLoad     bool
-	lastWasNavTap   bool
 	openedMenu      dom.NodeID // menu expanded by the previous tap, if any
 	lastGapWasBurst bool
 }
@@ -188,7 +187,6 @@ func (g *generator) emit(typ webevent.Type, target dom.NodeID, at simtime.Time, 
 	})
 	mut := g.sess.Apply(typ, target)
 	g.lastWasLoad = typ == webevent.Load
-	g.lastWasNavTap = navigation
 	if mut.Kind == dom.MenuToggled && !g.sess.Tree().Node(mut.Menu).Hidden {
 		g.openedMenu = mut.Menu
 	} else if typ != webevent.Load {
