@@ -16,6 +16,7 @@ package dom
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/webevent"
 )
@@ -76,8 +77,15 @@ type Node struct {
 	// Listeners are the event types registered on this node.
 	Listeners []webevent.Type
 	// Hidden corresponds to display:none — the node and its subtree do not
-	// occupy screen space.
+	// occupy screen space. Set it in the node literal passed to Add; once
+	// the node is in a tree, change it only through Tree.SetHidden, which
+	// keeps the tree's derived state coherent.
 	Hidden bool
+	// hiddenEff records whether the node or any ancestor is hidden, as of
+	// the tree's last derive pass. It lives on the node, not in a
+	// tree-owned slice, so that clones (which copy nodes by value) never
+	// share it; next to Hidden it takes no extra space.
+	hiddenEff bool
 	// Y and Height place the node vertically on the page, in abstract page
 	// units (the page spans [0, Tree.PageHeight)).
 	Y, Height float64
@@ -110,11 +118,33 @@ type Tree struct {
 	PageHeight float64
 	// ViewportHeight is the visible window height in page units.
 	ViewportHeight float64
-	// ViewportTop is the current scroll offset.
+	// ViewportTop is the current scroll offset. Move it only through
+	// Scroll, which keeps the tree's derived state coherent.
 	ViewportTop float64
 
-	nodes []*Node // nodes[0] is unused so that NodeID 0 can mean "none"
+	nodes []Node // nodes[0] is unused so that NodeID 0 can mean "none"
 	root  NodeID
+
+	// d caches what the predictor derives from the current DOM state. It is
+	// a plain value, so Clone copies it along with the nodes' hiddenEff
+	// flags it was computed with.
+	d derived
+}
+
+// derived is everything the predictor reads from one DOM state, filled by
+// one top-down pass (Tree.derive) and dropped by every mutation: Add,
+// SetHidden, Scroll and the menu toggle of ApplyEvent. The virtual state
+// of sequence prediction never touches the tree, so one pass serves every
+// predicted step and every plan until the DOM next changes.
+type derived struct {
+	valid bool
+	// clickable and link are ClickableFraction and LinkFraction.
+	clickable, link float64
+	// lnes is the Likely-Next-Event-Set as a type-indexed set.
+	lnes [webevent.NumTypes]bool
+	// tapTarget and tapKind are TypicalTapTarget's answer.
+	tapTarget NodeID
+	tapKind   Kind
 }
 
 // NewTree creates a tree for the named page with the given geometry and a
@@ -128,18 +158,21 @@ func NewTree(page string, pageHeight, viewportHeight float64) *Tree {
 		Page:           page,
 		PageHeight:     pageHeight,
 		ViewportHeight: viewportHeight,
-		nodes:          make([]*Node, 1, 64),
+		nodes:          make([]Node, 1, 64),
 	}
 	t.root = t.Add(&Node{Kind: Document, Y: 0, Height: pageHeight})
 	return t
 }
 
-// Add inserts a node into the tree, assigning its ID and linking it to its
-// parent (if any). It returns the new node's ID.
+// Add copies the node into the tree, assigning its ID (also to n) and
+// linking it to its parent (if any). It returns the new node's ID; later
+// changes go through Node(id). Pointers from Node are valid until the next
+// Add.
 func (t *Tree) Add(n *Node) NodeID {
 	id := NodeID(len(t.nodes))
 	n.ID = id
-	t.nodes = append(t.nodes, n)
+	t.nodes = append(t.nodes, *n)
+	t.d.valid = false
 	if n.Parent != None {
 		p := t.Node(n.Parent)
 		p.Children = append(p.Children, id)
@@ -151,20 +184,15 @@ func (t *Tree) Add(n *Node) NodeID {
 func (t *Tree) Root() NodeID { return t.root }
 
 // Clone returns an independent copy of the tree that can be mutated (menu
-// toggles, scrolling) without affecting the receiver. Node value fields are
-// copied; the Children and Listeners slices are shared with the original
-// because they are only ever appended to while a page is being built, never
-// after. Cloning a built page is much cheaper than rebuilding it, which is
-// what makes the shared page-tree cache (package webapp) pay off.
+// toggles, scrolling) without affecting the receiver. The nodes are stored
+// by value, so one slice copy copies them all, derived state included; the
+// Children and Listeners slices are shared with the original because they
+// are only ever appended to while a page is being built, never after.
+// Cloning a built page is much cheaper than rebuilding it, which is what
+// makes the shared page-tree cache (package webapp) pay off.
 func (t *Tree) Clone() *Tree {
 	ct := *t
-	ct.nodes = make([]*Node, len(t.nodes))
-	// nodes[0] is the nil "none" slot; copy the rest by value.
-	copied := make([]Node, len(t.nodes)-1)
-	for i, n := range t.nodes[1:] {
-		copied[i] = *n
-		ct.nodes[i+1] = &copied[i]
-	}
+	ct.nodes = slices.Clone(t.nodes)
 	return &ct
 }
 
@@ -177,28 +205,79 @@ func (t *Tree) Node(id NodeID) *Node {
 	if id <= 0 || int(id) >= len(t.nodes) {
 		panic(fmt.Sprintf("dom: invalid node id %d", id))
 	}
-	return t.nodes[id]
+	return &t.nodes[id]
 }
 
 // Walk visits every node in ID order.
 func (t *Tree) Walk(f func(*Node)) {
-	for _, n := range t.nodes[1:] {
-		f(n)
+	for i := range t.nodes[1:] {
+		f(&t.nodes[i+1])
 	}
 }
 
-// effectiveHidden reports whether the node or any ancestor is hidden.
-func (t *Tree) effectiveHidden(n *Node) bool {
-	for {
-		if n.Hidden {
-			return true
-		}
-		if n.Parent == None {
-			return false
-		}
-		n = t.Node(n.Parent)
-	}
+// SetHidden sets the node's own Hidden flag (display:none). It is the one
+// way to change visibility once a node is in the tree.
+func (t *Tree) SetHidden(id NodeID, hidden bool) {
+	t.Node(id).Hidden = hidden
+	t.d.valid = false
 }
+
+// derive returns the derived state of the current DOM, filling it first if
+// a mutation dropped it. One pass visits the nodes in ID order; Add gives a
+// parent a lower ID than its children, so each node inherits its parent's
+// effective-hidden flag instead of walking its ancestors. The two area sums
+// add the same nodes in the same order as a separate walk per feature
+// would, so they are bit-identical to it.
+func (t *Tree) derive() *derived {
+	d := &t.d
+	if d.valid {
+		return d
+	}
+	*d = derived{valid: true, tapKind: Document}
+	moveOK := t.Scrollable() && !t.AtBottom()
+	bestArea := -1.0
+	for i := range t.nodes[1:] {
+		n := &t.nodes[i+1]
+		n.hiddenEff = n.Hidden || (n.Parent != None && t.nodes[n.Parent].hiddenEff)
+		if n.hiddenEff {
+			continue
+		}
+		tappable := n.Tappable()
+		if tappable {
+			d.clickable += t.visibleAreaFraction(n)
+		}
+		if n.Kind == Link {
+			d.link += t.visibleAreaFraction(n)
+		}
+		if !t.inViewport(n) {
+			continue
+		}
+		for _, l := range n.Listeners {
+			if l.IsMove() && !moveOK {
+				continue
+			}
+			d.lnes[l] = true
+		}
+		if !tappable {
+			continue
+		}
+		if n.NavigatesTo != "" {
+			d.lnes[webevent.Load] = true
+		}
+		if n.Area > bestArea {
+			d.tapTarget, d.tapKind, bestArea = n.ID, n.Kind, n.Area
+		}
+	}
+	d.clickable = min(d.clickable, 1)
+	d.link = min(d.link, 1)
+	return d
+}
+
+// Derive fills the tree's derived state now instead of at the first read.
+// Clones copy it, so deriving a tree that is only ever cloned (a page
+// cache master) saves every clone its first pass; it must happen before
+// the tree is shared, since it writes the nodes.
+func (t *Tree) Derive() { t.derive() }
 
 // inViewport reports whether the node's vertical extent intersects the
 // current viewport.
@@ -208,18 +287,24 @@ func (t *Tree) inViewport(n *Node) bool {
 	return n.Y < bottom && n.Y+n.Height > top
 }
 
+// visible reports whether a node is currently visible, reading the
+// effective-hidden flags of the last derive pass; callers derive first.
+func (t *Tree) visible(n *Node) bool { return !n.hiddenEff && t.inViewport(n) }
+
 // Visible reports whether a node is currently visible: not hidden (directly
 // or via an ancestor) and intersecting the viewport.
 func (t *Tree) Visible(id NodeID) bool {
-	n := t.Node(id)
-	return !t.effectiveHidden(n) && t.inViewport(n)
+	t.derive()
+	return t.visible(t.Node(id))
 }
 
 // VisibleNodes returns the IDs of all currently visible nodes in ID order.
 func (t *Tree) VisibleNodes() []NodeID {
+	t.derive()
 	var out []NodeID
-	for _, n := range t.nodes[1:] {
-		if !t.effectiveHidden(n) && t.inViewport(n) {
+	for i := range t.nodes[1:] {
+		n := &t.nodes[i+1]
+		if t.visible(n) {
 			out = append(out, n.ID)
 		}
 	}
@@ -252,34 +337,20 @@ func (t *Tree) visibleAreaFraction(n *Node) float64 {
 // ClickableFraction returns the fraction of the viewport covered by visible
 // nodes that react to a tap interaction — the paper's "clickable region
 // percentage in the viewport" feature. The result is clamped to [0, 1].
-func (t *Tree) ClickableFraction() float64 {
-	sum := 0.0
-	for _, n := range t.nodes[1:] {
-		if t.effectiveHidden(n) || !n.Tappable() {
-			continue
-		}
-		sum += t.visibleAreaFraction(n)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
+func (t *Tree) ClickableFraction() float64 { return t.derive().clickable }
 
 // LinkFraction returns the fraction of the viewport covered by visible link
 // nodes — the paper's "visible link percentage in the viewport" feature.
-func (t *Tree) LinkFraction() float64 {
-	sum := 0.0
-	for _, n := range t.nodes[1:] {
-		if n.Kind != Link || t.effectiveHidden(n) {
-			continue
-		}
-		sum += t.visibleAreaFraction(n)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
+// The result is clamped to [0, 1].
+func (t *Tree) LinkFraction() float64 { return t.derive().link }
+
+// TypicalTapTarget returns the hypothetical node a predicted tap would land
+// on: the visible tappable node with the largest on-screen area (the first
+// in ID order on a tie), with its kind. It returns (None, Document) when
+// nothing visible is tappable.
+func (t *Tree) TypicalTapTarget() (NodeID, Kind) {
+	d := t.derive()
+	return d.tapTarget, d.tapKind
 }
 
 // ScrollStepFraction is the fraction of the viewport height a single move
@@ -306,6 +377,7 @@ func (t *Tree) Scroll(dy float64) float64 {
 	}
 	moved := newTop - t.ViewportTop
 	t.ViewportTop = newTop
+	t.d.valid = false
 	return moved
 }
 
@@ -331,11 +403,10 @@ func (t *Tree) ViewportCenterY() float64 {
 // VisibleTappable returns the visible nodes that react to tap events.
 func (t *Tree) VisibleTappable() []NodeID {
 	var out []NodeID
-	for _, id := range t.VisibleNodes() {
-		if t.Node(id).Tappable() {
-			out = append(out, id)
-		}
-	}
+	t.VisitVisibleTappable(func(n *Node) bool {
+		out = append(out, n.ID)
+		return true
+	})
 	return out
 }
 
@@ -344,8 +415,10 @@ func (t *Tree) VisibleTappable() []NodeID {
 // false. It is the allocation-free counterpart of VisibleTappable, used on
 // the predictor's per-event path.
 func (t *Tree) VisitVisibleTappable(f func(*Node) bool) {
-	for _, n := range t.nodes[1:] {
-		if n.Tappable() && !t.effectiveHidden(n) && t.inViewport(n) {
+	t.derive()
+	for i := range t.nodes[1:] {
+		n := &t.nodes[i+1]
+		if n.Tappable() && t.visible(n) {
 			if !f(n) {
 				return
 			}
@@ -368,24 +441,9 @@ func (t *Tree) LNES() []webevent.Type {
 // with spare capacity makes the computation allocation-free; it is the
 // per-prediction fast path of the DOM analyzer.
 func (t *Tree) AppendLNES(dst []webevent.Type) []webevent.Type {
-	var set [webevent.NumTypes]bool
-	moveOK := t.Scrollable() && !t.AtBottom()
-	for _, n := range t.nodes[1:] {
-		if t.effectiveHidden(n) || !t.inViewport(n) {
-			continue
-		}
-		for _, l := range n.Listeners {
-			if l.IsMove() && !moveOK {
-				continue
-			}
-			set[l] = true
-		}
-		if n.NavigatesTo != "" && n.Tappable() {
-			set[webevent.Load] = true
-		}
-	}
+	d := t.derive()
 	for typ := webevent.Type(0); int(typ) < webevent.NumTypes; typ++ {
-		if set[typ] {
+		if d.lnes[typ] {
 			dst = append(dst, typ)
 		}
 	}
@@ -431,9 +489,9 @@ func (t *Tree) ApplyEvent(typ webevent.Type, target NodeID) Mutation {
 	}
 	n := t.Node(target)
 	if n.TogglesMenu != None {
-		menu := t.Node(n.TogglesMenu)
-		menu.Hidden = !menu.Hidden
-		return Mutation{Kind: MenuToggled, Menu: menu.ID}
+		menu := n.TogglesMenu
+		t.SetHidden(menu, !t.Node(menu).Hidden)
+		return Mutation{Kind: MenuToggled, Menu: menu}
 	}
 	if n.NavigatesTo != "" {
 		return Mutation{Kind: Navigated, Page: n.NavigatesTo}

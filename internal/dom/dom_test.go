@@ -1,6 +1,9 @@
 package dom
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -80,7 +83,7 @@ func TestVisibility(t *testing.T) {
 		t.Error("item inside a hidden menu should not be visible")
 	}
 	// Unhide the menu: items become visible.
-	tree.Node(ids["menu"]).Hidden = false
+	tree.SetHidden(ids["menu"], false)
 	if !tree.Visible(ids["item1"]) {
 		t.Error("menu item should be visible after the menu is shown")
 	}
@@ -128,7 +131,7 @@ func TestFractions(t *testing.T) {
 		t.Errorf("LinkFraction = %v, ClickableFraction = %v", lf, cf)
 	}
 	// Showing the menu increases the clickable area.
-	tree.Node(ids["menu"]).Hidden = false
+	tree.SetHidden(ids["menu"], false)
 	if tree.ClickableFraction() <= cf {
 		t.Error("showing the menu should increase the clickable fraction")
 	}
@@ -169,7 +172,7 @@ func TestLNES(t *testing.T) {
 	}
 	// Hide everything tappable: only scroll remains.
 	for _, key := range []string{"link", "toggle", "form", "deep-link"} {
-		tree.Node(ids[key]).Hidden = true
+		tree.SetHidden(ids[key], true)
 	}
 	lnes = tree.LNES()
 	if has(lnes, webevent.Click) || has(lnes, webevent.Load) {
@@ -265,5 +268,148 @@ func TestScrollBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Reference is what the predictor reads from one DOM state, computed by
+// Reference the way the tree computed it before the derive pass: one
+// whole-tree walk per feature, each re-walking every node's ancestors for
+// its effective visibility. It is exported for the replay test in package
+// dom_test.
+type Reference struct {
+	Clickable, Link float64
+	LNES            []webevent.Type
+	TapTarget       NodeID
+	TapKind         Kind
+}
+
+// ComputeReference returns the walk-per-feature answers for the tree.
+func ComputeReference(t *Tree) Reference {
+	hidden := func(n *Node) bool {
+		for {
+			if n.Hidden {
+				return true
+			}
+			if n.Parent == None {
+				return false
+			}
+			n = t.Node(n.Parent)
+		}
+	}
+	var r Reference
+	for i := range t.nodes[1:] {
+		n := &t.nodes[i+1]
+		if hidden(n) || !n.Tappable() {
+			continue
+		}
+		r.Clickable += t.visibleAreaFraction(n)
+	}
+	if r.Clickable > 1 {
+		r.Clickable = 1
+	}
+	for i := range t.nodes[1:] {
+		n := &t.nodes[i+1]
+		if n.Kind != Link || hidden(n) {
+			continue
+		}
+		r.Link += t.visibleAreaFraction(n)
+	}
+	if r.Link > 1 {
+		r.Link = 1
+	}
+	var set [webevent.NumTypes]bool
+	moveOK := t.Scrollable() && !t.AtBottom()
+	for i := range t.nodes[1:] {
+		n := &t.nodes[i+1]
+		if hidden(n) || !t.inViewport(n) {
+			continue
+		}
+		for _, l := range n.Listeners {
+			if l.IsMove() && !moveOK {
+				continue
+			}
+			set[l] = true
+		}
+		if n.NavigatesTo != "" && n.Tappable() {
+			set[webevent.Load] = true
+		}
+	}
+	for typ := webevent.Type(0); int(typ) < webevent.NumTypes; typ++ {
+		if set[typ] {
+			r.LNES = append(r.LNES, typ)
+		}
+	}
+	r.TapKind = Document
+	bestArea := -1.0
+	for i := range t.nodes[1:] {
+		n := &t.nodes[i+1]
+		if n.Tappable() && !hidden(n) && t.inViewport(n) && n.Area > bestArea {
+			r.TapTarget, r.TapKind, bestArea = n.ID, n.Kind, n.Area
+		}
+	}
+	return r
+}
+
+// CheckReference reports how the tree's derived answers differ from the
+// walk-per-feature reference: the fractions bit for bit, the LNES, and the
+// tap target with its kind. It returns "" when they agree.
+func CheckReference(t *Tree) string {
+	want := ComputeReference(t)
+	target, kind := t.TypicalTapTarget()
+	switch {
+	case math.Float64bits(t.ClickableFraction()) != math.Float64bits(want.Clickable):
+		return fmt.Sprintf("ClickableFraction = %v, reference %v", t.ClickableFraction(), want.Clickable)
+	case math.Float64bits(t.LinkFraction()) != math.Float64bits(want.Link):
+		return fmt.Sprintf("LinkFraction = %v, reference %v", t.LinkFraction(), want.Link)
+	case !slices.Equal(t.LNES(), want.LNES):
+		return fmt.Sprintf("LNES = %v, reference %v", t.LNES(), want.LNES)
+	case target != want.TapTarget || kind != want.TapKind:
+		return fmt.Sprintf("TypicalTapTarget = (%d, %v), reference (%d, %v)", target, kind, want.TapTarget, want.TapKind)
+	}
+	return ""
+}
+
+// Property: after any sequence of scrolls, menu toggles and visibility
+// changes, every derived answer equals the walk-per-feature reference.
+func TestDerivedMatchesReferenceProperty(t *testing.T) {
+	f := func(ops []uint16) bool {
+		tree, ids := buildTestPage()
+		keys := []string{"link", "menu", "toggle", "item1", "item2", "deep-link", "form"}
+		for _, op := range ops {
+			switch op % 4 {
+			case 0:
+				tree.Scroll(float64(int(op>>2)%3000) - 1500)
+			case 1:
+				tree.ApplyEvent(webevent.Click, ids["toggle"])
+			case 2:
+				key := keys[int(op>>2)%len(keys)]
+				tree.SetHidden(ids[key], !tree.Node(ids[key]).Hidden)
+			case 3:
+				tree.ApplyEvent(webevent.Scroll, None)
+			}
+			if msg := CheckReference(tree); msg != "" {
+				t.Log(msg)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAddInvalidatesDerived checks that a node added after a read is seen
+// by the next read.
+func TestAddInvalidatesDerived(t *testing.T) {
+	tree, _ := buildTestPage()
+	before := tree.LinkFraction()
+	tree.Add(&Node{Kind: Link, Parent: tree.Root(), Y: 0, Height: 10, Area: 0.3,
+		Listeners: []webevent.Type{webevent.Click}})
+	if tree.LinkFraction() <= before {
+		t.Errorf("LinkFraction %v did not grow after adding a visible link (was %v)", tree.LinkFraction(), before)
+	}
+	if msg := CheckReference(tree); msg != "" {
+		t.Error(msg)
 	}
 }

@@ -42,10 +42,14 @@ type CostModel struct {
 	rev int
 
 	// est memoizes the workload estimate per signature at the current
-	// revision. Solving one plan evaluates every signature against every
-	// platform configuration; without the memo each of those evaluations
-	// redoes the least-squares fit.
+	// revision, so repeated plans between observations skip the
+	// least-squares fit.
 	est map[webevent.Signature]estEntry
+
+	// power is the platform's active power for each configuration, in
+	// Configs order: the energy of every candidate choice needs it, and
+	// the platform's per-cluster power map is a hash lookup.
+	power []float64
 }
 
 // estEntry is one memoized workload estimate.
@@ -57,8 +61,14 @@ type estEntry struct {
 
 // NewCostModel creates a cost model for the platform.
 func NewCostModel(p *acmp.Platform) *CostModel {
+	configs := p.Configs()
+	power := make([]float64, len(configs))
+	for i, cfg := range configs {
+		power[i] = p.Power(cfg)
+	}
 	return &CostModel{
 		platform: p,
+		power:    power,
 		obs:      make(map[webevent.Signature][]obsPoint),
 		est:      make(map[webevent.Signature]estEntry),
 		defaults: map[webevent.Interaction]acmp.Workload{
@@ -87,10 +97,6 @@ func (c *CostModel) Observe(sig webevent.Signature, cfg acmp.Config, execLatency
 	c.obs[sig] = pts
 	c.rev++
 }
-
-// Observations returns how many latency samples the model holds for the
-// signature.
-func (c *CostModel) Observations(sig webevent.Signature) int { return len(c.obs[sig]) }
 
 // Estimate returns the estimated workload for the signature and whether the
 // estimate comes from measurements (true) or from the per-interaction
@@ -164,13 +170,6 @@ func (c *CostModel) estimate(sig webevent.Signature) (acmp.Workload, bool) {
 	return acmp.Workload{Tmem: simtime.Duration(tmem), Cycles: int64(cycles)}, true
 }
 
-// PredictLatency estimates the execution latency of an event with the given
-// signature on cfg.
-func (c *CostModel) PredictLatency(sig webevent.Signature, cfg acmp.Config) simtime.Duration {
-	w, _ := c.Estimate(sig)
-	return c.platform.Latency(w, cfg)
-}
-
 // PickMinEnergyConfig returns the minimum-energy configuration whose
 // predicted latency meets the deadline when execution starts at start; when
 // no configuration can meet the deadline (a Type I event or a very late
@@ -180,14 +179,15 @@ func (c *CostModel) PredictLatency(sig webevent.Signature, cfg acmp.Config) simt
 // screen in time.
 func (c *CostModel) PickMinEnergyConfig(sig webevent.Signature, start simtime.Time, deadline simtime.Time) acmp.Config {
 	budget := deadline.Sub(start) - render.DisplayMargin
+	w, _ := c.Estimate(sig)
 	best := acmp.Config{}
 	bestEnergy := 0.0
-	for _, cfg := range c.platform.Configs() {
-		lat := c.PredictLatency(sig, cfg)
+	for i, cfg := range c.platform.Configs() {
+		lat := c.platform.Latency(w, cfg)
 		if simtime.Duration(lat) > budget {
 			continue
 		}
-		e := acmp.EnergyMJ(c.platform.Power(cfg), lat)
+		e := acmp.EnergyMJ(c.power[i], lat)
 		if best.IsZero() || e < bestEnergy {
 			best, bestEnergy = cfg, e
 		}
@@ -214,7 +214,8 @@ type Task struct {
 	Deadline simtime.Time
 	// Config is the assigned ACMP configuration (filled by Schedule).
 	Config acmp.Config
-	// EstimatedLatency is the cost model's latency estimate under Config.
+	// EstimatedLatency is the cost model's latency estimate under Config
+	// (the latency of the solver's chosen choice).
 	EstimatedLatency simtime.Duration
 }
 
@@ -289,7 +290,8 @@ type Optimizer struct {
 	choiceBuf []ilp.Choice
 }
 
-// New creates an optimizer using the given cost model.
+// New creates an optimizer using the given cost model, which must model
+// the same platform p.
 func New(p *acmp.Platform, cost *CostModel) *Optimizer {
 	return &Optimizer{platform: p, cost: cost}
 }
@@ -323,11 +325,12 @@ func (o *Optimizer) Schedule(start simtime.Time, tasks []*Task) bool {
 	prob := ilp.Problem{Start: start, Items: o.itemsBuf[:0]}
 	for ti, t := range tasks {
 		choices := o.choiceBuf[ti*nc : ti*nc : (ti+1)*nc]
-		for _, cfg := range configs {
-			lat := o.cost.PredictLatency(t.Signature, cfg)
+		w, _ := o.cost.Estimate(t.Signature)
+		for ci, cfg := range configs {
+			lat := o.platform.Latency(w, cfg)
 			choices = append(choices, ilp.Choice{
 				Latency: lat,
-				Energy:  acmp.EnergyMJ(o.platform.Power(cfg), lat),
+				Energy:  acmp.EnergyMJ(o.cost.power[ci], lat),
 			})
 		}
 		prob.Items = append(prob.Items, ilp.Item{
@@ -339,9 +342,9 @@ func (o *Optimizer) Schedule(start simtime.Time, tasks []*Task) bool {
 	sol := o.solver.Solve(prob)
 	o.stats.Record(sol, begun)
 	for i, t := range tasks {
-		cfg := configs[sol.Choice[i]]
-		t.Config = cfg
-		t.EstimatedLatency = o.cost.PredictLatency(t.Signature, cfg)
+		c := sol.Choice[i]
+		t.Config = configs[c]
+		t.EstimatedLatency = prob.Items[i].Choices[c].Latency
 	}
 	return sol.Feasible
 }

@@ -22,7 +22,7 @@ func TestEstimateDefaultsBeforeObservations(t *testing.T) {
 	if w.Cycles <= 0 {
 		t.Error("default workload should be non-trivial")
 	}
-	if c.Observations(sig("cnn", webevent.Click)) != 0 {
+	if len(c.obs[sig("cnn", webevent.Click)]) != 0 {
 		t.Error("no observations expected")
 	}
 }
@@ -48,7 +48,7 @@ func TestCostModelRecoversWorkloadFromTwoFrequencies(t *testing.T) {
 	}
 	// Predicted latency at a third frequency should be close to the truth.
 	cfg3 := acmp.Config{Core: acmp.LittleCore, FreqMHz: 600}
-	pred := c.PredictLatency(s, cfg3)
+	pred := p.Latency(w, cfg3)
 	actual := p.Latency(truth, cfg3)
 	if relErr(float64(pred), float64(actual)) > 0.12 {
 		t.Errorf("predicted latency %v vs actual %v", pred, actual)
@@ -82,7 +82,7 @@ func TestObservationWindowBounded(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.Observe(s, cfg, 10*simtime.Millisecond)
 	}
-	if got := c.Observations(s); got != maxObservations {
+	if got := len(c.obs[s]); got != maxObservations {
 		t.Errorf("observations = %d, want %d", got, maxObservations)
 	}
 }
@@ -110,7 +110,7 @@ func TestPickMinEnergyConfig(t *testing.T) {
 	}
 	// The chosen config meets the deadline per the model's own estimate.
 	pick = c.PickMinEnergyConfig(s, 0, simtime.Time(100*simtime.Millisecond))
-	if c.PredictLatency(s, pick) > 100*simtime.Millisecond {
+	if w, _ := c.Estimate(s); p.Latency(w, pick) > 100*simtime.Millisecond {
 		t.Error("chosen config should meet the deadline per the model")
 	}
 }

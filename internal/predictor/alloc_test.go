@@ -3,6 +3,7 @@ package predictor
 import (
 	"testing"
 
+	"repro/internal/dom"
 	"repro/internal/webapp"
 	"repro/internal/webevent"
 )
@@ -50,5 +51,42 @@ func TestPredictSequenceSteadyStateAlloc(t *testing.T) {
 		p.PredictSequence()
 	}); avg != 0 {
 		t.Errorf("PredictSequence allocates %.1f objects per round in steady state, want 0", avg)
+	}
+}
+
+// TestPredictSequenceMutationZeroAlloc covers the path the two gates above
+// never reach: every round follows a DOM mutation (alternately a scroll and
+// a menu toggle), so the tree's derived state is recomputed before the
+// round reads it. The recompute must not allocate either.
+func TestPredictSequenceMutationZeroAlloc(t *testing.T) {
+	learner, _, err := TrainOnSeenApps(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := webapp.SeenApps()[0]
+	p := New(learner, spec, 1, DefaultConfig())
+	p.Observe(&webevent.Event{App: spec.Name, Type: webevent.Load})
+	toggle := dom.None
+	p.Session().Tree().Walk(func(n *dom.Node) {
+		if toggle == dom.None && n.TogglesMenu != dom.None {
+			toggle = n.ID
+		}
+	})
+	if toggle == dom.None {
+		t.Fatalf("%s has no menu toggle on its home page", spec.Name)
+	}
+	scroll := &webevent.Event{App: spec.Name, Type: spec.Behavior.MoveManifestation}
+	tap := &webevent.Event{App: spec.Name, Type: spec.Behavior.TapManifestation, Target: int(toggle)}
+	round := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		if round%2 == 0 {
+			p.Observe(scroll)
+		} else {
+			p.Observe(tap)
+		}
+		round++
+		p.PredictSequence()
+	}); avg != 0 {
+		t.Errorf("Observe + PredictSequence allocates %.1f objects per mutated round, want 0", avg)
 	}
 }

@@ -109,25 +109,6 @@ func (a *Analyzer) tapManifestation(n *dom.Node) webevent.Type {
 	return a.sess.Spec.Behavior.TapManifestation
 }
 
-// TypicalTapTarget picks the hypothetical node a predicted tap would land
-// on: the visible tappable node with the largest on-screen area (the most
-// likely touch target). It returns None when nothing is tappable.
-func (a *Analyzer) TypicalTapTarget() (dom.NodeID, dom.Kind) {
-	best := dom.None
-	bestKind := dom.Document
-	bestArea := -1.0
-	a.sess.Tree().VisitVisibleTappable(func(n *dom.Node) bool {
-		if n.Area > bestArea {
-			best, bestKind, bestArea = n.ID, n.Kind, n.Area
-		}
-		return true
-	})
-	if best == dom.None {
-		return dom.None, dom.Document
-	}
-	return best, bestKind
-}
-
 // NavigatesAfterTap reports whether tapping the given node commits the
 // session to a navigation (used when chaining predictions).
 func (a *Analyzer) NavigatesAfterTap(target dom.NodeID) bool {

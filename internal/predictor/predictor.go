@@ -199,7 +199,9 @@ func (p *Predictor) learnerStep(win *Window, viewportY float64, allowed []webeve
 		ExpectedGap: p.expectedGap(typ),
 	}
 	if typ.IsTap() {
-		pred.Target, pred.TargetKind = p.analyzer.TypicalTapTarget()
+		// The hypothetical target: the visible tappable node with the
+		// largest on-screen area, the most likely touch target.
+		pred.Target, pred.TargetKind = p.sess.Tree().TypicalTapTarget()
 	}
 	return pred, true
 }

@@ -93,7 +93,8 @@ func TestEBSPicksMinEnergyMeetingDeadline(t *testing.T) {
 		t.Fatal("EBS returned no configuration")
 	}
 	// The chosen configuration must meet the deadline per the cost model.
-	if lat := e.cost.PredictLatency(ev.Signature(), cfg); lat > ev.QoSTarget() {
+	w, _ := e.cost.Estimate(ev.Signature())
+	if lat := p.Latency(w, cfg); lat > ev.QoSTarget() {
 		t.Errorf("EBS config %v predicted latency %v exceeds the QoS target", cfg, lat)
 	}
 	// With no budget it escalates to max performance.

@@ -48,12 +48,15 @@ func builtPage(spec *Spec, page string, seed int64) *dom.Tree {
 	if pageCacheOff.Load() {
 		return spec.BuildPage(page, seed)
 	}
-	// The cache keeps an immutable snapshot; the builder gets the freshly
-	// built tree itself to mutate.
+	// The cache keeps an immutable snapshot, derived before it is shared so
+	// that every clone starts with its predictor inputs; the builder gets
+	// the freshly built tree itself to mutate.
 	var fresh *dom.Tree
 	master, hit, _ := pageCache.Get(pageKey{app: spec.Name, page: page, seed: seed}, func() (*dom.Tree, error) {
 		fresh = spec.BuildPage(page, seed)
-		return fresh.Clone(), nil
+		m := fresh.Clone()
+		m.Derive()
+		return m, nil
 	})
 	if !hit {
 		pageCacheBuilds.Add(1)
