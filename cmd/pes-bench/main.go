@@ -65,16 +65,11 @@ type Report struct {
 	// Host records the runtime the report was measured on. Wall-time fields
 	// are only comparable between reports from matching hosts; the
 	// deterministic node counters are comparable regardless.
-	Host HostReport `json:"host"`
-	// OracleVersion is the Oracle solver version the session and throughput
-	// benchmarks ran ("v1" or "v2"). The v2 gates (per-scheduler throughput
-	// floor, zero budget aborts) apply only to v2 reports; -oracle=v1 runs
-	// reproduce the paper-exact BENCH_pr4 Oracle figures bit-identically.
-	OracleVersion string            `json:"oracle_version,omitempty"`
-	Solver        SolverReport      `json:"solver"`
-	Sessions      []SessionReport   `json:"sessions,omitempty"`
-	Throughput    *ThroughputReport `json:"throughput,omitempty"`
-	Figures       []FigureReport    `json:"figures,omitempty"`
+	Host       HostReport        `json:"host"`
+	Solver     SolverReport      `json:"solver"`
+	Sessions   []SessionReport   `json:"sessions,omitempty"`
+	Throughput *ThroughputReport `json:"throughput,omitempty"`
+	Figures    []FigureReport    `json:"figures,omitempty"`
 	// Store is the warm-start section, present only when -store was given:
 	// a fixed campaign run against the persistent store directory. The first
 	// run against an empty directory populates it (hit_rate 0); re-running
@@ -200,7 +195,7 @@ type SchedThroughput struct {
 // paths coincide); multi-core runners measure 3x and above.
 const warmColdRatioFloor = 1.4
 
-// oraclePESRatioFloor is the CI gate on the Oracle v2 throughput floor: the
+// oraclePESRatioFloor is the CI gate on the Oracle throughput floor: the
 // Oracle's warm serial sessions/sec must be within this factor of the PES
 // path's (BENCH_pr4 had it 6.5x slower; the v2 fast path brought it within
 // ~4x, and tabulating its grid bound eagerly within 1.4-2.1x. Computing the
@@ -208,8 +203,7 @@ const warmColdRatioFloor = 1.4
 // faster, and the ratio rose to 3.2-4.8x, median 4.1x, over 30 -quick
 // runs on a 2-core x86-64 host, so the headroom left is thin). Like the
 // warm/cold gate it is a same-host, same-process ratio, so it is portable
-// across CI hardware. v1 runs are exempt: the reference solver's
-// budget-pinned cost is the artifact the version flag preserves.
+// across CI hardware.
 const oraclePESRatioFloor = 5.0
 
 // SolverReport summarizes the solver microbenchmark suite: ilp.Solver versus
@@ -278,7 +272,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "solver-suite RNG seed (must match the baseline's)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
-	oracle := fs.String("oracle", "", "oracle solver version for the session/throughput benchmarks: v2 (default) or v1 (reproduces the BENCH_pr4 Oracle figures)")
 	storeDir := fs.String("store", "", "persistent store directory for the warm-start section (first run populates it; a re-run must report hit_rate 1)")
 	storeSync := fs.Int("store-sync", 0, "fsync the -store log every n record writes during the warm-start section (0 = no fsync), to measure durability overhead")
 	debugAddr := fs.String("debug-addr", "", "listen address for a live pprof/expvar debug server during the run (empty = disabled)")
@@ -298,10 +291,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *storeSync > 0 && *storeDir == "" {
 		return fmt.Errorf("-store-sync requires -store")
 	}
-	oracleVer, err := sched.ParseOracleVersion(*oracle)
-	if err != nil {
-		return err
-	}
 	if *check && *baseline == "" {
 		return fmt.Errorf("-check requires -baseline")
 	}
@@ -317,15 +306,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	rep := Report{Version: "pr10", Quick: *quick, Seed: *seed, Host: hostReport(), OracleVersion: oracleVer.String()}
+	rep := Report{Version: "pr10", Quick: *quick, Seed: *seed, Host: hostReport()}
 	rep.Solver = benchSolver(*seed)
 	if !*solverOnly {
-		sessions, err := benchSessions(*quick, oracleVer)
+		sessions, err := benchSessions(*quick)
 		if err != nil {
 			return err
 		}
 		rep.Sessions = sessions
-		throughput, err := benchThroughput(*quick, oracleVer)
+		throughput, err := benchThroughput(*quick)
 		if err != nil {
 			return err
 		}
@@ -337,7 +326,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rep.Figures = figures
 	}
 	if *storeDir != "" {
-		storeRep, err := benchStore(*storeDir, *storeSync, oracleVer)
+		storeRep, err := benchStore(*storeDir, *storeSync)
 		if err != nil {
 			return err
 		}
@@ -385,7 +374,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // full training+simulation cost and populates the log; re-running against
 // the populated dir trains nothing, simulates nothing, and reports
 // hit_rate 1.
-func benchStore(dir string, syncEvery int, oracleVer sched.OracleVersion) (*StoreReport, error) {
+func benchStore(dir string, syncEvery int) (*StoreReport, error) {
 	var opts []store.Option
 	if syncEvery > 0 {
 		opts = append(opts, store.WithSyncEvery(syncEvery))
@@ -414,13 +403,12 @@ func benchStore(dir string, syncEvery int, oracleVer sched.OracleVersion) (*Stor
 			tr := arts.Trace(spec, seed, trace.PurposeEval, trace.Options{})
 			for _, schedName := range sessions.Names() {
 				sess, err := sessions.New(sessions.Spec{
-					Platform:      platform,
-					Trace:         tr,
-					Scheduler:     schedName,
-					Learner:       learner,
-					Predictor:     predictor.DefaultConfig(),
-					Artifacts:     arts,
-					OracleVersion: oracleVer,
+					Platform:  platform,
+					Trace:     tr,
+					Scheduler: schedName,
+					Learner:   learner,
+					Predictor: predictor.DefaultConfig(),
+					Artifacts: arts,
 				})
 				if err != nil {
 					return nil, err
@@ -531,7 +519,7 @@ func benchSolver(seed int64) SolverReport {
 // benchSessions replays fixed-seed sessions under the solver-bearing
 // schedulers and reports wall time plus each scheduler's solver statistics
 // (solver wall time included).
-func benchSessions(quick bool, oracleVer sched.OracleVersion) ([]SessionReport, error) {
+func benchSessions(quick bool) ([]SessionReport, error) {
 	type sess struct {
 		app  string
 		seed int64
@@ -563,7 +551,7 @@ func benchSessions(quick bool, oracleVer sched.OracleVersion) ([]SessionReport, 
 			if schedName == "PES" {
 				policy = core.NewPES(platform, learner, spec, tr.DOMSeed, predictor.DefaultConfig())
 			} else {
-				policy = sched.NewOracleWithVersion(platform, evs, oracleVer)
+				policy = sched.NewOracle(platform, evs)
 			}
 			begun := time.Now()
 			res := engine.RunProactive(platform, s.app, evs, policy)
@@ -591,8 +579,8 @@ func benchSessions(quick bool, oracleVer sched.OracleVersion) ([]SessionReport, 
 // through one pre-warmed store and runs on the batch runner. Both modes run
 // the same simulations on the same host, so their ratio is the portable
 // headline number.
-func benchThroughput(quick bool, oracleVer sched.OracleVersion) (*ThroughputReport, error) {
-	scale := throughputScale{apps: []string{"cnn", "ebay", "espn"}, seeds: []int64{11, 5}, reps: 3, oracle: oracleVer}
+func benchThroughput(quick bool) (*ThroughputReport, error) {
+	scale := throughputScale{apps: []string{"cnn", "ebay", "espn"}, seeds: []int64{11, 5}, reps: 3}
 	if !quick {
 		scale.apps = append(scale.apps, "amazon", "google", "twitter")
 		scale.seeds = append(scale.seeds, 9)
@@ -603,10 +591,9 @@ func benchThroughput(quick bool, oracleVer sched.OracleVersion) (*ThroughputRepo
 
 // throughputScale parameterizes the throughput campaign (tests shrink it).
 type throughputScale struct {
-	apps   []string
-	seeds  []int64
-	reps   int
-	oracle sched.OracleVersion
+	apps  []string
+	seeds []int64
+	reps  int
 }
 
 // benchThroughputScaled is benchThroughput at an explicit scale.
@@ -655,13 +642,12 @@ func benchThroughputScaled(scale throughputScale) (*ThroughputReport, error) {
 					sessBegun := time.Now()
 					tr := trace.Generate(specByApp[app], seed, trace.Options{})
 					sess, err := sessions.New(sessions.Spec{
-						Platform:      platform,
-						Trace:         tr,
-						Scheduler:     schedName,
-						Learner:       learner,
-						Predictor:     predictor.DefaultConfig(),
-						Artifacts:     artifacts.NewStore(),
-						OracleVersion: scale.oracle,
+						Platform:  platform,
+						Trace:     tr,
+						Scheduler: schedName,
+						Learner:   learner,
+						Predictor: predictor.DefaultConfig(),
+						Artifacts: artifacts.NewStore(),
 					})
 					if err == nil {
 						_, _, err = sess.Run()
@@ -700,13 +686,12 @@ func benchThroughputScaled(scale throughputScale) (*ThroughputReport, error) {
 				tr := store.Trace(specByApp[app], seed, trace.PurposeEval, trace.Options{})
 				for _, schedName := range scheds {
 					sess, err := sessions.New(sessions.Spec{
-						Platform:      platform,
-						Trace:         tr,
-						Scheduler:     schedName,
-						Learner:       learner,
-						Predictor:     predictor.DefaultConfig(),
-						Artifacts:     store,
-						OracleVersion: scale.oracle,
+						Platform:  platform,
+						Trace:     tr,
+						Scheduler: schedName,
+						Learner:   learner,
+						Predictor: predictor.DefaultConfig(),
+						Artifacts: store,
 					})
 					if err != nil {
 						return nil, nil, err
@@ -862,40 +847,37 @@ func checkBaseline(cur Report, path string, enforce bool, stderr io.Writer) erro
 		failures = append(failures, fmt.Sprintf("artifact-warm/cold throughput ratio %.2f fell below the %.1fx floor",
 			cur.Throughput.WarmColdRatio, warmColdRatioFloor))
 	}
-	// The v2 fast-path gates: Oracle throughput within the PES floor, and
-	// zero budget aborts (a v2 solve that exhausts the node budget means the
-	// escalation ladder regressed). v1 reports are exempt — the reference
-	// solver's budget-pinned cost is exactly what the version flag preserves.
-	if cur.OracleVersion != "v1" {
-		if cur.Throughput != nil {
-			var oracleSPS, pesSPS float64
-			for _, st := range cur.Throughput.BySched {
-				switch st.Scheduler {
-				case "Oracle":
-					oracleSPS = st.WarmSerialSPS
-				case "PES":
-					pesSPS = st.WarmSerialSPS
-				}
-			}
-			if oracleSPS > 0 && pesSPS > 0 {
-				if ratio := pesSPS / oracleSPS; ratio > oraclePESRatioFloor {
-					failures = append(failures, fmt.Sprintf(
-						"Oracle v2 warm throughput %.0f/s is %.1fx slower than PES %.0f/s (gate: within %.0fx)",
-						oracleSPS, ratio, pesSPS, oraclePESRatioFloor))
-				}
-				fmt.Fprintf(stderr, "pes-bench: oracle v2 warm %.0f/s vs PES %.0f/s (%.1fx, gate %.0fx)\n",
-					oracleSPS, pesSPS, pesSPS/oracleSPS, oraclePESRatioFloor)
+	// The Oracle fast-path gates: Oracle throughput within the PES floor,
+	// and zero budget aborts (a solve that exhausts the node budget means
+	// the escalation ladder regressed).
+	if cur.Throughput != nil {
+		var oracleSPS, pesSPS float64
+		for _, st := range cur.Throughput.BySched {
+			switch st.Scheduler {
+			case "Oracle":
+				oracleSPS = st.WarmSerialSPS
+			case "PES":
+				pesSPS = st.WarmSerialSPS
 			}
 		}
-		aborts := 0
-		for _, s := range cur.Sessions {
-			if s.Scheduler == "Oracle" {
-				aborts += s.Solver.BudgetAborts
+		if oracleSPS > 0 && pesSPS > 0 {
+			if ratio := pesSPS / oracleSPS; ratio > oraclePESRatioFloor {
+				failures = append(failures, fmt.Sprintf(
+					"Oracle warm throughput %.0f/s is %.1fx slower than PES %.0f/s (gate: within %.0fx)",
+					oracleSPS, ratio, pesSPS, oraclePESRatioFloor))
 			}
+			fmt.Fprintf(stderr, "pes-bench: oracle warm %.0f/s vs PES %.0f/s (%.1fx, gate %.0fx)\n",
+				oracleSPS, pesSPS, pesSPS/oracleSPS, oraclePESRatioFloor)
 		}
-		if aborts > 0 {
-			failures = append(failures, fmt.Sprintf("Oracle v2 hit the node budget %d time(s); the fast path must prove its optima", aborts))
+	}
+	aborts := 0
+	for _, s := range cur.Sessions {
+		if s.Scheduler == "Oracle" {
+			aborts += s.Solver.BudgetAborts
 		}
+	}
+	if aborts > 0 {
+		failures = append(failures, fmt.Sprintf("Oracle hit the node budget %d time(s); the fast path must prove its optima", aborts))
 	}
 	fmt.Fprintf(stderr, "pes-bench: nodes %d (baseline %d), node ratio %.2fx (baseline %.2fx), ns/solve %.0f (baseline %.0f, informational)\n",
 		cur.Solver.Nodes, base.Solver.Nodes, cur.Solver.NodeRatio, base.Solver.NodeRatio,

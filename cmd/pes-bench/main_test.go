@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/optimizer"
-	"repro/internal/sched"
 )
 
 // TestSolverSuiteReport runs the solver microbenchmark suite and validates
@@ -65,9 +64,8 @@ func TestThroughputGate(t *testing.T) {
 	}
 }
 
-// TestOracleV2Gates exercises the v2-only gates: the Oracle-vs-PES warm
-// throughput floor and the zero-budget-aborts requirement, both exempted
-// under -oracle=v1.
+// TestOracleV2Gates exercises the Oracle fast-path gates: the Oracle-vs-PES
+// warm throughput floor and the zero-budget-aborts requirement.
 func TestOracleV2Gates(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")
@@ -78,9 +76,8 @@ func TestOracleV2Gates(t *testing.T) {
 	var base Report
 	readJSON(t, path, &base)
 
-	mk := func(oracleSPS float64, aborts int, version string) Report {
+	mk := func(oracleSPS float64, aborts int) Report {
 		cur := base
-		cur.OracleVersion = version
 		cur.Throughput = &ThroughputReport{
 			WarmColdRatio: warmColdRatioFloor + 1,
 			BySched: []SchedThroughput{
@@ -92,24 +89,21 @@ func TestOracleV2Gates(t *testing.T) {
 		return cur
 	}
 
-	if err := checkBaseline(mk(3000/oraclePESRatioFloor-100, 0, "v2"), path, true, &errOut); err == nil {
-		t.Error("checkBaseline passed an Oracle v2 slower than PES/5")
+	if err := checkBaseline(mk(3000/oraclePESRatioFloor-100, 0), path, true, &errOut); err == nil {
+		t.Error("checkBaseline passed an Oracle slower than PES/5")
 	}
-	if err := checkBaseline(mk(3000/oraclePESRatioFloor+100, 0, "v2"), path, true, &errOut); err != nil {
-		t.Errorf("checkBaseline failed an Oracle v2 within the PES floor: %v", err)
+	if err := checkBaseline(mk(3000/oraclePESRatioFloor+100, 0), path, true, &errOut); err != nil {
+		t.Errorf("checkBaseline failed an Oracle within the PES floor: %v", err)
 	}
-	if err := checkBaseline(mk(1000, 2, "v2"), path, true, &errOut); err == nil {
-		t.Error("checkBaseline passed a v2 report with budget aborts")
-	}
-	// v1 is exempt from both gates: its budget-pinned cost is the artifact.
-	if err := checkBaseline(mk(100, 2, "v1"), path, true, &errOut); err != nil {
-		t.Errorf("checkBaseline applied the v2 gates to a v1 report: %v", err)
+	if err := checkBaseline(mk(1000, 2), path, true, &errOut); err == nil {
+		t.Error("checkBaseline passed a report with Oracle budget aborts")
 	}
 }
 
 // TestCheckAgainstBaseline round-trips a report through -out and -baseline:
-// a report never regresses against itself, and a tampered baseline with far
-// fewer nodes must fail the -check gate.
+// a report never regresses against itself, the committed baselines (which
+// still carry the retired "oracle_version" key) keep decoding and passing,
+// and a tampered baseline with far fewer nodes must fail the -check gate.
 func TestCheckAgainstBaseline(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")
@@ -125,6 +119,20 @@ func TestCheckAgainstBaseline(t *testing.T) {
 	errOut.Reset()
 	if err := run([]string{"-solver-only", "-baseline", path, "-check"}, &out, &errOut); err != nil {
 		t.Fatalf("self-check regressed: %v\n%s", err, errOut.String())
+	}
+	var cur Report
+	readJSON(t, path, &cur)
+	for _, committed := range []string{"../../BENCH_pr10.json", "../../BENCH_pr13.json"} {
+		raw, err := os.ReadFile(committed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte(`"oracle_version"`)) {
+			t.Fatalf("%s no longer carries the retired oracle_version key this check covers", committed)
+		}
+		if err := checkBaseline(cur, committed, true, &errOut); err != nil {
+			t.Errorf("committed baseline %s: %v", committed, err)
+		}
 	}
 
 	// Tamper: pretend the baseline explored far fewer nodes.
@@ -144,7 +152,7 @@ func TestCheckAgainstBaseline(t *testing.T) {
 // unique, every mode measured, and the per-scheduler breakdown covers all
 // five schedulers.
 func TestThroughputBenchmarkScaled(t *testing.T) {
-	rep, err := benchThroughputScaled(throughputScale{apps: []string{"espn"}, seeds: []int64{9}, reps: 1, oracle: sched.DefaultOracleVersion})
+	rep, err := benchThroughputScaled(throughputScale{apps: []string{"espn"}, seeds: []int64{9}, reps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +177,7 @@ func TestThroughputBenchmarkScaled(t *testing.T) {
 
 // TestSessionBenchmarkQuick covers the session suite at quick scale.
 func TestSessionBenchmarkQuick(t *testing.T) {
-	reps, err := benchSessions(true, sched.DefaultOracleVersion)
+	reps, err := benchSessions(true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 func main() {
@@ -42,13 +41,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	train := fs.Int("train", 8, "training traces per seen application")
 	seed := fs.Int64("seed", 1, "experiment seed")
 	parallel := fs.Int("parallel", 0, "simulation worker-pool size (0 = number of CPUs, 1 = serial)")
-	oracle := fs.String("oracle", "", "oracle solver version: v2 (default, fast path) or v1 (paper-exact reference figures)")
 	debugAddr := fs.String("debug-addr", "", "listen address for a live pprof/expvar debug server during the run (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	oracleVer, err := sched.ParseOracleVersion(*oracle)
-	if err != nil {
 		return err
 	}
 	figs := experiments.Figures()
@@ -72,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cfg.TrainTracesPerApp = *train
 	cfg.Seed = *seed
 	cfg.Parallel = *parallel
-	cfg.OracleVersion = oracleVer
 
 	setup, err := experiments.NewSetup(cfg)
 	if err != nil {

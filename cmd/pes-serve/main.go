@@ -22,9 +22,7 @@
 // If every worker dies, the coordinator runs remaining sessions in-process
 // instead of failing the campaign. Every process must share the training
 // flags (-train, -traces, -seed) so the workers' trained predictors match
-// the coordinator's. -oracle need not agree: it is the default Oracle
-// version of the campaigns a process expands, every Oracle session carries
-// its version to the worker, and a worker ignores its own -oracle.
+// the coordinator's.
 //
 //	pes-serve -cluster -addr :8080 &
 //	pes-serve -worker -addr :9001 -coordinator localhost:8080 &
@@ -55,7 +53,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -110,7 +107,6 @@ func parseArgs(args []string, stderr io.Writer) (serveConfig, error) {
 	clusterMode := fs.Bool("cluster", false, "run as a cluster coordinator even with no static -workers (workers join via -coordinator registration)")
 	coordinator := fs.String("coordinator", "", "coordinator URL this worker registers with on startup (worker mode only)")
 	advertise := fs.String("advertise", "", "address the coordinator reaches this worker at (default: derived from -addr)")
-	oracle := fs.String("oracle", "", "default oracle solver version of the campaigns and figures this process serves: v2 (default, fast path) or v1 (paper-exact reference figures); no effect on a -worker")
 	storeDir := fs.String("store", "", "persistent store directory: session results, traces and trained models survive restarts (empty = in-memory only; one process per directory)")
 	storeSync := fs.Int("store-sync", 0, "fsync the -store log every n record writes; campaign terminal states always fsync when set (0 = rely on the OS page cache)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running campaigns when -store journals them; unfinished campaigns resume on the next boot")
@@ -123,10 +119,6 @@ func parseArgs(args []string, stderr io.Writer) (serveConfig, error) {
 	chaosCfg, err := chaos.ParseSpec(*chaosSpec)
 	if err != nil {
 		return serveConfig{}, fmt.Errorf("-chaos: %w", err)
-	}
-	oracleVer, err := sched.ParseOracleVersion(*oracle)
-	if err != nil {
-		return serveConfig{}, err
 	}
 	if *addr == "" {
 		return serveConfig{}, fmt.Errorf("-addr must not be empty")
@@ -187,7 +179,6 @@ func parseArgs(args []string, stderr io.Writer) (serveConfig, error) {
 	cfg.Seed = *seed
 	cfg.Parallel = *parallel
 	cfg.CacheMaxEntries = *cacheMax
-	cfg.OracleVersion = oracleVer
 	return serveConfig{
 		addr:        *addr,
 		jobs:        *jobs,

@@ -32,8 +32,6 @@ const goldenUsage = `Usage of pes-serve:
     	campaigns executed concurrently (default 2)
   -log-format string
     	structured log format, text or json (logs go to stderr; stdout stays the human banner channel) (default "text")
-  -oracle string
-    	default oracle solver version of the campaigns and figures this process serves: v2 (default, fast path) or v1 (paper-exact reference figures); no effect on a -worker
   -parallel int
     	simulation worker-pool size (0 = number of CPUs)
   -seed int

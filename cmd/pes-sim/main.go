@@ -21,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/predictor"
-	"repro/internal/sched"
 	"repro/internal/sessions"
 	"repro/internal/trace"
 	"repro/internal/webapp"
@@ -44,13 +43,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	nSessions := fs.Int("sessions", 1, "number of sessions to simulate (seeds seed..seed+N-1)")
 	parallel := fs.Int("parallel", 0, "simulation worker-pool size (0 = number of CPUs, 1 = serial)")
 	verbose := fs.Bool("v", false, "print per-event outcomes")
-	oracle := fs.String("oracle", "", "oracle solver version: v2 (default, fast path) or v1 (paper-exact reference figures)")
 	debugAddr := fs.String("debug-addr", "", "listen address for a live pprof/expvar debug server during the run (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	oracleVer, err := sched.ParseOracleVersion(*oracle)
-	if err != nil {
 		return err
 	}
 	if *debugAddr != "" {
@@ -88,12 +82,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for i := 0; i < *nSessions; i++ {
 		tr := trace.Generate(spec, *seed+int64(i), trace.Options{})
 		sess, err := sessions.New(sessions.Spec{
-			Platform:      platform,
-			Trace:         tr,
-			Scheduler:     schedName,
-			Learner:       learner,
-			Predictor:     predictor.DefaultConfig(),
-			OracleVersion: oracleVer,
+			Platform:  platform,
+			Trace:     tr,
+			Scheduler: schedName,
+			Learner:   learner,
+			Predictor: predictor.DefaultConfig(),
 		})
 		if err != nil {
 			return err

@@ -83,11 +83,6 @@ type SessionSpec struct {
 	TraceSeed int64            `json:"trace_seed"`
 	Scheduler string           `json:"scheduler"`
 	Predictor predictor.Config `json:"predictor"`
-	// OracleVersion is the Oracle solver version ("v1"/"v2"), set on Oracle
-	// sessions only. It participates in the route key exactly like it
-	// participates in the batch memo key, so v1 and v2 sessions never alias
-	// on the wire or in a worker's cache.
-	OracleVersion string `json:"oracle_version,omitempty"`
 }
 
 // RouteKey canonically encodes the memo-key tuple for consistent hashing.
@@ -102,10 +97,6 @@ func (s SessionSpec) RouteKey() string {
 	b.WriteString(s.Scheduler)
 	b.WriteByte('|')
 	b.WriteString(sessions.PredictorKey(s.Predictor))
-	if s.OracleVersion != "" {
-		b.WriteString("|oracle=")
-		b.WriteString(s.OracleVersion)
-	}
 	return b.String()
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,15 +17,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/acmp"
 	"repro/internal/batch"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/predictor"
-	"repro/internal/sched"
 	"repro/internal/sessions"
-	"repro/internal/trace"
-	"repro/internal/webapp"
 )
 
 // testSpecs expands a small campaign — 2 apps × 2 seeds × all 5 schedulers,
@@ -393,26 +390,6 @@ func TestWarmShardCacheHitsOnRepeatCampaign(t *testing.T) {
 	}
 }
 
-// TestRouteKeyIncludesOracleVersion guards the wire-aliasing invariant: two
-// specs that differ only in oracle version must have different route keys
-// (they also key different memo entries), while non-Oracle specs keep keys
-// with no oracle component at all.
-func TestRouteKeyIncludesOracleVersion(t *testing.T) {
-	base := SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: 1,
-		Scheduler: sessions.Oracle, Predictor: predictor.DefaultConfig()}
-	v1, v2 := base, base
-	v1.OracleVersion = "v1"
-	v2.OracleVersion = "v2"
-	if v1.RouteKey() == v2.RouteKey() {
-		t.Errorf("v1 and v2 specs alias on the wire: %q", v1.RouteKey())
-	}
-	plain := base
-	plain.Scheduler = sessions.Ondemand
-	if got := plain.RouteKey(); strings.Contains(got, "oracle") {
-		t.Errorf("non-Oracle route key grew an oracle component: %q", got)
-	}
-}
-
 // TestWorkerSolveSpanCountsOnlyThisCall: a traced shard's "solve" span is
 // the solver time the call itself spent. A cold 20-session shard solves
 // (PES and Oracle sessions), so its span is positive; the same shard re-run
@@ -451,21 +428,23 @@ func TestWorkerSolveSpanCountsOnlyThisCall(t *testing.T) {
 	}
 }
 
-// TestRouteKeyBytesPinned pins the exact route-key bytes, with and without
-// an oracle version: the ring places sessions by these bytes, so any change
-// to them (or to the predictor encoding they share with the memo key)
-// silently moves every session to a cold worker.
+// TestRouteKeyBytesPinned pins the exact route-key bytes: the ring places
+// sessions by these bytes, so any change to them (or to the predictor
+// encoding they share with the memo key) silently moves every session to a
+// cold worker. The Oracle key lost its "|oracle=v2" suffix when the Oracle
+// became one solver; route keys are never persisted, so the only cost was
+// one cold pass over a running cluster's Oracle sessions.
 func TestRouteKeyBytesPinned(t *testing.T) {
 	pes := SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: 11, Scheduler: sessions.PES,
 		Predictor: predictor.Config{ConfidenceThreshold: 0.55, MaxDegree: 3}}
 	oracle := SessionSpec{Platform: "Exynos5410", App: "espn", TraceSeed: -9, Scheduler: sessions.Oracle,
-		Predictor: predictor.DefaultConfig(), OracleVersion: "v2"}
+		Predictor: predictor.DefaultConfig()}
 	for _, c := range []struct {
 		spec SessionSpec
 		want string
 	}{
 		{pes, "Exynos5410|cnn|11|PES|ct=0.55,deg=3,dom=false"},
-		{oracle, "Exynos5410|espn|-9|Oracle|ct=0.7,deg=8,dom=true|oracle=v2"},
+		{oracle, "Exynos5410|espn|-9|Oracle|ct=0.7,deg=8,dom=true"},
 	} {
 		if got := c.spec.RouteKey(); got != c.want {
 			t.Errorf("RouteKey() = %q, want %q", got, c.want)
@@ -473,78 +452,36 @@ func TestRouteKeyBytesPinned(t *testing.T) {
 	}
 }
 
-// TestWorkerServesShardsFromAnyOracleDefault: a shard names no
-// process-wide oracle version, each Oracle spec names its own. So a worker
-// on the default (v2) harness serves the shard of a coordinator whose
-// campaigns default to v1 — an Ondemand spec and an Oracle spec stamped
-// "v1" — and the Oracle result is byte-identical to an in-process v1 run.
-func TestWorkerServesShardsFromAnyOracleDefault(t *testing.T) {
-	w := newTestWorker(t) // smallConfig: oracle version defaults to v2
-	ts := httptest.NewServer(w.Handler())
-	defer ts.Close()
-	coord, err := New(Config{Workers: []string{ts.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	ondemand := SessionSpec{Platform: "Exynos5410", App: "espn", TraceSeed: 9,
-		Scheduler: sessions.Ondemand, Predictor: predictor.DefaultConfig()}
-	oracle := ondemand
-	oracle.Scheduler, oracle.OracleVersion = sessions.Oracle, "v1"
-	specs := []SessionSpec{ondemand, oracle}
-	merged, err := coord.Run(specs, nil)
-	if err != nil {
-		t.Fatalf("v2 worker refused a v1 coordinator's shard: %v", err)
-	}
-	assertIdentical(t, specs, merged, directResults(t, specs))
-
-	setup := w.Setup()
-	platform, err := acmp.ByName(oracle.Platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := webapp.ByName(oracle.App)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := setup.Artifacts.Runtime(setup.Artifacts.Trace(app, oracle.TraceSeed, trace.PurposeEval, trace.Options{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := engine.RunProactive(platform, app.Name, evs, sched.NewOracleWithVersion(platform, evs, sched.OracleV1))
-	got, err1 := json.Marshal(merged[1])
-	want, err2 := json.Marshal(v1)
-	if err := errors.Join(err1, err2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("Oracle v1 session served by a v2 worker differs from an in-process v1 run")
-	}
-}
-
-// TestUnknownOracleVersionIsClientFault: an Oracle spec naming a version no
-// build knows is answered 400, a client fault that fails the campaign and
-// excludes nobody.
+// TestUnknownOracleVersionIsClientFault: the Oracle has one solver, so a
+// shard whose Oracle spec still names an "oracle_version" (a coordinator
+// built before the field was removed) is answered 400 naming the field,
+// never silently run on the one solver. The coordinator counts it as a
+// client fault that fails the campaign and excludes nobody.
 func TestUnknownOracleVersionIsClientFault(t *testing.T) {
 	w := newTestWorker(t)
-	ts := httptest.NewServer(w.Handler())
-	defer ts.Close()
-	bad := SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: 1,
-		Scheduler: sessions.Oracle, Predictor: predictor.DefaultConfig(), OracleVersion: "v9"}
-	body, err := json.Marshal(ShardRequest{Sessions: []SessionSpec{bad}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, msg := postShard(t, ts.URL, strconv.Itoa(frameVersion), string(body)); code != http.StatusBadRequest || !strings.Contains(msg, "v9") {
-		t.Errorf("unknown oracle version: status %d (%s), want 400 naming it", code, msg)
-	}
-	coord, err := New(Config{Workers: []string{ts.URL}})
+	// An older coordinator: every shard it sends names its Oracle version.
+	stamping := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shards" {
+			b, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			b = bytes.Replace(b, []byte(`"scheduler":"Oracle"`), []byte(`"scheduler":"Oracle","oracle_version":"v1"`), 1)
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(b)), int64(len(b))
+		}
+		w.Handler().ServeHTTP(rw, r)
+	}))
+	defer stamping.Close()
+	coord, err := New(Config{Workers: []string{stamping.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	if _, err := coord.Run([]SessionSpec{bad}, nil); !IsClientFault(err) {
-		t.Fatalf("Run = %v, want a client fault", err)
+	spec := SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: 1,
+		Scheduler: sessions.Oracle, Predictor: predictor.DefaultConfig()}
+	_, err = coord.Run([]SessionSpec{spec}, nil)
+	if !IsClientFault(err) || !strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), "oracle_version") {
+		t.Fatalf("Run = %v, want a client fault from a 400 naming oracle_version", err)
 	}
 	if st := coord.Stats(); st.ClientFaults != 1 || st.WorkerFailures != 0 || st.Workers != 1 {
 		t.Errorf("stats after the rejection: %+v, want one client fault and the worker still healthy", st)

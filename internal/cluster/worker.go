@@ -12,7 +12,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/sessions"
 	"repro/internal/trace"
 	"repro/internal/webapp"
@@ -76,19 +75,14 @@ func BuildSessions(setup *experiments.Setup, specs []SessionSpec) ([]batch.Sessi
 		if err != nil {
 			return nil, fmt.Errorf("session %d: %w", i, err)
 		}
-		ov, err := sched.ParseOracleVersion(spec.OracleVersion)
-		if err != nil {
-			return nil, fmt.Errorf("session %d: %w", i, err)
-		}
 		tr := setup.Artifacts.Trace(app, spec.TraceSeed, trace.PurposeEval, trace.Options{})
 		sess, err := sessions.New(sessions.Spec{
-			Platform:      platform,
-			Trace:         tr,
-			Scheduler:     spec.Scheduler,
-			Learner:       setup.Learner,
-			Predictor:     spec.Predictor,
-			Artifacts:     setup.Artifacts,
-			OracleVersion: ov,
+			Platform:  platform,
+			Trace:     tr,
+			Scheduler: spec.Scheduler,
+			Learner:   setup.Learner,
+			Predictor: spec.Predictor,
+			Artifacts: setup.Artifacts,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("session %d: %w", i, err)

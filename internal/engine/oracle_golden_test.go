@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/acmp"
@@ -49,8 +51,11 @@ var oracleGolden = []struct {
 // versions. v1 must stay bit-identical to the paper-exact baseline —
 // energies and solver counters — no matter how v2 evolves; v2 must complete
 // every solve within budget, reproduce its pinned energy and violations,
-// and never exceed v1's energy.
+// and never exceed v1's energy. The v1 counters are also the provenance of
+// the committed BENCH_pr4.json: its Oracle sessions were measured on the v1
+// traversal, so they must equal the v1 rows here.
 func TestOracleV1FiguresPinned(t *testing.T) {
+	checkBenchPR4OracleCounters(t)
 	p := acmp.Exynos5410()
 	for _, g := range oracleGolden {
 		spec, err := webapp.ByName(g.app)
@@ -98,5 +103,54 @@ func TestOracleV1FiguresPinned(t *testing.T) {
 			t.Errorf("%s: v2 energy %.10g exceeds v1 %.10g — v2 must dominate the truncated baseline",
 				g.tag, r2.TotalEnergyMJ, r1.TotalEnergyMJ)
 		}
+	}
+}
+
+// checkBenchPR4OracleCounters decodes the Oracle session counters of the
+// committed BENCH_pr4.json and requires each to equal the v1 golden row of
+// the same session, so the committed report and the pin cannot drift apart.
+func checkBenchPR4OracleCounters(t *testing.T) {
+	t.Helper()
+	raw, err := os.ReadFile("../../BENCH_pr4.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Sessions []struct {
+			App       string `json:"app"`
+			TraceSeed int64  `json:"trace_seed"`
+			Scheduler string `json:"scheduler"`
+			Solver    struct {
+				Solves int   `json:"solves"`
+				Nodes  int64 `json:"nodes"`
+			} `json:"solver"`
+		} `json:"sessions"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("BENCH_pr4.json: %v", err)
+	}
+	checked := 0
+	for _, s := range rep.Sessions {
+		if s.Scheduler != "Oracle" {
+			continue
+		}
+		found := false
+		for _, g := range oracleGolden {
+			if g.app != s.App || g.seed != s.TraceSeed {
+				continue
+			}
+			found = true
+			if s.Solver.Solves != g.v1Solves || s.Solver.Nodes != g.v1Nodes {
+				t.Errorf("BENCH_pr4 Oracle %s/%d: solves=%d nodes=%d, v1 golden %d/%d",
+					s.App, s.TraceSeed, s.Solver.Solves, s.Solver.Nodes, g.v1Solves, g.v1Nodes)
+			}
+		}
+		if !found {
+			t.Errorf("BENCH_pr4 Oracle session %s/%d has no v1 golden row", s.App, s.TraceSeed)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Error("BENCH_pr4.json has no Oracle session to check")
 	}
 }

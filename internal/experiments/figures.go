@@ -64,8 +64,7 @@ func (s *Setup) Fig2() (*Table, error) {
 	}
 	addRun(SchedInteractive, engine.RunReactive(p, "cnn", events, sched.NewInteractive(p)))
 	addRun(SchedEBS, engine.RunReactive(p, "cnn", events, sched.NewEBS(p)))
-	addRun(SchedOracle, engine.RunProactive(p, "cnn", events,
-		sched.NewOracleWithVersion(p, events, s.Config.OracleVersion)))
+	addRun(SchedOracle, engine.RunProactive(p, "cnn", events, sched.NewOracle(p, events)))
 	return t, nil
 }
 

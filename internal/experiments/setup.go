@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/predictor"
-	"repro/internal/sched"
 	"repro/internal/sessions"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -63,10 +62,6 @@ type Config struct {
 	// Nil (the default) keeps everything in memory. The caller owns the
 	// store's lifecycle (Open/Close).
 	Store *store.Store
-	// OracleVersion selects the Oracle solver for every Oracle session of
-	// the campaign (zero value = sched.DefaultOracleVersion). Paper-exact
-	// figures use sched.OracleV1.
-	OracleVersion sched.OracleVersion
 }
 
 // DefaultConfig returns the paper-equivalent configuration.
@@ -96,7 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.Predictor.ConfidenceThreshold == 0 {
 		c.Predictor = predictor.DefaultConfig()
 	}
-	c.OracleVersion = c.OracleVersion.OrDefault()
 	return c
 }
 
@@ -182,13 +176,12 @@ func (s *Setup) runCorpus(p *acmp.Platform, name string, predCfg predictor.Confi
 	specs := make([]batch.Session, 0, len(s.Eval))
 	for _, tr := range s.Eval {
 		sess, err := sessions.New(sessions.Spec{
-			Platform:      p,
-			Trace:         tr,
-			Scheduler:     name,
-			Learner:       s.Learner,
-			Predictor:     predCfg,
-			Artifacts:     s.Artifacts,
-			OracleVersion: s.Config.OracleVersion,
+			Platform:  p,
+			Trace:     tr,
+			Scheduler: name,
+			Learner:   s.Learner,
+			Predictor: predCfg,
+			Artifacts: s.Artifacts,
 		})
 		if err != nil {
 			return nil, err

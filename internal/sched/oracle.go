@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/acmp"
@@ -19,7 +17,9 @@ import (
 // are recomputed as the session progresses.
 const OracleWindow = 12
 
-// OracleVersion selects which solver encoding the Oracle runs.
+// OracleVersion selects which solver encoding the Oracle runs. Every
+// production path runs OracleV2 (through NewOracle); OracleV1 is kept only
+// as the in-process reference that tests compare the Oracle against.
 //
 // v1 is the paper-exact baseline: the frozen reference-order traversal
 // (ilp.Solver.SolveReferenceOrder) whose hardest 12-event windows exhaust
@@ -32,49 +32,12 @@ type OracleVersion int
 const (
 	// OracleV1 is the frozen paper-exact reference-order solver.
 	OracleV1 OracleVersion = 1
-	// OracleV2 is the pruned zero-alloc solver.
+	// OracleV2 is the pruned zero-alloc solver: the Oracle.
 	OracleV2 OracleVersion = 2
 )
 
-// DefaultOracleVersion is the version used when none is requested.
+// DefaultOracleVersion is the version NewOracle runs.
 const DefaultOracleVersion = OracleV2
-
-// String renders the version in the canonical flag/wire spelling.
-func (v OracleVersion) String() string {
-	switch v {
-	case OracleV1:
-		return "v1"
-	case OracleV2:
-		return "v2"
-	}
-	return fmt.Sprintf("v%d", int(v))
-}
-
-// ParseOracleVersion resolves a flag/wire spelling ("v1", "1", "v2", "2";
-// the empty string means the default) to a version.
-func ParseOracleVersion(s string) (OracleVersion, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "":
-		return DefaultOracleVersion, nil
-	case "v1", "1":
-		return OracleV1, nil
-	case "v2", "2":
-		return OracleV2, nil
-	}
-	return 0, fmt.Errorf("sched: unknown oracle version %q (want v1 or v2)", s)
-}
-
-// OrDefault maps the zero value to DefaultOracleVersion, so structs carrying
-// a version need not special-case "unset".
-func (v OracleVersion) OrDefault() OracleVersion {
-	if v == 0 {
-		return DefaultOracleVersion
-	}
-	return v
-}
-
-// Valid reports whether v names an implemented solver.
-func (v OracleVersion) Valid() bool { return v == OracleV1 || v == OracleV2 }
 
 // oracleEntry is one event of a plan window.
 type oracleEntry struct {
@@ -109,22 +72,20 @@ type Oracle struct {
 	out       []SpecTask
 }
 
-// NewOracle creates an oracle for a specific trace at the default version.
+// NewOracle creates an oracle for a specific trace.
 func NewOracle(p *acmp.Platform, events []*webevent.Event) *Oracle {
 	return NewOracleWithVersion(p, events, DefaultOracleVersion)
 }
 
-// NewOracleWithVersion creates an oracle running the given solver version
-// (the zero value selects the default).
+// NewOracleWithVersion creates an oracle running the given solver version:
+// OracleV1 selects the reference traversal, any other value the Oracle's
+// own solver.
 func NewOracleWithVersion(p *acmp.Platform, events []*webevent.Event, v OracleVersion) *Oracle {
-	return &Oracle{platform: p, events: events, version: v.OrDefault()}
+	return &Oracle{platform: p, events: events, version: v}
 }
 
 // Name implements ProactivePolicy.
 func (o *Oracle) Name() string { return "Oracle" }
-
-// Version returns the solver version the oracle runs.
-func (o *Oracle) Version() OracleVersion { return o.version }
 
 // Observe implements ProactivePolicy.
 func (o *Oracle) Observe(e *webevent.Event) {

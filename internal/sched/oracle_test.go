@@ -47,48 +47,26 @@ func mixedTrace(seed int64, n int) []*webevent.Event {
 	return evs
 }
 
-func TestParseOracleVersion(t *testing.T) {
-	cases := []struct {
-		in   string
-		want OracleVersion
-		ok   bool
-	}{
-		{"", DefaultOracleVersion, true},
-		{"v1", OracleV1, true},
-		{"1", OracleV1, true},
-		{"V1", OracleV1, true},
-		{" v2 ", OracleV2, true},
-		{"2", OracleV2, true},
-		{"v3", 0, false},
-		{"fast", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseOracleVersion(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseOracleVersion(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseOracleVersion(%q) should fail", c.in)
-		}
-	}
-	if OracleV1.String() != "v1" || OracleV2.String() != "v2" || OracleVersion(7).String() != "v7" {
-		t.Error("String spellings wrong")
-	}
-	if OracleVersion(0).OrDefault() != DefaultOracleVersion || OracleV1.OrDefault() != OracleV1 {
-		t.Error("OrDefault wrong")
-	}
-	if !OracleV1.Valid() || !OracleV2.Valid() || OracleVersion(3).Valid() {
-		t.Error("Valid wrong")
-	}
-}
-
+// TestNewOracleDefaultsToV2: NewOracle runs v2, and only OracleV1 selects
+// the reference traversal, so the zero version plans exactly like NewOracle.
 func TestNewOracleDefaultsToV2(t *testing.T) {
-	o := NewOracle(acmp.Exynos5410(), oracleTrace(3))
-	if o.Version() != DefaultOracleVersion || o.Version() != OracleV2 {
-		t.Fatalf("default oracle version = %v", o.Version())
+	p := acmp.Exynos5410()
+	o := NewOracle(p, oracleTrace(3))
+	if o.version != OracleV2 {
+		t.Fatalf("default oracle version = %v", o.version)
 	}
-	if z := NewOracleWithVersion(acmp.Exynos5410(), oracleTrace(3), 0); z.Version() != DefaultOracleVersion {
-		t.Fatalf("zero version should resolve to default, got %v", z.Version())
+	start := simtime.Time(100 * simtime.Millisecond)
+	want := append([]SpecTask(nil), o.Plan(start, nil)...)
+	z := NewOracleWithVersion(p, oracleTrace(3), 0)
+	got := z.Plan(start, nil)
+	if len(got) != len(want) || z.SolverStats().Nodes != o.SolverStats().Nodes {
+		t.Fatalf("zero version planned %d tasks in %d nodes, NewOracle %d in %d",
+			len(got), z.SolverStats().Nodes, len(want), o.SolverStats().Nodes)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("zero version task %d = %+v, NewOracle %+v", i, got[i], want[i])
+		}
 	}
 }
 

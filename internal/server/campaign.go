@@ -14,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/predictor"
-	"repro/internal/sched"
 	"repro/internal/sessions"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -42,10 +41,6 @@ type Campaign struct {
 	Predictor *PredictorSpec `json:"predictor,omitempty"`
 	// Sweep adds a sensitivity sweep on top of the base campaign.
 	Sweep *Sweep `json:"sweep,omitempty"`
-	// OracleVersion selects the Oracle solver for this campaign ("v1" or
-	// "v2"); empty uses the server's configured default. Only Oracle
-	// sessions are affected.
-	OracleVersion string `json:"oracle_version,omitempty"`
 }
 
 // PredictorSpec is the JSON form of the PES predictor configuration. Zero
@@ -73,8 +68,6 @@ type SessionMeta struct {
 	Scheduler string `json:"scheduler"`
 	// ConfidenceThreshold is set on PES sessions only.
 	ConfidenceThreshold float64 `json:"confidence_threshold,omitempty"`
-	// OracleVersion is set on Oracle sessions only ("v1"/"v2").
-	OracleVersion string `json:"oracle_version,omitempty"`
 	// Label is the scheduler presentation label; for swept PES sessions it
 	// carries the threshold (e.g. "PES@50%").
 	Label string `json:"label"`
@@ -152,14 +145,6 @@ func (c Campaign) Expand(setup *experiments.Setup) (*Plan, error) {
 
 	baseCfg := predictorConfig(setup.Config.Predictor, c.Predictor)
 
-	oracleVer := setup.Config.OracleVersion.OrDefault()
-	if c.OracleVersion != "" {
-		oracleVer, err = sched.ParseOracleVersion(c.OracleVersion)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	// Distinct sweep thresholds beyond the base configuration, in ascending
 	// order so the expansion (and the results rows) are deterministic.
 	var sweepThresholds []float64
@@ -200,10 +185,6 @@ func (c Campaign) Expand(setup *experiments.Setup) (*Plan, error) {
 		}
 		if schedName == sessions.PES {
 			meta.ConfidenceThreshold = cfg.ConfidenceThreshold
-		}
-		if schedName == sessions.Oracle {
-			meta.OracleVersion = oracleVer.String()
-			spec.OracleVersion = oracleVer.String()
 		}
 		plan.Meta = append(plan.Meta, meta)
 		plan.Specs = append(plan.Specs, spec)

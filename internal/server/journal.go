@@ -34,6 +34,11 @@ import (
 // tail and serves results byte-identical to an uninterrupted run. No
 // progress is journaled: resume re-runs the whole plan, and a resumed
 // campaign counts its completed sessions from zero.
+//
+// Replay decodes spec records leniently (json.Unmarshal), unlike the strict
+// submit path: a record naming a Campaign field that a later binary removed
+// still resumes. A spec journaled with the retired "oracle_version" key
+// resumes and finishes under the one Oracle.
 
 func specKey(id string) string  { return "campaign|" + id + "|spec" }
 func stateKey(id string) string { return "campaign|" + id + "|state" }

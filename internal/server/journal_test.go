@@ -182,6 +182,61 @@ func TestJournalCrashResumeTailOnly(t *testing.T) {
 	}
 }
 
+// TestJournalResumesRetiredOracleVersion: a spec record journaled before the
+// Oracle became one solver names "oracle_version":"v1". Replay decodes it
+// leniently, so the campaign resumes under its ID, finishes under the one
+// Oracle, and serves the same bytes as a fresh run of the same campaign.
+func TestJournalResumesRetiredOracleVersion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("server tests train a predictor")
+	}
+	campaign := Campaign{Apps: []string{"cnn"}, Schedulers: []string{"Oracle"}}
+	ref := testServer(t)
+	refSt, err := ref.Submit(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pollTerminal(t, ref, refSt.ID); got.Status != StatusDone {
+		t.Fatalf("reference campaign %s: %s (%s)", got.ID, got.Status, got.Error)
+	}
+	refJob, _ := ref.jobByID(refSt.ID)
+	want, err := json.Marshal(refJob.results)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	old := `{"campaign":{"apps":["cnn"],"schedulers":["Oracle"],"oracle_version":"v1"},"sessions":1}`
+	if err := st.Put(specKey("c0007"), []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	cfg.Experiments.Store = st
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Resumed() != 1 {
+		t.Fatalf("Resumed() = %d, want 1", s.Resumed())
+	}
+	if got := pollTerminal(t, s, "c0007"); got.Status != StatusDone {
+		t.Fatalf("resumed campaign: %s (%s)", got.Status, got.Error)
+	}
+	j, _ := s.jobByID("c0007")
+	got, err := json.Marshal(j.results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("resumed v1-era campaign differs from a fresh run under the one Oracle")
+	}
+}
+
 // TestDrainLeavesQueuedCampaignsResumable asserts graceful shutdown with a
 // journal drains instead of drops: nothing is canceled, unfinished campaigns
 // stay queued on disk, and a reboot on the same store finishes them.

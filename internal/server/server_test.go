@@ -97,11 +97,10 @@ func TestCampaignExpansionSweep(t *testing.T) {
 func TestCampaignValidation(t *testing.T) {
 	s := testServer(t)
 	cases := map[string]Campaign{
-		"bad platform":       {Platform: "pixel9"},
-		"bad app":            {Apps: []string{"nosuchapp"}},
-		"bad scheduler":      {Schedulers: []string{"nosuchsched"}},
-		"bad threshold":      {Sweep: &Sweep{ConfidenceThresholds: []float64{1.5}}},
-		"bad oracle version": {OracleVersion: "v3"},
+		"bad platform":  {Platform: "pixel9"},
+		"bad app":       {Apps: []string{"nosuchapp"}},
+		"bad scheduler": {Schedulers: []string{"nosuchsched"}},
+		"bad threshold": {Sweep: &Sweep{ConfidenceThresholds: []float64{1.5}}},
 	}
 	for name, c := range cases {
 		if _, err := c.Expand(s.Setup()); err == nil {
@@ -110,14 +109,29 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
-// TestCampaignOracleVersionStamping checks that the campaign-level oracle
-// version lands on Oracle sessions only — in the metadata, the wire specs,
-// and the memo keys — and that the default is the server's configured
-// version (v2 unless the process runs -oracle=v1).
-func TestCampaignOracleVersionStamping(t *testing.T) {
+// TestCampaignRejectsRemovedOracleVersion: the Oracle has one solver, so a
+// campaign still naming "oracle_version" is answered 400 naming the field
+// rather than silently run on a solver the client did not ask for. Oracle
+// sessions, and only they, keep the ",oracle=v2" memo-key suffix.
+func TestCampaignRejectsRemovedOracleVersion(t *testing.T) {
 	s := testServer(t)
-	c := Campaign{Apps: []string{"cnn"}, Schedulers: []string{"Oracle", "Ondemand"}, OracleVersion: "v1"}
-	plan, err := c.Expand(s.Setup())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
+		strings.NewReader(`{"apps":["cnn"],"schedulers":["Oracle"],"oracle_version":"v1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "oracle_version") {
+		t.Errorf("campaign with oracle_version: %d %q, want 400 naming the field", resp.StatusCode, e.Error)
+	}
+
+	plan, err := Campaign{Apps: []string{"cnn"}, Schedulers: []string{"Oracle", "Ondemand"}}.Expand(s.Setup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,25 +140,10 @@ func TestCampaignOracleVersionStamping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range plan.Meta {
-		spec := plan.Specs[i]
-		if m.Scheduler == sessions.Oracle {
-			if m.OracleVersion != "v1" || spec.OracleVersion != "v1" {
-				t.Errorf("Oracle session not stamped v1: meta=%q spec=%q", m.OracleVersion, spec.OracleVersion)
-			}
-			if key := sess[i].Key; !strings.Contains(key.Variant, "oracle=v1") {
-				t.Errorf("Oracle memo key missing version: %q", key.Variant)
-			}
-		} else if m.OracleVersion != "" || spec.OracleVersion != "" {
-			t.Errorf("%s session stamped with oracle version %q/%q", m.Scheduler, m.OracleVersion, spec.OracleVersion)
+		oracleKey := strings.HasSuffix(sess[i].Key.Variant, ",oracle=v2")
+		if oracleKey != (m.Scheduler == sessions.Oracle) {
+			t.Errorf("%s session memo variant %q", m.Scheduler, sess[i].Key.Variant)
 		}
-	}
-	// Default: the server's configured version (v2 here).
-	plan2, err := Campaign{Apps: []string{"cnn"}, Schedulers: []string{"Oracle"}}.Expand(s.Setup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plan2.Specs[0].OracleVersion; got != "v2" {
-		t.Errorf("default oracle version on the wire = %q, want v2", got)
 	}
 }
 

@@ -62,11 +62,14 @@ type Spec struct {
 	// of the same trace share one parsed event list through it, no matter
 	// which scheduler replays them.
 	Artifacts *artifacts.Store
-	// OracleVersion selects the Oracle solver (zero value = default). It is
-	// consulted only for Oracle sessions and participates in their memo key,
-	// so v1 and v2 results never alias in caches or on the cluster wire.
-	OracleVersion sched.OracleVersion
 }
+
+// oracleVariant suffixes every Oracle session's memo-key variant. It names
+// the solver that produced the result: the suffix dates from when the
+// Oracle had two solver versions, and keeping it unchanged lets persisted
+// stores keep their hits while a result of the retired reference solver
+// (",oracle=v1") is never served as the Oracle's.
+const oracleVariant = ",oracle=v2"
 
 // PredictorKey canonically encodes a predictor configuration. It is the
 // predictor component of both the batch memo key and the cluster route key,
@@ -121,17 +124,13 @@ func New(s Spec) (batch.Session, error) {
 			return engine.RunReactive(p, tr.App, evs, pol), 0, nil
 		}
 	case Oracle:
-		ov := s.OracleVersion.OrDefault()
-		if !ov.Valid() {
-			return batch.Session{}, fmt.Errorf("sessions: invalid oracle version %d", ov)
-		}
-		key.Variant += fmt.Sprintf(",oracle=%s", ov)
+		key.Variant += oracleVariant
 		run = func() (*engine.Result, time.Duration, error) {
 			evs, err := store.Runtime(tr)
 			if err != nil {
 				return nil, 0, err
 			}
-			oracle := sched.NewOracleWithVersion(p, evs, ov)
+			oracle := sched.NewOracle(p, evs)
 			res := engine.RunProactive(p, tr.App, evs, oracle)
 			return res, oracle.SolverStats().Wall(), nil
 		}
