@@ -247,7 +247,7 @@ func (r *Runner) build(s Session) (*engine.Result, time.Duration, error) {
 			return nil, err
 		}
 		built, solve = res, d
-		return json.Marshal(res)
+		return res.AppendJSON(nil)
 	})
 	if err != nil {
 		return nil, 0, err

@@ -9,8 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/acmp"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/predictor"
+	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/trace"
+	"repro/internal/webapp"
 )
 
 var errTest = errors.New("session build failed")
@@ -214,5 +220,62 @@ func TestStoreErrorNotPersisted(t *testing.T) {
 	}
 	if n := ps.Len(); n != 0 {
 		t.Fatalf("failed build persisted %d records", n)
+	}
+}
+
+// TestStoredValueIsJSONMarshal: the store holds exactly json.Marshal's
+// bytes for every golden engine session (cnn/11, ebay/5, espn/9 under all
+// five schedulers), so store logs written by the encoding/json path keep
+// their hits and decode the same.
+func TestStoredValueIsJSONMarshal(t *testing.T) {
+	p := acmp.Exynos5410()
+	learner, _, err := predictor.TrainOnSeenApps(3, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions []Session
+	for _, g := range []struct {
+		app  string
+		seed int64
+	}{{"cnn", 11}, {"ebay", 5}, {"espn", 9}} {
+		spec, err := webapp.ByName(g.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.Generate(spec, g.seed, trace.Options{})
+		evs, err := tr.Runtime()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, run := range map[string]func() *engine.Result{
+			"Interactive": func() *engine.Result { return engine.RunReactive(p, g.app, evs, sched.NewInteractive(p)) },
+			"Ondemand":    func() *engine.Result { return engine.RunReactive(p, g.app, evs, sched.NewOndemand(p)) },
+			"EBS":         func() *engine.Result { return engine.RunReactive(p, g.app, evs, sched.NewEBS(p)) },
+			"Oracle":      func() *engine.Result { return engine.RunProactive(p, g.app, evs, sched.NewOracle(p, evs)) },
+			"PES": func() *engine.Result {
+				return engine.RunProactive(p, g.app, evs, core.NewPES(p, learner, spec, tr.DOMSeed, predictor.DefaultConfig()))
+			},
+		} {
+			sessions = append(sessions, Session{
+				Key: Key{Platform: p.Name, App: g.app, TraceSeed: g.seed, Scheduler: name},
+				Run: func() (*engine.Result, time.Duration, error) { return run(), 0, nil },
+			})
+		}
+	}
+	ps := openStore(t, t.TempDir())
+	out, err := NewRunner(2).WithStore(ps).Run(sessions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sessions {
+		stored, ok := ps.Get(storeKey(s.Key))
+		want, err := json.Marshal(out[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || string(stored) != string(want) {
+			t.Errorf("%s/%d %s: stored value (found %v, %d bytes) is not json.Marshal's %d bytes",
+				s.Key.App, s.Key.TraceSeed, s.Key.Scheduler, ok, len(stored), len(want))
+		}
 	}
 }

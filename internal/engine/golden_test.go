@@ -63,9 +63,10 @@ func approxEq(got, want float64) bool {
 	return math.Abs(got-want) <= 5e-9*math.Abs(want)
 }
 
-// TestEngineMatchesPreRefactorDrivers replays the golden sessions on the
-// unified engine and checks every recorded Result field.
-func TestEngineMatchesPreRefactorDrivers(t *testing.T) {
+// goldenResults replays the golden sessions on the unified engine, keyed
+// app/scheduler.
+func goldenResults(t *testing.T) map[string]*Result {
+	t.Helper()
 	p := acmp.Exynos5410()
 	learner, _, err := predictor.TrainOnSeenApps(3, 400)
 	if err != nil {
@@ -95,7 +96,13 @@ func TestEngineMatchesPreRefactorDrivers(t *testing.T) {
 		pes := core.NewPES(p, learner, spec, tr.DOMSeed, predictor.DefaultConfig())
 		run("PES", RunProactive(p, s.app, evs, pes))
 	}
+	return results
+}
 
+// TestEngineMatchesPreRefactorDrivers replays the golden sessions on the
+// unified engine and checks every recorded Result field.
+func TestEngineMatchesPreRefactorDrivers(t *testing.T) {
+	results := goldenResults(t)
 	for _, g := range golden {
 		r := results[g.app+"/"+g.scheduler]
 		if r == nil {

@@ -1,0 +1,217 @@
+package engine
+
+import (
+	"encoding/json"
+	"math"
+	"reflect"
+	"slices"
+	"strconv"
+
+	"repro/internal/webevent"
+)
+
+// AppendJSON appends the JSON encoding of r to dst and returns the extended
+// buffer. The bytes are exactly those of json.Marshal(r): Go field names in
+// declaration order (Solver under its tags), nil slices and pointers as
+// null, floats formatted by encoding/json's rule, strings with its
+// HTML-safe escaping. A NaN or infinite float fails with the error
+// json.Marshal returns, and dst comes back unextended. A nil r encodes as
+// null.
+//
+// It is the one encoder behind the results stream, the results document
+// and the persistent store; encoding/json stays the decoder and, in the
+// tests, the oracle every byte is checked against. Into a buffer with room
+// it does not allocate.
+func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
+	if r == nil {
+		return append(dst, "null"...), nil
+	}
+	// Make room for the whole encoding up front (an outcome takes ~350
+	// bytes), at least doubling a buffer that lacks it: a result costs one
+	// allocation in a nil buffer, and a document of many results grows
+	// geometrically.
+	if size := 512 + 400*len(r.Outcomes) + 32*len(r.PFBSamples); cap(dst)-len(dst) < size {
+		dst = slices.Grow(dst, max(size, len(dst)))
+	}
+	e := jsonAppender{b: dst}
+	e.lit(`{"Scheduler":`)
+	e.str(r.Scheduler)
+	e.lit(`,"App":`)
+	e.str(r.App)
+	e.lit(`,"Outcomes":`)
+	if r.Outcomes == nil {
+		e.lit("null")
+	} else {
+		e.lit("[")
+		for i := range r.Outcomes {
+			if i > 0 {
+				e.lit(",")
+			}
+			e.outcome(&r.Outcomes[i])
+		}
+		e.lit("]")
+	}
+	e.lit(`,"BusyEnergyMJ":`)
+	e.float(r.BusyEnergyMJ)
+	e.lit(`,"IdleEnergyMJ":`)
+	e.float(r.IdleEnergyMJ)
+	e.lit(`,"WastedEnergyMJ":`)
+	e.float(r.WastedEnergyMJ)
+	e.lit(`,"TotalEnergyMJ":`)
+	e.float(r.TotalEnergyMJ)
+	e.lit(`,"Violations":`)
+	e.int(int64(r.Violations))
+	e.lit(`,"ViolationRate":`)
+	e.float(r.ViolationRate)
+	e.lit(`,"CommittedFrames":`)
+	e.int(int64(r.CommittedFrames))
+	e.lit(`,"Mispredictions":`)
+	e.int(int64(r.Mispredictions))
+	e.lit(`,"SquashedFrames":`)
+	e.int(int64(r.SquashedFrames))
+	e.lit(`,"MispredictWaste":`)
+	e.int(int64(r.MispredictWaste))
+	e.lit(`,"PFBSamples":`)
+	if r.PFBSamples == nil {
+		e.lit("null")
+	} else {
+		e.lit("[")
+		for i, s := range r.PFBSamples {
+			if i > 0 {
+				e.lit(",")
+			}
+			e.lit(`{"Seq":`)
+			e.int(int64(s.Seq))
+			e.lit(`,"Size":`)
+			e.int(int64(s.Size))
+			e.lit("}")
+		}
+		e.lit("]")
+	}
+	e.lit(`,"SpeculationStops":`)
+	e.int(int64(r.SpeculationStops))
+	e.lit(`,"TotalBusy":`)
+	e.int(int64(r.TotalBusy))
+	e.lit(`,"BigBusy":`)
+	e.int(int64(r.BigBusy))
+	e.lit(`,"MaxPerfBusy":`)
+	e.int(int64(r.MaxPerfBusy))
+	e.lit(`,"Duration":`)
+	e.int(int64(r.Duration))
+	e.lit(`,"Solver":{"solves":`)
+	e.int(int64(r.Solver.Solves))
+	e.lit(`,"nodes":`)
+	e.int(r.Solver.Nodes)
+	e.lit(`,"plan_cache_hits":`)
+	e.int(int64(r.Solver.PlanCacheHits))
+	e.lit(`,"budget_aborts":`)
+	e.int(int64(r.Solver.BudgetAborts))
+	e.lit("}}")
+	if e.err != nil {
+		return dst, e.err
+	}
+	return e.b, nil
+}
+
+// jsonAppender accumulates one encoding; the first unsupported float sticks
+// in err and the caller discards the bytes.
+type jsonAppender struct {
+	b   []byte
+	err error
+}
+
+func (e *jsonAppender) outcome(o *Outcome) {
+	e.lit(`{"Event":`)
+	e.event(o.Event)
+	e.lit(`,"Start":`)
+	e.int(int64(o.Start))
+	e.lit(`,"Finish":`)
+	e.int(int64(o.Finish))
+	e.lit(`,"Latency":`)
+	e.int(int64(o.Latency))
+	e.lit(`,"Violated":`)
+	e.bool(o.Violated)
+	e.lit(`,"Config":{"Core":`)
+	e.int(int64(o.Config.Core))
+	e.lit(`,"FreqMHz":`)
+	e.int(int64(o.Config.FreqMHz))
+	e.lit(`},"EnergyMJ":`)
+	e.float(o.EnergyMJ)
+	e.lit(`,"Speculative":`)
+	e.bool(o.Speculative)
+	e.lit("}")
+}
+
+func (e *jsonAppender) event(ev *webevent.Event) {
+	if ev == nil {
+		e.lit("null")
+		return
+	}
+	e.lit(`{"Seq":`)
+	e.int(int64(ev.Seq))
+	e.lit(`,"App":`)
+	e.str(ev.App)
+	e.lit(`,"Type":`)
+	e.int(int64(ev.Type))
+	e.lit(`,"Trigger":`)
+	e.int(int64(ev.Trigger))
+	e.lit(`,"Target":`)
+	e.int(int64(ev.Target))
+	e.lit(`,"TargetKind":`)
+	e.int(int64(ev.TargetKind))
+	e.lit(`,"Work":{"Tmem":`)
+	e.int(int64(ev.Work.Tmem))
+	e.lit(`,"Cycles":`)
+	e.int(ev.Work.Cycles)
+	e.lit(`},"ViewportY":`)
+	e.float(ev.ViewportY)
+	e.lit(`,"Navigation":`)
+	e.bool(ev.Navigation)
+	e.lit("}")
+}
+
+// lit appends JSON text verbatim.
+func (e *jsonAppender) lit(s string) { e.b = append(e.b, s...) }
+
+func (e *jsonAppender) int(v int64) { e.b = strconv.AppendInt(e.b, v, 10) }
+
+func (e *jsonAppender) bool(v bool) { e.b = strconv.AppendBool(e.b, v) }
+
+// float follows encoding/json's float64 rule: the shortest 'f' form, or 'e'
+// for magnitudes below 1e-6 or from 1e21 on, with a two-digit negative
+// exponent trimmed to one (1e-07 becomes 1e-7).
+func (e *jsonAppender) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if e.err == nil {
+			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1]
+		e.b = e.b[:n-1]
+	}
+}
+
+// str quotes a string. Plain printable ASCII without the characters
+// encoding/json escapes (quote, backslash, and the HTML-unsafe <, >, &) is
+// copied as is; anything else is rare in results and goes through
+// json.Marshal, so escaping, U+2028/U+2029 and invalid UTF-8 match it
+// exactly.
+func (e *jsonAppender) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			e.b = append(e.b, quoted...)
+			return
+		}
+	}
+	e.b = append(e.b, '"')
+	e.b = append(e.b, s...)
+	e.b = append(e.b, '"')
+}

@@ -1,0 +1,82 @@
+package engine
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"repro/internal/acmp"
+	"repro/internal/optimizer"
+	"repro/internal/simtime"
+	"repro/internal/webevent"
+)
+
+// TestResultAppendJSONZeroAlloc: every golden session encodes to exactly
+// json.Marshal's bytes, so stored values and results bodies are unchanged
+// from the encoding/json path, and encoding it into a buffer that already
+// has room allocates nothing.
+func TestResultAppendJSONZeroAlloc(t *testing.T) {
+	buf := make([]byte, 0, 1<<20)
+	for key, r := range goldenResults(t) {
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.AppendJSON(buf)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendJSON (err %v) differs from json.Marshal:\n got %.300s\nwant %.300s", key, err, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := r.AppendJSON(buf); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: AppendJSON allocates %.1f times per call", key, allocs)
+		}
+	}
+}
+
+// FuzzResultJSON builds a result from fuzzed ints, floats and strings:
+// AppendJSON must write json.Marshal's bytes, fail exactly when it fails
+// (NaN and ±Inf) with the same error, and leave the buffer unextended on
+// failure. The seed corpus in testdata/fuzz/FuzzResultJSON covers plain
+// values, HTML-unsafe and invalid-UTF-8 strings, the 'f'/'e' float
+// boundaries, a subnormal, negative zero and the unsupported floats.
+func FuzzResultJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, sched, app, evApp string, seq, tick, cycles int64, energy, viewport, rate float64, nav bool) {
+		ev := &webevent.Event{
+			Seq: int(seq), App: evApp, Type: webevent.Type(seq), Trigger: simtime.Time(tick),
+			Target: int(cycles), TargetKind: webevent.NodeKind(seq),
+			Work:      acmp.Workload{Tmem: simtime.Duration(tick), Cycles: cycles},
+			ViewportY: viewport, Navigation: nav,
+		}
+		r := &Result{
+			Scheduler: sched, App: app,
+			Outcomes: []Outcome{
+				{Event: ev, Start: simtime.Time(tick), Finish: simtime.Time(seq), Latency: simtime.Duration(cycles),
+					Violated: nav, Config: acmp.Config{Core: acmp.CoreType(seq), FreqMHz: int(cycles)}, EnergyMJ: energy},
+				{Speculative: !nav, EnergyMJ: viewport},
+			},
+			BusyEnergyMJ: energy, IdleEnergyMJ: viewport, WastedEnergyMJ: rate, TotalEnergyMJ: -energy,
+			Violations: int(seq), ViolationRate: rate, MispredictWaste: simtime.Duration(tick),
+			Duration: simtime.Duration(cycles),
+			Solver:   optimizer.SolverCounts{Solves: int(seq), Nodes: cycles, BudgetAborts: int(tick)},
+		}
+		if nav {
+			r.PFBSamples = []PFBSample{{Seq: int(seq), Size: int(cycles)}}
+		}
+		want, werr := json.Marshal(r)
+		prefix := []byte("row:")
+		got, gerr := r.AppendJSON(prefix)
+		switch {
+		case (werr == nil) != (gerr == nil):
+			t.Fatalf("json.Marshal err %v, AppendJSON err %v", werr, gerr)
+		case werr != nil:
+			if gerr.Error() != werr.Error() || !bytes.Equal(got, prefix) {
+				t.Fatalf("failure differs: err %q (want %q), buffer %q", gerr, werr, got)
+			}
+		case !bytes.Equal(got[len(prefix):], want) || !bytes.Equal(got[:len(prefix)], prefix):
+			t.Fatalf("AppendJSON differs from json.Marshal:\n got %s\nwant %s", got[len(prefix):], want)
+		}
+	})
+}

@@ -581,11 +581,24 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// writeJSON answers compact JSON; `jq .` pretty-prints it.
+// writeJSON answers compact JSON; `jq .` pretty-prints it. The body is
+// encoded before the status line goes out, so a value that cannot be
+// encoded (a NaN energy, say) answers 500 with an apiError instead of the
+// intended status and an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(apiError{Error: "encoding response: " + err.Error()})
+	}
+	writeBody(w, code, append(body, '\n'))
+}
+
+// writeBody answers an encoded JSON body, newline included.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v) // the status line is already out; nothing left to report
+	_, _ = w.Write(body) // the status line is out; a failed write is a client gone away
 }
 
 // Request body limits: a campaign spec is a few KiB even with long app and
@@ -704,21 +717,35 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	results := j.results
 	j.mu.Unlock()
 
+	buf := resultBufs.Get().(*[]byte)
+	defer resultBufs.Put(buf)
 	if wantsNDJSON(r) {
 		// Stream one ResultRow per line so a large sharded sweep never
 		// materializes as one giant document on either side. Aggregate
-		// tables/solver stats are JSON-mode only.
+		// tables/solver stats are JSON-mode only. Each line is encoded
+		// whole before any of it is written, so a row that cannot be
+		// encoded (a NaN energy) ends the stream after the last good line:
+		// a 500 with an apiError if it is the first row, else a stream
+		// missing that row and every one after it.
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
+		wrote := false
 		for i, res := range results {
 			if !filter.match(j.plan.Meta[i]) {
 				continue
 			}
-			if err := enc.Encode(ResultRow{SessionMeta: j.plan.Meta[i], Result: res}); err != nil {
+			*buf, err = ResultRow{SessionMeta: j.plan.Meta[i], Result: res}.appendJSON((*buf)[:0])
+			if err != nil {
+				if !wrote {
+					writeJSON(w, http.StatusInternalServerError, apiError{Error: "encoding results: " + err.Error()})
+				}
+				return
+			}
+			*buf = append(*buf, '\n')
+			if _, err := w.Write(*buf); err != nil {
 				return // client went away; nothing left to report
 			}
+			wrote = true
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -744,7 +771,70 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		Tables: j.plan.Tables(results),
 		Solver: solver,
 	}
-	writeJSON(w, http.StatusOK, out)
+	if *buf, err = out.appendJSON((*buf)[:0]); err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: "encoding results: " + err.Error()})
+		return
+	}
+	*buf = append(*buf, '\n')
+	writeBody(w, http.StatusOK, *buf)
+}
+
+// resultBufs recycles the results handler's encoding buffers. A results
+// document runs to ~16 KiB a session; growing a fresh one per request costs
+// more than encoding into it.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendJSON appends the row's JSON encoding, byte for byte what
+// json.Marshal(row) writes: the small metadata object through encoding/json,
+// the result through engine.Result.AppendJSON.
+func (row ResultRow) appendJSON(dst []byte) ([]byte, error) {
+	meta, err := json.Marshal(row.SessionMeta)
+	if err != nil {
+		return dst, err
+	}
+	n := len(dst)
+	dst = append(dst, meta[:len(meta)-1]...) // the metadata object, still open
+	dst = append(dst, `,"result":`...)
+	if dst, err = row.Result.AppendJSON(dst); err != nil {
+		return dst[:n], err
+	}
+	return append(dst, '}'), nil
+}
+
+// appendJSON appends the results document's JSON encoding, byte for byte
+// what json.Marshal(r) writes for the non-nil Rows the handler builds. Rows
+// go through ResultRow.appendJSON; the small aggregate tables and solver
+// sum through encoding/json.
+func (r *Results) appendJSON(dst []byte) ([]byte, error) {
+	id, err := json.Marshal(r.ID)
+	if err != nil {
+		return dst, err
+	}
+	tables, err := json.Marshal(r.Tables)
+	if err != nil {
+		return dst, err
+	}
+	solver, err := json.Marshal(r.Solver)
+	if err != nil {
+		return dst, err
+	}
+	n := len(dst)
+	dst = append(dst, `{"id":`...)
+	dst = append(dst, id...)
+	dst = append(dst, `,"rows":[`...)
+	for i, row := range r.Rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if dst, err = row.appendJSON(dst); err != nil {
+			return dst[:n], err
+		}
+	}
+	dst = append(dst, `],"tables":`...)
+	dst = append(dst, tables...)
+	dst = append(dst, `,"solver":`...)
+	dst = append(dst, solver...)
+	return append(dst, '}'), nil
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {

@@ -29,7 +29,7 @@ func smallConfig() Config {
 	}
 }
 
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("server tests train a predictor")
