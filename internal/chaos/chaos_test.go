@@ -268,7 +268,7 @@ func chaosSpecs() []cluster.SessionSpec {
 type workerTransport struct{ workers map[string]*cluster.Worker }
 
 func (w workerTransport) RunShard(ctx context.Context, worker string, req cluster.ShardRequest) (cluster.ShardResponse, error) {
-	return w.workers[worker].RunShard(req)
+	return w.workers[worker].RunShard("", req)
 }
 
 // TestCampaignSurvivesChaosByteIdentical runs the resilience property
@@ -293,9 +293,9 @@ func TestCampaignSurvivesChaosByteIdentical(t *testing.T) {
 	}
 	specs := chaosSpecs()
 	// Small chunks force many dispatches, so every seed injects something.
-	// The local spill-over worker matches production wiring (server.New
-	// always installs one): when chaos excludes every remote, the campaign
-	// degrades to local execution instead of failing.
+	// The unplaced sessions run on a local worker, as the server runs them
+	// in-process: when chaos excludes every remote, the campaign degrades
+	// to local execution instead of failing.
 	runOnce := func(tr cluster.Transport, names []string) []*engine.Result {
 		local, err := cluster.NewWorker(smallCfg)
 		if err != nil {
@@ -305,10 +305,22 @@ func TestCampaignSurvivesChaosByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord.SetLocal(local)
-		out, err := coord.Run(specs, nil)
+		out, unplaced, err := coord.RunContext(context.Background(), specs, nil)
 		if err != nil {
 			t.Fatalf("campaign failed (must have zero client-visible failures): %v", err)
+		}
+		if len(unplaced) > 0 {
+			req := cluster.ShardRequest{Sessions: make([]cluster.SessionSpec, len(unplaced))}
+			for k, i := range unplaced {
+				req.Sessions[k] = specs[i]
+			}
+			resp, err := local.RunShard("", req)
+			if err != nil || resp.Error != "" {
+				t.Fatalf("local run of %d unplaced sessions: %v %s", len(unplaced), err, resp.Error)
+			}
+			for k, i := range unplaced {
+				out[i] = resp.Results[k]
+			}
 		}
 		return out
 	}

@@ -12,9 +12,7 @@
 //     that rebuilds the session from this description produces the same
 //     Result bytes the coordinator's own process would have (workers must
 //     run the same harness configuration — training scale and seed — which
-//     cmd/pes-serve enforces by sharing one flag set). The Oracle solver
-//     version is not part of that configuration: every Oracle spec names
-//     its own, so workers need not agree on a default.
+//     cmd/pes-serve enforces by sharing one flag set).
 //   - Keyed caching. Routing hashes the same tuple the batch memo cache is
 //     keyed by, so a given session always lands on the same worker; repeat
 //     campaigns hit that worker's warm memo cache, and sessions of one
@@ -28,9 +26,11 @@
 // each worker is fed its ring-owned sessions in bounded chunks, and a
 // worker that drains its own queue steals half of the longest remaining
 // queue — so one slow shard (the Oracle tail) cannot stall the campaign
-// behind an otherwise idle cluster. When no live worker remains, the
-// coordinator spills the remaining sessions over to a local in-process
-// worker instead of failing the campaign.
+// behind an otherwise idle cluster. The coordinator only places and
+// dispatches: it builds and runs no session itself. Sessions that no live
+// worker can take (the membership is empty, or every member failed) are
+// returned to the caller as unplaced, and the server runs them in-process
+// on the same path it uses without a cluster.
 //
 // Failures are split by fault domain, because the two kinds must be treated
 // oppositely:
@@ -60,6 +60,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,11 +124,10 @@ type ShardResponse struct {
 }
 
 // ClientFaultError is a shard rejection that is the campaign's fault — an
-// invalid session spec (an unknown oracle version included), a
-// frame-version skew, a malformed shard request — not the worker's. The
-// rejection is deterministic: every worker would answer it identically, so
-// the dispatcher fails the campaign immediately and excludes nobody instead
-// of cascading the same 4xx across the ring.
+// invalid session spec, a frame-version skew, a malformed shard request —
+// not the worker's. The rejection is deterministic: every worker would
+// answer it identically, so the dispatcher fails the campaign immediately
+// and excludes nobody instead of cascading the same 4xx across the ring.
 type ClientFaultError struct {
 	// Worker is the address that rejected the shard.
 	Worker string
@@ -184,12 +184,12 @@ type Stats struct {
 	// remaining queue; SessionsStolen counts the sessions inside them.
 	Steals         int64 `json:"steals" metric:"pes_cluster_steals_total" help:"Dispatches an idle worker stole from the longest queue."`
 	SessionsStolen int64 `json:"sessions_stolen" metric:"pes_cluster_sessions_stolen_total" help:"Sessions inside stolen dispatches."`
-	// SpillOvers counts the times sessions fell back to local in-process
-	// execution because no live worker remained; SessionsSpilled counts the
-	// sessions executed that way. Local executions are not counted in
+	// SpillOvers counts the times sessions were left unplaced because no
+	// live worker remained (the caller runs them in-process);
+	// SessionsSpilled counts those sessions. They are not counted in
 	// Shards/SessionsRouted.
 	SpillOvers      int64 `json:"spill_overs" metric:"pes_cluster_spill_overs_total" help:"Fallbacks to local in-process execution (no live workers)."`
-	SessionsSpilled int64 `json:"sessions_spilled" metric:"pes_cluster_sessions_spilled_total" help:"Sessions executed on the local spill-over worker."`
+	SessionsSpilled int64 `json:"sessions_spilled" metric:"pes_cluster_sessions_spilled_total" help:"Sessions no live worker could take, left to local in-process execution."`
 	// ClientFaults counts campaigns rejected for a deterministic client
 	// fault (4xx): the campaign fails, no worker is excluded.
 	ClientFaults int64 `json:"client_faults" metric:"pes_cluster_client_faults_total" help:"Campaigns rejected for a deterministic client fault (4xx)."`
@@ -282,7 +282,6 @@ type Coordinator struct {
 	probesSkipped   atomic.Int64
 
 	mu          sync.Mutex
-	local       *Worker
 	workerStats map[string]batch.Stats // latest snapshot per worker
 
 	hbStop    chan struct{}
@@ -291,8 +290,8 @@ type Coordinator struct {
 }
 
 // New builds a coordinator. The static worker seed may be empty — workers
-// can join later through Register — in which case campaigns spill over to
-// the local worker until the first member joins.
+// can join later through Register — in which case every session is
+// unplaced until the first member joins.
 func New(cfg Config) (*Coordinator, error) {
 	if err := validateSeed(cfg.Workers); err != nil {
 		return nil, err
@@ -410,22 +409,6 @@ func (c *Coordinator) Members() []Member { return c.members.snapshot() }
 // the returned slice does not affect routing.
 func (c *Coordinator) Workers() []string { return c.members.addrs() }
 
-// SetLocal installs the in-process spill-over worker: when the live worker
-// set empties (none configured yet, or every member failed), remaining
-// sessions execute on it instead of failing the campaign. server.New wires
-// the service's own harness here.
-func (c *Coordinator) SetLocal(w *Worker) {
-	c.mu.Lock()
-	c.local = w
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) localWorker() *Worker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.local
-}
-
 // noteWorkerFault marks a member unhealthy after a dispatch-level failure
 // and drops its stats snapshot.
 func (c *Coordinator) noteWorkerFault(addr string) {
@@ -487,10 +470,10 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// run is the in-flight state of one Coordinator.Run call: per-member work
-// queues fed in bounded chunks, a runner goroutine per member that steals
-// from the longest queue when its own drains, and a local spill-over lane
-// for sessions no live member can take.
+// run is the in-flight state of one Coordinator.RunContext call: per-member
+// work queues fed in bounded chunks, a runner goroutine per member that
+// steals from the longest queue when its own drains, and the list of
+// sessions no live member can take.
 type run struct {
 	c     *Coordinator
 	specs []SessionSpec
@@ -506,48 +489,45 @@ type run struct {
 	progress  func(completed, total int)
 	completed atomic.Int64
 
-	mu            sync.Mutex
-	cond          *sync.Cond
-	queues        map[string][]int // pending original indices per member
-	localQueue    []int
-	runners       map[string]bool
-	localOn       bool
-	excluded      map[string]bool // members failed this run
-	resolved      int
-	retriesUsed   int // worker-fault re-routes charged against retryBudget
-	done          bool
-	fatalErr      error
-	sessErr       error
-	lastWorkerErr error
-	wg            sync.WaitGroup
+	mu          sync.Mutex
+	cond        *sync.Cond
+	queues      map[string][]int // pending original indices per member
+	unplaced    []int            // indices no live member could take
+	runners     map[string]bool
+	excluded    map[string]bool // members failed this run
+	resolved    int
+	retriesUsed int // worker-fault re-routes charged against retryBudget
+	done        bool
+	fatalErr    error
+	sessErr     error
+	wg          sync.WaitGroup
 }
 
-// Run executes the sessions across the cluster and returns the results
-// index-aligned with the input — the same contract as the in-process batch
-// runner: on a session error the first error is returned and the
+// RunContext places the sessions on the cluster's workers and returns the
+// results index-aligned with the input — the same contract as the in-process
+// batch runner: on a session error the first error is returned and the
 // corresponding entries are nil, while every other session still completes.
-// progress (may be nil) is called once per resolved session, possibly from
-// several goroutines.
+// progress (may be nil) is called once per session a worker resolved,
+// possibly from several goroutines.
+//
+// unplaced lists, in ascending order, the indices no healthy, non-excluded
+// member could take — the membership was empty, or every member failed
+// mid-run. Their results are nil; running them is the caller's job (the
+// server runs them in-process). They are counted in SpillOvers and
+// SessionsSpilled, not reported to progress.
 //
 // A worker fault excludes that worker for the rest of the run and re-routes
 // its sessions; a client fault (deterministic 4xx rejection) fails the
-// campaign immediately and excludes nobody; when no live worker remains the
-// remaining sessions spill over to the local worker, and Run fails only
-// when none is configured.
-func (c *Coordinator) Run(specs []SessionSpec, progress func(completed, total int)) ([]*engine.Result, error) {
-	return c.RunContext(context.Background(), specs, progress)
-}
-
-// RunContext is Run carrying a context: a trace recorder attached with
-// obs.WithTrace collects dispatch/steal/spill spans (and the worker-side
+// campaign immediately and excludes nobody. A trace recorder attached to
+// ctx with obs.WithTrace collects dispatch/steal spans (and the worker-side
 // spans returned in shard responses), the trace ID propagates to workers in
 // the X-Pes-Trace-Id header, and cancelling ctx aborts the run with ctx's
 // error (in-flight shards are abandoned; workers complete them into their
 // own caches).
-func (c *Coordinator) RunContext(ctx context.Context, specs []SessionSpec, progress func(completed, total int)) ([]*engine.Result, error) {
+func (c *Coordinator) RunContext(ctx context.Context, specs []SessionSpec, progress func(completed, total int)) (results []*engine.Result, unplaced []int, err error) {
 	out := make([]*engine.Result, len(specs))
 	if len(specs) == 0 {
-		return out, nil
+		return out, nil, nil
 	}
 	r := &run{
 		c:        c,
@@ -595,19 +575,19 @@ func (c *Coordinator) RunContext(ctx context.Context, specs []SessionSpec, progr
 		r.cond.Wait()
 	}
 	r.done = true
-	err := r.fatalErr
+	err = r.fatalErr
 	r.cancel()
 	r.cond.Broadcast()
 	r.mu.Unlock()
 
 	r.wg.Wait()
-	if err != nil {
-		return out, err
-	}
 	r.mu.Lock()
-	sessErr := r.sessErr
-	r.mu.Unlock()
-	return out, sessErr
+	defer r.mu.Unlock()
+	slices.Sort(r.unplaced)
+	if err == nil {
+		err = r.sessErr
+	}
+	return out, r.unplaced, err
 }
 
 // note reports n resolved sessions to the progress callback (outside r.mu —
@@ -622,47 +602,26 @@ func (r *run) note(n int) {
 }
 
 // assignLocked routes indices to the healthy, non-excluded members by ring
-// ownership, spilling to the local lane those no member can take. Caller
-// holds r.mu.
+// ownership; those no member can take resolve as unplaced. Caller holds
+// r.mu.
 func (r *run) assignLocked(indices []int) {
-	var spill []int
+	spilled := 0
 	for _, i := range indices {
 		addr, ok := r.c.members.owner(r.specs[i].RouteKey(), r.excluded)
 		if !ok {
-			spill = append(spill, i)
+			r.unplaced = append(r.unplaced, i)
+			spilled++
 			continue
 		}
 		r.queues[addr] = append(r.queues[addr], i)
 		r.ensureRunnerLocked(addr)
 	}
-	if len(spill) > 0 {
-		r.spillLocked(spill)
+	if spilled > 0 {
+		r.c.spillOvers.Add(1)
+		r.c.sessionsSpilled.Add(int64(spilled))
+		r.resolved += spilled
 	}
 	r.cond.Broadcast()
-}
-
-// spillLocked hands indices to the local in-process worker — the graceful
-// degradation path when the live worker set is empty. Caller holds r.mu.
-func (r *run) spillLocked(indices []int) {
-	if r.c.localWorker() == nil {
-		if r.fatalErr == nil {
-			if r.lastWorkerErr != nil {
-				r.fatalErr = fmt.Errorf("cluster: no live workers remain and no local spill-over is configured (last worker error: %w)", r.lastWorkerErr)
-			} else {
-				r.fatalErr = fmt.Errorf("cluster: no live workers and no local spill-over configured")
-			}
-			r.cancel()
-		}
-		return
-	}
-	r.localQueue = append(r.localQueue, indices...)
-	r.c.spillOvers.Add(1)
-	r.c.sessionsSpilled.Add(int64(len(indices)))
-	if !r.localOn {
-		r.localOn = true
-		r.wg.Add(1)
-		go r.localRunner()
-	}
 }
 
 // ensureRunnerLocked starts the member's runner goroutine once. Caller
@@ -820,7 +779,6 @@ func (r *run) runner(addr string) {
 			r.c.noteWorkerFault(addr)
 			r.c.log.Warn("cluster worker fault",
 				"worker", addr, "sessions", len(chunk), "trace", r.trace.TraceID(), "error", err)
-			r.lastWorkerErr = err
 			r.excluded[addr] = true
 			r.retriesUsed++
 			if r.retriesUsed > r.c.cfg.retryBudget {
@@ -848,76 +806,6 @@ func (r *run) runner(addr string) {
 		}
 		r.resolved += len(chunk)
 		r.c.setWorkerStats(addr, resp.Stats)
-		r.cond.Broadcast()
-		r.mu.Unlock()
-		r.note(len(chunk))
-	}
-}
-
-// localRunner drains the spill-over lane on the coordinator's own
-// in-process worker. Local execution shares the service's harness, so its
-// results are byte-identical to a remote worker's; a local rejection is a
-// deterministic spec error and fails the campaign like a client fault. The
-// lane runs on the run's context: once the run ends (a fault, or the
-// caller's cancellation) it stops dispatching sessions between simulations.
-func (r *run) localRunner() {
-	defer r.wg.Done()
-	w := r.c.localWorker()
-	for {
-		r.mu.Lock()
-		var chunk []int
-		for {
-			if r.done || r.fatalErr != nil {
-				r.mu.Unlock()
-				return
-			}
-			if len(r.localQueue) > 0 {
-				chunk = r.localQueue
-				r.localQueue = nil
-				break
-			}
-			r.cond.Wait()
-		}
-		r.mu.Unlock()
-
-		req := ShardRequest{Sessions: make([]SessionSpec, len(chunk))}
-		for k, i := range chunk {
-			req.Sessions[k] = r.specs[i]
-		}
-		start := time.Now()
-		resp, err := w.RunShardTraced(r.ctx, r.trace.TraceID(), req)
-		if err == nil {
-			r.trace.Record(obs.Span{
-				Name: "spill", Worker: "local", Sessions: len(chunk),
-				StartUS: start.UnixMicro(), DurUS: time.Since(start).Microseconds(),
-			})
-			r.trace.Merge("local", resp.Spans)
-		}
-
-		r.mu.Lock()
-		if r.ctx.Err() != nil {
-			// The run is over (done or fatal); the spill was cut short.
-			r.cond.Broadcast()
-			r.mu.Unlock()
-			return
-		}
-		if err != nil {
-			r.c.clientFaults.Add(1)
-			if r.fatalErr == nil {
-				r.fatalErr = fmt.Errorf("cluster: local spill-over: %w", err)
-			}
-			r.cancel()
-			r.cond.Broadcast()
-			r.mu.Unlock()
-			return
-		}
-		for k, i := range chunk {
-			r.out[i] = resp.Results[k]
-		}
-		if resp.Error != "" && r.sessErr == nil {
-			r.sessErr = fmt.Errorf("cluster: local spill-over: %s", resp.Error)
-		}
-		r.resolved += len(chunk)
 		r.cond.Broadcast()
 		r.mu.Unlock()
 		r.note(len(chunk))

@@ -9,7 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -234,7 +234,7 @@ func TestCoordinatorMergesByteIdenticalOverHTTP(t *testing.T) {
 	}
 	specs := testSpecs()
 	var progressed atomic.Int64
-	merged, err := coord.Run(specs, func(completed, total int) {
+	merged, _, err := coord.RunContext(context.Background(), specs, func(completed, total int) {
 		progressed.Add(1)
 		if total != len(specs) {
 			t.Errorf("progress total = %d, want %d", total, len(specs))
@@ -274,7 +274,7 @@ func (f *failingTransport) RunShard(ctx context.Context, worker string, req Shar
 		f.mu.Unlock()
 		return ShardResponse{}, fmt.Errorf("connection refused (worker killed)")
 	}
-	return f.workers[worker].RunShard(req)
+	return f.workers[worker].RunShard("", req)
 }
 
 // TestShardRetryOnWorkerFailure kills one of two workers and asserts every
@@ -301,7 +301,7 @@ func TestShardRetryOnWorkerFailure(t *testing.T) {
 		t.Fatal("test fixture routes nothing to the dead worker; vary the specs")
 	}
 
-	merged, err := coord.Run(specs, nil)
+	merged, _, err := coord.RunContext(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,18 +333,27 @@ func (everythingFails) RunShard(ctx context.Context, worker string, req ShardReq
 	return ShardResponse{}, fmt.Errorf("worker %s unreachable", worker)
 }
 
-// TestAllWorkersFailed asserts Run reports an error (not a hang or a nil
-// deref) when no worker can take a shard. No worker harness is trained, so
-// this runs even in -short mode.
+// TestAllWorkersFailed asserts RunContext hands every session back as
+// unplaced (not a hang, a nil deref or a made-up result) when no worker can
+// take a shard. No worker harness is trained, so this runs even in -short
+// mode.
 func TestAllWorkersFailed(t *testing.T) {
 	coord, err := New(Config{Workers: []string{"worker-a:9001", "worker-b:9002"}, Transport: everythingFails{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := testSpecs()[:4]
-	_, err = coord.Run(specs, nil)
-	if err == nil {
-		t.Fatal("Run succeeded with every worker failing")
+	out, unplaced, err := coord.RunContext(context.Background(), specs, nil)
+	if err != nil {
+		t.Fatalf("RunContext = %v, want the sessions back unplaced", err)
+	}
+	if !slices.Equal(unplaced, []int{0, 1, 2, 3}) {
+		t.Errorf("unplaced = %v, want every index", unplaced)
+	}
+	for i, res := range out {
+		if res != nil {
+			t.Errorf("result %d is set although no worker ran it", i)
+		}
 	}
 	if st := coord.Stats(); st.WorkerFailures < 2 {
 		t.Errorf("stats show %d worker failures, want both workers marked failed", st.WorkerFailures)
@@ -365,11 +374,11 @@ func TestWarmShardCacheHitsOnRepeatCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := testSpecs()
-	first, err := coord.Run(specs, nil)
+	first, _, err := coord.RunContext(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := coord.Run(specs, nil)
+	second, _, err := coord.RunContext(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +409,7 @@ func TestWorkerSolveSpanCountsOnlyThisCall(t *testing.T) {
 	req := ShardRequest{Sessions: testSpecs()}
 	solveUS := func() int64 {
 		t.Helper()
-		resp, err := w.RunShardTraced(context.Background(), "trace", req)
+		resp, err := w.RunShard("trace", req)
 		if err != nil || resp.Error != "" {
 			t.Fatalf("shard: %v %s", err, resp.Error)
 		}
@@ -479,7 +488,7 @@ func TestUnknownOracleVersionIsClientFault(t *testing.T) {
 	defer coord.Close()
 	spec := SessionSpec{Platform: "Exynos5410", App: "cnn", TraceSeed: 1,
 		Scheduler: sessions.Oracle, Predictor: predictor.DefaultConfig()}
-	_, err = coord.Run([]SessionSpec{spec}, nil)
+	_, _, err = coord.RunContext(context.Background(), []SessionSpec{spec}, nil)
 	if !IsClientFault(err) || !strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), "oracle_version") {
 		t.Fatalf("Run = %v, want a client fault from a 400 naming oracle_version", err)
 	}
@@ -540,7 +549,7 @@ func TestClientFaultDoesNotPoisonRing(t *testing.T) {
 	specs := testSpecs()
 	mixed := append([]SessionSpec(nil), specs...)
 	mixed[7].App = "no-such-app"
-	_, err = coord.Run(mixed, nil)
+	_, _, err = coord.RunContext(context.Background(), mixed, nil)
 	if err == nil {
 		t.Fatal("mixed-validity campaign succeeded")
 	}
@@ -562,7 +571,7 @@ func TestClientFaultDoesNotPoisonRing(t *testing.T) {
 	}
 
 	// The coordinator keeps serving valid campaigns on the full ring.
-	merged, err := coord.Run(specs, nil)
+	merged, _, err := coord.RunContext(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatalf("valid campaign after a client fault failed: %v", err)
 	}
@@ -601,7 +610,7 @@ func TestClientFaultFailsFastFakeTransport(t *testing.T) {
 	}
 	specs := testSpecs()
 	specs[5].App = "poison"
-	_, err = coord.Run(specs, nil)
+	_, _, err = coord.RunContext(context.Background(), specs, nil)
 	if err == nil || !IsClientFault(err) {
 		t.Fatalf("expected a client-fault campaign error, got %v", err)
 	}
@@ -609,7 +618,7 @@ func TestClientFaultFailsFastFakeTransport(t *testing.T) {
 	if st.WorkerFailures != 0 || st.Workers != 2 {
 		t.Errorf("client fault excluded a worker: %+v", st)
 	}
-	if _, err := coord.Run(testSpecs(), nil); err != nil {
+	if _, _, err := coord.RunContext(context.Background(), testSpecs(), nil); err != nil {
 		t.Errorf("valid campaign after a client fault failed: %v", err)
 	}
 }
@@ -703,7 +712,7 @@ func TestMidCampaignWorkerDeathMergesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := testSpecs()
-	merged, err := coord.Run(specs, nil)
+	merged, _, err := coord.RunContext(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -758,7 +767,7 @@ func TestMidCampaignWorkerJoinStealsAndMergesByteIdentical(t *testing.T) {
 		}
 	}
 	specs := testSpecs()
-	merged, err := coord.Run(specs, nil)
+	merged, _, err := coord.RunContext(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -794,7 +803,7 @@ func (s *slowTransport) RunShard(ctx context.Context, worker string, req ShardRe
 			return ShardResponse{}, ctx.Err()
 		}
 	}
-	return s.worker.RunShard(req)
+	return s.worker.RunShard("", req)
 }
 
 // TestStealingBoundsSlowWorker pairs a fast worker with an artificially
@@ -809,7 +818,7 @@ func TestStealingBoundsSlowWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := testSpecs()
-	merged, err := coord.Run(specs, nil)
+	merged, _, err := coord.RunContext(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -827,23 +836,28 @@ func TestStealingBoundsSlowWorker(t *testing.T) {
 }
 
 // TestSpillOverEmptyMembership runs a campaign on a coordinator with no
-// workers at all: every session spills over to the local in-process worker
-// instead of failing.
+// workers at all: every session comes back unplaced, for the caller to run
+// in-process, and is counted as spilled — not routed.
 func TestSpillOverEmptyMembership(t *testing.T) {
 	coord, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	coord.SetLocal(newTestWorker(t))
 	specs := testSpecs()[:6]
-	merged, err := coord.Run(specs, nil)
+	var progressed atomic.Int64
+	out, unplaced, err := coord.RunContext(context.Background(), specs, func(int, int) { progressed.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, specs, merged, directResults(t, specs))
+	if !slices.Equal(unplaced, []int{0, 1, 2, 3, 4, 5}) {
+		t.Errorf("unplaced = %v, want every index in order", unplaced)
+	}
+	if slices.ContainsFunc(out, func(r *engine.Result) bool { return r != nil }) || progressed.Load() != 0 {
+		t.Errorf("unplaced sessions reported results or progress: %d progress calls", progressed.Load())
+	}
 	st := coord.Stats()
-	if st.SpillOvers < 1 || st.SessionsSpilled != int64(len(specs)) {
+	if st.SpillOvers != 1 || st.SessionsSpilled != int64(len(specs)) {
 		t.Errorf("spill-over not recorded: %+v", st)
 	}
 	if st.Shards != 0 || st.SessionsRouted != 0 {
@@ -851,73 +865,44 @@ func TestSpillOverEmptyMembership(t *testing.T) {
 	}
 }
 
-// TestSpillOverStopsOnCancel: the local spill-over lane runs on the run's
-// context. A coordinator with no members spills a 60-session campaign to a
-// one-goroutine local worker; cancelling the caller's context once the first
-// session has been simulated makes RunContext return the context's error
-// without simulating the rest of the spill.
-func TestSpillOverStopsOnCancel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster tests train a predictor")
-	}
-	cfg := smallConfig()
-	cfg.Parallel = 1
-	local, err := NewWorker(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	coord.SetLocal(local)
-	var specs []SessionSpec
-	for _, app := range []string{"cnn", "ebay", "espn"} {
-		for seed := int64(1); seed <= 4; seed++ {
-			for _, name := range sessions.Names() {
-				specs = append(specs, SessionSpec{Platform: "Exynos5410", App: app, TraceSeed: seed,
-					Scheduler: name, Predictor: predictor.DefaultConfig()})
-			}
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for local.Stats().UniqueRuns == 0 && ctx.Err() == nil {
-			runtime.Gosched()
-		}
-		cancel()
-	}()
-	if _, err := coord.RunContext(ctx, specs, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want %v", err, context.Canceled)
-	}
-	if runs := local.Stats().UniqueRuns; runs >= int64(len(specs)) {
-		t.Errorf("local worker simulated %d of %d sessions after the cancel, want fewer", runs, len(specs))
-	}
-}
-
 // TestSpillOverAfterAllWorkersFail is the graceful-degradation path: every
-// remote worker dies mid-campaign and the coordinator finishes the campaign
-// on its local worker instead of failing it.
+// remote worker dies mid-campaign, and the coordinator hands every session
+// back unplaced — in ascending order, each counted once as spilled — so the
+// caller can finish the campaign in-process instead of failing it. Running
+// the unplaced sessions on a local worker completes the campaign
+// byte-identically to a single-process run.
 func TestSpillOverAfterAllWorkersFail(t *testing.T) {
 	coord, err := New(Config{Workers: []string{"worker-a:9001", "worker-b:9002"}, Transport: everythingFails{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.SetLocal(newTestWorker(t))
+	local := newTestWorker(t)
 	specs := testSpecs()
-	merged, err := coord.Run(specs, nil)
+	merged, unplaced, err := coord.RunContext(context.Background(), specs, nil)
 	if err != nil {
-		t.Fatalf("campaign failed despite local spill-over: %v", err)
+		t.Fatalf("RunContext failed instead of handing the sessions back: %v", err)
+	}
+	if len(unplaced) != len(specs) || !slices.IsSorted(unplaced) || unplaced[0] != 0 || unplaced[len(specs)-1] != len(specs)-1 {
+		t.Fatalf("unplaced = %v, want every index 0..%d in order", unplaced, len(specs)-1)
+	}
+	req := ShardRequest{Sessions: make([]SessionSpec, len(unplaced))}
+	for k, i := range unplaced {
+		req.Sessions[k] = specs[i]
+	}
+	resp, err := local.RunShard("", req)
+	if err != nil || resp.Error != "" {
+		t.Fatalf("local run of the unplaced sessions: %v %s", err, resp.Error)
+	}
+	for k, i := range unplaced {
+		merged[i] = resp.Results[k]
 	}
 	assertIdentical(t, specs, merged, directResults(t, specs))
 	st := coord.Stats()
 	if st.WorkerFailures != 2 {
 		t.Errorf("WorkerFailures = %d, want 2", st.WorkerFailures)
 	}
-	if st.SessionsSpilled != int64(len(specs)) {
-		t.Errorf("SessionsSpilled = %d, want %d", st.SessionsSpilled, len(specs))
+	if st.SpillOvers < 1 || st.SessionsSpilled != int64(len(specs)) {
+		t.Errorf("SpillOvers = %d, SessionsSpilled = %d, want >= 1 and %d", st.SpillOvers, st.SessionsSpilled, len(specs))
 	}
 	if st.Workers != 0 {
 		t.Errorf("Workers = %d after both faults, want 0", st.Workers)
@@ -988,7 +973,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = coord.Run(testSpecs()[:6], nil)
+	_, _, err = coord.RunContext(context.Background(), testSpecs()[:6], nil)
 	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
 		t.Fatalf("Run error = %v, want retry budget exhaustion", err)
 	}

@@ -298,10 +298,10 @@ func TestWorkerShardRequestBodyLimit(t *testing.T) {
 func warmShard(b *testing.B) ShardResponse {
 	w := newTestWorker(b)
 	req := ShardRequest{Sessions: testSpecs()[:15]}
-	if _, err := w.RunShard(req); err != nil {
+	if _, err := w.RunShard("", req); err != nil {
 		b.Fatal(err)
 	}
-	resp, err := w.RunShardTraced(context.Background(), "bench", req)
+	resp, err := w.RunShard("bench", req)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,12 +37,6 @@ func NewWorker(cfg experiments.Config) (*Worker, error) {
 	return &Worker{setup: setup}, nil
 }
 
-// NewWorkerFromSetup wraps an existing harness setup (tests share one setup
-// between a worker and a direct runner).
-func NewWorkerFromSetup(setup *experiments.Setup) *Worker {
-	return &Worker{setup: setup}
-}
-
 // Setup exposes the worker's harness state.
 func (w *Worker) Setup() *experiments.Setup { return w.setup }
 
@@ -57,10 +51,10 @@ func (w *Worker) Stats() batch.Stats { return w.setup.Runner.Stats() }
 const MaxSessions = 10_000
 
 // BuildSessions turns wire specs into self-contained batch sessions. It is
-// the one builder: the in-process server, worker shards and the
-// coordinator's spill-over lane all run what it returns. The trace comes
-// from the setup's artifact store, the learner is the setup's trained
-// model, and the predictor configuration is taken verbatim from the spec.
+// the one builder: the server's in-process path and worker shards both run
+// what it returns. The trace comes from the setup's artifact store, the
+// learner is the setup's trained model, and the predictor configuration is
+// taken verbatim from the spec.
 func BuildSessions(setup *experiments.Setup, specs []SessionSpec) ([]batch.Session, error) {
 	if len(specs) > MaxSessions {
 		return nil, fmt.Errorf("%d sessions exceed the %d-session limit", len(specs), MaxSessions)
@@ -92,26 +86,17 @@ func BuildSessions(setup *experiments.Setup, specs []SessionSpec) ([]batch.Sessi
 	return out, nil
 }
 
-// RunShard executes one shard on the worker's runner. Invalid specs are the
-// caller's fault (the HTTP layer answers 400); a session simulation error
-// is reported in the response like the in-process runner's first error,
-// with the remaining sessions still completing.
-func (w *Worker) RunShard(req ShardRequest) (ShardResponse, error) {
-	return w.RunShardTraced(context.Background(), "", req)
-}
-
-// RunShardTraced is RunShard bounded by ctx and joining a campaign trace.
-// Once ctx is done the runner dispatches no further session (see
-// batch.Runner.RunContext): the coordinator's spill-over lane passes its
-// run's context, while the HTTP handler passes a background one, so a
-// remote shard always completes into the worker's caches. A non-empty
-// traceID (from the X-Pes-Trace-Id header, or the coordinator's recorder on
-// the local spill-over path) makes the response carry the runner's spans
-// for this shard — "simulate", the shard's wall time, and "solve", the
-// solver time of the sessions this call simulated (0 for a fully warm
-// shard) — for the coordinator to merge into the campaign timeline. An
-// empty traceID records nothing.
-func (w *Worker) RunShardTraced(ctx context.Context, traceID string, req ShardRequest) (ShardResponse, error) {
+// RunShard executes one shard on the worker's runner, always to the end, so
+// even a shard whose coordinator gave up on it completes into the worker's
+// caches. Invalid specs are the caller's fault (the HTTP layer answers
+// 400); a session simulation error is reported in the response like the
+// in-process runner's first error, with the remaining sessions still
+// completing. A non-empty traceID (from the X-Pes-Trace-Id header) makes
+// the response carry the runner's spans for this shard — "simulate", the
+// shard's wall time, and "solve", the solver time of the sessions this call
+// simulated (0 for a fully warm shard) — for the coordinator to merge into
+// the campaign timeline. An empty traceID records nothing.
+func (w *Worker) RunShard(traceID string, req ShardRequest) (ShardResponse, error) {
 	if len(req.Sessions) == 0 {
 		return ShardResponse{}, fmt.Errorf("shard contains no sessions")
 	}
@@ -123,7 +108,7 @@ func (w *Worker) RunShardTraced(ctx context.Context, traceID string, req ShardRe
 	if traceID != "" {
 		rec = obs.NewRecorder(traceID)
 	}
-	results, runErr := w.setup.Runner.RunContext(obs.WithTrace(ctx, rec), sess, nil)
+	results, runErr := w.setup.Runner.RunContext(obs.WithTrace(context.Background(), rec), sess, nil)
 	resp := ShardResponse{Results: results, Stats: w.Stats(), Spans: rec.Timeline()}
 	if runErr != nil {
 		resp.Error = runErr.Error()
@@ -188,7 +173,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		w.writeJSON(rw, code, shardError{Error: "invalid shard JSON: " + err.Error()})
 		return
 	}
-	resp, err := w.RunShardTraced(context.Background(), r.Header.Get(obs.TraceHeader), req)
+	resp, err := w.RunShard(r.Header.Get(obs.TraceHeader), req)
 	if err != nil {
 		w.writeJSON(rw, http.StatusBadRequest, shardError{Error: err.Error()})
 		return

@@ -25,9 +25,9 @@ func MintTraceID(campaignID string) string {
 }
 
 // Span is one timed stage of a campaign: queue wait, dispatch, steal,
-// spill-over, per-chunk simulate, solve totals. Times are microseconds since
-// the Unix epoch (StartUS) and microsecond durations (DurUS) — coarse enough
-// to serialize compactly, fine enough for sub-millisecond sessions.
+// per-chunk simulate, solve totals. Times are microseconds since the Unix
+// epoch (StartUS) and microsecond durations (DurUS) — coarse enough to
+// serialize compactly, fine enough for sub-millisecond sessions.
 type Span struct {
 	TraceID  string `json:"trace_id"`
 	Name     string `json:"name"`

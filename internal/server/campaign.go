@@ -101,7 +101,7 @@ func predictorConfig(base predictor.Config, spec *PredictorSpec) predictor.Confi
 }
 
 // Expand validates the campaign and expands it into wire specs, filling in
-// the setup's predictor defaults and oracle version. The expansion is the
+// the setup's predictor defaults. The expansion is the
 // apps × seeds × schedulers cross product at the base predictor
 // configuration, plus one extra PES pass per distinct sweep threshold. It
 // never touches the artifact store: no trace is generated until the plan

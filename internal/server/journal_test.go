@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/store"
 )
 
@@ -304,6 +305,110 @@ func TestDrainLeavesQueuedCampaignsResumable(t *testing.T) {
 		if got := pollTerminal(t, s2, id); got.Status != StatusDone {
 			t.Errorf("resumed campaign %s: %s (%s)", id, got.Status, got.Error)
 		}
+	}
+}
+
+// TestDrainStopsUnplacedSessions: sessions a coordinator cannot place run
+// on the server's one local path, so they honour the drain deadline and
+// report progress per session like a campaign on a server without a
+// cluster. A store-backed server whose coordinator has no members takes a
+// 540-session campaign; once it is running and has reported progress,
+// Close's few-millisecond drain cancels the local run between sessions and
+// returns the campaign to queued with most of it unsimulated. A reboot on
+// the same store resumes it to results byte-identical to an in-process
+// run.
+func TestDrainStopsUnplacedSessions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("server tests train a predictor")
+	}
+	campaign := Campaign{TraceSeeds: []int64{1, 2, 3, 4, 5, 6}}
+	dir := t.TempDir()
+	boot := func(st *store.Store) (*Server, *cluster.Coordinator) {
+		t.Helper()
+		coord, err := cluster.New(cluster.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := smallConfig()
+		cfg.JobWorkers = 1
+		cfg.DrainTimeout = 5 * time.Millisecond
+		cfg.Experiments.Store = st
+		cfg.Cluster = coord
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, coord
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, coord := boot(st)
+	defer coord.Close()
+	jst, err := s.Submit(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jst.Sessions != 540 {
+		t.Fatalf("campaign expanded to %d sessions, want 540", jst.Sessions)
+	}
+	j, _ := s.jobByID(jst.ID)
+	deadline := time.Now().Add(2 * time.Minute)
+	for snap := j.snapshot(); snap.Status != StatusRunning || snap.Completed == 0; snap = j.snapshot() {
+		if terminal(snap.Status) || time.Now().After(deadline) {
+			t.Fatalf("campaign %s at %d/%d before reporting progress while running", snap.Status, snap.Completed, snap.Sessions)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+	if got := j.snapshot(); got.Status != StatusQueued || got.Completed != 0 {
+		t.Fatalf("after the drain deadline the campaign is %s at %d/%d, want queued at 0", got.Status, got.Completed, got.Sessions)
+	}
+	if runs := s.Stats().UniqueRuns; runs >= int64(jst.Sessions) {
+		t.Errorf("the local path simulated %d of %d sessions after the drain deadline, want fewer", runs, jst.Sessions)
+	}
+	st.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s2, coord2 := boot(st2)
+	defer coord2.Close()
+	defer s2.Close()
+	if s2.Resumed() != 1 {
+		t.Fatalf("Resumed() = %d, want 1", s2.Resumed())
+	}
+	if got := pollTerminal(t, s2, jst.ID); got.Status != StatusDone || got.Completed != jst.Sessions {
+		t.Fatalf("resumed campaign ended %s at %d/%d (%s)", got.Status, got.Completed, got.Sessions, got.Error)
+	}
+	if cs := coord2.Stats(); cs.SessionsSpilled != int64(jst.Sessions) || cs.Shards != 0 {
+		t.Errorf("resumed campaign's coordinator stats: %+v, want every session spilled and none routed", cs)
+	}
+
+	ref := testServer(t)
+	rst, err := ref.Submit(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pollTerminal(t, ref, rst.ID); got.Status != StatusDone {
+		t.Fatalf("in-process reference ended %s (%s)", got.Status, got.Error)
+	}
+	rj, _ := ref.jobByID(rst.ID)
+	want, err := json.Marshal(rj.results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, _ := s2.jobByID(jst.ID)
+	got, err := json.Marshal(resumed.results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("resumed campaign differs from an in-process run")
 	}
 }
 

@@ -138,7 +138,7 @@ func TestResultsBodiesByteIdenticalToEncodingJSON(t *testing.T) {
 // TestUnencodableResultAnswers500: a NaN energy cannot be encoded as JSON.
 // The results document answers 500 with an error body instead of a 200
 // with an empty one; the NDJSON stream answers 500 when the first row is
-// bad, and otherwise ends after the last good row.
+// bad, and otherwise ends with one apiError line after the last good row.
 func TestUnencodableResultAnswers500(t *testing.T) {
 	s, err := New(smallConfig())
 	if err != nil {
@@ -168,8 +168,13 @@ func TestUnencodableResultAnswers500(t *testing.T) {
 		t.Errorf("document: status %d body %q, want 500 with an error naming the NaN", code, body)
 	}
 	code, body = fetchBody(t, base+"?format=ndjson")
-	if want := good[:nthLine(good, 5)]; code != http.StatusOK || !bytes.Equal(body, want) {
-		t.Errorf("NDJSON: status %d, %d bytes; want 200 and the 5 rows before the bad one (%d bytes)", code, len(body), len(want))
+	rows := good[:nthLine(good, 5)]
+	var lineErr apiError
+	if code != http.StatusOK || !bytes.HasPrefix(body, rows) {
+		t.Errorf("NDJSON: status %d, %d bytes; want 200 and the 5 rows before the bad one (%d bytes) first", code, len(body), len(rows))
+	} else if tail := body[len(rows):]; bytes.Count(tail, []byte("\n")) != 1 || tail[len(tail)-1] != '\n' ||
+		json.Unmarshal(tail, &lineErr) != nil || !strings.HasPrefix(lineErr.Error, "encoding results: ") || !strings.Contains(lineErr.Error, "NaN") {
+		t.Errorf("NDJSON: after the 5 good rows got %q, want one error line naming the NaN", tail)
 	}
 
 	poison(0)

@@ -43,8 +43,8 @@ type Config struct {
 	// through a coordinator; nil executes campaigns in-process on the
 	// shared runner. Figure endpoints always run in-process. Workers must
 	// share this server's Experiments configuration for merged results to
-	// be byte-identical to in-process execution. New wires the service's
-	// own harness into the coordinator as the local spill-over worker, so
+	// be byte-identical to in-process execution. Sessions no live worker
+	// can take run in-process, on the same path as without a cluster, so
 	// campaigns degrade to in-process execution when the live worker set
 	// empties instead of failing.
 	Cluster *cluster.Coordinator
@@ -213,12 +213,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Cluster != nil {
-		// The service's own trained harness doubles as the coordinator's
-		// spill-over backend: identical configuration means local results
-		// are byte-identical to a worker's.
-		cfg.Cluster.SetLocal(cluster.NewWorkerFromSetup(setup))
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
@@ -349,35 +343,55 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one expanded campaign: through the cluster coordinator when
-// one is configured (each worker resolves its shard against its own warm
-// memo/artifact caches), in-process on the shared runner otherwise. Both
-// paths build their sessions from the plan's specs with
-// cluster.BuildSessions when the campaign starts (locally here, on the
-// workers otherwise), and both return results index-aligned with the plan,
-// so the merge — and everything downstream of it (rows, tables, solver
-// aggregation) — is identical. In-process execution is bounded by the
-// server's run context (the drain deadline); cluster dispatch is not — a
-// coordinator killed mid-campaign relies on the journal plus the workers'
-// own stores, which is the same guarantee with no cooperation needed from
-// remote processes.
+// execute runs one expanded campaign and returns its results index-aligned
+// with the plan. It is the one place a server runs campaign sessions: with
+// a coordinator configured, the sessions are first dispatched to the
+// workers (each resolves its shard against its own warm memo/artifact
+// caches), and only those no live worker could take run here; without one,
+// every session runs here. Local sessions are built from the plan's specs
+// with cluster.BuildSessions — the builder the workers use — so the merge,
+// and everything downstream of it (rows, tables, solver aggregation), is
+// identical either way. Local execution is bounded by the server's run
+// context (the drain deadline); cluster dispatch is not — a coordinator
+// killed mid-campaign relies on the journal plus the workers' own stores,
+// which is the same guarantee with no cooperation needed from remote
+// processes.
 func (s *Server) execute(j *job, progress func(completed, total int)) ([]*engine.Result, error) {
-	plan := j.plan
+	specs := j.plan.Specs
+	var results []*engine.Result
+	var unplaced []int
 	if s.cfg.Cluster != nil {
 		// Background context plus the trace recorder: cluster dispatch stays
 		// non-cancelable (a killed coordinator relies on the journal), while
-		// the recorder collects dispatch/steal/spill and worker spans.
-		return s.cfg.Cluster.RunContext(obs.WithTrace(context.Background(), j.trace), plan.Specs, progress)
+		// the recorder collects dispatch/steal and worker spans.
+		var err error
+		results, unplaced, err = s.cfg.Cluster.RunContext(obs.WithTrace(context.Background(), j.trace), specs, progress)
+		if err != nil || len(unplaced) == 0 {
+			return results, err
+		}
+	} else {
+		results = make([]*engine.Result, len(specs))
+		unplaced = make([]int, len(specs))
+		for i := range unplaced {
+			unplaced[i] = i
+		}
 	}
-	sess, err := cluster.BuildSessions(s.setup, plan.Specs)
+	local := make([]cluster.SessionSpec, len(unplaced))
+	for k, i := range unplaced {
+		local[k] = specs[i]
+	}
+	sess, err := cluster.BuildSessions(s.setup, local)
 	if err != nil {
 		return nil, err
 	}
 	// The runner records its simulate and solve spans on a recorder of its
-	// own, merged under the same "local" label the spill-over lane uses.
-	local := obs.NewRecorder(j.trace.TraceID())
-	results, err := s.setup.Runner.RunContext(obs.WithTrace(s.runCtx, local), sess, progress)
-	j.trace.Merge("local", local.Timeline())
+	// own, merged under the "local" worker label.
+	rec := obs.NewRecorder(j.trace.TraceID())
+	out, err := s.setup.Runner.RunContext(obs.WithTrace(s.runCtx, rec), sess, progress)
+	j.trace.Merge("local", rec.Timeline())
+	for k, i := range unplaced {
+		results[i] = out[k]
+	}
 	return results, err
 }
 
@@ -725,8 +739,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		// tables/solver stats are JSON-mode only. Each line is encoded
 		// whole before any of it is written, so a row that cannot be
 		// encoded (a NaN energy) ends the stream after the last good line:
-		// a 500 with an apiError if it is the first row, else a stream
-		// missing that row and every one after it.
+		// a 500 with an apiError if it is the first row, else a final
+		// apiError line after the rows already sent, so a client can tell
+		// a truncated stream from a short one.
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
 		wrote := false
@@ -736,8 +751,12 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			}
 			*buf, err = ResultRow{SessionMeta: j.plan.Meta[i], Result: res}.appendJSON((*buf)[:0])
 			if err != nil {
+				e := apiError{Error: "encoding results: " + err.Error()}
 				if !wrote {
-					writeJSON(w, http.StatusInternalServerError, apiError{Error: "encoding results: " + err.Error()})
+					writeJSON(w, http.StatusInternalServerError, e)
+				} else {
+					line, _ := json.Marshal(e) // a string field always encodes
+					_, _ = w.Write(append(line, '\n'))
 				}
 				return
 			}

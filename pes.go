@@ -301,8 +301,8 @@ func NewCampaign(c Campaign, x *Experiments) (*CampaignPlan, error) { return c.E
 
 // CampaignSessions builds a plan's runnable batch sessions, index-aligned
 // with its metadata, from the harness's artifact store and trained learner.
-// It is the same builder the server, cluster workers and the spill-over
-// lane use; run the result with RunBatch (or a kept BatchRunner).
+// It is the same builder the server and cluster workers use; run the
+// result with RunBatch (or a kept BatchRunner).
 func CampaignSessions(p *CampaignPlan, x *Experiments) ([]BatchSession, error) {
 	return cluster.BuildSessions(x, p.Specs)
 }
@@ -315,19 +315,18 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 // Sharded multi-worker campaign execution.
 type (
 	// ClusterConfig parameterizes a campaign coordinator: static worker
-	// seed, transport, oracle version, per-shard session cap and logger.
-	// Ring replicas, shard timeout, heartbeat cadence and probe backoff are
-	// fixed; the in-process spill-over worker is installed with
-	// ClusterCoordinator.SetLocal.
+	// seed, transport, per-shard session cap and logger. Ring replicas,
+	// shard timeout, heartbeat cadence and probe backoff are fixed.
 	ClusterConfig = cluster.Config
 	// ClusterCoordinator shards campaign sessions across an elastic worker
 	// set by consistent hashing on the batch memo key: workers join via
 	// Register and are health-checked by heartbeats, idle workers steal
-	// queued work from slow ones, worker faults re-route to the survivors,
-	// and when the live set empties the coordinator spills over to local
-	// in-process execution. Merged results stay byte-identical to
-	// single-process execution. Set it on ServerConfig.Cluster to shard a
-	// server's campaigns.
+	// queued work from slow ones, and worker faults re-route to the
+	// survivors. It only places and dispatches sessions: those no live
+	// worker can take come back unplaced from RunContext, and a server
+	// runs them in-process on the path it uses without a cluster. Merged
+	// results stay byte-identical to single-process execution. Set it on
+	// ServerConfig.Cluster to shard a server's campaigns.
 	ClusterCoordinator = cluster.Coordinator
 	// ClusterMember is one cluster member's externally visible state:
 	// address, static/registered source, and health.

@@ -190,7 +190,7 @@ func TestClusteredSpillOverAndLiveRegistration(t *testing.T) {
 	base := ts.URL
 
 	// With an empty membership the campaign spills over to the server's own
-	// in-process worker instead of failing.
+	// in-process path instead of failing.
 	first := Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "PES"}}
 	st := postCampaign(t, base, first)
 	if final := awaitCampaign(t, base, st.ID); final.Status != "done" {
