@@ -201,9 +201,12 @@ const warmColdRatioFloor = 1.4
 // ~4x, and tabulating its grid bound eagerly within 1.4-2.1x. Computing the
 // PES predictor's DOM inputs once per DOM state then made PES about 2.2x
 // faster, and the ratio rose to 3.2-4.8x, median 4.1x, over 30 -quick
-// runs on a 2-core x86-64 host, so the headroom left is thin). Like the
-// warm/cold gate it is a same-host, same-process ratio, so it is portable
-// across CI hardware.
+// runs on a 2-core x86-64 host, so the headroom left is thin. The Oracle's
+// deadline-aware suffix bound and folded bound build brought it back to
+// 2.8-3.8x, median 3.2x, over 30 runs on the same kind of host, against
+// 3.1-4.9x, median 4.1x, for the code before them). Like the warm/cold
+// gate it is a same-host, same-process ratio, so it is portable across CI
+// hardware.
 const oraclePESRatioFloor = 5.0
 
 // SolverReport summarizes the solver microbenchmark suite: ilp.Solver versus

@@ -11,7 +11,7 @@
 //
 // Solver is the one live solver: an exact branch-and-bound over per-event
 // configuration choices, run on scratch buffers reused across calls, with
-// three structural optimizations over the straightforward search (preserved
+// four structural optimizations over the straightforward search (preserved
 // verbatim as SolveReference):
 //
 //   - Dominance pruning over ACMP configurations: a choice that is no
@@ -22,14 +22,24 @@
 //     item is precomputed from the suffix of minimum latencies, turning the
 //     per-node "can the remaining deadlines still be met?" scan into an O(1)
 //     comparison.
-//   - Frontier bisection: each pruned frontier is ordered by ascending
-//     energy and therefore strictly descending latency, so the infeasible
-//     low-energy prefix at a node is skipped with a binary search instead of
-//     being enumerated.
+//   - Deadline-aware frontiers: each frontier is ordered by ascending
+//     energy and therefore strictly descending latency, and the low-energy
+//     prefix too slow to fit even at the item's earliest arrival is dropped
+//     before the search starts; the rest of the infeasible prefix at a node
+//     is skipped with a short forward scan.
+//   - A deadline-aware static suffix bound: the energy lower bound of a
+//     suffix sums the cheapest choice of each trimmed frontier rather than
+//     of each full choice set, so it prunes more and still never cuts off
+//     an improving leaf.
 //
 // Hard windows additionally escalate to an admissible arrival-time-grid
-// bound, tabulated eagerly on one absolute-time grid per window (see
-// Solver).
+// bound, tabulated eagerly on one absolute-time grid per window, with the
+// frontier choices that share one cell offset folded into one pass (see
+// Solver). The trimmed frontiers and the fold drop only work that can never
+// change the incumbent, so they leave the returned optimum unchanged; the
+// tighter suffix bound spends fewer nodes, and with them fewer windows
+// escalate. On the Oracle's windows of the e2ebench pool every returned
+// choice is also unchanged (pinned in the engine package).
 //
 // Two frozen traversals sit beside it. SolveReference is the equivalence
 // reference for the tests and for the node ratio cmd/pes-bench reports.

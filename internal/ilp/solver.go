@@ -9,7 +9,10 @@ import (
 // Solver is the exact chain-scheduling solver of the PES optimizer and
 // Oracle v2: the dominance-pruned branch-and-bound of the package comment,
 // run as an iterative depth-first search over flattened per-item choice
-// tables held in scratch buffers recycled across calls, with a staged
+// tables held in scratch buffers recycled across calls. Each item's table is
+// its Pareto frontier minus the choices too slow to fit even at the item's
+// earliest arrival, and the search prunes with the deadline-aware static
+// suffix bound those trimmed tables give (see trimmedSuffix), with a staged
 // escalation for hard windows:
 //
 //   - Attempt 0 runs the pruned search as-is under a 10,000-node cap. Easy
@@ -19,10 +22,11 @@ import (
 //     arrival-time-grid lower bound: a backward DP eagerly tabulates, per
 //     item, a lower bound on the minimum suffix energy as a step function
 //     of the absolute arrival time (one power-of-two cell width per
-//     window, so indexing is one shift; see buildBound). The bound is
-//     evaluated at each cell's left edge and the true suffix cost is
-//     nondecreasing in arrival time, so pruning with it can never cut off
-//     an improving leaf. The same table seeds a near-optimal
+//     window, so indexing is one shift; frontier choices that read the
+//     same cells of the next row fill a row in one pass; see buildBound).
+//     The bound is evaluated at each cell's left edge and the true suffix
+//     cost is nondecreasing in arrival time, so pruning with it can never
+//     cut off an improving leaf. The same table seeds a near-optimal
 //     incumbent (walking the argmin of energy-plus-bound), which together
 //     with the bound collapses the budget-exhausting windows of the frozen
 //     reference traversal to a few thousand nodes.
@@ -226,34 +230,53 @@ func (s *Solver) flatten(p Problem) {
 				k--
 			}
 		}
+		// fit is the latency budget at the earliest arrival: a frontier
+		// choice slower than it fits at no reachable arrival time, and those
+		// choices form the frontier's prefix.
+		fit := s.latestFinish[i].Sub(s.earliestArr[i])
 		var minLat simtime.Duration
-		kept := 0
-		for _, j := range order {
+		for k, j := range order {
 			c := it.Choices[j]
-			if kept == 0 || c.Latency < minLat {
-				s.frontLat = append(s.frontLat, c.Latency)
-				s.frontEnergy = append(s.frontEnergy, c.Energy)
-				s.frontChoice = append(s.frontChoice, j)
+			if k == 0 || c.Latency < minLat {
 				minLat = c.Latency
-				kept++
+				if c.Latency <= fit {
+					s.frontLat = append(s.frontLat, c.Latency)
+					s.frontEnergy = append(s.frontEnergy, c.Energy)
+					s.frontChoice = append(s.frontChoice, j)
+				}
 			}
 		}
 	}
 	s.frontOff[len(p.Items)] = len(s.frontLat)
 }
 
+// trimmedSuffix replaces prepare's deadline-ignoring sufEnergy with the
+// deadline-aware static suffix bound: sufEnergy[i] sums the first (cheapest)
+// energy of every trimmed frontier from item i on. Each search position at
+// item j arrives no earlier than earliestArr[j], so any completion picks,
+// per item, a choice that fits there, and none is cheaper than the trimmed
+// frontier's first: the bound stays admissible and is never looser than
+// the sum of per-item minimum energies. SolveReferenceOrder keeps prepare's
+// bound, which its node counts are pinned to.
+func (s *Solver) trimmedSuffix(n int) {
+	s.sufEnergy[n] = 0
+	for i := n - 1; i >= 0; i-- {
+		e := 0.0
+		if f := s.frontOff[i]; f < s.frontOff[i+1] {
+			e = s.frontEnergy[f]
+		}
+		s.sufEnergy[i] = s.sufEnergy[i+1] + e
+	}
+}
+
 // firstFeasible returns the first flat-table slot in [lo, hi) whose latency
 // fits the budget; the latencies are strictly descending, so the infeasible
-// candidates form a prefix and a binary search skips them (the manual loop
-// keeps the hot path closure-free).
+// candidates form a prefix. flatten has already dropped the part of that
+// prefix that fits at no reachable arrival, and a frontier is at most one
+// platform ladder long, so a forward scan skips the rest.
 func (s *Solver) firstFeasible(lo, hi int, budget simtime.Duration) int {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.frontLat[mid] <= budget {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	for lo < hi && s.frontLat[lo] > budget {
+		lo++
 	}
 	return lo
 }
@@ -330,7 +353,13 @@ func (s *Solver) lbAt(i int, t simtime.Time) float64 {
 // the minimum, over item i's frontier choices f that fit (c*w + L_f <=
 // latestFinish[i]), of E_f plus row i+1 at the cell of c*w + L_f. Because
 // c*w is a multiple of w, that cell is c + L_f>>lbShift, a constant offset
-// per choice, so each choice is one flat vector min over the row. The value
+// per choice. Choices with equal offsets form contiguous groups of the
+// frontier (latencies strictly descend), and within a group each later
+// member fits a superset of its predecessor's cells at no lower energy;
+// floating-point addition is monotone, so a cell's minimum over the group
+// is its first fitting member's, bit for bit. One flat vector min per group
+// member over only the cells no earlier member fits therefore fills the
+// row with the values of the per-choice build. The value
 // is the exact DP at the cell's left edge, so by induction every cell
 // under-approximates the true minimum suffix energy of every arrival time
 // in the cell, and every row is nondecreasing (later cells fit a subset of
@@ -338,7 +367,9 @@ func (s *Solver) lbAt(i int, t simtime.Time) float64 {
 // edge can precede the row's earliest arrival, and its offset then points
 // one cell before row i+1's first; reading that first cell instead is
 // admissible because a real arrival there lands on it or later, and the
-// row is nondecreasing.
+// row is nondecreasing. The first cell also leaves out the choices flatten
+// trimmed, even where they would fit at its left edge: they fit at no real
+// arrival the cell covers, so the cell still bounds every one of those.
 func (s *Solver) buildBound(p Problem, maxCells int) int {
 	n := len(p.Items)
 	maxSpan := int64(0)
@@ -386,31 +417,40 @@ func (s *Solver) buildBound(p Problem, maxCells int) int {
 		for k := range row {
 			row[k] = math.MaxFloat64
 		}
-		for f := fLo; f < fHi; f++ {
-			// Cells up to last fit choice f: c*w + L_f <= latestFinish[i].
-			last := int((int64(s.latestFinish[i])-int64(s.frontLat[f]))>>shift - lo)
-			if last < 0 {
-				continue
-			}
-			dst := row[:min(last+1, len(row))]
-			e := s.frontEnergy[f]
-			if next == nil {
-				for k := range dst {
-					if e < dst[k] {
-						dst[k] = e
-					}
+		for f := fLo; f < fHi; {
+			// One group of choices sharing the offset L_f>>shift (on the last
+			// row, which reads no next row, the whole frontier): each member
+			// fills only the cells [from, end) that no earlier, no costlier
+			// member fits.
+			off := int64(s.frontLat[f]) >> shift
+			from := 0
+			for ; f < fHi && (next == nil || int64(s.frontLat[f])>>shift == off); f++ {
+				// Cells below end fit choice f: c*w + L_f <= latestFinish[i].
+				end := min(int((int64(s.latestFinish[i])-int64(s.frontLat[f]))>>shift-lo)+1, len(row))
+				if end <= from {
+					continue
 				}
-				continue
-			}
-			d := int(lo + int64(s.frontLat[f])>>shift - s.lbLo[i+1])
-			for len(dst) > 0 && d < 0 {
-				dst[0] = min(dst[0], e+next[0])
-				dst, d = dst[1:], d+1
-			}
-			src := next[d : d+len(dst)]
-			for k, v := range src {
-				if v += e; v < dst[k] {
-					dst[k] = v
+				dst, start := row[from:end], from
+				from = end
+				e := s.frontEnergy[f]
+				if next == nil {
+					for k := range dst {
+						if e < dst[k] {
+							dst[k] = e
+						}
+					}
+					continue
+				}
+				d := int(lo+off-s.lbLo[i+1]) + start
+				for len(dst) > 0 && d < 0 {
+					dst[0] = min(dst[0], e+next[0])
+					dst, d = dst[1:], d+1
+				}
+				src := next[d : d+len(dst)]
+				for k, v := range src {
+					if v += e; v < dst[k] {
+						dst[k] = v
+					}
 				}
 			}
 		}
@@ -480,6 +520,7 @@ func (s *Solver) Solve(p Problem) Assignment {
 	s.grow(n)
 	feasible := s.prepare(p)
 	s.flatten(p)
+	s.trimmedSuffix(n)
 	bestEnergy := s.greedyInto(p)
 
 	nodes, cells := 0, 0

@@ -150,7 +150,12 @@ func TestScheduleCoordinatesAcrossEvents(t *testing.T) {
 			t.Fatalf("task %d has no latency estimate", i)
 		}
 	}
-	if st := opt.Stats(); st.Solves != 1 || st.Nodes <= 0 {
+	// Zero nodes is the exact count: the greedy incumbent already picks,
+	// per task, the cheapest configuration that fits at the task's earliest
+	// arrival, which is the solver's deadline-aware suffix bound at the
+	// root, so the root proves the greedy schedule optimal without
+	// branching. The branching instance is below.
+	if st := opt.Stats(); st.Solves != 1 || st.Nodes != 0 {
 		t.Errorf("solver statistics not recorded: %+v", st)
 	}
 	if opt.Cost() != c {
@@ -181,6 +186,18 @@ func TestScheduleCoordinatesAcrossEvents(t *testing.T) {
 		if tasks[i].EstimatedLatency <= 0 {
 			t.Errorf("task %d: re-planned schedule lost the latency estimate", i)
 		}
+	}
+
+	// A load due 500 ms earlier must branch: the optimum runs the tap
+	// faster than the greedy choice so that the load can run on a cheaper
+	// configuration, and only the search finds that trade.
+	branching := New(p, c)
+	tasks[1].Deadline = simtime.Time(3000 * simtime.Millisecond)
+	if !branching.Schedule(0, tasks) {
+		t.Error("tighter schedule should be feasible")
+	}
+	if st := branching.Stats(); st.Solves != 1 || st.Nodes <= 0 {
+		t.Errorf("a schedule that beats the greedy one must explore nodes: %+v", st)
 	}
 }
 
