@@ -55,9 +55,9 @@ import (
 	"repro/internal/webevent"
 )
 
-// Default is the process-wide store shared by the experiment harness, the
-// campaign server, and cmd/pes-bench. Sessions built through
-// internal/sessions use it unless a spec names another store.
+// Default is the process-wide store shared by the experiment harness and the
+// campaign server. Sessions built through internal/sessions use it unless a
+// spec names another store.
 var Default = NewStore()
 
 // traceKey identifies one generated trace.

@@ -360,20 +360,61 @@ func TestAllWorkersFailed(t *testing.T) {
 	}
 }
 
+// dispatchBarrier wraps a transport and holds every shard until need
+// shards have been dispatched, then releases them together; the next need
+// dispatches form the next group.
+type dispatchBarrier struct {
+	inner Transport
+	need  int
+	mu    sync.Mutex
+	n     int
+	open  chan struct{}
+}
+
+func (b *dispatchBarrier) RunShard(ctx context.Context, worker string, req ShardRequest) (ShardResponse, error) {
+	b.mu.Lock()
+	open := b.open
+	b.n++
+	if b.n == b.need {
+		close(open)
+		b.n, b.open = 0, make(chan struct{})
+	}
+	b.mu.Unlock()
+	select {
+	case <-open:
+	case <-ctx.Done():
+		return ShardResponse{}, ctx.Err()
+	}
+	return b.inner.RunShard(ctx, worker, req)
+}
+
 // TestWarmShardCacheHitsOnRepeatCampaign runs the same campaign twice
 // through one coordinator and asserts the second pass is served entirely
-// from the workers' warm memo caches.
+// from the workers' warm memo caches. Each member's first chunk is its whole
+// queue, and the barrier releases no shard until every member that owns
+// sessions has dispatched, so no queue is left to steal whatever the
+// goroutine schedule: every session runs on its owner both times.
 func TestWarmShardCacheHitsOnRepeatCampaign(t *testing.T) {
 	w1, w2 := newTestWorker(t), newTestWorker(t)
 	ts1 := httptest.NewServer(w1.Handler())
 	defer ts1.Close()
 	ts2 := httptest.NewServer(w2.Handler())
 	defer ts2.Close()
-	coord, err := New(Config{Workers: []string{ts1.URL, ts2.URL}})
+	specs := testSpecs()
+	barrier := &dispatchBarrier{inner: NewHTTPTransport(), open: make(chan struct{})}
+	coord, err := New(Config{Workers: []string{ts1.URL, ts2.URL}, Transport: barrier, MaxShardSessions: len(specs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := testSpecs()
+	owners := map[string]bool{}
+	for _, spec := range specs {
+		addr, _ := coord.members.owner(spec.RouteKey(), nil)
+		owners[addr] = true
+	}
+	if len(owners) != 2 {
+		t.Skipf("the ring gave every session to one of the two workers (%v)", owners)
+	}
+	barrier.need = len(owners)
 	first, _, err := coord.RunContext(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -394,6 +435,9 @@ func TestWarmShardCacheHitsOnRepeatCampaign(t *testing.T) {
 	}
 	st := coord.Stats()
 	n := int64(len(specs))
+	if st.Steals != 0 || st.Shards != 4 {
+		t.Errorf("want one shard per worker per campaign and no steals: %+v", st)
+	}
 	if st.Remote.Sessions != 2*n || st.Remote.UniqueRuns != n || st.Remote.CacheHits != n {
 		t.Errorf("repeat campaign was not served from warm worker caches: %+v", st.Remote)
 	}
@@ -678,18 +722,32 @@ func TestStatsDropExcludedWorker(t *testing.T) {
 // killAfterFirst wraps the real HTTP transport: after the victim worker's
 // first successful shard, its server is shut down — every later dispatch to
 // it fails at the transport level exactly like a process killed
-// mid-campaign.
+// mid-campaign. Every other worker's shards are held until the victim has
+// failed a dispatch after the kill, so the survivor cannot steal the
+// victim's queue before the failure is observed.
 type killAfterFirst struct {
-	inner  Transport
-	victim string
-	kill   func()
-	once   sync.Once
+	inner   Transport
+	victim  string
+	kill    func()
+	once    sync.Once
+	failed  chan struct{} // closed at the victim's first failed dispatch
+	failure sync.Once
 }
 
 func (k *killAfterFirst) RunShard(ctx context.Context, worker string, req ShardRequest) (ShardResponse, error) {
+	if worker != k.victim {
+		select {
+		case <-k.failed:
+		case <-ctx.Done():
+			return ShardResponse{}, ctx.Err()
+		}
+		return k.inner.RunShard(ctx, worker, req)
+	}
 	resp, err := k.inner.RunShard(ctx, worker, req)
-	if worker == k.victim && err == nil {
+	if err == nil {
 		k.once.Do(k.kill)
+	} else {
+		k.failure.Do(func() { close(k.failed) })
 	}
 	return resp, err
 }
@@ -704,7 +762,7 @@ func TestMidCampaignWorkerDeathMergesByteIdentical(t *testing.T) {
 	ts2 := httptest.NewServer(w2.Handler())
 	defer ts2.Close() // idempotent after the mid-campaign kill
 
-	tr := &killAfterFirst{inner: NewHTTPTransport(), victim: ts2.URL, kill: ts2.Close}
+	tr := &killAfterFirst{inner: NewHTTPTransport(), victim: ts2.URL, kill: ts2.Close, failed: make(chan struct{})}
 	// Small chunks so the victim owns several dispatches: the kill lands
 	// between them.
 	coord, err := New(Config{Workers: []string{ts1.URL, ts2.URL}, Transport: tr, MaxShardSessions: 2})

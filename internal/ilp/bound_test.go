@@ -21,7 +21,7 @@ import (
 // the exact minimum is taken at the earliest arrival the cell covers — its
 // left edge, or the row's earliest arrival for a first cell whose edge
 // precedes it — by SolveReference on the suffix sub-problem under the
-// window's relaxed deadlines. The windows are random chaingen shapes, both
+// window's relaxed deadlines. The windows are random chainProblem shapes, both
 // feasible ones and ones whose deadlines had to be relaxed, every third
 // with a zero-choice pass-through item; each is tabulated at a coarse
 // resolution (every cell checked) and at the attempts' resolutions (a
@@ -184,7 +184,7 @@ func traceWindows(t *testing.T) []Problem {
 // TestBoundBuildFoldMatchesPerChoice: folding the frontier choices that
 // share one cell offset into one pass per group must leave every cell of
 // the bound table bit-identical to the per-choice build, at a coarse
-// resolution and at both escalation resolutions, on chaingen windows (every
+// resolution and at both escalation resolutions, on chainProblem windows (every
 // third with a zero-choice pass-through item) and on windows built from
 // real traces.
 func TestBoundBuildFoldMatchesPerChoice(t *testing.T) {
@@ -214,7 +214,7 @@ func TestBoundBuildFoldMatchesPerChoice(t *testing.T) {
 			s.buildBoundPerChoice(n)
 			for c, v := range folded {
 				if math.Float64bits(v) != math.Float64bits(s.lbFlat[c]) {
-					t.Fatalf("window %d (chaingen: %v), %d cells: cell %d folded %v, per choice %v",
+					t.Fatalf("window %d (chainProblem: %v), %d cells: cell %d folded %v, per choice %v",
 						w, w < chain, maxCells, c, v, s.lbFlat[c])
 				}
 			}
@@ -233,7 +233,7 @@ func TestBoundBuildFoldMatchesPerChoice(t *testing.T) {
 }
 
 // TestSuffixBoundTrimmed checks the deadline-aware static suffix bound on
-// random, ladder-shaped and chaingen windows, some with a zero-choice
+// random, ladder-shaped and chainProblem windows, some with a zero-choice
 // pass-through item: each item's flattened frontier must equal its full
 // Pareto frontier minus the prefix that cannot fit even at the item's
 // earliest arrival, and sufEnergy[i] must lie between prepare's

@@ -41,7 +41,7 @@ func problems(rng *rand.Rand, trial, maxItems, maxChoices int) Problem {
 }
 
 // TestSolveEquivalentToReference is the core equivalence property of the
-// solver. On random, ladder-shaped and chaingen instances (the optimizer's
+// solver. On random, ladder-shaped and chainProblem instances (the optimizer's
 // distribution, including the Oracle's 12-item windows) the pruned search
 // must return exactly the assignment of the pre-overhaul reference solver —
 // same choice indices (not just equal energy), same feasibility verdict,
@@ -49,7 +49,7 @@ func problems(rng *rand.Rand, trial, maxItems, maxChoices int) Problem {
 // exactly equal energies, or the search escalates past its pure first
 // attempt, the two may legitimately return different optima (the reference
 // orders ties with sort.Slice), so only the verdict and the optimal energy
-// must agree. The solver must never exhaust its budget on a chaingen
+// must agree. The solver must never exhaust its budget on a chainProblem
 // instance.
 func TestSolveEquivalentToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
@@ -74,7 +74,7 @@ func TestSolveEquivalentToReference(t *testing.T) {
 			// along the traversal, which legitimately differs between the
 			// two traversals; both must still be at least as good as the
 			// shared greedy seed.
-			if gr := s.Greedy(p); got.TotalEnergy > gr.TotalEnergy+1e-9 || want.TotalEnergy > gr.TotalEnergy+1e-9 {
+			if gr := s.greedy(p); got.TotalEnergy > gr.TotalEnergy+1e-9 || want.TotalEnergy > gr.TotalEnergy+1e-9 {
 				t.Fatalf("trial %d: aborted search returned worse than its greedy seed", trial)
 			}
 			continue
@@ -108,7 +108,7 @@ func TestSolveNeverWorseThanGreedy(t *testing.T) {
 	s := NewSolver()
 	for trial := 0; trial < 300; trial++ {
 		p := problems(rng, trial, 10, 12)
-		gr := s.Greedy(p) // only its scalar fields are read after the next call
+		gr := s.greedy(p) // only its scalar fields are read after the next call
 		bb := s.Solve(p)
 		if bb.TotalEnergy > gr.TotalEnergy+1e-9 {
 			t.Fatalf("trial %d: branch-and-bound energy %v exceeds greedy energy %v",

@@ -42,7 +42,7 @@
 // choice is also unchanged (pinned in the engine package).
 //
 // Two frozen traversals sit beside it. SolveReference is the equivalence
-// reference for the tests and for the node ratio cmd/pes-bench reports.
+// and node-count reference for the tests.
 // Solver.SolveReferenceOrder replays SolveReference's candidate order, node
 // accounting and budget aborts bit for bit with O(1) feasibility tests;
 // Oracle v1 runs it so that the paper-exact figures stay pinned.

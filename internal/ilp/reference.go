@@ -12,8 +12,8 @@ import (
 // sets whose future-feasibility test walks the remaining items at every
 // node. Solver returns the same assignment under the conditions of the
 // package comment (property-tested in equivalence_test.go) while exploring
-// strictly fewer nodes on non-trivial instances; the solver microbenchmarks
-// in cmd/pes-bench report the ratio. New code should use Solver.
+// strictly fewer nodes on non-trivial instances; TestSolverSuitePinned pins
+// both node counts. New code should use Solver.
 func SolveReference(p Problem) Assignment {
 	n := len(p.Items)
 	if n == 0 {

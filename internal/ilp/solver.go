@@ -541,20 +541,6 @@ func (s *Solver) Solve(p Problem) Assignment {
 	return a
 }
 
-// Greedy returns the assignment of the deadline-aware greedy heuristic
-// alone (see greedyInto). Solve seeds its incumbent with it, so Solve's
-// energy is never worse; it is exported for tests and benchmarks. Like
-// Solve's, the returned slices alias the Solver's scratch.
-func (s *Solver) Greedy(p Problem) Assignment {
-	if len(p.Items) == 0 {
-		return Assignment{Feasible: true}
-	}
-	s.grow(len(p.Items))
-	feasible := s.prepare(p)
-	s.greedyInto(p)
-	return s.materialize(p, feasible, 0)
-}
-
 // materialize derives the finish times (into s.finish) and the total energy
 // of the assignment held in s.best.
 func (s *Solver) materialize(p Problem, feasible bool, nodes int) Assignment {

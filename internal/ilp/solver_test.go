@@ -8,13 +8,17 @@ import (
 	"repro/internal/simtime"
 )
 
-// chainPoint mirrors chaingen.Point (chaingen imports this package, so the
-// in-package tests re-state the 17-point ladder instead of importing it).
+// chainPoint is one synthetic ACMP operating point: the CPI-adjusted
+// effective frequency and the active power drawn while executing on it.
 type chainPoint struct {
 	effMHz  float64
 	powerMW float64
 }
 
+// chainPoints returns the 17-point DVFS ladder mirroring the Exynos 5410
+// platform model's shape: a CPI-penalized little cluster (350–600 MHz in
+// 50 MHz steps, CPI 1.9, ~85–215 mW) and a big cluster (800–1800 MHz in
+// 100 MHz steps, ~0.7–3.4 W, superlinear in frequency).
 func chainPoints() []chainPoint {
 	var pts []chainPoint
 	for f := 350.0; f <= 600; f += 50 {
@@ -26,8 +30,11 @@ func chainPoints() []chainPoint {
 	return pts
 }
 
-// chainProblem mirrors chaingen.Problem: the optimizer-shaped distribution
-// shared with cmd/pes-bench, including the hard 12-item Oracle windows.
+// chainProblem generates one optimizer-shaped instance of items chained
+// events, the distribution of the solver suite and of the hard 12-item
+// Oracle windows: workloads drawn from the paper's interaction mix (mostly
+// taps, occasional moves and loads) through the DVFS latency law, deadlines
+// following the trigger chain with interaction-typical QoS slack.
 func chainProblem(rng *rand.Rand, pts []chainPoint, items int) Problem {
 	p := Problem{Start: simtime.Time(rng.Intn(1000))}
 	now := p.Start
@@ -82,6 +89,20 @@ func cloneAssignment(a Assignment) Assignment {
 	return a
 }
 
+// greedy returns the assignment of the deadline-aware greedy heuristic
+// alone (see greedyInto). Solve seeds its incumbent with it, so Solve's
+// energy is never worse. Like Solve's, the returned slices alias the
+// Solver's scratch.
+func (s *Solver) greedy(p Problem) Assignment {
+	if len(p.Items) == 0 {
+		return Assignment{Feasible: true}
+	}
+	s.grow(len(p.Items))
+	feasible := s.prepare(p)
+	s.greedyInto(p)
+	return s.materialize(p, feasible, 0)
+}
+
 // fastAttempt0Cap is the node cap of the solver's pure-search attempt: below
 // it the traversal is the plain pruned search, whose answer is the
 // reference's on tie-free instances.
@@ -134,11 +155,11 @@ func TestFastSolverMatchesSolve(t *testing.T) {
 }
 
 // TestFastSolverMatchesSolveOnChaingen pins the solver on the
-// optimizer-shaped distribution shared with cmd/pes-bench, including the
-// 12-item windows of the Oracle. The solver must never exhaust its node
-// budget on this distribution (the bench's budget_aborts == 0 gate in
-// miniature). It must agree with SolveReference bit for bit on the easy
-// instances, and on the optimum energy everywhere the reference completes.
+// optimizer-shaped chainProblem distribution, including the 12-item
+// windows of the Oracle. The solver must never exhaust its node budget on
+// this distribution. It must agree with SolveReference bit for bit on the
+// easy instances, and on the optimum energy everywhere the reference
+// completes.
 func TestFastSolverMatchesSolveOnChaingen(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pts := chainPoints()
@@ -166,7 +187,7 @@ func TestFastSolverMatchesSolveOnChaingen(t *testing.T) {
 			continue
 		}
 		if !hasEnergyTies(p) && (!reflect.DeepEqual(got.Choice, want.Choice) || !reflect.DeepEqual(got.Finish, want.Finish)) {
-			t.Fatalf("trial %d: solver diverged on chaingen instance\n got %+v\nwant %+v", trial, got, want)
+			t.Fatalf("trial %d: solver diverged on chainProblem instance\n got %+v\nwant %+v", trial, got, want)
 		}
 	}
 	if escalated == 0 {
@@ -276,7 +297,7 @@ func TestFastSolverReusedAcrossSizes(t *testing.T) {
 		if got, want := s.Solve(p), NewSolver().Solve(p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: reused solver diverged after size change\n got %+v\nwant %+v", n, got, want)
 		}
-		if got, want := s.Greedy(p), NewSolver().Greedy(p); !reflect.DeepEqual(got, want) {
+		if got, want := s.greedy(p), NewSolver().greedy(p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: reused greedy diverged after size change\n got %+v\nwant %+v", n, got, want)
 		}
 		if got, want := s.SolveReferenceOrder(p), NewSolver().SolveReferenceOrder(p); !reflect.DeepEqual(got, want) {

@@ -21,9 +21,9 @@ func oracleTrace(n int) []*webevent.Event {
 	return evs
 }
 
-// mixedTrace returns n events drawn like the chaingen solver instances:
-// mostly taps, with occasional moves and loads, scaled workloads and
-// trigger gaps around each type's QoS target. Its 12-event windows are hard
+// mixedTrace returns n events drawn like the ilp package's chainProblem
+// solver instances: mostly taps, with occasional moves and loads, scaled
+// workloads and trigger gaps around each type's QoS target. Its 12-event windows are hard
 // enough that the v2 solver escalates to the grid bound on most seeds.
 func mixedTrace(seed int64, n int) []*webevent.Event {
 	rng := rand.New(rand.NewSource(seed))

@@ -59,7 +59,28 @@ func TestArtifactWarmEqualsColdPath(t *testing.T) {
 		}
 	}
 	warmRun(false) // warm the store
-	warmRun(true)  // recorded, fully artifact-warm runs
+	before := warmStore.Stats()
+	warmRun(true) // recorded, fully artifact-warm runs
+	after := warmStore.Stats()
+
+	// The recorded pass builds nothing: every artifact it reads, down to the
+	// DOM page trees, is served from cache. This is the clock-free form of
+	// the warm path's speed-up over the cold path.
+	for kind, n := range map[string]int64{
+		"trace":       after.TraceBuilds - before.TraceBuilds,
+		"runtime":     after.RuntimeBuilds - before.RuntimeBuilds,
+		"fingerprint": after.FingerprintBuilds - before.FingerprintBuilds,
+		"learner":     after.LearnerBuilds - before.LearnerBuilds,
+		"page":        after.PageBuilds - before.PageBuilds,
+	} {
+		if n != 0 {
+			t.Errorf("recorded warm pass built %d %s artifact(s), want 0", n, kind)
+		}
+	}
+	if after.TraceHits == before.TraceHits || after.RuntimeHits == before.RuntimeHits ||
+		after.FingerprintHits == before.FingerprintHits || after.PageHits == before.PageHits {
+		t.Errorf("a trace, runtime, fingerprint or page lookup of the recorded warm pass never hit: stats before %+v, after %+v", before, after)
+	}
 
 	// Cold: fresh single-use store per session, fresh trace generation,
 	// page-tree cache bypassed — the pre-artifact-cache setup path.

@@ -102,8 +102,8 @@ func WithFileWrapper(wrap func(File) File) Option {
 // default (0) never syncs on Put: a process crash (kill -9) still loses
 // nothing because the writes sit in the OS page cache, but a power loss or
 // kernel panic can lose the un-synced tail — torn-tail recovery then resumes
-// from the last synced record. Syncing costs one disk flush per n results;
-// pes-bench -store -store-sync reports the overhead.
+// from the last synced record. Syncing costs one disk flush per n results
+// (TestSyncEveryCadence pins the cadence).
 func WithSyncEvery(n int) Option {
 	return func(s *Store) {
 		if n > 0 {

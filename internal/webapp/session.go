@@ -30,8 +30,9 @@ var (
 )
 
 // SetPageCache enables or disables the shared page-tree cache and reports
-// the previous setting. It exists for cold-path benchmarking (cmd/pes-bench)
-// and must not be toggled while sessions are being built concurrently.
+// the previous setting. It exists for the cold reference path of the
+// artifact warm/cold identity test and must not be toggled while sessions
+// are being built concurrently.
 func SetPageCache(enabled bool) (was bool) {
 	return !pageCacheOff.Swap(!enabled)
 }
