@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/simtime"
 )
@@ -47,7 +48,7 @@ func (c CoreType) String() string {
 	case BigCore:
 		return "big"
 	default:
-		return fmt.Sprintf("CoreType(%d)", int(c))
+		return "CoreType(" + strconv.Itoa(int(c)) + ")"
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 )
 
 // Shared platform instances. One instance per hardware model — instead of a
-// fresh model per caller — keeps pointer-keyed caches (e.g. the artifact
-// store's fingerprint memo) effective across campaigns, and the constructors
-// build the lazy config ladder eagerly so sharing is race-free.
+// fresh model per caller — spares every session build its own power table
+// and config ladder, and the constructors build the lazy config ladder
+// eagerly so sharing is race-free. Nothing is keyed by the pointer: the
+// artifact store hashes a platform's fields afresh for every session key,
+// so an instance's identity never decides a cache hit.
 var (
 	sharedOnce   sync.Once
 	sharedExynos *Platform

@@ -41,11 +41,9 @@ package artifacts
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/acmp"
 	"repro/internal/memo"
 	"repro/internal/mlr"
 	"repro/internal/predictor"
@@ -310,46 +308,6 @@ func (s *Store) Runtime(tr *trace.Trace) ([]*webevent.Event, error) {
 		return tr.Runtime()
 	}
 	return e.runtime.get(tr.Runtime, &s.runtimeBuilds, &s.runtimeHits)
-}
-
-// Fingerprint hashes the platform parameters and the full trace content.
-// (Platform.Name, App, Seed) alone do not pin the simulation inputs: a
-// caller may tweak an exported platform field without renaming it, or load
-// or edit a trace whose events differ from the generated ones. Only the
-// exported, pointer-free fields are hashed (fmt prints them
-// deterministically); the platform's unexported lazily-built config cache
-// stays out of the hash.
-//
-// The expensive half — walking every trace event — is memoized per
-// store-generated trace (external traces are hashed per call, see Runtime);
-// the handful of platform fields are hashed fresh on every call, so no
-// per-platform-instance state accumulates no matter how many Platform
-// values a caller constructs. The memo assumes the trace is immutable once
-// sessions are being built from it — the same assumption every other shared
-// artifact makes.
-func (s *Store) Fingerprint(p *acmp.Platform, tr *trace.Trace) string {
-	var traceHash string
-	if e := s.artifactsOf(tr); e != nil {
-		traceHash, _ = e.hash.get(func() (string, error) { return computeTraceHash(tr), nil },
-			&s.fingerprintBuilds, &s.fingerprintHits)
-	} else {
-		traceHash = computeTraceHash(tr)
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%+v|%+v|%d|%d|%g|%s",
-		p.Name, p.Little, p.Big, p.DVFSLatency, p.MigrationLatency, p.IdlePowerMW, traceHash)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// computeTraceHash hashes the trace half of a fingerprint: the DOM seed and
-// every event.
-func computeTraceHash(tr *trace.Trace) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|", tr.DOMSeed, len(tr.Events))
-	for i := range tr.Events {
-		fmt.Fprintf(h, "%+v;", tr.Events[i])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Corpus returns the deterministic corpus for the application set, sharing

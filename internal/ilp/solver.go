@@ -394,7 +394,9 @@ func (s *Solver) buildBound(p Problem, maxCells int) int {
 	}
 	s.lbOff[n] = total
 	if cap(s.lbFlat) < total {
-		s.lbFlat = make([]float64, 2*total)
+		// Exactly total: every cell is written below, and a larger attempt
+		// (4,096 → 16,384 cells) regrows the table once anyway.
+		s.lbFlat = make([]float64, total)
 	}
 
 	var next []float64 // row i+1; nil past the last item
