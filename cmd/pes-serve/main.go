@@ -107,7 +107,7 @@ func parseArgs(args []string, stderr io.Writer) (serveConfig, error) {
 	clusterMode := fs.Bool("cluster", false, "run as a cluster coordinator even with no static -workers (workers join via -coordinator registration)")
 	coordinator := fs.String("coordinator", "", "coordinator URL this worker registers with on startup (worker mode only)")
 	advertise := fs.String("advertise", "", "address the coordinator reaches this worker at (default: derived from -addr)")
-	storeDir := fs.String("store", "", "persistent store directory: session results, traces and trained models survive restarts (empty = in-memory only; one process per directory)")
+	storeDir := fs.String("store", "", "persistent store directory: session results and trained models survive restarts (empty = in-memory only; one process per directory)")
 	storeSync := fs.Int("store-sync", 0, "fsync the -store log every n record writes; campaign terminal states always fsync when set (0 = rely on the OS page cache)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for running campaigns when -store journals them; unfinished campaigns resume on the next boot")
 	logFormat := fs.String("log-format", "text", "structured log format, text or json (logs go to stderr; stdout stays the human banner channel)")

@@ -37,7 +37,7 @@ const goldenUsage = `Usage of pes-serve:
   -seed int
     	harness seed (default 1)
   -store string
-    	persistent store directory: session results, traces and trained models survive restarts (empty = in-memory only; one process per directory)
+    	persistent store directory: session results and trained models survive restarts (empty = in-memory only; one process per directory)
   -store-sync int
     	fsync the -store log every n record writes; campaign terminal states always fsync when set (0 = rely on the OS page cache)
   -traces int

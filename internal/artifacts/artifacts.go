@@ -24,8 +24,9 @@
 //
 // Construction is singleflight (each cache is a memo.Cache): concurrent
 // campaigns requesting the same artifact block on one build and share the
-// result. The caches are process-lived, like the batch memo cache they feed;
-// only traces can be bounded (WithMaxTraces), since learners and corpora are
+// result. The caches are process-lived, like the batch memo cache they feed
+// (only trained learners can outlive the process, see WithPersistent); only
+// traces can be bounded (WithMaxTraces), since learners and corpora are
 // bounded by the handful of training configurations a process touches. The
 // per-trace derivations (runtime events, fingerprints) live in the trace's
 // own cache entry, so they exist only for traces the store itself generated
@@ -142,11 +143,10 @@ type Stats struct {
 	// never changes an artifact's content, only whether it is rebuilt.
 	TraceEntries   int64 `json:"trace_entries" metric:"pes_artifact_trace_entries" help:"Traces currently retained in the artifact cache."`
 	TraceEvictions int64 `json:"trace_evictions" metric:"pes_artifact_trace_evictions_total" help:"Traces dropped by the artifact LRU bound."`
-	// TraceStoreHits and LearnerStoreHits count artifacts loaded from the
-	// persistent store instead of regenerated/retrained (zero when none is
-	// attached). A learner store hit skips the SGD training entirely —
-	// usually the single most expensive artifact build in a process's life.
-	TraceStoreHits   int64 `json:"trace_store_hits" metric:"pes_artifact_store_hits_total,kind=trace" help:"Artifacts loaded from the persistent store (by kind)."`
+	// LearnerStoreHits counts learners loaded from the persistent store
+	// instead of retrained (zero when none is attached). A store hit skips
+	// the SGD training entirely — usually the single most expensive artifact
+	// build in a process's life.
 	LearnerStoreHits int64 `json:"learner_store_hits" metric:"pes_artifact_store_hits_total,kind=learner" help:"Artifacts loaded from the persistent store (by kind)."`
 	// PageBuilds and PageHits are the process-wide DOM page-tree cache
 	// counters (webapp.PageCacheStats); they are global, not per store.
@@ -170,7 +170,7 @@ type Store struct {
 	runtimeBuilds, runtimeHits         atomic.Int64
 	fingerprintBuilds, fingerprintHits atomic.Int64
 	learnerBuilds, learnerHits         atomic.Int64
-	traceStoreHits, learnerStoreHits   atomic.Int64
+	learnerStoreHits                   atomic.Int64
 }
 
 // NewStore creates an empty artifact store. Most callers want Default; a
@@ -199,13 +199,14 @@ func (s *Store) WithMaxTraces(n int) *Store {
 	return s
 }
 
-// WithPersistent layers a persistent content-addressed store under the
-// in-memory caches: traces and trained learners are written through on
-// first build and loaded back — skipping generation and SGD training — in
-// later processes (or sibling stores) sharing the directory. Runtime events,
-// fingerprints and corpora are cheap derivations and stay memory-only. The
-// persistent store's singleflight keeps builds exactly-once even across
-// several artifact stores sharing it. Set before the store is shared across
+// WithPersistent layers a persistent store under the learner cache: trained
+// learners are written through on first build and loaded back — skipping SGD
+// training — in later processes (or sibling stores) sharing the directory.
+// Everything else stays memory-only: traces are regenerated (cheaper than
+// decoding a stored copy, and bit-identical), and runtime events,
+// fingerprints and corpora are cheap derivations of them. The persistent
+// store's singleflight keeps training exactly-once even across several
+// artifact stores sharing it. Set before the store is shared across
 // goroutines; ps may be nil (no persistence, the default). It returns the
 // store for chaining.
 func (s *Store) WithPersistent(ps *store.Store) *Store {
@@ -235,7 +236,6 @@ func (s *Store) Stats() Stats {
 		LearnerHits:       s.learnerHits.Load(),
 		TraceEntries:      int64(s.traces.Len()),
 		TraceEvictions:    s.traces.Evictions(),
-		TraceStoreHits:    s.traceStoreHits.Load(),
 		LearnerStoreHits:  s.learnerStoreHits.Load(),
 		PageBuilds:        pageBuilds,
 		PageHits:          pageHits,
@@ -244,11 +244,16 @@ func (s *Store) Stats() Stats {
 
 // Trace returns the deterministic trace for (application, seed, purpose,
 // options), generating it on first request. The returned trace is shared;
-// callers must not mutate it.
+// callers must not mutate it. Traces are never persisted: generation is
+// deterministic and cheaper than decoding a stored copy, so a restarted
+// process regenerates the same trace and, through its content hash, the
+// same memo keys.
 func (s *Store) Trace(spec *webapp.Spec, seed int64, purpose string, opts trace.Options) *trace.Trace {
 	k := traceKey{app: spec.Name, seed: seed, purpose: purpose, opts: opts}
 	e, hit, _ := s.traces.Get(k, func() (*traceArtifacts, error) {
-		e := &traceArtifacts{tr: s.buildTrace(spec, seed, purpose, opts)}
+		s.traceBuilds.Add(1)
+		e := &traceArtifacts{tr: trace.Generate(spec, seed, opts)}
+		e.tr.Purpose = purpose
 		s.mu.Lock()
 		s.index[e.tr] = e
 		s.mu.Unlock()
@@ -258,42 +263,6 @@ func (s *Store) Trace(spec *webapp.Spec, seed int64, purpose string, opts trace.
 		s.traceHits.Add(1)
 	}
 	return e.tr
-}
-
-// buildTrace resolves a trace-cache miss: plain generation without a
-// persistent store, get-or-build through it otherwise. A loaded trace is
-// bit-equivalent to a generated one (trace.Trace round-trips through JSON
-// exactly, floats included), so fingerprints — and through them the batch
-// memo keys — are identical either way.
-func (s *Store) buildTrace(spec *webapp.Spec, seed int64, purpose string, opts trace.Options) *trace.Trace {
-	generate := func() *trace.Trace {
-		s.traceBuilds.Add(1)
-		tr := trace.Generate(spec, seed, opts)
-		tr.Purpose = purpose
-		return tr
-	}
-	if s.persist == nil {
-		return generate()
-	}
-	key := fmt.Sprintf("trace|%s|%d|%s|%+v", spec.Name, seed, purpose, opts)
-	var built *trace.Trace
-	val, _, err := s.persist.GetOrBuild(key, func() ([]byte, error) {
-		built = generate()
-		return json.Marshal(built)
-	})
-	if built != nil {
-		return built
-	}
-	if err == nil {
-		tr := new(trace.Trace)
-		if err := json.Unmarshal(val, tr); err == nil {
-			s.traceStoreHits.Add(1)
-			return tr
-		}
-	}
-	// Store trouble (encode/decode mismatch from a foreign writer) never
-	// fails a trace request — generation is always available.
-	return generate()
 }
 
 // Runtime returns the runtime event instances of a trace, parsing them on
@@ -352,8 +321,7 @@ func (s *Store) Learner(k LearnerKey) (*predictor.SequenceLearner, trace.Corpus,
 func (s *Store) buildLearner(k LearnerKey) (learned, error) {
 	// The corpus is needed in both paths: a freshly trained learner fits on
 	// it, and a store-loaded one is still returned alongside it (the harness
-	// replays training traces for its own reporting). Corpus traces go
-	// through the per-trace cache, so a persistent store warms them too.
+	// replays training traces for its own reporting).
 	corpus := s.Corpus(webapp.SeenApps(), k.TracesPerApp, k.CorpusSeed, trace.PurposeTrain, trace.Options{})
 	train := func() (learned, error) {
 		s.learnerBuilds.Add(1)

@@ -48,7 +48,6 @@ func TestRegisterMetricsExposesEveryFamily(t *testing.T) {
 		`pes_artifact_hits_total{kind="trace"} `,
 		"pes_artifact_trace_entries ",
 		"pes_artifact_trace_evictions_total ",
-		`pes_artifact_store_hits_total{kind="trace"} `,
 		`pes_artifact_store_hits_total{kind="learner"} `,
 		"pes_store_log_records ",
 		"pes_store_log_recovered ",
@@ -65,5 +64,9 @@ func TestRegisterMetricsExposesEveryFamily(t *testing.T) {
 		if !strings.Contains(body, "\n"+series) {
 			t.Errorf("scrape is missing series %q", series)
 		}
+	}
+	// Traces are regenerated, never loaded from the persistent store.
+	if strings.Contains(body, `pes_artifact_store_hits_total{kind="trace"}`) {
+		t.Error("scrape still has a trace store-hits series")
 	}
 }

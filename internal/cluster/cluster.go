@@ -495,6 +495,7 @@ type run struct {
 	unplaced    []int            // indices no live member could take
 	runners     map[string]bool
 	excluded    map[string]bool // members failed this run
+	inflight    map[string]bool // members with a shard dispatched and unresolved
 	resolved    int
 	retriesUsed int // worker-fault re-routes charged against retryBudget
 	done        bool
@@ -539,6 +540,7 @@ func (c *Coordinator) RunContext(ctx context.Context, specs []SessionSpec, progr
 		queues:   make(map[string][]int),
 		runners:  make(map[string]bool),
 		excluded: make(map[string]bool),
+		inflight: make(map[string]bool),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.ctx, r.cancel = context.WithCancel(ctx)
@@ -659,12 +661,13 @@ func (r *run) watchMembership() {
 
 // chunkLocked takes the member's next dispatch: its own queue from the head
 // (up to the chunk cap), or — when its queue is empty — half of the longest
-// other queue from the tail (a steal). Own-queue chunks take everything up
-// to the cap rather than a fraction, so a balanced cluster dispatches each
-// member's sessions in one shard and steals nothing: session→worker
-// affinity (and the warm memo caches it buys on repeat campaigns) is only
-// traded away when a queue actually outlives an idle worker. Caller holds
-// r.mu.
+// queue of a member with a shard in flight, from the tail (a steal).
+// Own-queue chunks take everything up to the cap rather than a fraction, so
+// a balanced cluster dispatches each member's sessions in one shard and
+// steals nothing: session→worker affinity (and the warm memo caches it buys
+// on repeat campaigns) is only traded away when a queue outlives its busy
+// owner. A member whose runner has not yet taken its first chunk is never
+// stolen from, however late that runner gets scheduled. Caller holds r.mu.
 func (r *run) chunkLocked(addr string) (indices []int, stolen bool) {
 	limit := r.c.cfg.MaxShardSessions
 	if q := r.queues[addr]; len(q) > 0 {
@@ -678,7 +681,7 @@ func (r *run) chunkLocked(addr string) (indices []int, stolen bool) {
 	}
 	victim, longest := "", 0
 	for a, q := range r.queues {
-		if a != addr && len(q) > longest {
+		if a != addr && r.inflight[a] && len(q) > longest {
 			victim, longest = a, len(q)
 		}
 	}
@@ -715,6 +718,11 @@ func (r *run) runner(addr string) {
 			}
 			r.cond.Wait()
 		}
+		r.inflight[addr] = true
+		if len(r.queues[addr]) > 0 {
+			// The rest of this member's queue just became stealable.
+			r.cond.Broadcast()
+		}
 		r.mu.Unlock()
 
 		spanName := "dispatch"
@@ -748,6 +756,7 @@ func (r *run) runner(addr string) {
 		}
 
 		r.mu.Lock()
+		delete(r.inflight, addr)
 		if err != nil {
 			if r.ctx.Err() != nil {
 				// The run is over (done or fatal); the abort is ours.

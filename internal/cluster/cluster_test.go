@@ -893,6 +893,37 @@ func TestStealingBoundsSlowWorker(t *testing.T) {
 	}
 }
 
+// TestChunkLockedStealsOnlyFromBusyOwners pins the steal rule on a run
+// built by hand: an idle member never takes a queue whose owner has nothing
+// in flight (its runner may simply not have been scheduled yet), and takes
+// the tail half once the owner has a shard out.
+func TestChunkLockedStealsOnlyFromBusyOwners(t *testing.T) {
+	r := &run{
+		c:        &Coordinator{cfg: Config{MaxShardSessions: 16}},
+		queues:   map[string][]int{"owner": {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, "idle": nil},
+		inflight: make(map[string]bool),
+	}
+	if chunk, stolen := r.chunkLocked("idle"); chunk != nil || stolen {
+		t.Fatalf("stole %v from an owner with nothing in flight", chunk)
+	}
+	if got := len(r.queues["owner"]); got != 10 {
+		t.Fatalf("owner queue = %d sessions after a refused steal, want 10", got)
+	}
+
+	r.inflight["owner"] = true
+	chunk, stolen := r.chunkLocked("idle")
+	if !stolen || !slices.Equal(chunk, []int{5, 6, 7, 8, 9}) {
+		t.Fatalf("steal from a busy owner = %v (stolen %v), want the tail half [5 6 7 8 9]", chunk, stolen)
+	}
+	if !slices.Equal(r.queues["owner"], []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("owner queue after the steal = %v, want [0 1 2 3 4]", r.queues["owner"])
+	}
+	// The owner's own take is never a steal, in flight or not.
+	if chunk, stolen := r.chunkLocked("owner"); stolen || !slices.Equal(chunk, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("owner's own chunk = %v (stolen %v), want [0 1 2 3 4]", chunk, stolen)
+	}
+}
+
 // TestSpillOverEmptyMembership runs a campaign on a coordinator with no
 // workers at all: every session comes back unplaced, for the caller to run
 // in-process, and is counted as spilled — not routed.

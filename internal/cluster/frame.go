@@ -52,13 +52,16 @@ import (
 // the bytes left before anything is allocated for it.
 //
 // Version 1 also carried the solver's host wall time after BudgetAborts;
-// version 2 results hold only deterministic fields.
+// version 2 results hold only deterministic fields. Version 3 changes only
+// the tail: its artifact stats no longer carry trace_store_hits. A canonical
+// tail makes the tail's shape part of the frame, so a build whose stats
+// differ is version skew, not a broken worker.
 
 const (
 	// frameVersion is the frame version this build writes and reads. A
 	// coordinator sends it in frameVersionHeader; a worker built for another
 	// version rejects the shard with a 400 naming both.
-	frameVersion       = 2
+	frameVersion       = 3
 	frameVersionHeader = "X-Pes-Shard-Frame"
 	frameContentType   = "application/x-pes-shard-frame"
 )

@@ -220,8 +220,8 @@ func TestWorkerRejectsFrameVersionSkew(t *testing.T) {
 	ts := httptest.NewServer((&Worker{}).Handler())
 	defer ts.Close()
 	for version, wants := range map[string][]string{
-		"1": {"frame version mismatch", "v1", "v2"},
-		"":  {"frame version mismatch", "JSON", "v2"},
+		"2": {"frame version mismatch", "v2", "v3"},
+		"":  {"frame version mismatch", "JSON", "v3"},
 	} {
 		code, msg := postShard(t, ts.URL, version, `{"sessions":[]}`)
 		if code != http.StatusBadRequest {

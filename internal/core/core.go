@@ -71,12 +71,6 @@ func NewPES(platform *acmp.Platform, learner *predictor.SequenceLearner, spec *w
 // Name implements sched.ProactivePolicy.
 func (p *PES) Name() string { return "PES" }
 
-// Predictor exposes the underlying predictor (for overhead reporting).
-func (p *PES) Predictor() *predictor.Predictor { return p.pred }
-
-// Optimizer exposes the underlying optimizer (for overhead reporting).
-func (p *PES) Optimizer() *optimizer.Optimizer { return p.opt }
-
 // Observe implements sched.ProactivePolicy: every actual event updates the
 // predictor's feature window and DOM replica.
 func (p *PES) Observe(e *webevent.Event) {

@@ -57,9 +57,6 @@ func TestPESPlanProducesCoordinatedSchedule(t *testing.T) {
 			t.Error("expected triggers must not decrease")
 		}
 	}
-	if p.Predictor() == nil || p.Optimizer() == nil {
-		t.Error("accessors should expose components")
-	}
 }
 
 func TestPESReactiveConfigMatchesEBSBehaviour(t *testing.T) {

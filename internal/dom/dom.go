@@ -53,9 +53,6 @@ const (
 	MenuItem
 	// Video is an embedded media element.
 	Video
-
-	// NumKinds is the number of node kinds.
-	NumKinds int = iota
 )
 
 // String names the node kind.

@@ -162,12 +162,6 @@ type Context struct {
 	lastCfg   acmp.Config
 }
 
-// Platform returns the hardware model of the run.
-func (ec *Context) Platform() *acmp.Platform { return ec.platform }
-
-// Events returns the full trace being replayed.
-func (ec *Context) Events() []*webevent.Event { return ec.events }
-
 // chargeIdle charges idle energy from the accounting cursor up to t.
 func (ec *Context) chargeIdle(t simtime.Time) {
 	if t.After(ec.accounted) {

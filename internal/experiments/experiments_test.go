@@ -59,9 +59,6 @@ func TestTableRenderAndAccessors(t *testing.T) {
 	if _, ok := tab.Row("nope"); ok {
 		t.Error("Row lookup should fail")
 	}
-	if mean([]float64{2, 4}) != 3 || mean(nil) != 0 {
-		t.Error("mean helper wrong")
-	}
 }
 
 func TestFig2Shape(t *testing.T) {

@@ -52,13 +52,14 @@ type Config struct {
 	// recomputation, never changes a result.
 	CacheMaxEntries int
 	// Artifacts optionally selects the shared artifact store; nil uses the
-	// process-wide artifacts.Default. Tests inject private stores to get
-	// isolated counters.
+	// process-wide artifacts.Default, or a private store when Store is set
+	// (so the persistent layer never reaches another setup). Tests inject
+	// private stores to get isolated counters.
 	Artifacts *artifacts.Store
 	// Store optionally layers a persistent content-addressed store under
-	// both the artifact caches (traces, trained learners) and the session
-	// memo cache: a restarted process pointed at the same directory serves
-	// repeated campaigns from disk with zero re-simulation and no training.
+	// both the trained-learner cache and the session memo cache: a
+	// restarted process pointed at the same directory serves repeated
+	// campaigns from disk with zero re-simulation and no training.
 	// Nil (the default) keeps everything in memory. The caller owns the
 	// store's lifecycle (Open/Close).
 	Store *store.Store
@@ -118,14 +119,21 @@ type Setup struct {
 // evaluation corpus for all 18 applications. Evaluation traces always use
 // seeds disjoint from the training traces (new users, as in the paper).
 // Everything reusable — the training corpus, the trained model, the
-// evaluation traces — comes from the process-wide artifact store, so a
-// second identically-configured setup (another server, another benchmark
+// evaluation traces — comes from the process-wide artifact store (unless
+// the config names a store or a persistent Store), so a second
+// identically-configured setup (another server, another benchmark
 // repetition) performs no training and no trace generation at all.
 func NewSetup(cfg Config) (*Setup, error) {
 	cfg = cfg.withDefaults()
 	store := cfg.Artifacts
 	if store == nil {
 		store = artifacts.Default
+		if cfg.Store != nil {
+			// Never layer a persistent store under the process-wide
+			// Default: every later setup in the process would write
+			// through it.
+			store = artifacts.NewStore()
+		}
 	}
 	if cfg.Store != nil {
 		// Layer the persistent store under the artifact caches before any

@@ -105,15 +105,3 @@ func (t *Table) Render(w io.Writer) error {
 	_, err := fmt.Fprintln(w)
 	return err
 }
-
-// mean returns the arithmetic mean of xs (0 for empty input).
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

@@ -92,7 +92,7 @@ func TestConcurrentCampaignsBuildArtifactsOnce(t *testing.T) {
 		t.Errorf("campaigns generated %d traces, want %d (one per (app, seed))", got, want)
 	}
 	// Re-expanding the same campaign and building its sessions again must
-	// add no trace builds at all: the builder reuses the stored traces.
+	// add no trace builds at all: the builder reuses the cached traces.
 	plan, err := campaign.Expand(s.Setup())
 	if err != nil {
 		t.Fatal(err)

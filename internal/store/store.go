@@ -309,9 +309,6 @@ func (s *Store) dropTail(off, size int64, reason string) error {
 	return nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len returns the number of distinct keys currently readable.
 func (s *Store) Len() int {
 	s.mu.Lock()

@@ -223,11 +223,13 @@ func NewArtifactStore() *ArtifactStore { return artifacts.NewStore() }
 type (
 	// PersistentStore is the disk-backed content-addressed store: an
 	// append-only checksummed record log that survives restarts, layered
-	// under the batch memo cache (BatchRunner.WithStore), the artifact
-	// caches (ArtifactStore.WithPersistent) and the experiment harness
-	// (ExperimentConfig.Store). Campaigns re-run against the same directory
-	// serve every repeated session from disk — zero re-simulation, byte-
-	// identical results. One process per directory.
+	// under the batch memo cache (BatchRunner.WithStore), the trained
+	// learner cache (ArtifactStore.WithPersistent) and the experiment
+	// harness (ExperimentConfig.Store). Campaigns re-run against the same
+	// directory serve every repeated session from disk — zero
+	// re-simulation, no re-training, byte-identical results. Traces are
+	// never stored: they are regenerated, which is cheaper than decoding
+	// them and yields the same memo keys. One process per directory.
 	PersistentStore = store.Store
 	// PersistentStoreStats snapshots a PersistentStore's recovery outcome
 	// (records recovered, corrupt records skipped, torn bytes dropped) and

@@ -10,9 +10,8 @@ import (
 )
 
 // storedExpConfig is the cheap harness configuration of the store e2e tests:
-// a private artifact store per instance (so nothing leaks through the
-// process-wide artifacts.Default between the "processes") layered over the
-// shared persistent store.
+// a private artifact store per instance (isolated counters per "process")
+// layered over the shared persistent store.
 func storedExpConfig(ps *PersistentStore) ExperimentConfig {
 	return ExperimentConfig{
 		TrainTracesPerApp: 2,
@@ -98,10 +97,17 @@ func TestServerRestartWarmStart(t *testing.T) {
 	if warmStats.StoreHits != coldStats.UniqueRuns {
 		t.Errorf("StoreHits = %d, want %d (one per unique cold run)", warmStats.StoreHits, coldStats.UniqueRuns)
 	}
-	// No re-training: the model came from the store.
+	// No re-training: the model came from the store. The traces did not:
+	// the store holds none, and the warm process regenerated them.
 	warmArts := warmCfg.Artifacts.Stats()
 	if warmArts.LearnerBuilds != 0 || warmArts.LearnerStoreHits != 1 {
 		t.Errorf("warm artifact stats: %+v", warmArts)
+	}
+	if keys := psWarm.Keys("trace|"); len(keys) != 0 {
+		t.Errorf("store holds %d trace records, want none", len(keys))
+	}
+	if warmArts.TraceBuilds == 0 {
+		t.Errorf("warm process regenerated no traces: %+v", warmArts)
 	}
 	// Byte-identical rows, wall times included.
 	if len(warmRes.Rows) != len(coldRes.Rows) {
