@@ -1,8 +1,10 @@
 // Package artifacts is the shared session-artifact cache: the immutable
 // inputs that every simulation session of a campaign is built from —
 // generated traces, their runtime event lists, platform/trace fingerprints,
-// and offline-trained sequence learners — built exactly once per process and
-// shared by every consumer.
+// and offline-trained sequence learners — built exactly once per store and
+// shared by every consumer of that store. Each harness (one experiment
+// setup, one cluster worker) owns its store; there is no process-wide one,
+// so one harness's bounds and persistent layer never reach another.
 //
 // A campaign is the cross product apps × trace seeds × schedulers (times
 // sweep configurations); before this cache, each of the ~6 schedulers
@@ -24,14 +26,15 @@
 //
 // Construction is singleflight (each cache is a memo.Cache): concurrent
 // campaigns requesting the same artifact block on one build and share the
-// result. The caches are process-lived, like the batch memo cache they feed
-// (only trained learners can outlive the process, see WithPersistent); only
-// traces can be bounded (WithMaxTraces), since learners and corpora are
-// bounded by the handful of training configurations a process touches. The
-// per-trace derivations (runtime events, fingerprints) live in the trace's
-// own cache entry, so they exist only for traces the store itself generated
-// and leave with them on eviction — externally built traces are parsed and
-// hashed per call, since entries keyed by them would never be hit again.
+// result. The caches live as long as their store, like the batch memo cache
+// they feed (only trained learners can outlive the process, see
+// WithPersistent); only traces can be bounded (WithMaxTraces), since
+// learners and corpora are bounded by the handful of training
+// configurations a process touches. The per-trace derivations (runtime
+// events, fingerprints) live in the trace's own cache entry, so they exist
+// only for traces the store itself generated and leave with them on
+// eviction — externally built traces are parsed and hashed per call, since
+// entries keyed by them would never be hit again.
 //
 // The DOM page-tree half of session setup is cached one layer down, in
 // package webapp (every webapp.NewSession clones cached master pages); its
@@ -53,11 +56,6 @@ import (
 	"repro/internal/webapp"
 	"repro/internal/webevent"
 )
-
-// Default is the process-wide store shared by the experiment harness and the
-// campaign server. Sessions built through internal/sessions use it unless a
-// spec names another store.
-var Default = NewStore()
 
 // traceKey identifies one generated trace.
 type traceKey struct {
@@ -173,9 +171,8 @@ type Store struct {
 	learnerStoreHits                   atomic.Int64
 }
 
-// NewStore creates an empty artifact store. Most callers want Default; a
-// private store only makes sense for isolation in tests and cold-path
-// benchmarks.
+// NewStore creates an empty artifact store. A harness creates one and hands
+// it to everything that should share its artifacts.
 func NewStore() *Store {
 	s := &Store{index: make(map[*trace.Trace]*traceArtifacts)}
 	s.traces.OnEvict = func(_ traceKey, e *traceArtifacts) {
@@ -191,9 +188,8 @@ func NewStore() *Store {
 // events and fingerprints) beyond it; n <= 0 keeps the cache unbounded (the
 // default). Learners and corpora are never evicted — they are bounded by
 // the handful of training configurations a process touches. It returns the
-// store for chaining. The write is synchronized (a harness may bound the
-// process-wide Default while other consumers run), but the bound only
-// applies to traces completed after it is set.
+// store for chaining. The write is synchronized, but the bound only applies
+// to traces completed after it is set.
 func (s *Store) WithMaxTraces(n int) *Store {
 	s.traces.SetMax(n)
 	return s
@@ -215,8 +211,12 @@ func (s *Store) WithPersistent(ps *store.Store) *Store {
 }
 
 // artifactsOf returns the cache entry of a trace the store generated and
-// still holds, or nil.
+// still holds, or nil. A nil store holds nothing, so Runtime and
+// Fingerprint on it parse and hash per call.
 func (s *Store) artifactsOf(tr *trace.Trace) *traceArtifacts {
+	if s == nil {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.index[tr]
@@ -270,7 +270,8 @@ func (s *Store) Trace(spec *webapp.Spec, seed int64, purpose string, opts trace.
 // list serves every scheduler replaying the trace. Only traces generated by
 // this store are memoized (their pointers are the canonical instances);
 // external traces are parsed per call, since a pointer-keyed entry for them
-// would never be hit again.
+// would never be hit again. A nil store memoizes nothing: every trace is
+// parsed per call.
 func (s *Store) Runtime(tr *trace.Trace) ([]*webevent.Event, error) {
 	e := s.artifactsOf(tr)
 	if e == nil {

@@ -29,7 +29,8 @@ import (
 // it to the fmt formula.
 //
 // The expensive half — walking every trace event — is memoized per
-// store-generated trace (external traces are hashed per call, see Runtime).
+// store-generated trace (external traces, and every trace on a nil store,
+// are hashed per call, see Runtime).
 // The platform half is hashed fresh on every call, so a platform tweaked in
 // place still changes the key and no per-platform-instance state
 // accumulates, however many Platform values a caller constructs. The memo

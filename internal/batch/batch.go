@@ -281,26 +281,23 @@ func (r *Runner) addSolver(res *engine.Result, solve time.Duration) {
 // are served from the cache. On error the first error is returned and the
 // corresponding results are nil; the remaining sessions still complete.
 func (r *Runner) Run(sessions []Session) ([]*engine.Result, error) {
-	return r.RunWithProgress(sessions, nil)
+	return r.RunContext(context.Background(), sessions, nil)
 }
 
-// RunWithProgress is Run with a progress callback: after each session
-// resolves (from the cache or a fresh simulation, successfully or not),
-// progress is called with the number of sessions resolved so far and the
-// batch size. The callback may run concurrently from several workers and
-// completed counts may arrive out of order; it must be cheap and safe for
-// concurrent use. A nil progress is ignored.
-func (r *Runner) RunWithProgress(sessions []Session, progress func(completed, total int)) ([]*engine.Result, error) {
-	return r.RunContext(context.Background(), sessions, progress)
-}
-
-// RunContext is RunWithProgress bounded by a context: the runner checks ctx
-// before dispatching each session and stops dispatching new work once it is
-// done, returning ctx.Err() as the error (unless a session error came
-// first). Simulations already in flight run to completion — the engine is
-// not preemptible — and their results stay in the cache and the persistent
-// store, so a canceled batch re-run later costs only the sessions it never
-// reached. Results for unreached sessions are nil.
+// RunContext is Run bounded by a context, with a progress callback. After
+// each session resolves (from the cache or a fresh simulation, successfully
+// or not), progress is called with the number of sessions resolved so far
+// and the batch size. The callback may run concurrently from several
+// workers and completed counts may arrive out of order; it must be cheap
+// and safe for concurrent use. A nil progress is ignored.
+//
+// The runner checks ctx before dispatching each session and stops
+// dispatching new work once it is done, returning ctx.Err() as the error
+// (unless a session error came first). Simulations already in flight run
+// to completion — the engine is not preemptible — and their results stay in
+// the cache and the persistent store, so a canceled batch re-run later
+// costs only the sessions it never reached. Results for unreached sessions
+// are nil.
 //
 // When ctx carries an obs.Recorder, the call records two spans: "simulate",
 // its wall time, and "solve", the solver wall time of the sessions this

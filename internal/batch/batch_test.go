@@ -234,7 +234,7 @@ func TestRunWithProgress(t *testing.T) {
 			max   int
 			total int
 		)
-		_, err := r.RunWithProgress(sessions, func(completed, tot int) {
+		_, err := r.RunContext(context.Background(), sessions, func(completed, tot int) {
 			mu.Lock()
 			calls++
 			if completed > max {
@@ -263,7 +263,7 @@ func TestRunWithProgressErrorsStillReport(t *testing.T) {
 		ebsSession(t, "cnn", 2),
 	}
 	calls := 0
-	_, err := r.RunWithProgress(sessions, func(completed, total int) { calls++ })
+	_, err := r.RunContext(context.Background(), sessions, func(completed, total int) { calls++ })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}

@@ -109,12 +109,14 @@ type ShardRequest struct {
 
 // ShardResponse is a worker's answer: results index-aligned with the
 // request's sessions (entries are null for failed sessions), the first
-// session error if any, and a snapshot of the worker's cumulative
-// runner/artifact counters (how warm its caches are).
+// session error if any, and a snapshot of the worker's cumulative runner
+// counters (how warm its memo cache is).
 type ShardResponse struct {
 	Results []*engine.Result `json:"results"`
 	Error   string           `json:"error,omitempty"`
-	Stats   batch.Stats      `json:"stats"`
+	// Stats are the worker runner's counters, without the Artifacts and
+	// Store snapshots: the coordinator sums only the top-level counters.
+	Stats batch.Stats `json:"stats"`
 	// Spans are the worker-side trace spans for this shard (the batch
 	// runner's simulate and solve spans), present only when the request
 	// carried a trace ID.

@@ -23,7 +23,7 @@ import (
 // the small fields that change shape with the code (Error, Stats, Spans)
 // ride as one JSON tail.
 //
-// Layout, version 2. Unsigned integers are uvarints, signed ones zig-zag
+// Layout, version 4. Unsigned integers are uvarints, signed ones zig-zag
 // varints, floats their IEEE-754 bits as 8 little-endian bytes (so every
 // result merges bit-identically), strings a uvarint length and the bytes.
 // A slice is written as a uvarint of its length plus one, 0 meaning nil, so
@@ -53,15 +53,19 @@ import (
 //
 // Version 1 also carried the solver's host wall time after BudgetAborts;
 // version 2 results hold only deterministic fields. Version 3 changes only
-// the tail: its artifact stats no longer carry trace_store_hits. A canonical
-// tail makes the tail's shape part of the frame, so a build whose stats
-// differ is version skew, not a broken worker.
+// the tail: its artifact stats no longer carry trace_store_hits. Version 4
+// changes only the tail too: its stats carry only the runner's own
+// counters, the ones the coordinator sums, with no artifact or
+// persistent-store snapshot (a worker serves those on /healthz). A
+// canonical tail makes the tail's shape part of the frame, so a build whose
+// runner counters differ is version skew, not a broken worker; an artifact
+// or store counter no longer is.
 
 const (
 	// frameVersion is the frame version this build writes and reads. A
 	// coordinator sends it in frameVersionHeader; a worker built for another
 	// version rejects the shard with a 400 naming both.
-	frameVersion       = 3
+	frameVersion       = 4
 	frameVersionHeader = "X-Pes-Shard-Frame"
 	frameContentType   = "application/x-pes-shard-frame"
 )

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/store"
 )
 
 // fillDistinct sets every field reachable from v to a distinct non-zero
@@ -144,6 +145,53 @@ func TestFrameRejectsHostileBytes(t *testing.T) {
 	}
 }
 
+// TestShardTailCarriesOnlyRunnerCounters: a worker with an artifact store
+// and a persistent store attached answers a shard whose tail holds neither
+// snapshot — the coordinator sums only the runner's own counters — while
+// the worker's own Stats (its /healthz body) still carries both.
+func TestShardTailCarriesOnlyRunnerCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster tests train a predictor")
+	}
+	ps, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	cfg := smallConfig()
+	cfg.Store = ps
+	w, err := NewWorker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := w.RunShard("", ShardRequest{Sessions: testSpecs()[:5]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full := w.Stats(); full.Artifacts == nil || full.Store == nil {
+		t.Fatalf("worker stats lack a snapshot: %+v", full)
+	}
+	if resp.Stats.Sessions != 5 || resp.Stats.UniqueRuns != 5 {
+		t.Errorf("shard stats = %+v, want 5 sessions, 5 unique runs", resp.Stats)
+	}
+	frame, err := appendShardResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := json.Marshal(frameTail{Error: resp.Error, Stats: resp.Stats, Spans: resp.Spans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(frame, tail) {
+		t.Fatalf("frame does not end with its tail %s", tail)
+	}
+	for _, key := range []string{`"Artifacts"`, `"Store"`} {
+		if bytes.Contains(tail, []byte(key)) {
+			t.Errorf("shard tail carries %s: %s", key, tail)
+		}
+	}
+}
+
 // FuzzDecodeShardResponse feeds arbitrary bytes to the decoder: it must
 // never panic, and any frame it accepts must re-encode to the same bytes.
 // The seed corpus lives in testdata/fuzz/FuzzDecodeShardResponse:
@@ -219,9 +267,10 @@ func postShard(t *testing.T, url, version, body string) (int, string) {
 func TestWorkerRejectsFrameVersionSkew(t *testing.T) {
 	ts := httptest.NewServer((&Worker{}).Handler())
 	defer ts.Close()
+	prev, cur := strconv.Itoa(frameVersion-1), "v"+strconv.Itoa(frameVersion)
 	for version, wants := range map[string][]string{
-		"2": {"frame version mismatch", "v2", "v3"},
-		"":  {"frame version mismatch", "JSON", "v3"},
+		prev: {"frame version mismatch", "v" + prev, cur},
+		"":   {"frame version mismatch", "JSON", cur},
 	} {
 		code, msg := postShard(t, ts.URL, version, `{"sessions":[]}`)
 		if code != http.StatusBadRequest {

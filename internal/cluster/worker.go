@@ -109,7 +109,11 @@ func (w *Worker) RunShard(traceID string, req ShardRequest) (ShardResponse, erro
 		rec = obs.NewRecorder(traceID)
 	}
 	results, runErr := w.setup.Runner.RunContext(obs.WithTrace(context.Background(), rec), sess, nil)
-	resp := ShardResponse{Results: results, Stats: w.Stats(), Spans: rec.Timeline()}
+	// The coordinator sums only the runner's own counters; the artifact and
+	// persistent-store snapshots stay on the worker's /healthz.
+	st := w.Stats()
+	st.Artifacts, st.Store = nil, nil
+	resp := ShardResponse{Results: results, Stats: st, Spans: rec.Timeline()}
 	if runErr != nil {
 		resp.Error = runErr.Error()
 	}

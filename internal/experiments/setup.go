@@ -51,10 +51,10 @@ type Config struct {
 	// sweeping many seeds set it to cap memory; eviction only ever costs
 	// recomputation, never changes a result.
 	CacheMaxEntries int
-	// Artifacts optionally selects the shared artifact store; nil uses the
-	// process-wide artifacts.Default, or a private store when Store is set
-	// (so the persistent layer never reaches another setup). Tests inject
-	// private stores to get isolated counters.
+	// Artifacts optionally selects the artifact store the setup draws its
+	// traces and learner from; nil gives the setup a private store of its
+	// own, so its trace bound and persistent layer reach no other setup.
+	// Setups that should share one training pass the same store.
 	Artifacts *artifacts.Store
 	// Store optionally layers a persistent content-addressed store under
 	// both the trained-learner cache and the session memo cache: a
@@ -108,10 +108,10 @@ type Setup struct {
 	// results by (platform, app, trace seed, scheduler, predictor config).
 	Runner *batch.Runner
 
-	// Artifacts is the shared artifact store the setup's corpora and
-	// learner came from and its sessions draw runtime inputs from. Setups
-	// with equal (TrainTracesPerApp, Seed) share one trained learner and
-	// one trace corpus through it.
+	// Artifacts is the artifact store the setup's corpora and learner came
+	// from and its sessions draw runtime inputs from. Setups handed the same
+	// store with equal (TrainTracesPerApp, Seed) share one trained learner
+	// and one trace corpus through it.
 	Artifacts *artifacts.Store
 }
 
@@ -119,21 +119,15 @@ type Setup struct {
 // evaluation corpus for all 18 applications. Evaluation traces always use
 // seeds disjoint from the training traces (new users, as in the paper).
 // Everything reusable — the training corpus, the trained model, the
-// evaluation traces — comes from the process-wide artifact store (unless
-// the config names a store or a persistent Store), so a second
-// identically-configured setup (another server, another benchmark
-// repetition) performs no training and no trace generation at all.
+// evaluation traces — comes from the setup's artifact store: the config's,
+// or a private one when it names none. A second identically-configured
+// setup handed the same store performs no training and no trace generation
+// at all.
 func NewSetup(cfg Config) (*Setup, error) {
 	cfg = cfg.withDefaults()
 	store := cfg.Artifacts
 	if store == nil {
-		store = artifacts.Default
-		if cfg.Store != nil {
-			// Never layer a persistent store under the process-wide
-			// Default: every later setup in the process would write
-			// through it.
-			store = artifacts.NewStore()
-		}
+		store = artifacts.NewStore()
 	}
 	if cfg.Store != nil {
 		// Layer the persistent store under the artifact caches before any

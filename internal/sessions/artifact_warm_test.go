@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/acmp"
 	"repro/internal/artifacts"
+	"repro/internal/batch"
 	"repro/internal/predictor"
 	"repro/internal/trace"
 	"repro/internal/webapp"
@@ -82,33 +83,42 @@ func TestArtifactWarmEqualsColdPath(t *testing.T) {
 		t.Errorf("a trace, runtime, fingerprint or page lookup of the recorded warm pass never hit: stats before %+v, after %+v", before, after)
 	}
 
-	// Cold: fresh single-use store per session, fresh trace generation,
-	// page-tree cache bypassed — the pre-artifact-cache setup path.
+	// Cold: fresh trace generation, page-tree cache bypassed — the
+	// pre-artifact-cache setup path — once with a fresh single-use store and
+	// once with no store at all, which memoizes nothing. Both must give the
+	// warm result, under one memo key.
 	was := webapp.SetPageCache(false)
 	defer webapp.SetPageCache(was)
 	for _, name := range Names() {
 		tr := trace.Generate(spec, seed, trace.Options{})
-		sess, err := New(Spec{
-			Platform:  platform,
-			Trace:     tr,
-			Scheduler: name,
-			Learner:   learner,
-			Predictor: predictor.DefaultConfig(),
-			Artifacts: artifacts.NewStore(),
-		})
-		if err != nil {
-			t.Fatal(err)
+		var keys []batch.Key
+		for _, store := range []*artifacts.Store{artifacts.NewStore(), nil} {
+			sess, err := New(Spec{
+				Platform:  platform,
+				Trace:     tr,
+				Scheduler: name,
+				Learner:   learner,
+				Predictor: predictor.DefaultConfig(),
+				Artifacts: store,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, sess.Key)
+			res, _, err := sess.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cold, warmResults[name]) {
+				t.Errorf("%s (nil store %t): artifact-warm result differs from cold-path result", name, store == nil)
+			}
 		}
-		res, _, err := sess.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(cold, warmResults[name]) {
-			t.Errorf("%s: artifact-warm result differs from cold-path result", name)
+		if keys[0] != keys[1] {
+			t.Errorf("%s: memo keys differ: store %+v, nil store %+v", name, keys[0], keys[1])
 		}
 	}
 }

@@ -58,9 +58,10 @@ type Spec struct {
 	// memo key so that sweeps over it cache correctly.
 	Predictor predictor.Config
 	// Artifacts is the shared artifact store the session draws its runtime
-	// events and fingerprint from; nil selects artifacts.Default. Sessions
-	// of the same trace share one parsed event list through it, no matter
-	// which scheduler replays them.
+	// events and fingerprint from. Sessions of the same trace share one
+	// parsed event list through it, no matter which scheduler replays them.
+	// Nil memoizes nothing: the trace is parsed and hashed per session,
+	// which yields the same key and result.
 	Artifacts *artifacts.Store
 }
 
@@ -82,17 +83,14 @@ func PredictorKey(cfg predictor.Config) string {
 // session constructs its own scheduler instance on each (cache-miss) run,
 // so it can execute on any worker concurrently. Runtime events and the memo
 // fingerprint come from the spec's artifact store: every scheduler replaying
-// the same trace shares one parsed event list and one content hash.
+// the same trace shares one parsed event list and one content hash. Without
+// a store they are parsed and hashed per session.
 func New(s Spec) (batch.Session, error) {
 	name, err := Canonical(s.Scheduler)
 	if err != nil {
 		return batch.Session{}, err
 	}
-	p, tr := s.Platform, s.Trace
-	store := s.Artifacts
-	if store == nil {
-		store = artifacts.Default
-	}
+	p, tr, store := s.Platform, s.Trace, s.Artifacts
 	// Populate the platform's lazy config cache now, from this goroutine:
 	// the run closure may execute on any batch worker concurrently with
 	// other sessions sharing the platform.

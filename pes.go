@@ -201,9 +201,9 @@ func NewBatchRunner(workers int) *BatchRunner { return batch.NewRunner(workers) 
 type (
 	// ArtifactStore is the shared session-artifact cache: generated traces,
 	// parsed runtime events, memo fingerprints, and offline-trained
-	// learners, each built exactly once per process and shared by every
-	// consumer. Sessions built with NewSession draw from the process-wide
-	// store unless their spec names another one.
+	// learners, each built exactly once per store and shared by every
+	// consumer of that store. Sessions built with NewSession memoize
+	// nothing unless their spec names a store.
 	ArtifactStore = artifacts.Store
 	// ArtifactStats snapshots an ArtifactStore's build/hit counters (plus
 	// the process-wide DOM page-tree cache); it appears in BatchStats when
@@ -212,11 +212,8 @@ type (
 	ArtifactStats = artifacts.Stats
 )
 
-// SharedArtifacts returns the process-wide artifact store.
-func SharedArtifacts() *ArtifactStore { return artifacts.Default }
-
-// NewArtifactStore creates an empty, private artifact store (for isolation
-// in tests and cold-path benchmarks; most callers want SharedArtifacts).
+// NewArtifactStore creates an empty artifact store. Pass the same store to
+// every setup and session that should share traces and trained learners.
 func NewArtifactStore() *ArtifactStore { return artifacts.NewStore() }
 
 // Persistent content-addressed storage.
