@@ -37,7 +37,7 @@
 // entries keyed by them would never be hit again.
 //
 // The DOM page-tree half of session setup is cached one layer down, in
-// package webapp (every webapp.NewSession clones cached master pages); its
+// package webapp (every webapp.NewSession shares cached master pages); its
 // counters are surfaced through Stats here so one snapshot covers the whole
 // artifact layer.
 package artifacts

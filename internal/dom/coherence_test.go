@@ -1,6 +1,8 @@
 package dom_test
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -92,16 +94,16 @@ func menuApp(t *testing.T) (*webapp.Spec, *dom.Tree, dom.NodeID) {
 	return nil, nil, dom.None
 }
 
-// TestCloneMutationLeavesMasterDerived checks that mutating a clone of a
-// derived master neither changes the master's answers nor leaves the clone
-// with the master's stale ones.
+// TestCloneMutationLeavesMasterDerived checks that mutating a deep copy of
+// a derived master neither changes the master's answers nor leaves the
+// copy with the master's stale ones.
 func TestCloneMutationLeavesMasterDerived(t *testing.T) {
 	_, master, toggle := menuApp(t)
 	want := dom.ComputeReference(master)
 	if msg := dom.CheckReference(master); msg != "" {
 		t.Fatal(msg)
 	}
-	clone := master.Clone()
+	clone := dom.DeepCopy(master)
 	clone.ApplyEvent(webevent.Click, toggle)
 	clone.Scroll(clone.ViewportHeight)
 	if msg := dom.CheckReference(clone); msg != "" {
@@ -118,10 +120,71 @@ func TestCloneMutationLeavesMasterDerived(t *testing.T) {
 	}
 }
 
+// TestSharedViewMutationLeavesMasterDerived is the copy-on-write variant:
+// a menu toggle and a scroll on one shared view of a derived master leave
+// the master's nodes (effective-hidden flags included) and a sibling
+// view's answers as they were, and the toggled view answers what a deep
+// copy put through the same mutations computes by reference. A view that
+// only scrolls keeps reading the master's nodes.
+func TestSharedViewMutationLeavesMasterDerived(t *testing.T) {
+	_, master, toggle := menuApp(t)
+	master.Freeze()
+	nodes := nodesOf(master)
+	want := dom.ComputeReference(master)
+	view, sibling := master.Share(), master.Share()
+	copied := dom.DeepCopy(master)
+
+	view.ApplyEvent(webevent.Click, toggle)
+	view.Scroll(view.ViewportHeight)
+	copied.ApplyEvent(webevent.Click, toggle)
+	copied.Scroll(copied.ViewportHeight)
+	if msg := dom.CheckReference(view); msg != "" {
+		t.Errorf("toggled view: %s", msg)
+	}
+	if got, ref := dom.ComputeReference(view), dom.ComputeReference(copied); !reflect.DeepEqual(got, ref) {
+		t.Errorf("toggled view's reference %+v, deep copy's %+v", got, ref)
+	}
+	if !reflect.DeepEqual(nodesOf(master), nodes) {
+		t.Error("mutating a shared view changed its master's nodes")
+	}
+	for name, tree := range map[string]*dom.Tree{"master": master, "sibling view": sibling} {
+		if msg := dom.CheckReference(tree); msg != "" {
+			t.Errorf("%s after a view's mutation: %s", name, msg)
+		}
+		if got := tree.ClickableFraction(); got != want.Clickable {
+			t.Errorf("%s ClickableFraction moved to %v from %v", name, got, want.Clickable)
+		}
+		if got := tree.LNES(); !slices.Equal(got, want.LNES) {
+			t.Errorf("%s LNES moved to %v from %v", name, got, want.LNES)
+		}
+	}
+
+	sibling.Scroll(sibling.ViewportHeight)
+	if msg := dom.CheckReference(sibling); msg != "" {
+		t.Errorf("scrolled sibling view: %s", msg)
+	}
+	if sibling.Node(toggle) != master.Node(toggle) {
+		t.Error("a view that only scrolled copied its master's nodes")
+	}
+	if view.Node(toggle) == master.Node(toggle) {
+		t.Error("a view that toggled a menu still writes its master's nodes")
+	}
+	if !reflect.DeepEqual(nodesOf(master), nodes) {
+		t.Error("scrolling a shared view changed its master's nodes")
+	}
+}
+
+// nodesOf returns a copy of the tree's nodes in ID order.
+func nodesOf(tree *dom.Tree) []dom.Node {
+	var out []dom.Node
+	tree.Walk(func(n *dom.Node) { out = append(out, *n) })
+	return out
+}
+
 // TestClonesDeriveConcurrently runs two sessions of one app on two
-// goroutines. Both start from clones of the process-wide cached home-page
-// master and derive and mutate them at once; each clone carries its own
-// derive state (the per-node flags are copied with the nodes), so under
+// goroutines. Both start from shared views of the process-wide cached
+// home-page master and derive and mutate them at once: scrolls read the
+// master's nodes, and each view's first menu toggle copies them, so under
 // -race this must report nothing.
 func TestClonesDeriveConcurrently(t *testing.T) {
 	spec, _, toggle := menuApp(t)

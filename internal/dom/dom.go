@@ -65,7 +65,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Node is one element of the DOM tree.
+// Node is one element of the DOM tree. Pointers into a shared view (see
+// Tree.Share) point at its master's nodes and are read-only.
 type Node struct {
 	ID       NodeID
 	Kind     Kind
@@ -79,9 +80,10 @@ type Node struct {
 	// keeps the tree's derived state coherent.
 	Hidden bool
 	// hiddenEff records whether the node or any ancestor is hidden, as of
-	// the tree's last derive pass. It lives on the node, not in a
-	// tree-owned slice, so that clones (which copy nodes by value) never
-	// share it; next to Hidden it takes no extra space.
+	// the derive pass after the tree's last Add or SetHidden. Next to Hidden
+	// it takes no extra space, and it travels with the nodes: a shared view
+	// reads its master's flags, and a view that copies its nodes copies
+	// them too.
 	hiddenEff bool
 	// Y and Height place the node vertically on the page, in abstract page
 	// units (the page spans [0, Tree.PageHeight)).
@@ -107,7 +109,10 @@ func (n *Node) Tappable() bool {
 	return false
 }
 
-// Tree is a DOM tree plus the viewport geometry of the page.
+// Tree is a DOM tree plus the viewport geometry of the page. A tree either
+// owns its nodes or is a shared view of a master's (Share): a view reads
+// the master's nodes until its first Add or SetHidden copies them, so a
+// page load that only scrolls never copies a node.
 type Tree struct {
 	// Page is the name of the page this tree renders.
 	Page string
@@ -121,10 +126,17 @@ type Tree struct {
 
 	nodes []Node // nodes[0] is unused so that NodeID 0 can mean "none"
 	root  NodeID
+	// shared is set on a view whose nodes are its master's: the tree must
+	// copy them before writing any.
+	shared bool
+	// hiddenStale is set by Add and SetHidden, the two mutations that can
+	// change a node's effective-hidden flag; only then does the derive pass
+	// rewrite the flags, so deriving a view after a scroll writes no node.
+	hiddenStale bool
 
 	// d caches what the predictor derives from the current DOM state. It is
-	// a plain value, so Clone copies it along with the nodes' hiddenEff
-	// flags it was computed with.
+	// a plain value, so Share copies it along with the view of the nodes'
+	// hiddenEff flags it was computed with.
 	d derived
 }
 
@@ -164,12 +176,13 @@ func NewTree(page string, pageHeight, viewportHeight float64) *Tree {
 // Add copies the node into the tree, assigning its ID (also to n) and
 // linking it to its parent (if any). It returns the new node's ID; later
 // changes go through Node(id). Pointers from Node are valid until the next
-// Add.
+// Add, and on a shared view until its first SetHidden.
 func (t *Tree) Add(n *Node) NodeID {
+	t.own()
 	id := NodeID(len(t.nodes))
 	n.ID = id
 	t.nodes = append(t.nodes, *n)
-	t.d.valid = false
+	t.d.valid, t.hiddenStale = false, true
 	if n.Parent != None {
 		p := t.Node(n.Parent)
 		p.Children = append(p.Children, id)
@@ -180,17 +193,35 @@ func (t *Tree) Add(n *Node) NodeID {
 // Root returns the ID of the document root.
 func (t *Tree) Root() NodeID { return t.root }
 
-// Clone returns an independent copy of the tree that can be mutated (menu
-// toggles, scrolling) without affecting the receiver. The nodes are stored
-// by value, so one slice copy copies them all, derived state included; the
-// Children and Listeners slices are shared with the original because they
-// are only ever appended to while a page is being built, never after.
-// Cloning a built page is much cheaper than rebuilding it, which is what
-// makes the shared page-tree cache (package webapp) pay off.
-func (t *Tree) Clone() *Tree {
-	ct := *t
-	ct.nodes = slices.Clone(t.nodes)
-	return &ct
+// Share returns a view of the tree that can be mutated (menu toggles,
+// scrolling) without affecting the receiver, its master. The view reads
+// the master's nodes, so sharing costs one tree header; its first Add or
+// SetHidden copies them (one slice copy, since they are stored by value),
+// and Scroll copies nothing. Share derives the master first, so no view
+// writes the master's flags. The master must not be mutated while views
+// of it are in use; sharing a derived master only reads it, so goroutines
+// may share one master and use their views at once. This is what makes
+// the shared page-tree cache (package webapp) pay off.
+func (t *Tree) Share() *Tree {
+	t.derive()
+	v := *t
+	v.shared = true
+	return &v
+}
+
+// own gives a shared view its own copy of the nodes before a write. The
+// copied Children slices still alias the master's arrays, so they are
+// clipped: an Add on the view reallocates its parent's Children instead of
+// appending into the master's spare capacity.
+func (t *Tree) own() {
+	if !t.shared {
+		return
+	}
+	t.nodes = slices.Clone(t.nodes)
+	for i := range t.nodes {
+		t.nodes[i].Children = slices.Clip(t.nodes[i].Children)
+	}
+	t.shared = false
 }
 
 // Len returns the number of nodes in the tree.
@@ -213,18 +244,22 @@ func (t *Tree) Walk(f func(*Node)) {
 }
 
 // SetHidden sets the node's own Hidden flag (display:none). It is the one
-// way to change visibility once a node is in the tree.
+// way to change visibility once a node is in the tree; on a shared view it
+// copies the nodes first.
 func (t *Tree) SetHidden(id NodeID, hidden bool) {
+	t.own()
 	t.Node(id).Hidden = hidden
-	t.d.valid = false
+	t.d.valid, t.hiddenStale = false, true
 }
 
 // derive returns the derived state of the current DOM, filling it first if
 // a mutation dropped it. One pass visits the nodes in ID order; Add gives a
 // parent a lower ID than its children, so each node inherits its parent's
-// effective-hidden flag instead of walking its ancestors. The two area sums
-// add the same nodes in the same order as a separate walk per feature
-// would, so they are bit-identical to it.
+// effective-hidden flag instead of walking its ancestors. It rewrites those
+// flags only when an Add or SetHidden made them stale; a pass after a
+// scroll reads them, so deriving a shared view writes none of its master's
+// nodes. The two area sums add the same nodes in the same order as a
+// separate walk per feature would, so they are bit-identical to it.
 func (t *Tree) derive() *derived {
 	d := &t.d
 	if d.valid {
@@ -233,9 +268,13 @@ func (t *Tree) derive() *derived {
 	*d = derived{valid: true, tapKind: Document}
 	moveOK := t.Scrollable() && !t.AtBottom()
 	bestArea := -1.0
+	rehide := t.hiddenStale
+	t.hiddenStale = false
 	for i := range t.nodes[1:] {
 		n := &t.nodes[i+1]
-		n.hiddenEff = n.Hidden || (n.Parent != None && t.nodes[n.Parent].hiddenEff)
+		if rehide {
+			n.hiddenEff = n.Hidden || (n.Parent != None && t.nodes[n.Parent].hiddenEff)
+		}
 		if n.hiddenEff {
 			continue
 		}
@@ -270,11 +309,16 @@ func (t *Tree) derive() *derived {
 	return d
 }
 
-// Derive fills the tree's derived state now instead of at the first read.
-// Clones copy it, so deriving a tree that is only ever cloned (a page
-// cache master) saves every clone its first pass; it must happen before
-// the tree is shared, since it writes the nodes.
-func (t *Tree) Derive() { t.derive() }
+// Freeze readies a built tree to be a long-lived master (a page cache
+// entry) that views share. It fills the derived state now, which every
+// view copies, so none pays the first pass or writes the master's nodes;
+// and it trims the node slice to its length, since a master outlives the
+// build that grew it. It writes the tree, so it must happen before
+// goroutines share the tree, and the tree must not be mutated after.
+func (t *Tree) Freeze() {
+	t.derive()
+	t.nodes = slices.Clone(t.nodes)
+}
 
 // inViewport reports whether the node's vertical extent intersects the
 // current viewport.

@@ -350,6 +350,20 @@ func ComputeReference(t *Tree) Reference {
 	return r
 }
 
+// DeepCopy returns a tree that owns a copy of t's nodes and of their
+// Children: the independent reference a shared view is checked against, so
+// it copies without Share or own. It is exported for the tests in package
+// dom_test.
+func DeepCopy(t *Tree) *Tree {
+	c := *t
+	c.shared = false
+	c.nodes = slices.Clone(t.nodes)
+	for i := range c.nodes {
+		c.nodes[i].Children = slices.Clone(c.nodes[i].Children)
+	}
+	return &c
+}
+
 // CheckReference reports how the tree's derived answers differ from the
 // walk-per-feature reference: the fractions bit for bit, the LNES, and the
 // tap target with its kind. It returns "" when they agree.
@@ -411,5 +425,28 @@ func TestAddInvalidatesDerived(t *testing.T) {
 	}
 	if msg := CheckReference(tree); msg != "" {
 		t.Error(msg)
+	}
+}
+
+// TestSharedViewAddLeavesSiblingChildren: views of one master that add
+// nodes under the same parent must not append into the spare capacity of
+// the master's Children array, where each would overwrite the other's new
+// child.
+func TestSharedViewAddLeavesSiblingChildren(t *testing.T) {
+	master, ids := buildTestPage()
+	root := master.Root()
+	want := slices.Clone(master.Node(root).Children)
+	a, b := master.Share(), master.Share()
+	na := a.Add(&Node{Kind: Text, Parent: root, Y: 0, Height: 10})
+	b.Add(&Node{Kind: Text, Parent: ids["menu"], Y: 320, Height: 10})
+	nb := b.Add(&Node{Kind: Text, Parent: root, Y: 20, Height: 10})
+	if got := a.Node(root).Children; !slices.Equal(got, append(slices.Clone(want), na)) {
+		t.Errorf("view a's root children = %v, want %v then %d", got, want, na)
+	}
+	if got := b.Node(root).Children; !slices.Equal(got, append(slices.Clone(want), nb)) {
+		t.Errorf("view b's root children = %v, want %v then %d", got, want, nb)
+	}
+	if got := master.Node(root).Children; !slices.Equal(got, want) {
+		t.Errorf("master's root children = %v, want %v", got, want)
 	}
 }

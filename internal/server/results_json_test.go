@@ -184,6 +184,74 @@ func TestUnencodableResultAnswers500(t *testing.T) {
 	}
 }
 
+// TestNDJSONStreamWritesBlocks: the NDJSON stream writes its rows in
+// blocks of at least ndjsonBlock bytes (the last may be short), with the
+// same bytes as one line per row. An unencodable row past the first block,
+// after good rows were already written, still gets a 200, exactly the good
+// rows before it and one error line.
+func TestNDJSONStreamWritesBlocks(t *testing.T) {
+	s, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	j := poolCampaignJob(t, s)
+	path := "/v1/campaigns/" + j.id + "/results?format=ndjson"
+	good := encodingJSONRows(t, filteredResults(j, rowFilter{}).Rows)
+
+	rec := &writeRecorder{ResponseRecorder: httptest.NewRecorder()}
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), good) {
+		t.Fatalf("status %d, %d bytes; want 200 and the %d bytes of one line per row", rec.Code, rec.Body.Len(), len(good))
+	}
+	if len(rec.writes) < 2 {
+		t.Fatalf("%d bytes in %d write(s); the pool campaign should span more than one block", len(good), len(rec.writes))
+	}
+	for i, n := range rec.writes[:len(rec.writes)-1] {
+		if n < ndjsonBlock {
+			t.Errorf("write %d of %d holds %d bytes, below the %d-byte block", i, len(rec.writes), n, ndjsonBlock)
+		}
+	}
+
+	bad := 0 // the first row that starts past the first block
+	for nthLine(good, bad) < ndjsonBlock {
+		bad++
+	}
+	if bad >= bytes.Count(good, []byte("\n")) {
+		t.Fatalf("row %d is past the pool campaign's rows", bad)
+	}
+	j.mu.Lock()
+	results := append([]*engine.Result(nil), j.results...)
+	poisoned := *results[bad]
+	poisoned.TotalEnergyMJ = math.NaN()
+	results[bad] = &poisoned
+	j.results = results
+	j.mu.Unlock()
+	code, body := fetchBody(t, ts.URL+path)
+	rows := good[:nthLine(good, bad)]
+	var lineErr apiError
+	if code != http.StatusOK || !bytes.HasPrefix(body, rows) {
+		t.Errorf("status %d, %d bytes; want 200 and the %d rows before the bad one (%d bytes) first", code, len(body), bad, len(rows))
+	} else if tail := body[len(rows):]; bytes.Count(tail, []byte("\n")) != 1 || tail[len(tail)-1] != '\n' ||
+		json.Unmarshal(tail, &lineErr) != nil || !strings.HasPrefix(lineErr.Error, "encoding results: ") || !strings.Contains(lineErr.Error, "NaN") {
+		t.Errorf("after the %d good rows got %q, want one error line naming the NaN", bad, tail)
+	}
+}
+
+// writeRecorder records the size of every body write; Flush is the
+// embedded recorder's.
+type writeRecorder struct {
+	*httptest.ResponseRecorder
+	writes []int
+}
+
+func (w *writeRecorder) Write(b []byte) (int, error) {
+	w.writes = append(w.writes, len(b))
+	return w.ResponseRecorder.Write(b)
+}
+
 // nthLine returns the offset at which line n (0-based) of b starts.
 func nthLine(b []byte, n int) int {
 	off := 0

@@ -736,38 +736,44 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if wantsNDJSON(r) {
 		// Stream one ResultRow per line so a large sharded sweep never
 		// materializes as one giant document on either side. Aggregate
-		// tables/solver stats are JSON-mode only. Each line is encoded
-		// whole before any of it is written, so a row that cannot be
-		// encoded (a NaN energy) ends the stream after the last good line:
-		// a 500 with an apiError if it is the first row, else a final
-		// apiError line after the rows already sent, so a client can tell
-		// a truncated stream from a short one.
+		// tables/solver stats are JSON-mode only. Rows are encoded into
+		// the buffer and written in blocks of at least ndjsonBlock bytes,
+		// each followed by a flush, and the rest at the end. A row that
+		// cannot be encoded (a NaN energy) ends the stream after the last
+		// good line: a 500 with an apiError if it is the first row, else a
+		// final apiError line after the good rows, so a client can tell a
+		// truncated stream from a short one.
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
-		wrote := false
+		*buf = (*buf)[:0]
+		good := false // some row was encoded, whether or not written yet
 		for i, res := range results {
 			if !filter.match(j.plan.Meta[i]) {
 				continue
 			}
-			*buf, err = ResultRow{SessionMeta: j.plan.Meta[i], Result: res}.appendJSON((*buf)[:0])
+			*buf, err = ResultRow{SessionMeta: j.plan.Meta[i], Result: res}.appendJSON(*buf)
 			if err != nil {
 				e := apiError{Error: "encoding results: " + err.Error()}
-				if !wrote {
+				if !good {
 					writeJSON(w, http.StatusInternalServerError, e)
-				} else {
-					line, _ := json.Marshal(e) // a string field always encodes
-					_, _ = w.Write(append(line, '\n'))
+					return
 				}
+				line, _ := json.Marshal(e) // a string field always encodes
+				*buf = append(append(*buf, line...), '\n')
+				_, _ = w.Write(*buf)
 				return
 			}
 			*buf = append(*buf, '\n')
-			if _, err := w.Write(*buf); err != nil {
-				return // client went away; nothing left to report
+			good = true
+			if len(*buf) >= ndjsonBlock {
+				if !writeBlock(w, flusher, *buf) {
+					return // client went away; nothing left to report
+				}
+				*buf = (*buf)[:0]
 			}
-			wrote = true
-			if flusher != nil {
-				flusher.Flush()
-			}
+		}
+		if len(*buf) > 0 {
+			writeBlock(w, flusher, *buf)
 		}
 		return
 	}
@@ -798,6 +804,23 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, *buf)
 }
 
+// ndjsonBlock is the least number of bytes the NDJSON results stream
+// writes at once: a few rows per write and flush instead of one, each of
+// which under chunked encoding costs up to three socket writes.
+const ndjsonBlock = 64 << 10
+
+// writeBlock writes one block of NDJSON rows and flushes it to the client.
+// It reports false when the client went away.
+func writeBlock(w http.ResponseWriter, flusher http.Flusher, block []byte) bool {
+	if _, err := w.Write(block); err != nil {
+		return false
+	}
+	if flusher != nil {
+		flusher.Flush()
+	}
+	return true
+}
+
 // resultBufs recycles the results handler's encoding buffers. A results
 // document runs to ~16 KiB a session; growing a fresh one per request costs
 // more than encoding into it.
@@ -805,7 +828,8 @@ var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendJSON appends the row's JSON encoding, byte for byte what
 // json.Marshal(row) writes: the small metadata object through encoding/json,
-// the result through engine.Result.AppendJSON.
+// the result through engine.Result.AppendJSON. On error it returns dst as it
+// was, so the rows already in it stay whole.
 func (row ResultRow) appendJSON(dst []byte) ([]byte, error) {
 	meta, err := json.Marshal(row.SessionMeta)
 	if err != nil {

@@ -18,10 +18,14 @@ type pageKey struct {
 // pageCache memoizes built page trees. BuildPage is deterministic in
 // (application, page, seed), and a session mutates only node visibility and
 // the viewport, so every consumer — the trace generator, the predictor's DOM
-// replica, the accuracy evaluation — can start from a cloned master instead
-// of rebuilding the page. The cache is process-wide and immutable: masters
-// are never handed out directly, only clones. It is unbounded: it holds one
-// master per distinct (application, page, seed) a process loads.
+// replica, the accuracy evaluation — can start from a shared view of a
+// cached master (dom.Tree.Share) instead of rebuilding the page. A view
+// reads the master's nodes and copies them only if it toggles a menu. The
+// cache is process-wide and immutable: masters are frozen (dom.Tree.Freeze)
+// before they are cached and never mutated, only shared. It is unbounded:
+// it holds one master per distinct (application, page, seed) a process
+// loads; were it bounded, a view would keep an evicted master's nodes alive
+// only while the view is in use.
 var (
 	pageCache       memo.Cache[pageKey, *dom.Tree] // immutable masters
 	pageCacheOff    atomic.Bool
@@ -38,33 +42,30 @@ func SetPageCache(enabled bool) (was bool) {
 }
 
 // PageCacheStats returns how many page trees were built and how many session
-// page loads were served by cloning a cached master.
+// page loads were served by sharing a cached master.
 func PageCacheStats() (builds, hits int64) {
 	return pageCacheBuilds.Load(), pageCacheHits.Load()
 }
 
-// builtPage returns a mutable tree for the page, cloned from the cache when
-// enabled.
+// builtPage returns a mutable tree for the page: a shared view of the
+// cached master when the cache is enabled, else a freshly built tree.
 func builtPage(spec *Spec, page string, seed int64) *dom.Tree {
 	if pageCacheOff.Load() {
 		return spec.BuildPage(page, seed)
 	}
-	// The cache keeps an immutable snapshot, derived before it is shared so
-	// that every clone starts with its predictor inputs; the builder gets
-	// the freshly built tree itself to mutate.
-	var fresh *dom.Tree
+	// The master is frozen before it is cached, so that every view starts
+	// with its predictor inputs and none writes the master's nodes.
 	master, hit, _ := pageCache.Get(pageKey{app: spec.Name, page: page, seed: seed}, func() (*dom.Tree, error) {
-		fresh = spec.BuildPage(page, seed)
-		m := fresh.Clone()
-		m.Derive()
+		m := spec.BuildPage(page, seed)
+		m.Freeze()
 		return m, nil
 	})
-	if !hit {
+	if hit {
+		pageCacheHits.Add(1)
+	} else {
 		pageCacheBuilds.Add(1)
-		return fresh
 	}
-	pageCacheHits.Add(1)
-	return master.Clone()
+	return master.Share()
 }
 
 // Session tracks the DOM state of one user's interaction with an

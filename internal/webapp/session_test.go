@@ -118,7 +118,8 @@ func TestPageCacheClonesAndToggle(t *testing.T) {
 	spec := SeenApps()[0]
 	builds0, _ := PageCacheStats()
 
-	// Two sessions on the same (app, seed): the second must clone, not build.
+	// Two sessions on the same (app, seed): the second must share the
+	// cached master, not build.
 	const seed = 987654
 	a := NewSession(spec, seed)
 	buildsAfterFirst, _ := PageCacheStats()
@@ -134,7 +135,8 @@ func TestPageCacheClonesAndToggle(t *testing.T) {
 		t.Error("first session should have built the page")
 	}
 
-	// The clone is independent: scrolling one session must not move the other.
+	// Each view is independent: scrolling one session must not move the
+	// other.
 	a.Apply(spec.Behavior.MoveManifestation, 0)
 	if a.Tree().ViewportTop == b.Tree().ViewportTop {
 		t.Error("sessions share a mutable tree")
@@ -152,5 +154,20 @@ func TestPageCacheClonesAndToggle(t *testing.T) {
 	}
 	if c.Tree().Len() != b.Tree().Len() {
 		t.Error("cache-off session built a different page")
+	}
+}
+
+// TestCachedPageLoadSteadyStateAlloc gates the page load of a cached page:
+// it shares the master, so the only allocation is the view's tree header.
+func TestCachedPageLoadSteadyStateAlloc(t *testing.T) {
+	spec := SeenApps()[0]
+	builtPage(spec, "home", 424242) // build and cache the master
+	allocs := testing.AllocsPerRun(100, func() {
+		if builtPage(spec, "home", 424242) == nil {
+			t.Fatal("no tree")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("loading a cached page allocates %v times, want at most 1 (the tree header)", allocs)
 	}
 }
