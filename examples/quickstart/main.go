@@ -23,17 +23,13 @@ func main() {
 		log.Fatal(err)
 	}
 	tr := pes.GenerateTrace(app, 42)
-	events, err := tr.Runtime()
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("session: %d events over %.0f s on %s\n", tr.Count(), tr.Duration().Seconds(), app.Name)
 
 	// 3. Replay the same session under EBS (reactive) and PES (proactive).
 	platform := pes.Exynos5410()
-	ebs := pes.RunReactive(platform, app.Name, events, pes.NewEBS(platform))
+	ebs := pes.RunReactive(platform, app.Name, tr.Events, pes.NewEBS(platform))
 	scheduler := pes.NewPES(platform, learner, app, tr.DOMSeed, pes.DefaultPredictorConfig())
-	proactive := pes.RunProactive(platform, app.Name, events, scheduler)
+	proactive := pes.RunProactive(platform, app.Name, tr.Events, scheduler)
 
 	// 4. Compare.
 	fmt.Printf("%-6s energy=%8.1f mJ  QoS violations=%5.1f%%\n",

@@ -1,25 +1,24 @@
 // Package artifacts is the shared session-artifact cache: the immutable
 // inputs that every simulation session of a campaign is built from —
-// generated traces, their runtime event lists, platform/trace fingerprints,
-// and offline-trained sequence learners — built exactly once per store and
-// shared by every consumer of that store. Each harness (one experiment
-// setup, one cluster worker) owns its store; there is no process-wide one,
-// so one harness's bounds and persistent layer never reach another.
+// generated traces, platform/trace fingerprints, and offline-trained
+// sequence learners — built exactly once per store and shared by every
+// consumer of that store. Each harness (one experiment setup, one cluster
+// worker) owns its store; there is no process-wide one, so one harness's
+// bounds and persistent layer never reach another.
 //
 // A campaign is the cross product apps × trace seeds × schedulers (times
 // sweep configurations); before this cache, each of the ~6 schedulers
-// regenerated the identical trace, re-parsed its runtime events, re-hashed
-// its fingerprint and (per harness) re-trained the identical learner for
-// every (app, seed) pair it touched. The batch runner's memo cache
-// deduplicates the *results* of identical sessions; this package
-// deduplicates the *inputs* of distinct ones, which is what gates
-// unique-session throughput once the solver is fast (see BENCH_pr4.json).
+// regenerated the identical trace, re-hashed its fingerprint and (per
+// harness) re-trained the identical learner for every (app, seed) pair it
+// touched. The batch runner's memo cache deduplicates the *results* of
+// identical sessions; this package deduplicates the *inputs* of distinct
+// ones, which is what gates unique-session throughput once the solver is
+// fast (see BENCH_pr4.json).
 //
 // Every artifact is immutable after construction:
 //
-//   - traces are plain data and no consumer mutates events;
-//   - runtime event instances are read-only by engine convention (outcomes
-//     reference them, nothing writes them);
+//   - traces and their runtime events are read-only by engine convention
+//     (outcomes reference the events, nothing writes them);
 //   - fingerprints are strings;
 //   - trained learners are read-only at prediction time (each predictor owns
 //     its own scratch buffers).
@@ -30,11 +29,11 @@
 // they feed (only trained learners can outlive the process, see
 // WithPersistent); only traces can be bounded (WithMaxTraces), since
 // learners and corpora are bounded by the handful of training
-// configurations a process touches. The per-trace derivations (runtime
-// events, fingerprints) live in the trace's own cache entry, so they exist
-// only for traces the store itself generated and leave with them on
-// eviction — externally built traces are parsed and hashed per call, since
-// entries keyed by them would never be hit again.
+// configurations a process touches. The per-trace derivation (the trace
+// half of a fingerprint) lives in the trace's own cache entry, so it exists
+// only for traces the store itself generated and leaves with them on
+// eviction — externally built traces are hashed per call, since entries
+// keyed by them would never be hit again.
 //
 // The DOM page-tree half of session setup is cached one layer down, in
 // package webapp (every webapp.NewSession shares cached master pages); its
@@ -88,31 +87,26 @@ type corpusKey struct {
 }
 
 // traceArtifacts is one generated trace's cache entry: the trace plus the
-// derivations memoized on it, which therefore leave the cache with it.
+// content hash of the trace half of its fingerprint, which is computed on
+// first request and leaves the cache with the trace.
 type traceArtifacts struct {
-	tr      *trace.Trace
-	runtime derived[[]*webevent.Event]
-	hash    derived[string] // content hash of the trace half of a fingerprint
-}
-
-// derived is one lazily computed per-trace artifact. The first request
-// builds it; every later one counts as a hit.
-type derived[T any] struct {
-	asked atomic.Bool
+	tr    *trace.Trace
+	asked atomic.Bool // a hash request has begun; later ones count as hits
 	once  sync.Once
-	val   T
-	err   error
+	hash  string
 }
 
-func (d *derived[T]) get(build func() (T, error), builds, hits *atomic.Int64) (T, error) {
-	if d.asked.Swap(true) {
-		hits.Add(1)
+// traceHash returns the entry's trace hash. The first request builds it;
+// every later one counts as a hit.
+func (s *Store) traceHash(e *traceArtifacts) string {
+	if e.asked.Swap(true) {
+		s.fingerprintHits.Add(1)
 	}
-	d.once.Do(func() {
-		builds.Add(1)
-		d.val, d.err = build()
+	e.once.Do(func() {
+		s.fingerprintBuilds.Add(1)
+		e.hash = computeTraceHash(e.tr)
 	})
-	return d.val, d.err
+	return e.hash
 }
 
 // learned is one learner cache entry: the model and its training corpus.
@@ -128,16 +122,14 @@ type learned struct {
 type Stats struct {
 	TraceBuilds       int64 `json:"trace_builds" metric:"pes_artifact_builds_total,kind=trace" help:"Artifacts built (by kind)."`
 	TraceHits         int64 `json:"trace_hits" metric:"pes_artifact_hits_total,kind=trace" help:"Artifacts served from cache (by kind)."`
-	RuntimeBuilds     int64 `json:"runtime_builds" metric:"pes_artifact_builds_total,kind=runtime" help:"Artifacts built (by kind)."`
-	RuntimeHits       int64 `json:"runtime_hits" metric:"pes_artifact_hits_total,kind=runtime" help:"Artifacts served from cache (by kind)."`
 	FingerprintBuilds int64 `json:"fingerprint_builds" metric:"pes_artifact_builds_total,kind=fingerprint" help:"Artifacts built (by kind)."`
 	FingerprintHits   int64 `json:"fingerprint_hits" metric:"pes_artifact_hits_total,kind=fingerprint" help:"Artifacts served from cache (by kind)."`
 	LearnerBuilds     int64 `json:"learner_builds" metric:"pes_artifact_builds_total,kind=learner" help:"Artifacts built (by kind)."`
 	LearnerHits       int64 `json:"learner_hits" metric:"pes_artifact_hits_total,kind=learner" help:"Artifacts served from cache (by kind)."`
 	// TraceEntries is the number of traces currently retained;
 	// TraceEvictions counts traces dropped by the LRU bound (zero on
-	// unbounded stores). Evicting a trace also drops its derived runtime
-	// events and fingerprint; regeneration is deterministic, so eviction
+	// unbounded stores). Evicting a trace also drops its derived
+	// fingerprint hash; regeneration is deterministic, so eviction
 	// never changes an artifact's content, only whether it is rebuilt.
 	TraceEntries   int64 `json:"trace_entries" metric:"pes_artifact_trace_entries" help:"Traces currently retained in the artifact cache."`
 	TraceEvictions int64 `json:"trace_evictions" metric:"pes_artifact_trace_evictions_total" help:"Traces dropped by the artifact LRU bound."`
@@ -165,7 +157,6 @@ type Store struct {
 	index map[*trace.Trace]*traceArtifacts
 
 	traceBuilds, traceHits             atomic.Int64
-	runtimeBuilds, runtimeHits         atomic.Int64
 	fingerprintBuilds, fingerprintHits atomic.Int64
 	learnerBuilds, learnerHits         atomic.Int64
 	learnerStoreHits                   atomic.Int64
@@ -184,8 +175,8 @@ func NewStore() *Store {
 }
 
 // WithMaxTraces bounds the per-trace cache to at most n generated traces,
-// evicting least-recently-used ones (together with their derived runtime
-// events and fingerprints) beyond it; n <= 0 keeps the cache unbounded (the
+// evicting least-recently-used ones (together with their derived
+// fingerprint hashes) beyond it; n <= 0 keeps the cache unbounded (the
 // default). Learners and corpora are never evicted — they are bounded by
 // the handful of training configurations a process touches. It returns the
 // store for chaining. The write is synchronized, but the bound only applies
@@ -199,20 +190,19 @@ func (s *Store) WithMaxTraces(n int) *Store {
 // learners are written through on first build and loaded back — skipping SGD
 // training — in later processes (or sibling stores) sharing the directory.
 // Everything else stays memory-only: traces are regenerated (cheaper than
-// decoding a stored copy, and bit-identical), and runtime events,
-// fingerprints and corpora are cheap derivations of them. The persistent
-// store's singleflight keeps training exactly-once even across several
-// artifact stores sharing it. Set before the store is shared across
-// goroutines; ps may be nil (no persistence, the default). It returns the
-// store for chaining.
+// decoding a stored copy, and bit-identical), and fingerprints and corpora
+// are cheap derivations of them. The persistent store's singleflight keeps
+// training exactly-once even across several artifact stores sharing it.
+// Set before the store is shared across goroutines; ps may be nil (no
+// persistence, the default). It returns the store for chaining.
 func (s *Store) WithPersistent(ps *store.Store) *Store {
 	s.persist = ps
 	return s
 }
 
 // artifactsOf returns the cache entry of a trace the store generated and
-// still holds, or nil. A nil store holds nothing, so Runtime and
-// Fingerprint on it parse and hash per call.
+// still holds, or nil. A nil store holds nothing, so Fingerprint on it
+// hashes per call.
 func (s *Store) artifactsOf(tr *trace.Trace) *traceArtifacts {
 	if s == nil {
 		return nil
@@ -228,8 +218,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		TraceBuilds:       s.traceBuilds.Load(),
 		TraceHits:         s.traceHits.Load(),
-		RuntimeBuilds:     s.runtimeBuilds.Load(),
-		RuntimeHits:       s.runtimeHits.Load(),
 		FingerprintBuilds: s.fingerprintBuilds.Load(),
 		FingerprintHits:   s.fingerprintHits.Load(),
 		LearnerBuilds:     s.learnerBuilds.Load(),
@@ -265,19 +253,12 @@ func (s *Store) Trace(spec *webapp.Spec, seed int64, purpose string, opts trace.
 	return e.tr
 }
 
-// Runtime returns the runtime event instances of a trace, parsing them on
-// first request. Runtime events are immutable by engine convention, so one
-// list serves every scheduler replaying the trace. Only traces generated by
-// this store are memoized (their pointers are the canonical instances);
-// external traces are parsed per call, since a pointer-keyed entry for them
-// would never be hit again. A nil store memoizes nothing: every trace is
-// parsed per call.
+// Runtime returns tr.Events: a trace is its runtime events, so there is
+// nothing to parse or cache. It stays because the end-to-end benchmark
+// harness (e2ebench/replay.go) calls it; dropping it needs a benchmark
+// change. New code reads tr.Events.
 func (s *Store) Runtime(tr *trace.Trace) ([]*webevent.Event, error) {
-	e := s.artifactsOf(tr)
-	if e == nil {
-		return tr.Runtime()
-	}
-	return e.runtime.get(tr.Runtime, &s.runtimeBuilds, &s.runtimeHits)
+	return tr.Events, nil
 }
 
 // Corpus returns the deterministic corpus for the application set, sharing

@@ -37,10 +37,6 @@ func TestConcurrentBuildsExactlyOnce(t *testing.T) {
 			for _, spec := range apps {
 				for _, seed := range seeds {
 					tr := store.Trace(spec, seed, trace.PurposeEval, trace.Options{})
-					if _, err := store.Runtime(tr); err != nil {
-						errs <- err
-						return
-					}
 					store.Fingerprint(platform, tr)
 				}
 			}
@@ -57,16 +53,13 @@ func TestConcurrentBuildsExactlyOnce(t *testing.T) {
 	if st.TraceBuilds != wantTraces {
 		t.Errorf("TraceBuilds = %d, want %d (each (app, seed, purpose) generated exactly once)", st.TraceBuilds, wantTraces)
 	}
-	if want := int64(len(apps) * len(seeds)); st.RuntimeBuilds != want {
-		t.Errorf("RuntimeBuilds = %d, want %d", st.RuntimeBuilds, want)
-	}
 	if want := int64(len(apps) * len(seeds)); st.FingerprintBuilds != want {
 		t.Errorf("FingerprintBuilds = %d, want %d", st.FingerprintBuilds, want)
 	}
 	if st.LearnerBuilds != 1 {
 		t.Errorf("LearnerBuilds = %d, want 1", st.LearnerBuilds)
 	}
-	if st.TraceHits == 0 || st.RuntimeHits == 0 || st.LearnerHits == 0 {
+	if st.TraceHits == 0 || st.FingerprintHits == 0 || st.LearnerHits == 0 {
 		t.Errorf("expected cache hits under %d concurrent campaigns, got %+v", campaigns, st)
 	}
 }
@@ -87,16 +80,9 @@ func TestArtifactsMatchDirectConstruction(t *testing.T) {
 		t.Error("second Trace request returned a different instance")
 	}
 
-	cachedEvs, err := store.Runtime(cachedTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	directEvs, err := directTrace.Runtime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cachedEvs, directEvs) {
-		t.Error("cached runtime events differ from Trace.Runtime output")
+	// Runtime is the trace's own event list, nothing parsed or copied.
+	if evs, err := store.Runtime(cachedTrace); err != nil || len(evs) != cachedTrace.Count() || evs[0] != cachedTrace.Events[0] {
+		t.Errorf("Runtime = %d events (err %v), want the trace's own %d", len(evs), err, cachedTrace.Count())
 	}
 
 	// Fingerprints of identical content must agree across instances and
@@ -116,8 +102,8 @@ func TestArtifactsMatchDirectConstruction(t *testing.T) {
 
 // TestExternalTracesAreNotRetained guards the store against unbounded
 // growth on traces it did not generate: pointer-keyed entries for external
-// traces would never be hit again, so Runtime and Fingerprint must compute
-// without caching (correctly) instead of inserting one dead entry per call.
+// traces would never be hit again, so Fingerprint must compute without
+// caching (correctly) instead of inserting one dead entry per call.
 func TestExternalTracesAreNotRetained(t *testing.T) {
 	store := NewStore()
 	spec := webapp.SeenApps()[0]
@@ -126,13 +112,6 @@ func TestExternalTracesAreNotRetained(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		external := trace.Generate(spec, 1, trace.Options{})
-		evs, err := store.Runtime(external)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(evs) != len(external.Events) {
-			t.Fatalf("uncached Runtime returned %d events, want %d", len(evs), len(external.Events))
-		}
 		if fp := store.Fingerprint(platform, external); fp != store.Fingerprint(platform, owned) {
 			t.Fatal("uncached fingerprint disagrees with cached one for identical content")
 		}
@@ -143,9 +122,8 @@ func TestExternalTracesAreNotRetained(t *testing.T) {
 	if indexed != 1 {
 		t.Errorf("external traces were retained: %d indexed traces, want 1 (the store's own)", indexed)
 	}
-	st := store.Stats()
-	if st.RuntimeBuilds != 0 {
-		t.Errorf("RuntimeBuilds = %d, want 0 (external parses are not cache builds)", st.RuntimeBuilds)
+	if st := store.Stats(); st.FingerprintBuilds != 1 {
+		t.Errorf("FingerprintBuilds = %d, want 1 (external hashes are not cache builds)", st.FingerprintBuilds)
 	}
 }
 
@@ -231,8 +209,8 @@ func TestTraceLRUBound(t *testing.T) {
 	}
 
 	// A consumer still holding the evicted pointer keeps working, uncached.
-	if _, err := store.Runtime(first); err != nil {
-		t.Fatalf("runtime of evicted trace: %v", err)
+	if got := store.Fingerprint(platform, first); got != firstPrint {
+		t.Fatalf("evicted trace fingerprints %s, want %s", got, firstPrint)
 	}
 
 	// Re-requesting the evicted key regenerates a bit-identical trace: the

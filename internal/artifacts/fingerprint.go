@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/acmp"
 	"repro/internal/trace"
+	"repro/internal/webevent"
 )
 
 // Fingerprint hashes the platform parameters and the full trace content.
@@ -30,7 +31,7 @@ import (
 //
 // The expensive half — walking every trace event — is memoized per
 // store-generated trace (external traces, and every trace on a nil store,
-// are hashed per call, see Runtime).
+// are hashed per call: an entry keyed by them would never be hit again).
 // The platform half is hashed fresh on every call, so a platform tweaked in
 // place still changes the key and no per-platform-instance state
 // accumulates, however many Platform values a caller constructs. The memo
@@ -39,8 +40,7 @@ import (
 func (s *Store) Fingerprint(p *acmp.Platform, tr *trace.Trace) string {
 	var traceHash string
 	if e := s.artifactsOf(tr); e != nil {
-		traceHash, _ = e.hash.get(func() (string, error) { return computeTraceHash(tr), nil },
-			&s.fingerprintBuilds, &s.fingerprintHits)
+		traceHash = s.traceHash(e)
 	} else {
 		traceHash = computeTraceHash(tr)
 	}
@@ -52,8 +52,9 @@ func (s *Store) Fingerprint(p *acmp.Platform, tr *trace.Trace) string {
 
 // computeTraceHash hashes the trace half of a fingerprint: the DOM seed and
 // every event, as the text fmt.Fprintf(h, "%d|%d|", tr.DOMSeed,
-// len(tr.Events)) followed by fmt.Fprintf(h, "%+v;", ev) per event writes.
-// Like Fingerprint's, the text must never change.
+// len(tr.Events)) followed by fmt.Fprintf(h, "%+v;", ev) per event writes,
+// where ev is the event in the serialized form traces once had (see
+// appendEventText). Like Fingerprint's, the text must never change.
 func computeTraceHash(tr *trace.Trace) string {
 	var buf [4096]byte
 	h := fnv.New64a()
@@ -66,29 +67,32 @@ func computeTraceHash(tr *trace.Trace) string {
 			h.Write(b)
 			b = b[:0]
 		}
-		b = appendEventText(b, &tr.Events[i])
+		b = appendEventText(b, tr.Events[i])
 		b = append(b, ';')
 	}
 	h.Write(b)
 	return hex16(h.Sum64())
 }
 
-// appendEventText appends what fmt's %+v writes for ev.
-func appendEventText(b []byte, ev *trace.Event) []byte {
+// appendEventText appends what fmt's %+v wrote for the serialized form of
+// ev that traces once had: a struct of Seq, Type (ev.Type.String()),
+// TriggerUS (microseconds), Target, TargetKind, TmemUS (microseconds),
+// Cycles, ViewportY and Navigation, in that order.
+func appendEventText(b []byte, ev *webevent.Event) []byte {
 	b = append(b, "{Seq:"...)
 	b = strconv.AppendInt(b, int64(ev.Seq), 10)
 	b = append(b, " Type:"...)
-	b = append(b, ev.Type...)
+	b = append(b, ev.Type.String()...)
 	b = append(b, " TriggerUS:"...)
-	b = strconv.AppendInt(b, ev.TriggerUS, 10)
+	b = strconv.AppendInt(b, ev.Trigger.Micros(), 10)
 	b = append(b, " Target:"...)
 	b = strconv.AppendInt(b, int64(ev.Target), 10)
 	b = append(b, " TargetKind:"...)
 	b = strconv.AppendInt(b, int64(ev.TargetKind), 10)
 	b = append(b, " TmemUS:"...)
-	b = strconv.AppendInt(b, ev.TmemUS, 10)
+	b = strconv.AppendInt(b, ev.Work.Tmem.Micros(), 10)
 	b = append(b, " Cycles:"...)
-	b = strconv.AppendInt(b, ev.Cycles, 10)
+	b = strconv.AppendInt(b, ev.Work.Cycles, 10)
 	b = append(b, " ViewportY:"...)
 	b = appendFloat(b, ev.ViewportY)
 	b = append(b, " Navigation:"...)

@@ -13,7 +13,37 @@ import (
 	"repro/internal/simtime"
 	"repro/internal/trace"
 	"repro/internal/webapp"
+	"repro/internal/webevent"
 )
+
+// serializedEvent mirrors, field names and order included, the serialized
+// event form traces had when the fingerprint was first computed: the trace
+// hash is fmt's %+v text of it.
+type serializedEvent struct {
+	Seq        int
+	Type       string
+	TriggerUS  int64
+	Target     int
+	TargetKind int
+	TmemUS     int64
+	Cycles     int64
+	ViewportY  float64
+	Navigation bool
+}
+
+func serialize(ev *webevent.Event) serializedEvent {
+	return serializedEvent{
+		Seq:        ev.Seq,
+		Type:       ev.Type.String(),
+		TriggerUS:  ev.Trigger.Micros(),
+		Target:     ev.Target,
+		TargetKind: int(ev.TargetKind),
+		TmemUS:     ev.Work.Tmem.Micros(),
+		Cycles:     ev.Work.Cycles,
+		ViewportY:  ev.ViewportY,
+		Navigation: ev.Navigation,
+	}
+}
 
 // traceHashFmt and platformTextFmt are the fmt formulas the fingerprint
 // was first computed with. The key bytes must never change, so they stay
@@ -21,8 +51,8 @@ import (
 func traceHashFmt(tr *trace.Trace) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|", tr.DOMSeed, len(tr.Events))
-	for i := range tr.Events {
-		fmt.Fprintf(h, "%+v;", tr.Events[i])
+	for _, ev := range tr.Events {
+		fmt.Fprintf(h, "%+v;", serialize(ev))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -107,27 +137,29 @@ func fuzzCluster(core int, ladder []byte, nilEmpty bool, cpi float64) acmp.Clust
 // FuzzFingerprintText holds the reflection-free fingerprint text to fmt's
 // on fuzzed events and platforms: NaN, ±Inf and -0 floats, negative
 // numbers, strings with spaces, braces or invalid UTF-8, nil versus empty
-// ladders and power maps, and out-of-range core types. It compares the
-// event and platform texts byte for byte, then the trace hash (over enough
-// events to flush the encoder's buffer) and the whole fingerprint.
+// ladders and power maps, and out-of-range event types (named "Type(n)")
+// and core types. It compares the event and platform texts byte for byte,
+// then the trace hash (over enough events to flush the encoder's buffer)
+// and the whole fingerprint.
 func FuzzFingerprintText(f *testing.F) {
 	negZero := math.Copysign(0, -1)
 	exynos := slices.Concat(ladderChunk(250, 25.5), ladderChunk(600, 80), ladderChunk(1200, 610.25))
 	odd := slices.Concat(ladderChunk(-5, math.NaN()), ladderChunk(900, math.Inf(1)), ladderChunk(3, math.Inf(-1)),
 		ladderChunk(0, negZero), ladderChunk(900, 1e21), ladderChunk(-32768, 5e-324))
-	f.Add(7, "click", int64(1_500_000), 42, 3, int64(120), int64(9_000_000), 0.5, false,
-		"Exynos5410", int(acmp.LittleCore), exynos, false, 1.6, int64(100), int64(20_000), 95.0)
-	f.Add(-1, "a b{c}:d]", int64(-7), -3, 99, int64(math.MinInt64), int64(math.MaxInt64), math.NaN(), true,
-		"\xff\xfe{x y}|", 7, odd, false, math.Inf(1), int64(-1), int64(0), negZero)
-	f.Add(0, "", int64(0), 0, 0, int64(0), int64(0), negZero, false,
-		"", -3, []byte(nil), true, math.Inf(-1), int64(0), int64(0), math.NaN())
-	f.Add(1, "scroll", int64(2), 1, 1, int64(3), int64(4), 1e-7, true,
-		"tx2", int(acmp.BigCore), []byte{1, 2, 3}, false, 1e20, int64(math.MaxInt64), int64(math.MinInt64), 123456789.125)
-	f.Fuzz(func(t *testing.T, seq int, typ string, trig int64, target, kind int, tmem, cycles int64, vy float64, nav bool,
-		name string, core int, ladder []byte, nilEmpty bool, cpi float64, dvfs, mig int64, idle float64) {
-		ev := trace.Event{Seq: seq, Type: typ, TriggerUS: trig, Target: target, TargetKind: kind,
-			TmemUS: tmem, Cycles: cycles, ViewportY: vy, Navigation: nav}
-		if got, want := string(appendEventText(nil, &ev)), fmt.Sprintf("%+v", ev); got != want {
+	f.Add(7, int(webevent.Click), int64(1_500_000), 42, 3, int64(120), int64(9_000_000), 0.5, false,
+		"Exynos5410", "click", int(acmp.LittleCore), exynos, false, 1.6, int64(100), int64(20_000), 95.0)
+	f.Add(-1, -6, int64(-7), -3, 99, int64(math.MinInt64), int64(math.MaxInt64), math.NaN(), true,
+		"\xff\xfe{x y}|", "a b{c}:d]", 7, odd, false, math.Inf(1), int64(-1), int64(0), negZero)
+	f.Add(0, int(webevent.Load), int64(0), 0, 0, int64(0), int64(0), negZero, false,
+		"", "", -3, []byte(nil), true, math.Inf(-1), int64(0), int64(0), math.NaN())
+	f.Add(1, webevent.NumTypes, int64(2), 1, 1, int64(3), int64(4), 1e-7, true,
+		"tx2", "scroll", int(acmp.BigCore), []byte{1, 2, 3}, false, 1e20, int64(math.MaxInt64), int64(math.MinInt64), 123456789.125)
+	f.Fuzz(func(t *testing.T, seq, typ int, trig int64, target, kind int, tmem, cycles int64, vy float64, nav bool,
+		name, traceHash string, core int, ladder []byte, nilEmpty bool, cpi float64, dvfs, mig int64, idle float64) {
+		ev := &webevent.Event{Seq: seq, Type: webevent.Type(typ), Trigger: simtime.Time(trig), Target: target,
+			TargetKind: webevent.NodeKind(kind), Work: acmp.Workload{Tmem: simtime.Duration(tmem), Cycles: cycles},
+			ViewportY: vy, Navigation: nav}
+		if got, want := string(appendEventText(nil, ev)), fmt.Sprintf("%+v", serialize(ev)); got != want {
 			t.Fatalf("event text\n got %q\nwant %q", got, want)
 		}
 		p := &acmp.Platform{
@@ -138,11 +170,12 @@ func FuzzFingerprintText(f *testing.F) {
 			MigrationLatency: simtime.Duration(mig),
 			IdlePowerMW:      idle,
 		}
-		if got, want := string(appendPlatformText(nil, p, typ)), platformTextFmt(p, typ); got != want {
+		if got, want := string(appendPlatformText(nil, p, traceHash)), platformTextFmt(p, traceHash); got != want {
 			t.Fatalf("platform text\n got %q\nwant %q", got, want)
 		}
-		other := trace.Event{Seq: ^seq, Type: name, TriggerUS: -trig, Target: ^target, TargetKind: -kind,
-			TmemUS: ^tmem, Cycles: -cycles, ViewportY: -vy, Navigation: !nav}
+		other := &webevent.Event{Seq: ^seq, Type: webevent.Type(^typ), Trigger: simtime.Time(-trig), Target: ^target,
+			TargetKind: webevent.NodeKind(-kind), Work: acmp.Workload{Tmem: simtime.Duration(^tmem), Cycles: -cycles},
+			ViewportY: -vy, Navigation: !nav}
 		tr := &trace.Trace{DOMSeed: trig ^ tmem}
 		for i := 0; i < 64; i++ {
 			tr.Events = append(tr.Events, ev, other)

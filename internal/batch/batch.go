@@ -87,8 +87,8 @@ type Stats struct {
 	Solver optimizer.SolverCounts
 	// Artifacts snapshots the shared artifact store attached to the runner
 	// (nil when none is attached): how often the session inputs — traces,
-	// runtime events, fingerprints, trained learners, DOM pages — were
-	// served from cache instead of regenerated. The tag matches the
+	// fingerprints, trained learners, DOM pages — were served from cache
+	// instead of regenerated. The tag matches the
 	// sibling fields' (untagged) PascalCase so the served stats payload
 	// keeps one casing style.
 	Artifacts *artifacts.Stats `json:"Artifacts,omitempty"`

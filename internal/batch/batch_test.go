@@ -30,10 +30,7 @@ func ebsSession(t testing.TB, app string, seed int64) Session {
 		Key: Key{Platform: p.Name, App: app, TraceSeed: seed, Scheduler: "EBS"},
 		Run: func() (*engine.Result, time.Duration, error) {
 			tr := trace.Generate(spec, seed, trace.Options{MaxEvents: 25})
-			evs, err := tr.Runtime()
-			if err != nil {
-				return nil, 0, err
-			}
+			evs := tr.Events
 			return engine.RunReactive(p, app, evs, sched.NewEBS(p)), 0, nil
 		},
 	}
@@ -203,10 +200,7 @@ func ExampleRunner() {
 			Key: Key{Platform: p.Name, App: "cnn", TraceSeed: seed, Scheduler: "EBS"},
 			Run: func() (*engine.Result, time.Duration, error) {
 				tr := trace.Generate(spec, seed, trace.Options{MaxEvents: 10})
-				evs, err := tr.Runtime()
-				if err != nil {
-					return nil, 0, err
-				}
+				evs := tr.Events
 				return engine.RunReactive(p, "cnn", evs, sched.NewEBS(p)), 0, nil
 			},
 		}
@@ -283,14 +277,12 @@ func TestStatsCarryAttachedArtifacts(t *testing.T) {
 	}
 	spec := webapp.SeenApps()[0]
 	tr := store.Trace(spec, 31, trace.PurposeEval, trace.Options{})
-	if _, err := store.Runtime(tr); err != nil {
-		t.Fatal(err)
-	}
+	store.Fingerprint(acmp.Exynos5410(), tr)
 	st := r.Stats()
 	if st.Artifacts == nil {
 		t.Fatal("attached runner must snapshot artifact stats")
 	}
-	if st.Artifacts.TraceBuilds != 1 || st.Artifacts.RuntimeBuilds != 1 {
+	if st.Artifacts.TraceBuilds != 1 || st.Artifacts.FingerprintBuilds != 1 {
 		t.Errorf("artifact counters not threaded: %+v", st.Artifacts)
 	}
 }

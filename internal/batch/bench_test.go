@@ -26,10 +26,7 @@ func benchSessions(b *testing.B) []Session {
 				Key: Key{Platform: p.Name, App: spec.Name, TraceSeed: seed, Scheduler: schedName},
 				Run: func() (*engine.Result, time.Duration, error) {
 					tr := trace.Generate(spec, seed, trace.Options{})
-					evs, err := tr.Runtime()
-					if err != nil {
-						return nil, 0, err
-					}
+					evs := tr.Events
 					var pol sched.ReactivePolicy
 					switch schedName {
 					case "Interactive":

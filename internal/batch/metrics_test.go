@@ -41,7 +41,6 @@ func TestRegisterMetricsExposesEveryFamily(t *testing.T) {
 		"pes_solver_plan_cache_hits_total 0",
 		"pes_solver_budget_aborts_total 0",
 		`pes_artifact_builds_total{kind="trace"} `,
-		`pes_artifact_builds_total{kind="runtime"} `,
 		`pes_artifact_builds_total{kind="fingerprint"} `,
 		`pes_artifact_builds_total{kind="learner"} `,
 		`pes_artifact_builds_total{kind="page"} `,

@@ -243,10 +243,7 @@ func TestStoredValueIsJSONMarshal(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := trace.Generate(spec, g.seed, trace.Options{})
-		evs, err := tr.Runtime()
-		if err != nil {
-			t.Fatal(err)
-		}
+		evs := tr.Events
 		for name, run := range map[string]func() *engine.Result{
 			"Interactive": func() *engine.Result { return engine.RunReactive(p, g.app, evs, sched.NewInteractive(p)) },
 			"Ondemand":    func() *engine.Result { return engine.RunReactive(p, g.app, evs, sched.NewOndemand(p)) },

@@ -17,7 +17,7 @@
 //     keyed by, so a given session always lands on the same worker; repeat
 //     campaigns hit that worker's warm memo cache, and sessions of one
 //     (app, seed) pair cluster on few workers, keeping each worker's
-//     artifact cache (traces, runtime events, fingerprints) warm too.
+//     artifact cache (traces, fingerprints) warm too.
 //
 // The cluster is elastic. Membership is dynamic: Config.Workers only seeds
 // the set, workers join and leave at runtime through Register/Deregister,
@@ -76,7 +76,7 @@ import (
 
 // SessionSpec is the wire description of one session: the same tuple that
 // keys the batch memo cache. A worker rebuilds the full batch session —
-// trace, runtime events, scheduler instance — from it; Predictor must be
+// trace, fingerprint, scheduler instance — from it; Predictor must be
 // fully specified (the campaign layer merges defaults before routing).
 type SessionSpec struct {
 	Platform  string           `json:"platform"`

@@ -29,10 +29,7 @@ func TestDerivedCoherentOnEvaluationTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evs, err := tr.Runtime()
-		if err != nil {
-			t.Fatal(err)
-		}
+		evs := tr.Events
 		if msg := dom.CheckReference(sess.Tree()); msg != "" {
 			t.Fatalf("%s before the first event: %s", spec.Name, msg)
 		}

@@ -20,10 +20,7 @@ func evalTrace(t testing.TB, app string, seed int64) (*trace.Trace, []*webevent.
 		t.Fatal(err)
 	}
 	tr := trace.Generate(spec, seed, trace.Options{})
-	evs, err := tr.Runtime()
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs := tr.Events
 	return tr, evs, spec
 }
 

@@ -84,10 +84,7 @@ func goldenResults(t *testing.T) map[string]*Result {
 			t.Fatal(err)
 		}
 		tr := trace.Generate(spec, s.seed, trace.Options{})
-		evs, err := tr.Runtime()
-		if err != nil {
-			t.Fatal(err)
-		}
+		evs := tr.Events
 		run := func(name string, r *Result) { results[s.app+"/"+name] = r }
 		run("Interactive", RunReactive(p, s.app, evs, sched.NewInteractive(p)))
 		run("Ondemand", RunReactive(p, s.app, evs, sched.NewOndemand(p)))
@@ -172,10 +169,7 @@ func TestSquashWasteBitsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := trace.Generate(spec, c.seed, trace.Options{})
-		evs, err := tr.Runtime()
-		if err != nil {
-			t.Fatal(err)
-		}
+		evs := tr.Events
 		r := RunProactive(p, c.app, evs, core.NewPES(p, learner, spec, tr.DOMSeed, predictor.DefaultConfig()))
 		if got := math.Float64bits(r.WastedEnergyMJ); got != c.wasteBits {
 			t.Errorf("%s/%d: WastedEnergyMJ bits = %#x (%v), want %#x (%v)",

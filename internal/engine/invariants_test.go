@@ -39,10 +39,7 @@ func TestSchedulerInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := trace.Generate(spec, tc.seed, trace.Options{})
-		evs, err := tr.Runtime()
-		if err != nil {
-			t.Fatal(err)
-		}
+		evs := tr.Events
 		oracle := RunProactive(p, tc.app, evs, sched.NewOracle(p, evs))
 		runs := map[string]*Result{
 			"Interactive": RunReactive(p, tc.app, evs, sched.NewInteractive(p)),
@@ -86,10 +83,7 @@ func TestConfigLatencyInvariant(t *testing.T) {
 		maxCfg, minCfg := p.MaxPerformance(), p.MinPerformance()
 		for _, spec := range webapp.Registry() {
 			tr := trace.Generate(spec, 3, trace.Options{MaxEvents: 20})
-			evs, err := tr.Runtime()
-			if err != nil {
-				t.Fatal(err)
-			}
+			evs := tr.Events
 			for _, e := range evs {
 				fast := p.Latency(e.Work, maxCfg)
 				slow := p.Latency(e.Work, minCfg)

@@ -30,10 +30,7 @@ func BenchmarkOracleV2Sessions(b *testing.B) {
 	for j := 0; j < campaigns; j++ {
 		for k := 0; k < appsPerCampaign; k++ {
 			spec := reg[(appsPerCampaign*j+k)%len(reg)]
-			evs, err := trace.Generate(spec, 100_000+int64(j), trace.Options{}).Runtime()
-			if err != nil {
-				b.Fatal(err)
-			}
+			evs := trace.Generate(spec, 100_000+int64(j), trace.Options{}).Events
 			set = append(set, session{spec.Name, evs})
 		}
 	}

@@ -63,10 +63,7 @@ func TestOracleV1FiguresPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := trace.Generate(spec, g.seed, trace.Options{})
-		evs, err := tr.Runtime()
-		if err != nil {
-			t.Fatal(err)
-		}
+		evs := tr.Events
 
 		r1 := RunProactive(p, g.app, evs, sched.NewOracleWithVersion(p, evs, sched.OracleV1))
 		if !approxEq(r1.TotalEnergyMJ, g.v1TotalMJ) {

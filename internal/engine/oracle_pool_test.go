@@ -31,10 +31,7 @@ func poolSessions(t *testing.T) []poolSession {
 		for k := 0; k < appsPerCampaign; k++ {
 			spec := reg[(appsPerCampaign*j+k)%len(reg)]
 			tr := trace.Generate(spec, 100_000+int64(j), trace.Options{})
-			evs, err := tr.Runtime()
-			if err != nil {
-				t.Fatal(err)
-			}
+			evs := tr.Events
 			set = append(set, poolSession{spec, tr.DOMSeed, evs})
 		}
 	}

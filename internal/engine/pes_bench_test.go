@@ -36,10 +36,7 @@ func BenchmarkPESSessions(b *testing.B) {
 		for k := 0; k < appsPerCampaign; k++ {
 			spec := reg[(appsPerCampaign*j+k)%len(reg)]
 			tr := trace.Generate(spec, 100_000+int64(j), trace.Options{})
-			evs, err := tr.Runtime()
-			if err != nil {
-				b.Fatal(err)
-			}
+			evs := tr.Events
 			set = append(set, session{spec, tr.DOMSeed, evs})
 		}
 	}

@@ -54,10 +54,7 @@ func TestDistributionSumsToOne(t *testing.T) {
 	p := acmp.Exynos5410()
 	spec, _ := webapp.ByName("cnn")
 	tr := trace.Generate(spec, 77, trace.Options{})
-	evs, err := tr.Runtime()
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs := tr.Events
 	r := engine.RunReactive(p, "cnn", evs, sched.NewEBS(p))
 	d := Distribution(p, r)
 	sum := 0.0

@@ -77,7 +77,6 @@ func TestCacheCountersArePinned(t *testing.T) {
 	got.PageBuilds, got.PageHits = 0, 0
 	wantArtifacts := artifacts.Stats{
 		TraceBuilds: 40, TraceHits: 40,
-		RuntimeBuilds: 10, RuntimeHits: 30,
 		FingerprintBuilds: 10, FingerprintHits: 40,
 		LearnerBuilds: 1, LearnerHits: 1,
 		TraceEntries: 16, TraceEvictions: 24,

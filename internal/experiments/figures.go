@@ -137,16 +137,12 @@ func (s *Setup) Table1() (*Table, error) {
 	sums := make([]float64, predictor.NumFeatures)
 	n := 0.0
 	for _, tr := range s.Eval {
-		evs, err := tr.Runtime()
-		if err != nil {
-			return nil, err
-		}
 		sess, err := tr.Session()
 		if err != nil {
 			return nil, err
 		}
 		var win predictor.Window
-		for _, e := range evs {
+		for _, e := range tr.Events {
 			f := predictor.Features(sess.Tree(), &win)
 			for i, v := range f {
 				sums[i] += v
@@ -513,15 +509,12 @@ func (s *Setup) OverheadTable() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	evs, err := tr.Runtime()
-	if err != nil {
-		return nil, err
-	}
-	pes.Observe(evs[0])
+	first := tr.Events[0]
+	pes.Observe(first)
 	start = time.Now()
 	const optIters = 200
 	for i := 0; i < optIters; i++ {
-		pes.Plan(evs[0].Trigger, nil)
+		pes.Plan(first.Trigger, nil)
 	}
 	optCost := time.Since(start).Seconds() * 1e6 / optIters
 

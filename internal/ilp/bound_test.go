@@ -161,10 +161,7 @@ func traceWindows(t *testing.T) []Problem {
 	configs := p.Configs()
 	var out []Problem
 	for _, spec := range webapp.Registry() {
-		evs, err := trace.Generate(spec, 100_000, trace.Options{}).Runtime()
-		if err != nil {
-			t.Fatal(err)
-		}
+		evs := trace.Generate(spec, 100_000, trace.Options{}).Events
 		for k := 0; k+12 <= len(evs); k += 8 {
 			w := Problem{Start: evs[k].Trigger}
 			for _, ev := range evs[k : k+12] {

@@ -30,10 +30,6 @@ func EvaluateAccuracy(learner *SequenceLearner, corpus trace.Corpus, useDOM bool
 		if err != nil {
 			return nil, err
 		}
-		evs, err := tr.Runtime()
-		if err != nil {
-			return nil, err
-		}
 		cfg := DefaultConfig()
 		cfg.UseDOMAnalysis = useDOM
 		p := New(learner, spec, tr.DOMSeed, cfg)
@@ -44,7 +40,7 @@ func EvaluateAccuracy(learner *SequenceLearner, corpus trace.Corpus, useDOM bool
 			byApp[tr.App] = res
 			order = append(order, tr.App)
 		}
-		for i, e := range evs {
+		for i, e := range tr.Events {
 			if i > 0 {
 				pred, ok := p.PredictNext()
 				if ok {

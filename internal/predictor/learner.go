@@ -75,16 +75,12 @@ func (l *SequenceLearner) Fingerprint() string {
 func TrainingSamples(corpus trace.Corpus) ([]mlr.Sample, error) {
 	var samples []mlr.Sample
 	for _, tr := range corpus {
-		evs, err := tr.Runtime()
-		if err != nil {
-			return nil, err
-		}
 		sess, err := tr.Session()
 		if err != nil {
 			return nil, err
 		}
 		var win Window
-		for i, e := range evs {
+		for i, e := range tr.Events {
 			if i > 0 {
 				samples = append(samples, mlr.Sample{
 					Features: Features(sess.Tree(), &win),

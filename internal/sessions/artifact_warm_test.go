@@ -69,7 +69,6 @@ func TestArtifactWarmEqualsColdPath(t *testing.T) {
 	// the warm path's speed-up over the cold path.
 	for kind, n := range map[string]int64{
 		"trace":       after.TraceBuilds - before.TraceBuilds,
-		"runtime":     after.RuntimeBuilds - before.RuntimeBuilds,
 		"fingerprint": after.FingerprintBuilds - before.FingerprintBuilds,
 		"learner":     after.LearnerBuilds - before.LearnerBuilds,
 		"page":        after.PageBuilds - before.PageBuilds,
@@ -78,9 +77,9 @@ func TestArtifactWarmEqualsColdPath(t *testing.T) {
 			t.Errorf("recorded warm pass built %d %s artifact(s), want 0", n, kind)
 		}
 	}
-	if after.TraceHits == before.TraceHits || after.RuntimeHits == before.RuntimeHits ||
-		after.FingerprintHits == before.FingerprintHits || after.PageHits == before.PageHits {
-		t.Errorf("a trace, runtime, fingerprint or page lookup of the recorded warm pass never hit: stats before %+v, after %+v", before, after)
+	if after.TraceHits == before.TraceHits || after.FingerprintHits == before.FingerprintHits ||
+		after.PageHits == before.PageHits {
+		t.Errorf("a trace, fingerprint or page lookup of the recorded warm pass never hit: stats before %+v, after %+v", before, after)
 	}
 
 	// Cold: fresh trace generation, page-tree cache bypassed — the

@@ -57,11 +57,10 @@ type Spec struct {
 	// Predictor is the PES predictor configuration; it participates in the
 	// memo key so that sweeps over it cache correctly.
 	Predictor predictor.Config
-	// Artifacts is the shared artifact store the session draws its runtime
-	// events and fingerprint from. Sessions of the same trace share one
-	// parsed event list through it, no matter which scheduler replays them.
-	// Nil memoizes nothing: the trace is parsed and hashed per session,
-	// which yields the same key and result.
+	// Artifacts is the shared artifact store the session draws its memo
+	// fingerprint from. Sessions of the same trace share one content hash
+	// through it, no matter which scheduler replays them. Nil memoizes
+	// nothing: the trace is hashed per session, which yields the same key.
 	Artifacts *artifacts.Store
 }
 
@@ -81,10 +80,10 @@ func PredictorKey(cfg predictor.Config) string {
 
 // New builds the self-contained batch session for a spec. The returned
 // session constructs its own scheduler instance on each (cache-miss) run,
-// so it can execute on any worker concurrently. Runtime events and the memo
-// fingerprint come from the spec's artifact store: every scheduler replaying
-// the same trace shares one parsed event list and one content hash. Without
-// a store they are parsed and hashed per session.
+// so it can execute on any worker concurrently. Every scheduler replaying
+// the same trace replays its one event list, and the memo fingerprint comes
+// from the spec's artifact store, which shares one content hash per trace.
+// Without a store the trace is hashed per session.
 func New(s Spec) (batch.Session, error) {
 	name, err := Canonical(s.Scheduler)
 	if err != nil {
@@ -106,10 +105,6 @@ func New(s Spec) (batch.Session, error) {
 	switch name {
 	case Interactive, Ondemand, EBS:
 		run = func() (*engine.Result, time.Duration, error) {
-			evs, err := store.Runtime(tr)
-			if err != nil {
-				return nil, 0, err
-			}
 			var pol sched.ReactivePolicy
 			switch name {
 			case Interactive:
@@ -119,17 +114,13 @@ func New(s Spec) (batch.Session, error) {
 			default:
 				pol = sched.NewEBS(p)
 			}
-			return engine.RunReactive(p, tr.App, evs, pol), 0, nil
+			return engine.RunReactive(p, tr.App, tr.Events, pol), 0, nil
 		}
 	case Oracle:
 		key.Variant += oracleVariant
 		run = func() (*engine.Result, time.Duration, error) {
-			evs, err := store.Runtime(tr)
-			if err != nil {
-				return nil, 0, err
-			}
-			oracle := sched.NewOracle(p, evs)
-			res := engine.RunProactive(p, tr.App, evs, oracle)
+			oracle := sched.NewOracle(p, tr.Events)
+			res := engine.RunProactive(p, tr.App, tr.Events, oracle)
 			return res, oracle.SolverStats().Wall(), nil
 		}
 	case PES:
@@ -148,12 +139,8 @@ func New(s Spec) (batch.Session, error) {
 		// a restarted one addressing a persistent store — share exactly one.
 		key.Variant += fmt.Sprintf(",learner=%s", learner.Fingerprint())
 		run = func() (*engine.Result, time.Duration, error) {
-			evs, err := store.Runtime(tr)
-			if err != nil {
-				return nil, 0, err
-			}
 			pes := core.NewPES(p, learner, spec, tr.DOMSeed, predCfg)
-			res := engine.RunProactive(p, tr.App, evs, pes)
+			res := engine.RunProactive(p, tr.App, tr.Events, pes)
 			return res, pes.SolverStats().Wall(), nil
 		}
 	}

@@ -1,6 +1,7 @@
 package sessions
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/acmp"
@@ -113,9 +114,12 @@ func TestKeyVariantDisambiguates(t *testing.T) {
 		t.Errorf("mutated platform shares key %+v", a.Key)
 	}
 	// An edited trace keeping (app, seed, count, span) must not share a key.
+	// The events are the trace's own and shared, so the edit copies one.
 	edited := *full
-	edited.Events = append([]trace.Event(nil), full.Events...)
-	edited.Events[1].Cycles *= 2
+	edited.Events = slices.Clone(full.Events)
+	ev := *full.Events[1]
+	ev.Work.Cycles *= 2
+	edited.Events[1] = &ev
 	d, err := New(Spec{Platform: p, Trace: &edited, Scheduler: EBS})
 	if err != nil {
 		t.Fatal(err)

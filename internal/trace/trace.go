@@ -10,42 +10,32 @@
 // dozen events covering the three primitive interactions (load, tap, move),
 // including different DOM-level manifestations of the same interaction.
 //
-// Traces are plain data (JSON-serializable) and are the single source of
-// truth replayed identically under every scheduler, so scheduler comparisons
-// are paired exactly as in the paper.
+// A trace is its runtime events: the event instances the engine, predictor
+// and schedulers consume. It is the single source of truth replayed
+// identically under every scheduler, so scheduler comparisons are paired
+// exactly as in the paper.
 package trace
 
 import (
-	"fmt"
 	"math/rand"
 
-	"repro/internal/acmp"
 	"repro/internal/dom"
 	"repro/internal/simtime"
 	"repro/internal/webapp"
 	"repro/internal/webevent"
 )
 
-// Event is the serialized form of one trace entry.
-type Event struct {
-	Seq        int     `json:"seq"`
-	Type       string  `json:"type"`
-	TriggerUS  int64   `json:"trigger_us"`
-	Target     int     `json:"target"`
-	TargetKind int     `json:"target_kind"`
-	TmemUS     int64   `json:"tmem_us"`
-	Cycles     int64   `json:"cycles"`
-	ViewportY  float64 `json:"viewport_y"`
-	Navigation bool    `json:"navigation"`
-}
-
 // Trace is one recorded interaction session with one application.
 type Trace struct {
-	App     string  `json:"app"`
-	Seed    int64   `json:"seed"`
-	DOMSeed int64   `json:"dom_seed"`
-	Purpose string  `json:"purpose"` // "train" or "eval"
-	Events  []Event `json:"events"`
+	App     string
+	Seed    int64
+	DOMSeed int64
+	Purpose string // "train" or "eval"
+	// Events are the trace's runtime events. They are shared by every
+	// session replaying the trace and are read-only by engine convention
+	// (outcomes reference them, nothing writes them); a caller that edits
+	// an event copies it first.
+	Events []*webevent.Event
 }
 
 // Purposes for generated corpora.
@@ -62,34 +52,7 @@ func (t *Trace) Duration() simtime.Duration {
 	if len(t.Events) == 0 {
 		return 0
 	}
-	return simtime.Duration(t.Events[len(t.Events)-1].TriggerUS - t.Events[0].TriggerUS)
-}
-
-// Runtime converts the trace into runtime event instances ready to be fed to
-// a scheduler simulation.
-func (t *Trace) Runtime() ([]*webevent.Event, error) {
-	out := make([]*webevent.Event, 0, len(t.Events))
-	for _, e := range t.Events {
-		typ, err := webevent.ParseType(e.Type)
-		if err != nil {
-			return nil, fmt.Errorf("trace %s/%d: %w", t.App, t.Seed, err)
-		}
-		out = append(out, &webevent.Event{
-			Seq:        e.Seq,
-			App:        t.App,
-			Type:       typ,
-			Trigger:    simtime.Time(e.TriggerUS),
-			Target:     e.Target,
-			TargetKind: webevent.NodeKind(e.TargetKind),
-			Work: acmp.Workload{
-				Tmem:   simtime.Duration(e.TmemUS),
-				Cycles: e.Cycles,
-			},
-			ViewportY:  e.ViewportY,
-			Navigation: e.Navigation,
-		})
-	}
-	return out, nil
+	return t.Events[len(t.Events)-1].Trigger.Sub(t.Events[0].Trigger)
 }
 
 // Session reconstructs the DOM session that produced this trace; replaying
@@ -174,14 +137,14 @@ func (g *generator) emit(typ webevent.Type, target dom.NodeID, at simtime.Time, 
 		kind = g.sess.Tree().Node(target).Kind
 	}
 	work := g.spec.SampleWorkload(typ, kind, g.rng)
-	g.trace.Events = append(g.trace.Events, Event{
+	g.trace.Events = append(g.trace.Events, &webevent.Event{
 		Seq:        len(g.trace.Events),
-		Type:       typ.String(),
-		TriggerUS:  at.Micros(),
+		App:        g.trace.App,
+		Type:       typ,
+		Trigger:    at,
 		Target:     int(target),
-		TargetKind: int(kind),
-		TmemUS:     work.Tmem.Micros(),
-		Cycles:     work.Cycles,
+		TargetKind: webevent.NodeKind(kind),
+		Work:       work,
 		ViewportY:  g.sess.Tree().ViewportCenterY(),
 		Navigation: navigation,
 	})

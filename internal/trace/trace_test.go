@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"testing"
 
 	"repro/internal/simtime"
@@ -23,7 +22,7 @@ func TestGenerateBasicShape(t *testing.T) {
 	if tr.Count() < 12 || tr.Count() > 70 {
 		t.Errorf("trace has %d events, want within [12, 70]", tr.Count())
 	}
-	if tr.Events[0].Type != webevent.Load.String() {
+	if tr.Events[0].Type != webevent.Load {
 		t.Errorf("first event = %s, want load", tr.Events[0].Type)
 	}
 	if tr.Duration() < 30*simtime.Second {
@@ -31,7 +30,7 @@ func TestGenerateBasicShape(t *testing.T) {
 	}
 	// Triggers must be strictly increasing.
 	for i := 1; i < len(tr.Events); i++ {
-		if tr.Events[i].TriggerUS <= tr.Events[i-1].TriggerUS {
+		if tr.Events[i].Trigger <= tr.Events[i-1].Trigger {
 			t.Fatalf("event %d trigger not increasing", i)
 		}
 	}
@@ -50,12 +49,12 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("same seed gave %d vs %d events", a.Count(), b.Count())
 	}
 	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
+		if *a.Events[i] != *b.Events[i] {
 			t.Fatalf("event %d differs between identical generations", i)
 		}
 	}
 	c := genOne(t, "amazon", 43)
-	if a.Count() == c.Count() && len(a.Events) > 0 && a.Events[len(a.Events)-1] == c.Events[len(c.Events)-1] {
+	if a.Count() == c.Count() && len(a.Events) > 0 && *a.Events[len(a.Events)-1] == *c.Events[len(c.Events)-1] {
 		t.Error("different seeds should produce different traces")
 	}
 }
@@ -67,10 +66,7 @@ func TestGenerateCoversInteractions(t *testing.T) {
 	counts := map[webevent.Interaction]int{}
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := Generate(spec, seed, Options{})
-		evs, err := tr.Runtime()
-		if err != nil {
-			t.Fatal(err)
-		}
+		evs := tr.Events
 		for i, e := range evs {
 			counts[e.Type.Interaction()]++
 			if e.Navigation {
@@ -93,32 +89,18 @@ func TestGenerateCoversInteractions(t *testing.T) {
 	}
 }
 
+// TestRuntimeConversion checks that Generate writes runtime events ready
+// for the engine: each one names its application and position and carries
+// work.
 func TestRuntimeConversion(t *testing.T) {
 	tr := genOne(t, "ebay", 3)
-	evs, err := tr.Runtime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != tr.Count() {
-		t.Fatalf("runtime events %d != trace events %d", len(evs), tr.Count())
-	}
-	for i, e := range evs {
+	for i, e := range tr.Events {
 		if e.App != "ebay" || e.Seq != i {
 			t.Fatalf("runtime event %d metadata wrong: %+v", i, e)
 		}
 		if e.Work.Cycles <= 0 {
 			t.Fatalf("runtime event %d has no work", i)
 		}
-		if e.Trigger.Micros() != tr.Events[i].TriggerUS {
-			t.Fatalf("trigger mismatch at %d", i)
-		}
-	}
-	// Corrupt the type and make sure conversion fails loudly.
-	bad := *tr
-	bad.Events = append([]Event(nil), tr.Events...)
-	bad.Events[0].Type = "bogus"
-	if _, err := bad.Runtime(); err == nil {
-		t.Error("expected error for unknown event type")
 	}
 }
 
@@ -158,37 +140,6 @@ func TestGenerateCorpusAndFilters(t *testing.T) {
 	// Traces for the same app with different user indices must differ.
 	if c[0].Seed == c[1].Seed {
 		t.Error("different users should have different seeds")
-	}
-}
-
-// TestEncodeDecodeRoundTrip round-trips traces through per-value
-// json.Marshal/json.Unmarshal, the encoding artifacts.Store persists.
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := GenerateCorpus(webapp.SeenApps()[:2], 1, 55, PurposeEval, Options{})
-	var back Corpus
-	for _, tr := range c {
-		val, err := json.Marshal(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := new(Trace)
-		if err := json.Unmarshal(val, dec); err != nil {
-			t.Fatal(err)
-		}
-		back = append(back, dec)
-	}
-	if len(back) != len(c) {
-		t.Fatalf("decoded %d traces, want %d", len(back), len(c))
-	}
-	for i := range c {
-		if back[i].App != c[i].App || back[i].Count() != c[i].Count() {
-			t.Fatalf("trace %d does not round-trip", i)
-		}
-		for j := range c[i].Events {
-			if back[i].Events[j] != c[i].Events[j] {
-				t.Fatalf("trace %d event %d does not round-trip", i, j)
-			}
-		}
 	}
 }
 

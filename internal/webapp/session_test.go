@@ -1,6 +1,7 @@
 package webapp
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dom"
@@ -114,21 +115,26 @@ func TestSessionDeterministicReplay(t *testing.T) {
 	}
 }
 
+// pageCacheTestRuns gives every run of TestPageCacheClonesAndToggle a DOM
+// seed that no earlier run in the process loaded, so its first session
+// builds the page however often the test repeats (go test -count=N).
+var pageCacheTestRuns atomic.Int64
+
 func TestPageCacheClonesAndToggle(t *testing.T) {
 	spec := SeenApps()[0]
 	builds0, _ := PageCacheStats()
 
 	// Two sessions on the same (app, seed): the second must share the
 	// cached master, not build.
-	const seed = 987654
+	seed := 987654 + pageCacheTestRuns.Add(1)
 	a := NewSession(spec, seed)
-	buildsAfterFirst, _ := PageCacheStats()
+	buildsAfterFirst, hitsAfterFirst := PageCacheStats()
 	b := NewSession(spec, seed)
-	buildsAfterSecond, hits := PageCacheStats()
+	buildsAfterSecond, hitsAfterSecond := PageCacheStats()
 	if buildsAfterSecond != buildsAfterFirst {
 		t.Errorf("second session rebuilt the page: builds %d -> %d", buildsAfterFirst, buildsAfterSecond)
 	}
-	if hits == 0 {
+	if hitsAfterSecond == hitsAfterFirst {
 		t.Error("second session should have hit the page cache")
 	}
 	if buildsAfterFirst == builds0 {

@@ -60,17 +60,6 @@ func (t Type) String() string {
 	}
 }
 
-// ParseType is the inverse of Type.String. It returns an error for unknown
-// names; it is used when decoding recorded traces.
-func ParseType(s string) (Type, error) {
-	for _, t := range AllTypes() {
-		if t.String() == s {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("webevent: unknown event type %q", s)
-}
-
 // Interaction is one of the three primitive user interactions whose QoS
 // targets the paper uses for scheduling.
 type Interaction int

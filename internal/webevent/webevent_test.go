@@ -40,21 +40,6 @@ func TestTypeInteractionMapping(t *testing.T) {
 	}
 }
 
-func TestParseTypeRoundTrip(t *testing.T) {
-	for _, typ := range AllTypes() {
-		got, err := ParseType(typ.String())
-		if err != nil {
-			t.Fatalf("ParseType(%q): %v", typ.String(), err)
-		}
-		if got != typ {
-			t.Errorf("round trip %v -> %v", typ, got)
-		}
-	}
-	if _, err := ParseType("bogus"); err == nil {
-		t.Error("expected error for unknown type")
-	}
-}
-
 func TestAllTypesCount(t *testing.T) {
 	if len(AllTypes()) != NumTypes {
 		t.Errorf("AllTypes has %d entries, NumTypes = %d", len(AllTypes()), NumTypes)

@@ -7,10 +7,9 @@
 //	learner, err := pes.TrainPredictor(8, 1)             // offline training
 //	spec, _ := pes.AppByName("cnn")                      // pick an application
 //	tr := pes.GenerateTrace(spec, 42)                    // a user session
-//	events, _ := tr.Runtime()
 //	platform := pes.Exynos5410()
 //	scheduler := pes.NewPES(platform, learner, spec, tr.DOMSeed, pes.DefaultPredictorConfig())
-//	result := pes.RunProactive(platform, tr.App, events, scheduler)
+//	result := pes.RunProactive(platform, tr.App, tr.Events, scheduler)
 //	fmt.Println(result.ViolationRate, result.TotalEnergyMJ)
 //
 // Many sessions can be simulated concurrently — with results memoized per
@@ -200,10 +199,10 @@ func NewBatchRunner(workers int) *BatchRunner { return batch.NewRunner(workers) 
 // Shared session artifacts.
 type (
 	// ArtifactStore is the shared session-artifact cache: generated traces,
-	// parsed runtime events, memo fingerprints, and offline-trained
-	// learners, each built exactly once per store and shared by every
-	// consumer of that store. Sessions built with NewSession memoize
-	// nothing unless their spec names a store.
+	// memo fingerprints, and offline-trained learners, each built exactly
+	// once per store and shared by every consumer of that store. Sessions
+	// built with NewSession memoize nothing unless their spec names a
+	// store.
 	ArtifactStore = artifacts.Store
 	// ArtifactStats snapshots an ArtifactStore's build/hit counters (plus
 	// the process-wide DOM page-tree cache); it appears in BatchStats when

@@ -19,10 +19,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := GenerateTrace(app, 42)
-	events, err := tr.Runtime()
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := tr.Events
 	platform := Exynos5410()
 
 	ebs := RunReactive(platform, app.Name, events, NewEBS(platform))
