@@ -19,8 +19,8 @@ import (
 	"repro/internal/webevent"
 )
 
-// benchSetup is shared by all experiment benchmarks; building it (predictor
-// training + evaluation corpus generation) is itself measured by
+// benchSetup is shared by all experiment benchmarks; building it (training
+// trace generation + predictor training) is itself measured by
 // BenchmarkSetupTraining.
 var (
 	benchOnce  sync.Once
@@ -59,7 +59,7 @@ func reportColumnMean(b *testing.B, t *experiments.Table, column, unit string) {
 // generation plus logistic-regression training (the paper reports ~3 s).
 func BenchmarkSetupTraining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := predictor.TrainOnSeenApps(5, int64(i)+1); err != nil {
+		if _, err := predictor.TrainOnSeenApps(5, int64(i)+1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

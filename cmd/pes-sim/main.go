@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// session.
 	var learner *predictor.SequenceLearner
 	if schedName == sessions.PES {
-		learner, _, err = predictor.TrainOnSeenApps(6, 1)
+		learner, err = predictor.TrainOnSeenApps(6, 1, 1)
 		if err != nil {
 			return fmt.Errorf("training: %w", err)
 		}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/mlr"
 	"repro/internal/predictor"
 	"repro/internal/trace"
 	"repro/internal/webapp"
@@ -17,13 +16,12 @@ import (
 
 func main() {
 	// Training corpus: several synthetic sessions per seen application.
-	train := trace.GenerateCorpus(webapp.SeenApps(), 8, 1000, trace.PurposeTrain, trace.Options{})
-	fmt.Printf("training corpus: %d traces, %d events\n", len(train), train.TotalEvents())
-
-	learner := predictor.NewSequenceLearner()
-	if err := learner.Train(train, mlr.TrainConfig{}); err != nil {
+	const tracesPerApp = 8
+	learner, err := predictor.TrainOnSeenApps(tracesPerApp, 1000, 1)
+	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("trained on %d traces (%d per seen application)\n", tracesPerApp*len(webapp.SeenApps()), tracesPerApp)
 
 	// Evaluation corpus: new users (different seeds) on all 18 applications.
 	eval := trace.GenerateCorpus(webapp.Registry(), 3, 700000, trace.PurposeEval, trace.Options{})

@@ -207,17 +207,6 @@ func (p *Platform) IdleEnergy(d simtime.Duration) float64 {
 	return EnergyMJ(p.IdlePowerMW, d)
 }
 
-// powerLadder generates a monotonically increasing power table for a
-// frequency ladder using the familiar P ≈ base + k·f^α law that holds for
-// DVFS operating points (voltage scales with frequency).
-func powerLadder(freqs []int, baseMW, kMW, alpha float64) map[int]float64 {
-	tbl := make(map[int]float64, len(freqs))
-	for _, f := range freqs {
-		tbl[f] = baseMW + kMW*math.Pow(float64(f)/1000.0, alpha)
-	}
-	return tbl
-}
-
 // ladder builds an inclusive arithmetic frequency ladder.
 func ladder(lo, hi, step int) []int {
 	var fs []int
@@ -233,6 +222,13 @@ func ladder(lo, hi, step int) []int {
 // steps and a Cortex-A7 little cluster at 350–600 MHz in 50 MHz steps, the
 // DVFS/migration overheads reported in Sec. 6.3, and power tables shaped on
 // published Exynos 5410 cluster measurements.
+//
+// Each power table follows the P = base + k·(f/1 GHz)^α law that holds for
+// DVFS operating points (voltage scales with frequency), with (base, k, α)
+// given per cluster. The values are written out rather than computed because
+// math.Pow's last bit depends on whether the host CPU has FMA, and the
+// fingerprint of every session hashes these bits; they are the bits an FMA
+// host computes.
 func Exynos5410() *Platform {
 	littleFreqs := ladder(350, 600, 50)
 	bigFreqs := ladder(800, 1800, 100)
@@ -241,16 +237,35 @@ func Exynos5410() *Platform {
 		Little: Cluster{
 			Core:     LittleCore,
 			FreqsMHz: littleFreqs,
-			// ~85 mW at 350 MHz up to ~215 mW at 600 MHz.
-			PowerMW: powerLadder(littleFreqs, 40, 350, 1.6),
-			CPI:     1.9,
+			// base 40 mW, k 350 mW, α 1.6.
+			PowerMW: map[int]float64{
+				350: 105.2494590198935,
+				400: 120.79119473080397,
+				450: 137.54568579700083,
+				500: 155.45694219262825,
+				550: 174.477103893319,
+				600: 194.564603791745,
+			},
+			CPI: 1.9,
 		},
 		Big: Cluster{
 			Core:     BigCore,
 			FreqsMHz: bigFreqs,
-			// ~700 mW at 800 MHz up to ~3.4 W at 1.8 GHz.
-			PowerMW: powerLadder(bigFreqs, 180, 1150, 1.85),
-			CPI:     1.0,
+			// base 180 mW, k 1150 mW, α 1.85.
+			PowerMW: map[int]float64{
+				800:  941.0519731771457,
+				900:  1126.3384431548316,
+				1000: 1330,
+				1100: 1551.7479122751977,
+				1200: 1791.3250008775624,
+				1300: 2048.4997415801445,
+				1400: 2323.0618556581244,
+				1500: 2614.81893000477,
+				1600: 2923.5937715871505,
+				1700: 3249.2222994113117,
+				1800: 3591.55183871882,
+			},
+			CPI: 1.0,
 		},
 		DVFSLatency:      100 * simtime.Microsecond,
 		MigrationLatency: 20 * simtime.Microsecond,
@@ -264,7 +279,8 @@ func Exynos5410() *Platform {
 // used in the paper's "other devices" study: a Cortex-A57 cluster (modelled
 // as the big cluster, 500–2000 MHz) and a Denver2-derived efficient cluster
 // (modelled as the little cluster, 350–1200 MHz). The 2017-era process gives
-// it a flatter power curve than the Exynos 5410.
+// it a flatter power curve than the Exynos 5410. The power tables are
+// written out as Exynos5410's are.
 func TX2Parker() *Platform {
 	littleFreqs := ladder(350, 1200, 50)
 	bigFreqs := ladder(500, 2000, 100)
@@ -273,14 +289,52 @@ func TX2Parker() *Platform {
 		Little: Cluster{
 			Core:     LittleCore,
 			FreqsMHz: littleFreqs,
-			PowerMW:  powerLadder(littleFreqs, 50, 260, 1.5),
-			CPI:      1.5,
+			// base 50 mW, k 260 mW, α 1.5.
+			PowerMW: map[int]float64{
+				350:  103.83632602620649,
+				400:  115.7753753315023,
+				450:  128.48598601024264,
+				500:  141.92388155425118,
+				550:  156.051638365468,
+				600:  170.83708040167141,
+				650:  186.2521559462455,
+				700:  202.27212482920174,
+				750:  218.87495373796554,
+				800:  236.04085572798252,
+				850:  253.7519325061728,
+				900:  271.99189174382025,
+				950:  290.7458203167814,
+				1000: 310,
+				1050: 329.7417559106971,
+				1100: 349.9593305766634,
+				1150: 370.64177831343187,
+				1200: 391.77887588322363,
+			},
+			CPI: 1.5,
 		},
 		Big: Cluster{
 			Core:     BigCore,
 			FreqsMHz: bigFreqs,
-			PowerMW:  powerLadder(bigFreqs, 150, 820, 1.8),
-			CPI:      0.85,
+			// base 150 mW, k 820 mW, α 1.8.
+			PowerMW: map[int]float64{
+				500:  385.4831627743922,
+				600:  476.95358452689516,
+				700:  581.509463177126,
+				800:  698.7516371999003,
+				900:  828.3445957040099,
+				1000: 970,
+				1100: 1123.4657714595996,
+				1200: 1288.5185087263023,
+				1300: 1464.9580149398716,
+				1400: 1652.603224945821,
+				1500: 1851.2890966837876,
+				1600: 2060.864187496174,
+				1700: 2281.188729869397,
+				1800: 2512.1330795960293,
+				1900: 2753.576447082728,
+				2000: 3005.4058476112873,
+			},
+			CPI: 0.85,
 		},
 		DVFSLatency:      100 * simtime.Microsecond,
 		MigrationLatency: 20 * simtime.Microsecond,

@@ -1,6 +1,7 @@
 package acmp
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +24,34 @@ func TestExynosLadders(t *testing.T) {
 	}
 	if p.Big.MinFreq() != 800 || p.Big.MaxFreq() != 1800 {
 		t.Errorf("big range = %d–%d", p.Big.MinFreq(), p.Big.MaxFreq())
+	}
+}
+
+// TestPowerTablesFollowTheLaw: the written-out power tables are the
+// P = base + k·(f/1 GHz)^α law of each cluster, to within the last bits
+// that math.Pow leaves to the host CPU, with one entry per ladder step.
+func TestPowerTablesFollowTheLaw(t *testing.T) {
+	exynos, tx2 := Exynos5410(), TX2Parker()
+	for _, c := range []struct {
+		name           string
+		cl             *Cluster
+		base, k, alpha float64
+	}{
+		{"Exynos5410 little", &exynos.Little, 40, 350, 1.6},
+		{"Exynos5410 big", &exynos.Big, 180, 1150, 1.85},
+		{"TX2Parker little", &tx2.Little, 50, 260, 1.5},
+		{"TX2Parker big", &tx2.Big, 150, 820, 1.8},
+	} {
+		if len(c.cl.PowerMW) != len(c.cl.FreqsMHz) {
+			t.Errorf("%s: %d power entries for %d frequencies", c.name, len(c.cl.PowerMW), len(c.cl.FreqsMHz))
+		}
+		for _, f := range c.cl.FreqsMHz {
+			got, ok := c.cl.PowerMW[f]
+			want := c.base + c.k*math.Pow(float64(f)/1000, c.alpha)
+			if !ok || math.Abs(got-want) > 1e-15*want {
+				t.Errorf("%s at %d MHz: %v mW, want %v", c.name, f, got, want)
+			}
+		}
 	}
 }
 

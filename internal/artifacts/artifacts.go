@@ -23,17 +23,23 @@
 //   - trained learners are read-only at prediction time (each predictor owns
 //     its own scratch buffers).
 //
+// The store caches two kinds of artifact, traces and learners. A corpus is
+// not one: Corpus assembles it from the trace cache on each call, and the
+// training corpus of a learner is generated inside its training run and
+// dropped with it, so a learner loaded from the persistent store costs no
+// trace at all.
+//
 // Construction is singleflight (each cache is a memo.Cache): concurrent
 // campaigns requesting the same artifact block on one build and share the
 // result. The caches live as long as their store, like the batch memo cache
 // they feed (only trained learners can outlive the process, see
 // WithPersistent); only traces can be bounded (WithMaxTraces), since
-// learners and corpora are bounded by the handful of training
-// configurations a process touches. The per-trace derivation (the trace
-// half of a fingerprint) lives in the trace's own cache entry, so it exists
-// only for traces the store itself generated and leaves with them on
-// eviction — externally built traces are hashed per call, since entries
-// keyed by them would never be hit again.
+// learners are bounded by the handful of training configurations a process
+// touches. The per-trace derivation (the trace half of a fingerprint) lives
+// in the trace's own cache entry, so it exists only for traces the store
+// itself generated and leaves with them on eviction — externally built
+// traces are hashed per call, since entries keyed by them would never be hit
+// again.
 //
 // The DOM page-tree half of session setup is cached one layer down, in
 // package webapp (every webapp.NewSession shares cached master pages); its
@@ -73,17 +79,8 @@ type LearnerKey struct {
 	TracesPerApp int
 	// CorpusSeed is the base seed of the training corpus.
 	CorpusSeed int64
-	// TrainSeed seeds the SGD shuffling (mlr.TrainConfig.Seed).
+	// TrainSeed seeds the SGD shuffling.
 	TrainSeed int64
-}
-
-// corpusKey identifies one generated corpus slice.
-type corpusKey struct {
-	apps         string // "|"-joined app names
-	tracesPerApp int
-	baseSeed     int64
-	purpose      string
-	opts         trace.Options
 }
 
 // traceArtifacts is one generated trace's cache entry: the trace plus the
@@ -107,12 +104,6 @@ func (s *Store) traceHash(e *traceArtifacts) string {
 		e.hash = computeTraceHash(e.tr)
 	})
 	return e.hash
-}
-
-// learned is one learner cache entry: the model and its training corpus.
-type learned struct {
-	learner *predictor.SequenceLearner
-	corpus  trace.Corpus
 }
 
 // Stats snapshots the store's build/hit counters (plus the process-wide
@@ -147,8 +138,7 @@ type Stats struct {
 // Store is one artifact cache. All methods are safe for concurrent use.
 type Store struct {
 	traces   memo.Cache[traceKey, *traceArtifacts]
-	learners memo.Cache[LearnerKey, learned]
-	corpora  memo.Cache[corpusKey, trace.Corpus]
+	learners memo.Cache[LearnerKey, *predictor.SequenceLearner]
 	persist  *store.Store
 
 	// mu guards index, which finds the cache entry of a trace this store
@@ -177,10 +167,10 @@ func NewStore() *Store {
 // WithMaxTraces bounds the per-trace cache to at most n generated traces,
 // evicting least-recently-used ones (together with their derived
 // fingerprint hashes) beyond it; n <= 0 keeps the cache unbounded (the
-// default). Learners and corpora are never evicted — they are bounded by
-// the handful of training configurations a process touches. It returns the
-// store for chaining. The write is synchronized, but the bound only applies
-// to traces completed after it is set.
+// default). Learners are never evicted — they are bounded by the handful of
+// training configurations a process touches. It returns the store for
+// chaining. The write is synchronized, but the bound only applies to traces
+// completed after it is set.
 func (s *Store) WithMaxTraces(n int) *Store {
 	s.traces.SetMax(n)
 	return s
@@ -190,9 +180,10 @@ func (s *Store) WithMaxTraces(n int) *Store {
 // learners are written through on first build and loaded back — skipping SGD
 // training — in later processes (or sibling stores) sharing the directory.
 // Everything else stays memory-only: traces are regenerated (cheaper than
-// decoding a stored copy, and bit-identical), and fingerprints and corpora
-// are cheap derivations of them. The persistent store's singleflight keeps
-// training exactly-once even across several artifact stores sharing it.
+// decoding a stored copy, and bit-identical), and fingerprints are cheap
+// derivations of them. A learner loaded from disk generates no training
+// corpus. The persistent store's singleflight keeps training exactly-once
+// even across several artifact stores sharing it.
 // Set before the store is shared across goroutines; ps may be nil (no
 // persistence, the default). It returns the store for chaining.
 func (s *Store) WithPersistent(ps *store.Store) *Store {
@@ -261,57 +252,43 @@ func (s *Store) Runtime(tr *trace.Trace) ([]*webevent.Event, error) {
 	return tr.Events, nil
 }
 
-// Corpus returns the deterministic corpus for the application set, sharing
-// each trace with the per-trace cache (a corpus slice is assembled once per
-// distinct shape). It mirrors trace.GenerateCorpus exactly.
+// Corpus returns the deterministic corpus for the application set: the
+// traces trace.GenerateCorpus would build, each drawn from the per-trace
+// cache. The slice itself is assembled per call and not cached.
 func (s *Store) Corpus(apps []*webapp.Spec, tracesPerApp int, baseSeed int64, purpose string, opts trace.Options) trace.Corpus {
-	names := ""
-	for i, spec := range apps {
-		if i > 0 {
-			names += "|"
+	out := make(trace.Corpus, 0, len(apps)*tracesPerApp)
+	for ai, spec := range apps {
+		for u := 0; u < tracesPerApp; u++ {
+			out = append(out, s.Trace(spec, trace.CorpusSeed(baseSeed, ai, u), purpose, opts))
 		}
-		names += spec.Name
 	}
-	k := corpusKey{apps: names, tracesPerApp: tracesPerApp, baseSeed: baseSeed, purpose: purpose, opts: opts}
-	corpus, _, _ := s.corpora.Get(k, func() (trace.Corpus, error) {
-		out := make(trace.Corpus, 0, len(apps)*tracesPerApp)
-		for ai, spec := range apps {
-			for u := 0; u < tracesPerApp; u++ {
-				out = append(out, s.Trace(spec, trace.CorpusSeed(baseSeed, ai, u), purpose, opts))
-			}
-		}
-		return out, nil
-	})
-	return corpus
+	return out
 }
 
-// Learner returns the trained sequence learner for the key (and the training
-// corpus it was fitted on), training it on first request. Training is
+// Learner returns the trained sequence learner for the key, training it on
+// first request (or loading it from the persistent store). Training is
 // deterministic, so every harness configured identically shares one model —
 // and, through the session memo key's learner identity, one batch cache
 // slot per session.
-func (s *Store) Learner(k LearnerKey) (*predictor.SequenceLearner, trace.Corpus, error) {
-	e, hit, err := s.learners.Get(k, func() (learned, error) { return s.buildLearner(k) })
+func (s *Store) Learner(k LearnerKey) (*predictor.SequenceLearner, error) {
+	l, hit, err := s.learners.Get(k, func() (*predictor.SequenceLearner, error) { return s.buildLearner(k) })
 	if hit {
 		s.learnerHits.Add(1)
 	}
-	return e.learner, e.corpus, err
+	return l, err
 }
 
 // buildLearner resolves a learner-cache miss: training without a persistent
-// store, get-or-build through it otherwise.
-func (s *Store) buildLearner(k LearnerKey) (learned, error) {
-	// The corpus is needed in both paths: a freshly trained learner fits on
-	// it, and a store-loaded one is still returned alongside it (the harness
-	// replays training traces for its own reporting).
-	corpus := s.Corpus(webapp.SeenApps(), k.TracesPerApp, k.CorpusSeed, trace.PurposeTrain, trace.Options{})
-	train := func() (learned, error) {
+// store, get-or-build through it otherwise. Only training generates the
+// training corpus, and the corpus is dropped when training returns.
+func (s *Store) buildLearner(k LearnerKey) (*predictor.SequenceLearner, error) {
+	train := func() (*predictor.SequenceLearner, error) {
 		s.learnerBuilds.Add(1)
-		learner := predictor.NewSequenceLearner()
-		if err := learner.Train(corpus, mlr.TrainConfig{Seed: k.TrainSeed}); err != nil {
-			return learned{corpus: corpus}, fmt.Errorf("artifacts: training %+v: %w", k, err)
+		l, err := predictor.TrainOnSeenApps(k.TracesPerApp, k.CorpusSeed, k.TrainSeed)
+		if err != nil {
+			return nil, fmt.Errorf("artifacts: training %+v: %w", k, err)
 		}
-		return learned{learner, corpus}, nil
+		return l, nil
 	}
 	if s.persist == nil {
 		return train()
@@ -321,26 +298,26 @@ func (s *Store) buildLearner(k LearnerKey) (learned, error) {
 	// bit-identical models, which is the same contract LearnerKey already
 	// guarantees in memory.
 	key := fmt.Sprintf("learner|tpa=%d|corpus=%d|train=%d", k.TracesPerApp, k.CorpusSeed, k.TrainSeed)
-	var built learned
+	var built *predictor.SequenceLearner
 	val, _, err := s.persist.GetOrBuild(key, func() ([]byte, error) {
 		l, err := train()
 		if err != nil {
 			return nil, err
 		}
 		built = l
-		return json.Marshal(l.learner.Model())
+		return json.Marshal(l.Model())
 	})
-	if built.learner != nil {
+	if built != nil {
 		return built, nil
 	}
 	if err != nil {
-		return learned{}, err
+		return nil, err
 	}
 	m := new(mlr.Model)
 	if err := json.Unmarshal(val, m); err == nil {
 		if l, lerr := predictor.LearnerFromModel(m); lerr == nil {
 			s.learnerStoreHits.Add(1)
-			return learned{l, corpus}, nil
+			return l, nil
 		}
 	}
 	// A stored model that doesn't decode or doesn't match the current

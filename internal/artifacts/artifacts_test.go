@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/acmp"
+	"repro/internal/predictor"
 	"repro/internal/trace"
 	"repro/internal/webapp"
 )
@@ -30,7 +31,7 @@ func TestConcurrentBuildsExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := store.Learner(lk); err != nil {
+			if _, err := store.Learner(lk); err != nil {
 				errs <- err
 				return
 			}
@@ -49,9 +50,10 @@ func TestConcurrentBuildsExactlyOnce(t *testing.T) {
 	}
 
 	st := store.Stats()
-	wantTraces := int64(len(apps)*len(seeds)) + int64(len(webapp.SeenApps())*lk.TracesPerApp)
-	if st.TraceBuilds != wantTraces {
-		t.Errorf("TraceBuilds = %d, want %d (each (app, seed, purpose) generated exactly once)", st.TraceBuilds, wantTraces)
+	// Training generates its corpus outside the trace cache, so only the
+	// campaign traces count.
+	if want := int64(len(apps) * len(seeds)); st.TraceBuilds != want {
+		t.Errorf("TraceBuilds = %d, want %d (each (app, seed, purpose) generated exactly once)", st.TraceBuilds, want)
 	}
 	if want := int64(len(apps) * len(seeds)); st.FingerprintBuilds != want {
 		t.Errorf("FingerprintBuilds = %d, want %d", st.FingerprintBuilds, want)
@@ -92,11 +94,17 @@ func TestArtifactsMatchDirectConstruction(t *testing.T) {
 		t.Errorf("fingerprint mismatch for identical content: %q vs %q", a, b)
 	}
 
-	// The corpus assembled from cached traces must equal GenerateCorpus.
+	// The corpus assembled from cached traces must equal GenerateCorpus,
+	// and assembling it again generates nothing.
 	cachedCorpus := store.Corpus(webapp.SeenApps()[:2], 2, 900, trace.PurposeTrain, trace.Options{})
 	directCorpus := trace.GenerateCorpus(webapp.SeenApps()[:2], 2, 900, trace.PurposeTrain, trace.Options{})
 	if !reflect.DeepEqual(cachedCorpus, directCorpus) {
 		t.Error("cached corpus differs from trace.GenerateCorpus output")
+	}
+	builds := store.Stats().TraceBuilds
+	again := store.Corpus(webapp.SeenApps()[:2], 2, 900, trace.PurposeTrain, trace.Options{})
+	if st := store.Stats(); st.TraceBuilds != builds || !reflect.DeepEqual(again, cachedCorpus) || again[0] != cachedCorpus[0] {
+		t.Errorf("re-assembled corpus built %d more traces or differs", st.TraceBuilds-builds)
 	}
 }
 
@@ -131,26 +139,34 @@ func TestExternalTracesAreNotRetained(t *testing.T) {
 // share one model instance while distinct ones do not.
 func TestLearnerSharedAcrossEqualKeys(t *testing.T) {
 	store := NewStore()
-	a, _, err := store.Learner(LearnerKey{TracesPerApp: 1, CorpusSeed: 5, TrainSeed: 1})
+	a, err := store.Learner(LearnerKey{TracesPerApp: 1, CorpusSeed: 5, TrainSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := store.Learner(LearnerKey{TracesPerApp: 1, CorpusSeed: 5, TrainSeed: 1})
+	b, err := store.Learner(LearnerKey{TracesPerApp: 1, CorpusSeed: 5, TrainSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("equal learner keys returned distinct instances")
 	}
-	c, _, err := store.Learner(LearnerKey{TracesPerApp: 1, CorpusSeed: 6, TrainSeed: 1})
+	c, err := store.Learner(LearnerKey{TracesPerApp: 1, CorpusSeed: 6, TrainSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a == c {
 		t.Error("distinct learner keys shared one instance")
 	}
-	if st := store.Stats(); st.LearnerBuilds != 2 {
-		t.Errorf("LearnerBuilds = %d, want 2", st.LearnerBuilds)
+	if st := store.Stats(); st.LearnerBuilds != 2 || st.TraceBuilds != 0 || st.TraceEntries != 0 {
+		t.Errorf("after two trainings: %+v, want 2 learner builds and no trace cached", st)
+	}
+	// The store's learner is the one TrainOnSeenApps trains.
+	direct, err := predictor.TrainOnSeenApps(1, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint() != direct.Fingerprint() {
+		t.Errorf("store learner %s differs from TrainOnSeenApps's %s", a.Fingerprint(), direct.Fingerprint())
 	}
 }
 

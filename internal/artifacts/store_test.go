@@ -63,7 +63,7 @@ func TestPersistentLearnerTrainedOnce(t *testing.T) {
 	k := LearnerKey{TracesPerApp: 1, CorpusSeed: 1, TrainSeed: 1}
 
 	cold := NewStore().WithPersistent(openStore(t, dir))
-	lCold, corpusCold, err := cold.Learner(k)
+	lCold, err := cold.Learner(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPersistentLearnerTrainedOnce(t *testing.T) {
 	}
 
 	warm := NewStore().WithPersistent(openStore(t, dir))
-	lWarm, corpusWarm, err := warm.Learner(k)
+	lWarm, err := warm.Learner(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +83,15 @@ func TestPersistentLearnerTrainedOnce(t *testing.T) {
 	if st.LearnerStoreHits != 1 {
 		t.Fatalf("LearnerStoreHits = %d, want 1", st.LearnerStoreHits)
 	}
+	// A loaded learner needs no training corpus, so none is generated.
+	if st.TraceBuilds != 0 {
+		t.Fatalf("warm store generated %d traces for a stored learner, want 0", st.TraceBuilds)
+	}
 	if !reflect.DeepEqual(lCold.Model(), lWarm.Model()) {
 		t.Fatal("loaded model weights differ from trained model")
 	}
-	// The corpus still comes back, regenerated.
-	if len(corpusWarm) != len(corpusCold) {
-		t.Fatalf("corpus sizes differ: %d != %d", len(corpusWarm), len(corpusCold))
-	}
-	if !reflect.DeepEqual(corpusCold, corpusWarm) {
-		t.Fatal("warm corpus differs from cold corpus")
+	if lCold.Fingerprint() != lWarm.Fingerprint() {
+		t.Fatalf("learner fingerprint changed across restart: %s != %s", lWarm.Fingerprint(), lCold.Fingerprint())
 	}
 }
 
@@ -112,7 +112,7 @@ func TestConcurrentStoresShareOneTraining(t *testing.T) {
 		wg.Add(1)
 		go func(i int, s *Store) {
 			defer wg.Done()
-			l, _, err := s.Learner(k)
+			l, err := s.Learner(k)
 			if err != nil {
 				t.Errorf("store %d: %v", i, err)
 				return

@@ -229,7 +229,7 @@ func TestStoreErrorNotPersisted(t *testing.T) {
 // their hits and decode the same.
 func TestStoredValueIsJSONMarshal(t *testing.T) {
 	p := acmp.Exynos5410()
-	learner, _, err := predictor.TrainOnSeenApps(3, 400)
+	learner, err := predictor.TrainOnSeenApps(3, 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 func newTestPES(t *testing.T) (*PES, *webapp.Spec) {
 	t.Helper()
-	learner, _, err := predictor.TrainOnSeenApps(2, 7000)
+	learner, err := predictor.TrainOnSeenApps(2, 7000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPESFallbackDisablesSpeculation(t *testing.T) {
 }
 
 func TestPESCustomFallbackOption(t *testing.T) {
-	learner, _, err := predictor.TrainOnSeenApps(2, 7100)
+	learner, err := predictor.TrainOnSeenApps(2, 7100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestRunProactivePESEndToEnd(t *testing.T) {
 		t.Skip("end-to-end PES simulation is slow")
 	}
 	p := acmp.Exynos5410()
-	learner, _, err := predictor.TrainOnSeenApps(3, 400)
+	learner, err := predictor.TrainOnSeenApps(3, 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ type goldenResult struct {
 
 // golden holds the fingerprints recorded by running the old drivers at
 // commit ab5b7dc with: apps cnn/ebay/espn, trace seeds 11/5/9, and a PES
-// predictor trained with TrainOnSeenApps(3, 400).
+// predictor trained with TrainOnSeenApps(3, 400, 1).
 var golden = []goldenResult{
 	{"cnn/11", "Interactive", "cnn", 54, 35770.0534, 13880.21166, 0, 49650.26506, 15, 0, 0, 0, 0, 0},
 	{"cnn/11", "Ondemand", "cnn", 54, 33958.65496, 13594.46116, 0, 47553.11612, 44, 0, 0, 0, 0, 0},
@@ -68,7 +68,7 @@ func approxEq(got, want float64) bool {
 func goldenResults(t *testing.T) map[string]*Result {
 	t.Helper()
 	p := acmp.Exynos5410()
-	learner, _, err := predictor.TrainOnSeenApps(3, 400)
+	learner, err := predictor.TrainOnSeenApps(3, 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestEngineMatchesPreRefactorDrivers(t *testing.T) {
 // that order is part of these bits.
 func TestSquashWasteBitsPinned(t *testing.T) {
 	p := acmp.Exynos5410()
-	learner, _, err := predictor.TrainOnSeenApps(3, 400)
+	learner, err := predictor.TrainOnSeenApps(3, 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestSchedulerInvariants(t *testing.T) {
 		t.Skip("trains the predictor")
 	}
 	p := acmp.Exynos5410()
-	learner, _, err := predictor.TrainOnSeenApps(2, 7)
+	learner, err := predictor.TrainOnSeenApps(2, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,13 +96,13 @@ func TestOraclePoolSessionsPinned(t *testing.T) {
 // TestPoolSessionsPinned pins every other scheduler on the same 288 pool
 // sessions the way TestOraclePoolSessionsPinned pins the Oracle: one digest
 // per scheduler, PES at the default confidence threshold with the
-// golden-test learner (TrainOnSeenApps(3, 400)). PES's summed solves and
+// golden-test learner (TrainOnSeenApps(3, 400, 1)). PES's summed solves and
 // nodes bound its planning work without a clock; the reactive schedulers
 // never solve. A change that claims "every result unchanged" must keep
 // every digest.
 func TestPoolSessionsPinned(t *testing.T) {
 	p := acmp.Exynos5410()
-	learner, _, err := predictor.TrainOnSeenApps(3, 400)
+	learner, err := predictor.TrainOnSeenApps(3, 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

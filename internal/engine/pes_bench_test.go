@@ -21,7 +21,7 @@ import (
 func BenchmarkPESSessions(b *testing.B) {
 	const appsPerCampaign, campaigns = 3, 12
 	p := acmp.Exynos5410()
-	learner, _, err := predictor.TrainOnSeenApps(3, 400)
+	learner, err := predictor.TrainOnSeenApps(3, 400, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The setup is expensive (training + corpus generation + simulations), so
+// The setup is expensive (training + trace generation + simulations), so
 // tests share one small instance.
 var (
 	setupOnce sync.Once
@@ -214,7 +214,7 @@ func TestRunnerMemoizesAcrossFigures(t *testing.T) {
 	st := s.Runner.Stats()
 	// Fig12 adds no schedulers beyond Fig11's four; Fig13 adds only Ondemand.
 	extra := st.UniqueRuns - after11
-	if want := int64(len(s.Eval)); extra != want {
+	if want := int64(len(s.evalCorpus())); extra != want {
 		t.Errorf("Fig12+Fig13 simulated %d new sessions, want %d (Ondemand only)", extra, want)
 	}
 	if st.CacheHits == 0 {

@@ -4,23 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/acmp"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/eventclass"
-	"repro/internal/mlr"
 	"repro/internal/predictor"
 	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/webapp"
 	"repro/internal/webevent"
 )
-
-// trainConfig returns the deterministic logistic-regression training
-// configuration used throughout the harness.
-func trainConfig(seed int64) mlr.TrainConfig { return mlr.TrainConfig{Seed: seed} }
 
 // Fig2 reproduces the representative cnn.com interaction sequence of Fig. 2:
 // four events (a load, a heavy tap, a tap, a move) scheduled by the
@@ -85,8 +82,8 @@ func (s *Setup) Fig3() (*Table, error) {
 	}
 	sums := make(map[string][eventclass.NumClasses]float64)
 	counts := make(map[string]float64)
-	for i, r := range rs {
-		app := s.Eval[i].App
+	for _, r := range rs {
+		app := r.App
 		spec, _ := webapp.ByName(app)
 		if spec == nil || !spec.Seen {
 			continue
@@ -136,7 +133,7 @@ func (s *Setup) Table1() (*Table, error) {
 	}
 	sums := make([]float64, predictor.NumFeatures)
 	n := 0.0
-	for _, tr := range s.Eval {
+	for _, tr := range s.evalCorpus() {
 		sess, err := tr.Session()
 		if err != nil {
 			return nil, err
@@ -167,11 +164,12 @@ func (s *Setup) Fig8() (*Table, error) {
 // AblationNoDOM reproduces the Sec. 6.5 predictor ablation: accuracy without
 // the DOM analysis.
 func (s *Setup) AblationNoDOM() (*Table, error) {
-	withDOM, err := predictor.EvaluateAccuracy(s.Learner, s.Eval, true)
+	eval := s.evalCorpus()
+	withDOM, err := predictor.EvaluateAccuracy(s.Learner, eval, true)
 	if err != nil {
 		return nil, err
 	}
-	without, err := predictor.EvaluateAccuracy(s.Learner, s.Eval, false)
+	without, err := predictor.EvaluateAccuracy(s.Learner, eval, false)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +193,7 @@ func (s *Setup) AblationNoDOM() (*Table, error) {
 }
 
 func (s *Setup) accuracyTable(id string, useDOM bool) (*Table, error) {
-	results, err := predictor.EvaluateAccuracy(s.Learner, s.Eval, useDOM)
+	results, err := predictor.EvaluateAccuracy(s.Learner, s.evalCorpus(), useDOM)
 	if err != nil {
 		return nil, err
 	}
@@ -249,8 +247,8 @@ func (s *Setup) Fig9() (*Table, error) {
 		Columns: []string{"pfb size"},
 		Notes:   []string{"paper: the PFB drains by one per matched event, drops to zero on a mis-prediction, and refills on a new prediction round"},
 	}
-	for i, r := range rs {
-		if s.Eval[i].App != "ebay" {
+	for _, r := range rs {
+		if r.App != "ebay" {
 			continue
 		}
 		for _, sample := range r.PFBSamples {
@@ -261,29 +259,7 @@ func (s *Setup) Fig9() (*Table, error) {
 	return t, nil
 }
 
-func fmtEvent(seq int) string { return "event " + itoa(seq) }
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
+func fmtEvent(seq int) string { return "event " + strconv.Itoa(seq) }
 
 // Fig10 reproduces the average mis-prediction waste per application
 // (milliseconds of discarded speculative frame production per
@@ -476,7 +452,7 @@ func (s *Setup) Fig14(thresholds []float64) (*Table, error) {
 	return t, nil
 }
 
-func percentLabel(th float64) string { return itoa(int(th*100+0.5)) + "%" }
+func percentLabel(th float64) string { return strconv.Itoa(int(th*100+0.5)) + "%" }
 
 // OverheadTable reports the Sec. 6.3 runtime overheads measured on the
 // actual implementation: the per-evaluation predictor cost, the per-solve
@@ -503,12 +479,10 @@ func (s *Setup) OverheadTable() (*Table, error) {
 	}
 	predCost := time.Since(start).Seconds() * 1e6 / predIters
 
-	// Measure the optimizer solve cost on a typical instance.
-	tr := s.Eval[0]
-	pes, err := s.NewPES(tr)
-	if err != nil {
-		return nil, err
-	}
+	// Measure the optimizer solve cost on a typical instance: the first
+	// evaluation trace, which is of the first registry application.
+	tr := s.evalCorpus()[0]
+	pes := core.NewPES(s.Config.Platform, s.Learner, webapp.Registry()[0], tr.DOMSeed, s.Config.Predictor)
 	first := tr.Events[0]
 	pes.Observe(first)
 	start = time.Now()
@@ -544,7 +518,7 @@ func (s *Setup) OtherDeviceTX2() (*Table, error) {
 		return nil, err
 	}
 	var interactive, pesEnergy float64
-	for i := range s.Eval {
+	for i := range interRs {
 		interactive += interRs[i].TotalEnergyMJ
 		pesEnergy += pesRs[i].TotalEnergyMJ
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/acmp"
 	"repro/internal/artifacts"
 	"repro/internal/batch"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/predictor"
 	"repro/internal/sessions"
@@ -96,33 +95,31 @@ func (c Config) withDefaults() Config {
 }
 
 // Setup holds the shared state of one experiment campaign: the trained
-// predictor, the evaluation corpus, and the batch-session runner whose
-// memoized cache guarantees that figures drawing on the same sessions (e.g.
-// Fig. 11, 12 and 13) simulate each one exactly once.
+// predictor, the artifact store the evaluation traces come from, and the
+// batch-session runner whose memoized cache guarantees that figures drawing
+// on the same sessions (e.g. Fig. 11, 12 and 13) simulate each one exactly
+// once.
 type Setup struct {
 	Config  Config
 	Learner *predictor.SequenceLearner
-	Eval    trace.Corpus
 
 	// Runner executes simulation sessions concurrently and memoizes their
 	// results by (platform, app, trace seed, scheduler, predictor config).
 	Runner *batch.Runner
 
-	// Artifacts is the artifact store the setup's corpora and learner came
-	// from and its sessions draw runtime inputs from. Setups handed the same
+	// Artifacts is the artifact store the setup's learner came from and its
+	// evaluation traces and sessions are drawn from. Setups handed the same
 	// store with equal (TrainTracesPerApp, Seed) share one trained learner
-	// and one trace corpus through it.
+	// and one set of evaluation traces through it.
 	Artifacts *artifacts.Store
 }
 
-// NewSetup trains the predictor on the seen applications and generates the
-// evaluation corpus for all 18 applications. Evaluation traces always use
-// seeds disjoint from the training traces (new users, as in the paper).
-// Everything reusable — the training corpus, the trained model, the
-// evaluation traces — comes from the setup's artifact store: the config's,
-// or a private one when it names none. A second identically-configured
-// setup handed the same store performs no training and no trace generation
-// at all.
+// NewSetup trains the predictor on the seen applications, or takes it from
+// the setup's artifact store: the config's, or a private one when it names
+// none. It generates no trace: training draws its corpus inside the training
+// run, and the evaluation corpus is assembled from the store's trace cache
+// when a figure first reads it. A second identically-configured setup
+// handed the same store performs no training at all.
 func NewSetup(cfg Config) (*Setup, error) {
 	cfg = cfg.withDefaults()
 	store := cfg.Artifacts
@@ -131,8 +128,8 @@ func NewSetup(cfg Config) (*Setup, error) {
 	}
 	if cfg.Store != nil {
 		// Layer the persistent store under the artifact caches before any
-		// artifact is requested, so the learner/corpus builds below already
-		// go through it.
+		// artifact is requested, so the learner build below already goes
+		// through it.
 		store.WithPersistent(cfg.Store)
 	}
 	if cfg.CacheMaxEntries > 0 {
@@ -142,31 +139,27 @@ func NewSetup(cfg Config) (*Setup, error) {
 		// set than n results.
 		store.WithMaxTraces(cfg.CacheMaxEntries)
 	}
-	learner, _, err := store.Learner(artifacts.LearnerKey{
+	learner, err := store.Learner(artifacts.LearnerKey{
 		TracesPerApp: cfg.TrainTracesPerApp,
 		CorpusSeed:   cfg.Seed * 1000,
-		TrainSeed:    trainConfig(cfg.Seed).Seed,
+		TrainSeed:    cfg.Seed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: training: %w", err)
 	}
-	eval := store.Corpus(webapp.Registry(), cfg.EvalTracesPerApp, cfg.Seed*1000+500000, trace.PurposeEval, trace.Options{})
 	return &Setup{
 		Config:    cfg,
 		Learner:   learner,
-		Eval:      eval,
 		Runner:    batch.NewRunner(cfg.Parallel).WithMaxEntries(cfg.CacheMaxEntries).AttachArtifacts(store).WithStore(cfg.Store),
 		Artifacts: store,
 	}, nil
 }
 
-// NewPES constructs a PES scheduler instance for one evaluation trace.
-func (s *Setup) NewPES(tr *trace.Trace) (*core.PES, error) {
-	spec, err := webapp.ByName(tr.App)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewPES(s.Config.Platform, s.Learner, spec, tr.DOMSeed, s.Config.Predictor), nil
+// evalCorpus returns the evaluation corpus: EvalTracesPerApp traces of each
+// of the 18 applications, with seeds disjoint from the training traces (new
+// users, as in the paper), drawn from the setup's trace cache.
+func (s *Setup) evalCorpus() trace.Corpus {
+	return s.Artifacts.Corpus(webapp.Registry(), s.Config.EvalTracesPerApp, s.Config.Seed*1000+500000, trace.PurposeEval, trace.Options{})
 }
 
 // runCorpus simulates every trace of the evaluation corpus under the named
@@ -175,8 +168,9 @@ func (s *Setup) NewPES(tr *trace.Trace) (*core.PES, error) {
 // configuration in their memo key, so a sensitivity sweep that revisits the
 // default threshold shares the baseline PES runs.
 func (s *Setup) runCorpus(p *acmp.Platform, name string, predCfg predictor.Config) ([]*engine.Result, error) {
-	specs := make([]batch.Session, 0, len(s.Eval))
-	for _, tr := range s.Eval {
+	eval := s.evalCorpus()
+	specs := make([]batch.Session, 0, len(eval))
+	for _, tr := range eval {
 		sess, err := sessions.New(sessions.Spec{
 			Platform:  p,
 			Trace:     tr,
@@ -208,10 +202,9 @@ func (s *Setup) perApp(name string, metric func(*engine.Result) float64) (map[st
 	}
 	sums := make(map[string]float64)
 	counts := make(map[string]float64)
-	for i, r := range rs {
-		app := s.Eval[i].App
-		sums[app] += metric(r)
-		counts[app]++
+	for _, r := range rs {
+		sums[r.App] += metric(r)
+		counts[r.App]++
 	}
 	out := make(map[string]float64, len(sums))
 	for app, sum := range sums {

@@ -1,5 +1,5 @@
 // Package memo is the build-once cache behind every memoization layer of
-// the repo: session results, session inputs (traces, learners, corpora), DOM
+// the repo: session results, session inputs (traces and learners), DOM
 // page trees and figures. A Cache builds each key at most once per residency
 // no matter how many goroutines ask for it concurrently, caches errors like
 // values, and can bound itself with least-recently-used eviction.

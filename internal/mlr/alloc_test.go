@@ -11,7 +11,7 @@ import (
 // allocate. These are the per-predicted-event calls of the PES predictor.
 func TestBufferedPredictionZeroAlloc(t *testing.T) {
 	m := NewModel(3, 4)
-	if err := m.Fit(synthSamples(500, 1), TrainConfig{}); err != nil {
+	if err := m.Fit(synthSamples(500, 1), 1); err != nil {
 		t.Fatal(err)
 	}
 	x := []float64{0.2, 0.7, 0.1}
@@ -45,7 +45,7 @@ func TestBufferedPredictionZeroAlloc(t *testing.T) {
 // allocating APIs: same probabilities, same class, same confidence.
 func TestBufferedMatchesUnbuffered(t *testing.T) {
 	m := NewModel(3, 4)
-	if err := m.Fit(synthSamples(500, 1), TrainConfig{}); err != nil {
+	if err := m.Fit(synthSamples(500, 1), 1); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]float64, m.NumClasses)

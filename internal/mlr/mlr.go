@@ -186,38 +186,18 @@ func (m *Model) bestOf(probs []float64) (class int, confidence float64, out []fl
 	return best, probs[best], probs, nil
 }
 
-// TrainConfig controls SGD training.
-type TrainConfig struct {
-	// Epochs is the number of passes over the training set (default 120).
-	Epochs int
-	// LearningRate is the SGD step size (default 0.15).
-	LearningRate float64
-	// L2 is the L2 regularization strength (default 1e-4).
-	L2 float64
-	// Seed seeds the shuffling of samples between epochs.
-	Seed int64
-}
+// The SGD hyper-parameters: passes over the training set, step size (decayed
+// per epoch) and L2 regularization strength.
+const (
+	epochs       = 120
+	learningRate = 0.15
+	l2           = 1e-4
+)
 
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Epochs == 0 {
-		c.Epochs = 120
-	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 0.15
-	}
-	if c.L2 == 0 {
-		c.L2 = 1e-4
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// Fit trains the model on the samples with plain SGD. Labels must be in
-// [0, NumClasses). Training is deterministic for a fixed config.
-func (m *Model) Fit(samples []Sample, cfg TrainConfig) error {
-	cfg = cfg.withDefaults()
+// Fit trains the model on the samples with plain SGD, shuffling them between
+// epochs with a generator seeded by seed. Labels must be in [0, NumClasses).
+// Training is deterministic for a fixed seed.
+func (m *Model) Fit(samples []Sample, seed int64) error {
 	if len(samples) == 0 {
 		return errors.New("mlr: no training samples")
 	}
@@ -229,12 +209,12 @@ func (m *Model) Fit(samples []Sample, cfg TrainConfig) error {
 			return fmt.Errorf("mlr: label %d out of range [0, %d)", s.Label, m.NumClasses)
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	order := rng.Perm(len(samples))
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		// Re-shuffle each epoch for SGD convergence.
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		lr := cfg.LearningRate / (1 + 0.02*float64(epoch))
+		lr := learningRate / (1 + 0.02*float64(epoch))
 		for _, idx := range order {
 			s := samples[idx]
 			for c := 0; c < m.NumClasses; c++ {
@@ -247,7 +227,7 @@ func (m *Model) Fit(samples []Sample, cfg TrainConfig) error {
 				w := m.Weights[c]
 				w[0] -= lr * g
 				for i, xi := range s.Features {
-					w[i+1] -= lr * (g*xi + cfg.L2*w[i+1])
+					w[i+1] -= lr * (g*xi + l2*w[i+1])
 				}
 			}
 		}

@@ -30,7 +30,7 @@ func TestFitAndPredict(t *testing.T) {
 	train := synthSamples(2000, 1)
 	test := synthSamples(500, 2)
 	m := NewModel(3, 3)
-	if err := m.Fit(train, TrainConfig{}); err != nil {
+	if err := m.Fit(train, 1); err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
@@ -50,7 +50,7 @@ func TestFitAndPredict(t *testing.T) {
 
 func TestProbabilitiesNormalized(t *testing.T) {
 	m := NewModel(3, 4)
-	if err := m.Fit(synthSamples(500, 3), TrainConfig{Epochs: 20}); err != nil {
+	if err := m.Fit(synthSamples(500, 3), 1); err != nil {
 		t.Fatal(err)
 	}
 	probs, err := m.Probabilities([]float64{0.5, 0.5, 0.5})
@@ -72,7 +72,7 @@ func TestProbabilitiesNormalized(t *testing.T) {
 func TestPredictRestricted(t *testing.T) {
 	train := synthSamples(2000, 4)
 	m := NewModel(3, 3)
-	if err := m.Fit(train, TrainConfig{}); err != nil {
+	if err := m.Fit(train, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Pick a point that clearly belongs to class 1, then forbid class 1.
@@ -112,16 +112,16 @@ func TestUntrainedAndShapeErrors(t *testing.T) {
 		t.Errorf("expected ErrNotTrained, got %v", err)
 	}
 	tr := NewModel(2, 2)
-	if err := tr.Fit(nil, TrainConfig{}); err == nil {
+	if err := tr.Fit(nil, 1); err == nil {
 		t.Error("expected error for empty training set")
 	}
-	if err := tr.Fit([]Sample{{Features: []float64{1}, Label: 0}}, TrainConfig{}); err == nil {
+	if err := tr.Fit([]Sample{{Features: []float64{1}, Label: 0}}, 1); err == nil {
 		t.Error("expected error for wrong feature count")
 	}
-	if err := tr.Fit([]Sample{{Features: []float64{1, 2}, Label: 5}}, TrainConfig{}); err == nil {
+	if err := tr.Fit([]Sample{{Features: []float64{1, 2}, Label: 5}}, 1); err == nil {
 		t.Error("expected error for out-of-range label")
 	}
-	if err := tr.Fit([]Sample{{Features: []float64{1, 2}, Label: 1}}, TrainConfig{Epochs: 1}); err != nil {
+	if err := tr.Fit([]Sample{{Features: []float64{1, 2}, Label: 1}}, 1); err != nil {
 		t.Errorf("valid fit failed: %v", err)
 	}
 	if _, err := tr.Probabilities([]float64{1}); err == nil {
@@ -133,16 +133,16 @@ func TestDeterministicTraining(t *testing.T) {
 	train := synthSamples(800, 5)
 	a := NewModel(3, 3)
 	b := NewModel(3, 3)
-	if err := a.Fit(train, TrainConfig{Epochs: 30}); err != nil {
+	if err := a.Fit(train, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Fit(train, TrainConfig{Epochs: 30}); err != nil {
+	if err := b.Fit(train, 1); err != nil {
 		t.Fatal(err)
 	}
 	for c := range a.Weights {
 		for i := range a.Weights[c] {
 			if a.Weights[c][i] != b.Weights[c][i] {
-				t.Fatal("training must be deterministic for a fixed config")
+				t.Fatal("training must be deterministic for a fixed seed")
 			}
 		}
 	}
@@ -152,7 +152,7 @@ func TestDeterministicTraining(t *testing.T) {
 // and json.Unmarshal, the encoding artifacts.Store persists.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := NewModel(3, 3)
-	if err := m.Fit(synthSamples(500, 6), TrainConfig{Epochs: 20}); err != nil {
+	if err := m.Fit(synthSamples(500, 6), 1); err != nil {
 		t.Fatal(err)
 	}
 	val, err := json.Marshal(m)
@@ -174,7 +174,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // Property: probabilities are always a distribution, for any finite features.
 func TestProbabilityDistributionProperty(t *testing.T) {
 	m := NewModel(3, 5)
-	if err := m.Fit(synthSamples(300, 7), TrainConfig{Epochs: 10}); err != nil {
+	if err := m.Fit(synthSamples(300, 7), 1); err != nil {
 		t.Fatal(err)
 	}
 	f := func(a, b, c int16) bool {

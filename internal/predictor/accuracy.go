@@ -1,7 +1,6 @@
 package predictor
 
 import (
-	"repro/internal/mlr"
 	"repro/internal/trace"
 	"repro/internal/webapp"
 )
@@ -65,14 +64,16 @@ func EvaluateAccuracy(learner *SequenceLearner, corpus trace.Corpus, useDOM bool
 	return out, nil
 }
 
-// TrainOnSeenApps is a convenience that generates a training corpus from the
-// seen applications and trains a learner on it, mirroring the paper's
-// offline training on >100 traces across the 12 seen applications.
-func TrainOnSeenApps(tracesPerApp int, baseSeed int64) (*SequenceLearner, trace.Corpus, error) {
-	corpus := trace.GenerateCorpus(webapp.SeenApps(), tracesPerApp, baseSeed, trace.PurposeTrain, trace.Options{})
+// TrainOnSeenApps is the offline trainer: it generates tracesPerApp training
+// traces per seen application from corpusSeed and fits a learner on them
+// with trainSeed seeding the SGD shuffling, mirroring the paper's offline
+// training on >100 traces across the 12 seen applications. Equal arguments
+// give bit-identical models. The corpus is dropped once training is done.
+func TrainOnSeenApps(tracesPerApp int, corpusSeed, trainSeed int64) (*SequenceLearner, error) {
+	corpus := trace.GenerateCorpus(webapp.SeenApps(), tracesPerApp, corpusSeed, trace.PurposeTrain, trace.Options{})
 	learner := NewSequenceLearner()
-	if err := learner.Train(corpus, mlr.TrainConfig{}); err != nil {
-		return nil, nil, err
+	if err := learner.Train(corpus, trainSeed); err != nil {
+		return nil, err
 	}
-	return learner, corpus, nil
+	return learner, nil
 }

@@ -14,7 +14,7 @@ import (
 // implies across a campaign's millions of events) is what pushed the
 // pre-overhaul step past that budget.
 func TestPredictStepZeroAlloc(t *testing.T) {
-	learner, _, err := TrainOnSeenApps(2, 1)
+	learner, err := TrainOnSeenApps(2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestPredictStepZeroAlloc(t *testing.T) {
 // round: after the first round has sized the predictor's reusable buffers, a
 // repeat round over the same state must not allocate either.
 func TestPredictSequenceSteadyStateAlloc(t *testing.T) {
-	learner, _, err := TrainOnSeenApps(2, 1)
+	learner, err := TrainOnSeenApps(2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPredictSequenceSteadyStateAlloc(t *testing.T) {
 // a menu toggle), so the tree's derived state is recomputed before the
 // round reads it. The recompute must not allocate either.
 func TestPredictSequenceMutationZeroAlloc(t *testing.T) {
-	learner, _, err := TrainOnSeenApps(2, 1)
+	learner, err := TrainOnSeenApps(2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,15 +97,15 @@ func TrainingSamples(corpus trace.Corpus) ([]mlr.Sample, error) {
 	return samples, nil
 }
 
-// Train fits the learner on the corpus. Training is deterministic and cheap
-// (the paper reports ~3 s on a desktop CPU; this synthetic corpus trains in
-// well under a second).
-func (l *SequenceLearner) Train(corpus trace.Corpus, cfg mlr.TrainConfig) error {
+// Train fits the learner on the corpus, seed seeding the SGD shuffling.
+// Training is deterministic and cheap (the paper reports ~3 s on a desktop
+// CPU; this synthetic corpus trains in well under a second).
+func (l *SequenceLearner) Train(corpus trace.Corpus, seed int64) error {
 	samples, err := TrainingSamples(corpus)
 	if err != nil {
 		return err
 	}
-	return l.model.Fit(samples, cfg)
+	return l.model.Fit(samples, seed)
 }
 
 // predictScratch holds the reusable buffers of allocation-free learner

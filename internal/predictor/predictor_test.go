@@ -95,7 +95,7 @@ func TestLearnerFromModelShapeCheck(t *testing.T) {
 // trainSmall trains a learner on a small corpus for use in tests.
 func trainSmall(t *testing.T) *SequenceLearner {
 	t.Helper()
-	learner, _, err := TrainOnSeenApps(2, 9000)
+	learner, err := TrainOnSeenApps(2, 9000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPredictorAccuracyOnEvalTraces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("accuracy evaluation is slow")
 	}
-	learner, _, err := TrainOnSeenApps(3, 12000)
+	learner, err := TrainOnSeenApps(3, 12000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

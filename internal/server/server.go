@@ -192,8 +192,8 @@ type Server struct {
 	figures memo.Cache[string, *experiments.Table]
 }
 
-// New trains the shared predictor, generates the evaluation corpus, and
-// starts the campaign workers. Call Close to shut the workers down.
+// New trains the shared predictor (or loads it from the persistent store)
+// and starts the campaign workers. Call Close to shut the workers down.
 func New(cfg Config) (*Server, error) {
 	if cfg.JobWorkers <= 0 {
 		cfg.JobWorkers = 2

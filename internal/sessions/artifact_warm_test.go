@@ -19,7 +19,7 @@ import (
 // Result byte-identical to the cold path (fresh store, freshly generated
 // trace, page cache bypassed), for every scheduler.
 func TestArtifactWarmEqualsColdPath(t *testing.T) {
-	learner, _, err := predictor.TrainOnSeenApps(2, 1)
+	learner, err := predictor.TrainOnSeenApps(2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

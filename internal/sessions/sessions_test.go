@@ -32,7 +32,7 @@ func TestNewBuildsEveryScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.Generate(spec, 7, trace.Options{MaxEvents: 15})
-	learner, _, err := predictor.TrainOnSeenApps(2, 1)
+	learner, err := predictor.TrainOnSeenApps(2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestKeyVariantDisambiguates(t *testing.T) {
 		t.Errorf("trace with different DOMSeed shares key %+v", a.Key)
 	}
 
-	l1, _, err := predictor.TrainOnSeenApps(2, 1)
+	l1, err := predictor.TrainOnSeenApps(2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, _, err := predictor.TrainOnSeenApps(2, 2)
+	l2, err := predictor.TrainOnSeenApps(2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // strings stay byte-identical, so any change to the memo key, the trace or
 // platform fingerprint, or the learner fingerprint shows up here first.
 func TestStoreKeysArePinned(t *testing.T) {
-	learner, _, err := predictor.TrainOnSeenApps(2, 1)
+	learner, err := predictor.TrainOnSeenApps(2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

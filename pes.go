@@ -109,8 +109,7 @@ func DefaultPredictorConfig() PredictorConfig { return predictor.DefaultConfig()
 // TrainPredictor trains the event sequence learner on synthetic traces of
 // the seen applications (tracesPerApp per application) and returns it.
 func TrainPredictor(tracesPerApp int, seed int64) (*SequenceLearner, error) {
-	learner, _, err := predictor.TrainOnSeenApps(tracesPerApp, seed)
-	return learner, err
+	return predictor.TrainOnSeenApps(tracesPerApp, seed, 1)
 }
 
 // Schedulers.
@@ -259,8 +258,8 @@ type (
 // DefaultExperimentConfig returns the paper-equivalent harness settings.
 func DefaultExperimentConfig() ExperimentConfig { return experiments.DefaultConfig() }
 
-// NewExperiments prepares the experiment harness (trains the predictor and
-// generates the evaluation corpus).
+// NewExperiments prepares the experiment harness (trains the predictor; the
+// figures generate the evaluation traces when they first read them).
 func NewExperiments(cfg ExperimentConfig) (*Experiments, error) { return experiments.NewSetup(cfg) }
 
 // Simulation as a service.
