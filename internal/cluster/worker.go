@@ -54,12 +54,20 @@ const MaxSessions = 10_000
 // the one builder: the server's in-process path and worker shards both run
 // what it returns. The trace comes from the setup's artifact store, the
 // learner is the setup's trained model, and the predictor configuration is
-// taken verbatim from the spec.
+// taken verbatim from the spec. Each distinct (platform, trace) among the
+// specs is fingerprinted once, however many schedulers replay it.
 func BuildSessions(setup *experiments.Setup, specs []SessionSpec) ([]batch.Session, error) {
 	if len(specs) > MaxSessions {
 		return nil, fmt.Errorf("%d sessions exceed the %d-session limit", len(specs), MaxSessions)
 	}
 	out := make([]batch.Session, 0, len(specs))
+	// A campaign's sessions replay a few traces under several schedulers
+	// each: fingerprint each distinct (platform, trace) once.
+	type input struct {
+		platform *acmp.Platform
+		trace    *trace.Trace
+	}
+	fingerprints := make(map[input]string)
 	for i, spec := range specs {
 		platform, err := acmp.ByName(spec.Platform)
 		if err != nil {
@@ -70,14 +78,19 @@ func BuildSessions(setup *experiments.Setup, specs []SessionSpec) ([]batch.Sessi
 			return nil, fmt.Errorf("session %d: %w", i, err)
 		}
 		tr := setup.Artifacts.Trace(app, spec.TraceSeed, trace.PurposeEval, trace.Options{})
-		sess, err := sessions.New(sessions.Spec{
+		fp, ok := fingerprints[input{platform, tr}]
+		if !ok {
+			fp = setup.Artifacts.Fingerprint(platform, tr)
+			fingerprints[input{platform, tr}] = fp
+		}
+		sess, err := sessions.NewFingerprinted(sessions.Spec{
 			Platform:  platform,
 			Trace:     tr,
 			Scheduler: spec.Scheduler,
 			Learner:   setup.Learner,
 			Predictor: spec.Predictor,
 			Artifacts: setup.Artifacts,
-		})
+		}, fp)
 		if err != nil {
 			return nil, fmt.Errorf("session %d: %w", i, err)
 		}

@@ -3,9 +3,11 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/acmp"
 	"repro/internal/artifacts"
 	"repro/internal/experiments"
 	"repro/internal/sessions"
+	"repro/internal/trace"
 	"repro/internal/webapp"
 )
 
@@ -28,13 +30,60 @@ func poolCampaignSpecs(setup *experiments.Setup) []SessionSpec {
 	return specs
 }
 
+// TestBuildSessionsKeysMatchNew: BuildSessions fingerprints each distinct
+// (platform, trace) once and shares the key among its sessions; every memo
+// key must still be the one sessions.New computes for that session alone.
+// The specs interleave two pool campaigns on two trace seeds and both
+// platforms, so a key shared across the wrong pair shows.
+func TestBuildSessionsKeysMatchNew(t *testing.T) {
+	w := newTestWorker(t)
+	setup := w.Setup()
+	var specs []SessionSpec
+	for _, spec := range poolCampaignSpecs(setup) {
+		for _, platform := range []string{"Exynos5410", "TX2"} {
+			for _, seed := range []int64{100_000, 100_001} {
+				spec.Platform, spec.TraceSeed = platform, seed
+				specs = append(specs, spec)
+			}
+		}
+	}
+	sess, err := BuildSessions(setup, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		platform, err := acmp.ByName(spec.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := webapp.ByName(spec.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := sessions.New(sessions.Spec{
+			Platform:  platform,
+			Trace:     setup.Artifacts.Trace(app, spec.TraceSeed, trace.PurposeEval, trace.Options{}),
+			Scheduler: spec.Scheduler,
+			Learner:   setup.Learner,
+			Predictor: spec.Predictor,
+			Artifacts: setup.Artifacts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess[i].Key != alone.Key {
+			t.Errorf("session %d (%+v): key %+v, sessions.New gives %+v", i, spec, sess[i].Key, alone.Key)
+		}
+	}
+}
+
 // BenchmarkBuildSessions times the serial head of every campaign: building
 // one pool campaign's 18 sessions on one goroutine before any of them runs.
 // "cold" gives every iteration a fresh artifact store, so the campaign's
 // three traces are generated and hashed; "warm" reuses one store, so only
-// the platform half of each session's fingerprint (hashed fresh on every
-// call) and the session closures are built. Workers take the warm path for
-// every shard they receive.
+// the platform half of each trace's fingerprint (hashed fresh on every
+// build, once per distinct platform and trace) and the session closures
+// are built. Workers take the warm path for every shard they receive.
 func BenchmarkBuildSessions(b *testing.B) {
 	setup, err := experiments.NewSetup(smallConfig())
 	if err != nil {

@@ -7,6 +7,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/acmp"
@@ -276,23 +277,32 @@ func (p *Plan) Tables(results []*engine.Result) []*experiments.Table {
 // under a heavy-traffic framing the p95/p99 columns are what a QoS budget
 // is set against.
 func (p *Plan) percentileTable(results []*engine.Result) *experiments.Table {
-	var labels []string
-	latencies := map[string][]float64{}
-	ratios := map[string][]float64{}
-	violations := map[string]int{}
+	// One distribution per label, in first-seen order; each result looks
+	// its label up once, not once per outcome.
+	type dist struct {
+		label             string
+		latencies, ratios []float64
+		violations        int
+	}
+	var dists []*dist
+	byLabel := map[string]*dist{}
 	for i, r := range results {
 		if i >= len(p.Meta) || r == nil {
 			continue
 		}
-		label := p.Meta[i].Label
-		if _, ok := latencies[label]; !ok {
-			labels = append(labels, label)
+		d := byLabel[p.Meta[i].Label]
+		if d == nil {
+			d = &dist{label: p.Meta[i].Label}
+			byLabel[d.label] = d
+			dists = append(dists, d)
 		}
+		d.latencies = slices.Grow(d.latencies, len(r.Outcomes))
+		d.ratios = slices.Grow(d.ratios, len(r.Outcomes))
 		for _, o := range r.Outcomes {
-			latencies[label] = append(latencies[label], float64(o.Latency)/float64(simtime.Millisecond))
-			ratios[label] = append(ratios[label], float64(o.Latency)/float64(o.Event.QoSTarget()))
+			d.latencies = append(d.latencies, float64(o.Latency)/float64(simtime.Millisecond))
+			d.ratios = append(d.ratios, float64(o.Latency)/float64(o.Event.QoSTarget()))
 			if o.Violated {
-				violations[label]++
+				d.violations++
 			}
 		}
 	}
@@ -301,18 +311,22 @@ func (p *Plan) percentileTable(results []*engine.Result) *experiments.Table {
 		Title:   "Per-scheduler event latency percentiles vs QoS target (all sessions pooled)",
 		Columns: []string{"p50_ms", "p95_ms", "p99_ms", "p95_qos_ratio", "p99_qos_ratio", "violation_pct"},
 	}
-	for _, label := range labels {
-		ls, rs := latencies[label], ratios[label]
+	for _, d := range dists {
+		ls, rs := d.latencies, d.ratios
 		if len(ls) == 0 {
 			continue
 		}
-		tab.AddRow(label,
-			stats.Percentile(ls, 50),
-			stats.Percentile(ls, 95),
-			stats.Percentile(ls, 99),
-			stats.Percentile(rs, 95),
-			stats.Percentile(rs, 99),
-			100*float64(violations[label])/float64(len(ls)),
+		// Sort each slice once and read every percentile from it (the
+		// slices are this call's own, so sorting in place is safe).
+		sort.Float64s(ls)
+		sort.Float64s(rs)
+		tab.AddRow(d.label,
+			stats.PercentileSorted(ls, 50),
+			stats.PercentileSorted(ls, 95),
+			stats.PercentileSorted(ls, 99),
+			stats.PercentileSorted(rs, 95),
+			stats.PercentileSorted(rs, 99),
+			100*float64(d.violations)/float64(len(ls)),
 		)
 	}
 	return tab

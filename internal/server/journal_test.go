@@ -117,15 +117,19 @@ func TestJournalCrashResumeTailOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Arm after setup and before submit, counting past the spec record:
+			// setup artifacts and the spec record must land, the crash belongs
+			// to the campaign's result writes. The spec record is the first
+			// write after arming (the job worker waits for Submit to return
+			// before it runs the campaign), so the crash lands on result
+			// record 1 to 8, below the 10 result records plus the terminal
+			// state: the journal is guaranteed non-terminal on disk, however
+			// many results land before Submit returns.
+			in.ArmCrashAfter(int64(2 + rng.Intn(8)))
 			st1, err := s1.Submit(campaign)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Arm only after submit: setup artifacts and the spec record must
-			// land, the crash belongs to the campaign's result writes. The
-			// crash point stays below the 10 result records plus the terminal
-			// state, so the journal is guaranteed non-terminal on disk.
-			in.ArmCrashAfter(int64(1 + rng.Intn(8)))
 			// In-memory the campaign still completes — the store is a cache,
 			// not the source of truth, so failed Puts are logged, not fatal.
 			if got := pollTerminal(t, s1, st1.ID); got.Status != StatusDone {

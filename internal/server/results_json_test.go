@@ -17,18 +17,34 @@ import (
 	"repro/internal/webapp"
 )
 
-// poolCampaignJob runs, to completion, a campaign shaped like the
-// end-to-end benchmark's pool campaigns: three registry apps on one trace
-// seed under every scheduler plus one swept PES threshold, 18 sessions.
-func poolCampaignJob(tb testing.TB, s *Server) *job {
-	tb.Helper()
-	reg := webapp.Registry()
-	st, err := s.Submit(Campaign{
-		Apps:       []string{reg[0].Name, reg[1].Name, reg[2].Name},
+// poolCampaign is shaped like the end-to-end benchmark's pool campaigns:
+// the apps (three there, 18 sessions) on one trace seed under every
+// scheduler plus one swept PES threshold.
+func poolCampaign(apps ...*webapp.Spec) Campaign {
+	names := make([]string, len(apps))
+	for i, app := range apps {
+		names[i] = app.Name
+	}
+	return Campaign{
+		Apps:       names,
 		TraceSeeds: []int64{100_000},
 		Schedulers: sessions.Names(),
 		Sweep:      &Sweep{ConfidenceThresholds: []float64{0.3}},
-	})
+	}
+}
+
+// poolCampaignJob runs the pool campaign of the registry's first three apps
+// to completion.
+func poolCampaignJob(tb testing.TB, s *Server) *job {
+	tb.Helper()
+	reg := webapp.Registry()
+	return campaignJob(tb, s, poolCampaign(reg[0], reg[1], reg[2]), 18)
+}
+
+// campaignJob runs c to completion and checks it expanded to n sessions.
+func campaignJob(tb testing.TB, s *Server, c Campaign, n int) *job {
+	tb.Helper()
+	st, err := s.Submit(c)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -36,14 +52,54 @@ func poolCampaignJob(tb testing.TB, s *Server) *job {
 	deadline := time.Now().Add(2 * time.Minute)
 	for st = j.snapshot(); !terminal(st.Status); st = j.snapshot() {
 		if time.Now().After(deadline) {
-			tb.Fatalf("pool campaign %s still %s at deadline", st.ID, st.Status)
+			tb.Fatalf("campaign %s still %s at deadline", st.ID, st.Status)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st.Status != StatusDone || st.Sessions != 18 {
-		tb.Fatalf("pool campaign ended %s with %d sessions: %s", st.Status, st.Sessions, st.Error)
+	if st.Status != StatusDone || st.Sessions != n {
+		tb.Fatalf("campaign %s ended %s with %d sessions, want %d: %s", st.ID, st.Status, st.Sessions, n, st.Error)
 	}
 	return j
+}
+
+// poisonAfterDone gives row i of a finished campaign a NaN energy, in a
+// copy of its result, and drops the campaign's pending entry, which was
+// encoded before the NaN arrived: every later read encodes on demand.
+func poisonAfterDone(j *job, i int) {
+	settle(j)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	results := append([]*engine.Result(nil), j.results...)
+	bad := *results[i]
+	bad.TotalEnergyMJ = math.NaN()
+	results[i] = &bad
+	j.results = results
+	j.pending = nil
+}
+
+// poisonCached gives row i of a finished campaign a NaN energy in place, in
+// the result the runner's memo cache holds, so every later run of the same
+// campaign carries the NaN when its job worker encodes the pending entry:
+// the entry fails, and the first read falls back to the on-demand path.
+// The server must be the test's own, and no read may have encoded the row
+// yet (nothing orders such a read's handler before this write), so each
+// test poisons a campaign of its own.
+func poisonCached(j *job, i int) {
+	settle(j)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.results[i].TotalEnergyMJ = math.NaN()
+}
+
+// settle waits until the job worker has written j's pending entry, if j
+// still has one.
+func settle(j *job) {
+	j.mu.Lock()
+	p := j.pending
+	j.mu.Unlock()
+	if p != nil {
+		<-p.ready
+	}
 }
 
 // encodingJSONRows renders rows the way the NDJSON stream did before
@@ -99,17 +155,16 @@ func fetchBody(t *testing.T, url string) (int, []byte) {
 }
 
 // TestResultsBodiesByteIdenticalToEncodingJSON pins both results formats of
-// a pool campaign, filtered and not, to the bytes encoding/json renders for
-// the same rows: clients (and the benchmark's correctness sample) see no
-// change from the append-based encoder.
+// a pool campaign, under every filter, to the bytes encoding/json renders
+// for the same rows, on an in-process server and on a coordinator with two
+// workers: clients (and the benchmark's correctness sample) see no change
+// from the append-based encoder. Each format and filter gets a run of its
+// own, so its first read is served from the pending entry the job worker
+// encoded when the campaign finished, and its second read, encoded on
+// demand, must match it.
 func TestResultsBodiesByteIdenticalToEncodingJSON(t *testing.T) {
-	s := testServer(t)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	j := poolCampaignJob(t, s)
 	reg := webapp.Registry()
-
-	for _, c := range []struct {
+	filters := []struct {
 		query  string
 		filter rowFilter
 		rows   int
@@ -118,20 +173,41 @@ func TestResultsBodiesByteIdenticalToEncodingJSON(t *testing.T) {
 		{"app=" + reg[1].Name, rowFilter{app: reg[1].Name}, 6},
 		{"scheduler=pes", rowFilter{sched: sessions.PES}, 6},
 		{"app=" + reg[2].Name + "&scheduler=oracle", rowFilter{app: reg[2].Name, sched: sessions.Oracle}, 1},
-	} {
-		want := filteredResults(j, c.filter)
-		if len(want.Rows) != c.rows {
-			t.Fatalf("%q selects %d rows, want %d", c.query, len(want.Rows), c.rows)
-		}
-		base := ts.URL + "/v1/campaigns/" + j.id + "/results?" + c.query
-		code, doc := fetchBody(t, base)
-		if code != http.StatusOK || !bytes.Equal(doc, encodingJSONDocument(t, want)) {
-			t.Errorf("%q: document (status %d, %d bytes) differs from encoding/json's", c.query, code, len(doc))
-		}
-		code, stream := fetchBody(t, base+"&format=ndjson")
-		if code != http.StatusOK || !bytes.Equal(stream, encodingJSONRows(t, want.Rows)) {
-			t.Errorf("%q: NDJSON stream (status %d, %d bytes) differs from encoding/json's", c.query, code, len(stream))
-		}
+	}
+	for _, topo := range []struct {
+		name   string
+		server func(testing.TB) *Server
+	}{{"inproc", testServer}, {"cluster", clusterServer}} {
+		t.Run(topo.name, func(t *testing.T) {
+			s := topo.server(t)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for _, c := range filters {
+				for _, format := range []string{"document", "ndjson"} {
+					j := poolCampaignJob(t, s)
+					want := filteredResults(j, c.filter)
+					if len(want.Rows) != c.rows {
+						t.Fatalf("%q selects %d rows, want %d", c.query, len(want.Rows), c.rows)
+					}
+					url := ts.URL + "/v1/campaigns/" + j.id + "/results?" + c.query
+					wantBody := encodingJSONDocument(t, want)
+					if format == "ndjson" {
+						url += "&format=ndjson"
+						wantBody = encodingJSONRows(t, want.Rows)
+					}
+					before := s.health()
+					for _, read := range []string{"first", "second"} {
+						if code, body := fetchBody(t, url); code != http.StatusOK || !bytes.Equal(body, wantBody) {
+							t.Errorf("%s %q, %s read: status %d, %d bytes, differs from encoding/json's %d", format, c.query, read, code, len(body), len(wantBody))
+						}
+					}
+					after := s.health()
+					if p, o := after.ResultsPending-before.ResultsPending, after.ResultsOnDemand-before.ResultsOnDemand; p != 1 || o != 1 {
+						t.Errorf("%s %q: %d read(s) from the pending entry and %d on demand, want 1 and 1", format, c.query, p, o)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -139,6 +215,10 @@ func TestResultsBodiesByteIdenticalToEncodingJSON(t *testing.T) {
 // The results document answers 500 with an error body instead of a 200
 // with an empty one; the NDJSON stream answers 500 when the first row is
 // bad, and otherwise ends with one apiError line after the last good row.
+// The NaN reaches both the pending entry and the on-demand path: poisoned
+// after the campaign is done (the entry, encoded before, is dropped) and
+// present when it finishes (the entry fails to encode, and the first read
+// falls back).
 func TestUnencodableResultAnswers500(t *testing.T) {
 	s, err := New(smallConfig())
 	if err != nil {
@@ -147,48 +227,69 @@ func TestUnencodableResultAnswers500(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	results := func(j *job) string { return ts.URL + "/v1/campaigns/" + j.id + "/results" }
+	checkDocument := func(how string, j *job) {
+		t.Helper()
+		code, body := fetchBody(t, results(j))
+		var apiErr apiError
+		if code != http.StatusInternalServerError || json.Unmarshal(body, &apiErr) != nil || !strings.Contains(apiErr.Error, "NaN") {
+			t.Errorf("document, NaN %s: status %d body %q, want 500 with an error naming the NaN", how, code, body)
+		}
+	}
+	checkStream := func(how string, j *job, good []byte) {
+		t.Helper()
+		code, body := fetchBody(t, results(j)+"?format=ndjson")
+		rows := good[:nthLine(good, 5)]
+		var lineErr apiError
+		if code != http.StatusOK || !bytes.HasPrefix(body, rows) {
+			t.Errorf("NDJSON, NaN %s: status %d, %d bytes; want 200 and the 5 rows before the bad one (%d bytes) first", how, code, len(body), len(rows))
+		} else if tail := body[len(rows):]; bytes.Count(tail, []byte("\n")) != 1 || tail[len(tail)-1] != '\n' ||
+			json.Unmarshal(tail, &lineErr) != nil || !strings.HasPrefix(lineErr.Error, "encoding results: ") || !strings.Contains(lineErr.Error, "NaN") {
+			t.Errorf("NDJSON, NaN %s: after the 5 good rows got %q, want one error line naming the NaN", how, tail)
+		}
+	}
+	checkStream500 := func(how string, j *job) {
+		t.Helper()
+		code, body := fetchBody(t, results(j)+"?format=ndjson")
+		var apiErr apiError
+		if code != http.StatusInternalServerError || json.Unmarshal(body, &apiErr) != nil || !strings.Contains(apiErr.Error, "NaN") {
+			t.Errorf("NDJSON with a bad first row, NaN %s: status %d body %q, want 500 with an error", how, code, body)
+		}
+	}
+
 	j := poolCampaignJob(t, s)
-	base := ts.URL + "/v1/campaigns/" + j.id + "/results"
 	good := encodingJSONRows(t, filteredResults(j, rowFilter{}).Rows)
+	poisonAfterDone(j, 5)
+	checkDocument("after done", j)
+	checkStream("after done", j, good)
+	poisonAfterDone(j, 0)
+	checkStream500("after done", j)
 
-	poison := func(i int) {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		results := append([]*engine.Result(nil), j.results...)
-		bad := *results[i]
-		bad.TotalEnergyMJ = math.NaN()
-		results[i] = &bad
-		j.results = results
-	}
-	poison(5)
+	// Present at finish: each run's first read meets a failed entry. The
+	// campaigns are poisoned in the memo cache, so each is one of its own.
+	reg := webapp.Registry()
+	atFinish := poolCampaign(reg[3], reg[4], reg[5])
+	j = campaignJob(t, s, atFinish, 18)
+	good = encodingJSONRows(t, filteredResults(j, rowFilter{}).Rows)
+	poisonCached(j, 5)
+	checkDocument("at finish", campaignJob(t, s, atFinish, 18))
+	checkStream("at finish", campaignJob(t, s, atFinish, 18), good)
+	badFirst := poolCampaign(reg[6], reg[7], reg[8])
+	poisonCached(campaignJob(t, s, badFirst, 18), 0)
+	checkStream500("at finish", campaignJob(t, s, badFirst, 18))
 
-	code, body := fetchBody(t, base)
-	var apiErr apiError
-	if code != http.StatusInternalServerError || json.Unmarshal(body, &apiErr) != nil || !strings.Contains(apiErr.Error, "NaN") {
-		t.Errorf("document: status %d body %q, want 500 with an error naming the NaN", code, body)
-	}
-	code, body = fetchBody(t, base+"?format=ndjson")
-	rows := good[:nthLine(good, 5)]
-	var lineErr apiError
-	if code != http.StatusOK || !bytes.HasPrefix(body, rows) {
-		t.Errorf("NDJSON: status %d, %d bytes; want 200 and the 5 rows before the bad one (%d bytes) first", code, len(body), len(rows))
-	} else if tail := body[len(rows):]; bytes.Count(tail, []byte("\n")) != 1 || tail[len(tail)-1] != '\n' ||
-		json.Unmarshal(tail, &lineErr) != nil || !strings.HasPrefix(lineErr.Error, "encoding results: ") || !strings.Contains(lineErr.Error, "NaN") {
-		t.Errorf("NDJSON: after the 5 good rows got %q, want one error line naming the NaN", tail)
-	}
-
-	poison(0)
-	code, body = fetchBody(t, base+"?format=ndjson")
-	if code != http.StatusInternalServerError || json.Unmarshal(body, &apiErr) != nil || !strings.Contains(apiErr.Error, "NaN") {
-		t.Errorf("NDJSON with a bad first row: status %d body %q, want 500 with an error", code, body)
+	if h := s.health(); h.ResultsPending != 0 || h.ResultsOnDemand != 6 {
+		t.Errorf("%d read(s) served from a pending entry and %d on demand, want 0 and 6", h.ResultsPending, h.ResultsOnDemand)
 	}
 }
 
 // TestNDJSONStreamWritesBlocks: the NDJSON stream writes its rows in
 // blocks of at least ndjsonBlock bytes (the last may be short), with the
-// same bytes as one line per row. An unencodable row past the first block,
-// after good rows were already written, still gets a 200, exactly the good
-// rows before it and one error line.
+// same bytes as one line per row, whether the read is served from the
+// pending entry or encoded on demand. An unencodable row past the first
+// block, after good rows were already written, still gets a 200, exactly
+// the good rows before it and one error line: poisoned after the campaign
+// is done, and present when it finishes.
 func TestNDJSONStreamWritesBlocks(t *testing.T) {
 	s, err := New(smallConfig())
 	if err != nil {
@@ -198,46 +299,66 @@ func TestNDJSONStreamWritesBlocks(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	j := poolCampaignJob(t, s)
-	path := "/v1/campaigns/" + j.id + "/results?format=ndjson"
+	path := func(j *job) string { return "/v1/campaigns/" + j.id + "/results?format=ndjson" }
 	good := encodingJSONRows(t, filteredResults(j, rowFilter{}).Rows)
 
-	rec := &writeRecorder{ResponseRecorder: httptest.NewRecorder()}
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), good) {
-		t.Fatalf("status %d, %d bytes; want 200 and the %d bytes of one line per row", rec.Code, rec.Body.Len(), len(good))
-	}
-	if len(rec.writes) < 2 {
-		t.Fatalf("%d bytes in %d write(s); the pool campaign should span more than one block", len(good), len(rec.writes))
-	}
-	for i, n := range rec.writes[:len(rec.writes)-1] {
-		if n < ndjsonBlock {
-			t.Errorf("write %d of %d holds %d bytes, below the %d-byte block", i, len(rec.writes), n, ndjsonBlock)
+	for _, read := range []string{"pending", "on demand"} {
+		rec := &writeRecorder{ResponseRecorder: httptest.NewRecorder()}
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path(j), nil))
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), good) {
+			t.Fatalf("%s: status %d, %d bytes; want 200 and the %d bytes of one line per row", read, rec.Code, rec.Body.Len(), len(good))
+		}
+		if len(rec.writes) < 2 {
+			t.Fatalf("%s: %d bytes in %d write(s); the pool campaign should span more than one block", read, len(good), len(rec.writes))
+		}
+		for i, n := range rec.writes[:len(rec.writes)-1] {
+			if n < ndjsonBlock {
+				t.Errorf("%s: write %d of %d holds %d bytes, below the %d-byte block", read, i, len(rec.writes), n, ndjsonBlock)
+			}
 		}
 	}
+	if h := s.health(); h.ResultsPending != 1 || h.ResultsOnDemand != 1 {
+		t.Errorf("%d read(s) served from a pending entry and %d on demand, want 1 and 1", h.ResultsPending, h.ResultsOnDemand)
+	}
 
-	bad := 0 // the first row that starts past the first block
-	for nthLine(good, bad) < ndjsonBlock {
+	check := func(how string, j *job, good []byte, bad int) {
+		t.Helper()
+		code, body := fetchBody(t, ts.URL+path(j))
+		rows := good[:nthLine(good, bad)]
+		var lineErr apiError
+		if code != http.StatusOK || !bytes.HasPrefix(body, rows) {
+			t.Errorf("NaN %s: status %d, %d bytes; want 200 and the %d rows before the bad one (%d bytes) first", how, code, len(body), bad, len(rows))
+		} else if tail := body[len(rows):]; bytes.Count(tail, []byte("\n")) != 1 || tail[len(tail)-1] != '\n' ||
+			json.Unmarshal(tail, &lineErr) != nil || !strings.HasPrefix(lineErr.Error, "encoding results: ") || !strings.Contains(lineErr.Error, "NaN") {
+			t.Errorf("NaN %s: after the %d good rows got %q, want one error line naming the NaN", how, bad, tail)
+		}
+	}
+	bad := firstRowPastBlock(t, good)
+	poisonAfterDone(j, bad)
+	check("after done", j, good, bad)
+
+	// Present at finish, on a campaign of its own (see poisonCached).
+	reg := webapp.Registry()
+	atFinish := poolCampaign(reg[3], reg[4], reg[5])
+	j = campaignJob(t, s, atFinish, 18)
+	good = encodingJSONRows(t, filteredResults(j, rowFilter{}).Rows)
+	bad = firstRowPastBlock(t, good)
+	poisonCached(j, bad)
+	check("at finish", campaignJob(t, s, atFinish, 18), good, bad)
+}
+
+// firstRowPastBlock returns the first of the NDJSON rows that starts past
+// the first block.
+func firstRowPastBlock(t *testing.T, rows []byte) int {
+	t.Helper()
+	bad := 0
+	for nthLine(rows, bad) < ndjsonBlock {
 		bad++
 	}
-	if bad >= bytes.Count(good, []byte("\n")) {
-		t.Fatalf("row %d is past the pool campaign's rows", bad)
+	if bad >= bytes.Count(rows, []byte("\n")) {
+		t.Fatalf("row %d is past the campaign's rows", bad)
 	}
-	j.mu.Lock()
-	results := append([]*engine.Result(nil), j.results...)
-	poisoned := *results[bad]
-	poisoned.TotalEnergyMJ = math.NaN()
-	results[bad] = &poisoned
-	j.results = results
-	j.mu.Unlock()
-	code, body := fetchBody(t, ts.URL+path)
-	rows := good[:nthLine(good, bad)]
-	var lineErr apiError
-	if code != http.StatusOK || !bytes.HasPrefix(body, rows) {
-		t.Errorf("status %d, %d bytes; want 200 and the %d rows before the bad one (%d bytes) first", code, len(body), bad, len(rows))
-	} else if tail := body[len(rows):]; bytes.Count(tail, []byte("\n")) != 1 || tail[len(tail)-1] != '\n' ||
-		json.Unmarshal(tail, &lineErr) != nil || !strings.HasPrefix(lineErr.Error, "encoding results: ") || !strings.Contains(lineErr.Error, "NaN") {
-		t.Errorf("after the %d good rows got %q, want one error line naming the NaN", bad, tail)
-	}
+	return bad
 }
 
 // writeRecorder records the size of every body write; Flush is the
@@ -308,3 +429,50 @@ func BenchmarkResultRowsEncode(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkResultsRead times a results GET right after a pool campaign is
+// done, through the server's handler, in both formats: served from the
+// pending entry its job worker encoded when the campaign finished (each
+// iteration runs a fresh campaign, untimed, and waits until the entry is
+// written), and encoded on demand (repeat reads of one campaign).
+func BenchmarkResultsRead(b *testing.B) {
+	s := testServer(b)
+	h := s.Handler()
+	read := func(b *testing.B, j *job, query string) {
+		w := &discardWriter{header: http.Header{}, code: http.StatusOK}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/campaigns/"+j.id+"/results"+query, nil))
+		if w.code != http.StatusOK || w.n == 0 {
+			b.Fatalf("status %d, %d bytes", w.code, w.n)
+		}
+	}
+	for _, f := range []struct{ name, query string }{{"document", ""}, {"ndjson", "?format=ndjson"}} {
+		b.Run(f.name+"/pending", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				j := poolCampaignJob(b, s)
+				settle(j)
+				b.StartTimer()
+				read(b, j, f.query)
+			}
+		})
+		b.Run(f.name+"/on-demand", func(b *testing.B) {
+			j := poolCampaignJob(b, s)
+			read(b, j, f.query) // uses the entry up
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read(b, j, f.query)
+			}
+		})
+	}
+}
+
+// discardWriter is a ResponseWriter that counts the body and drops it.
+type discardWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }

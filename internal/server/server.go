@@ -97,6 +97,10 @@ type job struct {
 	status  string
 	results []*engine.Result
 	errMsg  string
+	// pending is the campaign's answer, encoded by its job worker when the
+	// campaign finished; the first results read takes it (nil after that,
+	// and once the worker takes its buffers back).
+	pending *pendingResults
 }
 
 // terminal reports whether a status is final.
@@ -190,6 +194,14 @@ type Server struct {
 	queue   chan *job
 	wg      sync.WaitGroup
 	figures memo.Cache[string, *experiments.Table]
+
+	// spare holds the emptied buffers of pending entries already read, for
+	// the job workers' next entries. Its capacity is JobWorkers, one for
+	// each worker that can need buffers at once; any more are let go.
+	spare chan resultsBuffers
+	// resultsPending and resultsOnDemand count the results reads served
+	// from a pending entry and those encoded when they arrived.
+	resultsPending, resultsOnDemand atomic.Int64
 }
 
 // New trains the shared predictor (or loads it from the persistent store)
@@ -223,6 +235,7 @@ func New(cfg Config) (*Server, error) {
 		log:     cfg.Logger,
 		jobs:    make(map[string]*job),
 		queue:   make(chan *job, cfg.QueueDepth),
+		spare:   make(chan resultsBuffers, cfg.JobWorkers),
 	}
 	if s.log == nil {
 		s.log = slog.Default()
@@ -285,9 +298,14 @@ func (s *Server) Close() {
 
 // worker executes queued campaigns until the queue closes. After shutdown
 // begins, jobs still in the queue are canceled — or, with a journal, left
-// queued on disk to resume on the next boot.
+// queued on disk to resume on the next boot. Once a campaign is done, the
+// worker encodes its answer into a pending entry for the first results read
+// (see pendingResults) while the client is still polling.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	// last is the entry this worker encoded for its previous campaign; the
+	// next one reuses its buffers.
+	var last *pendingResults
 	for j := range s.queue {
 		s.mu.Lock()
 		closed := s.closed
@@ -334,13 +352,117 @@ func (s *Server) worker() {
 			s.log.Warn("campaign failed",
 				"campaign", j.id, "trace", j.trace.TraceID(), "error", err)
 		} else {
-			j.setStatus(StatusDone, "")
+			p := &pendingResults{job: j, ready: make(chan struct{}), resultsBuffers: s.buffers(last)}
+			j.mu.Lock()
+			j.status, j.errMsg, j.pending = StatusDone, "", p
+			j.mu.Unlock()
 			s.journal.state(j.id, StatusDone, "")
 			s.log.Info("campaign done",
 				"campaign", j.id, "trace", j.trace.TraceID(),
 				"sessions", j.total, "elapsed", time.Since(start).Round(time.Millisecond))
+			p.encode(j.plan, results)
+			last = p
 		}
 	}
+}
+
+// pendingResults is a finished campaign's answer, encoded by the job worker
+// that ran it right after the campaign was marked done, while its client is
+// still polling: the job-service form of PES's pending frames, work done
+// ahead of the event that needs it. The first results read takes the entry
+// (waiting on ready if the worker is still writing it) and serves any
+// format and filter from its bytes; the entry is then used up. A read that
+// finds no entry, or one that is not ok, encodes on demand.
+//
+// Whoever clears the job's pending field owns the entry's buffers: the
+// read that takes it, which hands them to the spare buffers once it is
+// done, or the worker that ran the campaign, which takes them back for its
+// next campaign if no read took the entry. So each job worker parks at most
+// one entry at any time.
+type pendingResults struct {
+	job   *job
+	ready chan struct{} // closed once the fields below are written
+	// ok reports that every row and the tables encoded; a NaN anywhere
+	// leaves it false and sends the read to the on-demand path, which
+	// reports the error exactly as it always has.
+	ok bool
+	resultsBuffers
+	// tables and solver are the document's aggregate tables and the solver
+	// sum over every row.
+	tables, solver []byte
+}
+
+// resultsBuffers are the reusable buffers a pending entry is written into:
+// rows holds every row's JSON followed by '\n', in plan order, and row i
+// ends at ends[i], its newline included.
+type resultsBuffers struct {
+	rows []byte
+	ends []int
+}
+
+// buffers returns empty buffers for a job worker's next pending entry: those
+// of the worker's previous entry if no read took it (the worker takes it
+// back), else spare ones, else none, and the entry grows its own.
+func (s *Server) buffers(last *pendingResults) resultsBuffers {
+	if last != nil {
+		j := last.job
+		j.mu.Lock()
+		parked := j.pending == last
+		if parked {
+			j.pending = nil
+		}
+		j.mu.Unlock()
+		if parked {
+			return resultsBuffers{last.rows[:0], last.ends[:0]}
+		}
+	}
+	select {
+	case b := <-s.spare:
+		return b
+	default:
+		return resultsBuffers{}
+	}
+}
+
+// release hands the buffers of an entry a read took, emptied, to the spare
+// buffers once the read is done with them.
+func (s *Server) release(p *pendingResults) {
+	select {
+	case s.spare <- resultsBuffers{p.rows[:0], p.ends[:0]}:
+	default: // JobWorkers spares are already waiting
+	}
+}
+
+// maxPendingBytes bounds the rows a pending entry holds. A campaign whose
+// rows run past it (a sweep of several hundred sessions) is read on demand,
+// so no job worker keeps a buffer much larger than this, and the NDJSON
+// stream of a large sweep still never holds it whole.
+const maxPendingBytes = 8 << 20
+
+// encode writes the campaign's answer into the entry and closes ready. It
+// leaves the entry not ok when a row or the tables cannot be encoded, or
+// when the rows outgrow maxPendingBytes.
+func (p *pendingResults) encode(plan *Plan, results []*engine.Result) {
+	defer close(p.ready)
+	var solver optimizer.SolverCounts
+	for i, res := range results {
+		var err error
+		if p.rows, err = (ResultRow{SessionMeta: plan.Meta[i], Result: res}).appendJSON(p.rows); err != nil {
+			return
+		}
+		p.rows = append(p.rows, '\n')
+		if len(p.rows) > maxPendingBytes {
+			return
+		}
+		p.ends = append(p.ends, len(p.rows))
+		solver = solver.Add(res.Solver)
+	}
+	var err error
+	if p.tables, err = json.Marshal(plan.Tables(results)); err != nil {
+		return
+	}
+	p.solver, _ = json.Marshal(solver) // integer counters always encode
+	p.ok = true
 }
 
 // execute runs one expanded campaign and returns its results index-aligned
@@ -728,12 +850,19 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	results := j.results
+	results, p := j.results, j.pending
+	j.pending = nil // an entry is used up by its first read
 	j.mu.Unlock()
+	ndjson := wantsNDJSON(r)
+	if p != nil && s.servePending(w, j, p, results, filter, ndjson) {
+		s.resultsPending.Add(1)
+		return
+	}
+	s.resultsOnDemand.Add(1)
 
 	buf := resultBufs.Get().(*[]byte)
 	defer resultBufs.Put(buf)
-	if wantsNDJSON(r) {
+	if ndjson {
 		// Stream one ResultRow per line so a large sharded sweep never
 		// materializes as one giant document on either side. Aggregate
 		// tables/solver stats are JSON-mode only. Rows are encoded into
@@ -802,6 +931,73 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	*buf = append(*buf, '\n')
 	writeBody(w, http.StatusOK, *buf)
+}
+
+// servePending answers a results read from the pending entry it took: the
+// same bytes, and for NDJSON the same blocks, as the on-demand path below,
+// written straight from the entry's buffer. The entry is used up by this
+// read, so the read may rewrite that buffer: the rows the filter selects
+// move to its front, and for the document each row's newline becomes the
+// comma that joins it to the next. It waits for the entry if the worker is
+// still writing it, and reports false, having written nothing, when the
+// entry is not ok. Either way it releases the entry's buffers.
+func (s *Server) servePending(w http.ResponseWriter, j *job, p *pendingResults, results []*engine.Result, filter rowFilter, ndjson bool) bool {
+	<-p.ready
+	defer s.release(p)
+	if !p.ok {
+		return false
+	}
+	n, k, start := 0, 0, 0 // bytes and rows kept; where row i starts
+	var sum optimizer.SolverCounts
+	for i, end := range p.ends {
+		row := p.rows[start:end]
+		start = end
+		if !filter.match(j.plan.Meta[i]) {
+			continue
+		}
+		n += copy(p.rows[n:], row)
+		p.ends[k] = n
+		k++
+		sum = sum.Add(results[i].Solver)
+	}
+	rows, ends := p.rows[:n], p.ends[:k]
+
+	if ndjson {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		flusher, _ := w.(http.Flusher)
+		from := 0
+		for _, end := range ends {
+			if end-from >= ndjsonBlock || end == n {
+				if !writeBlock(w, flusher, rows[from:end]) {
+					return true // client went away
+				}
+				from = end
+			}
+		}
+		return true
+	}
+
+	for _, end := range ends {
+		rows[end-1] = ','
+	}
+	if n > 0 {
+		rows = rows[:n-1] // the last row's separator
+	}
+	solver := p.solver
+	if filter != (rowFilter{}) {
+		solver, _ = json.Marshal(sum) // the solver sum honors the filter
+	}
+	id, _ := json.Marshal(j.id) // a string always encodes
+	head := append(append([]byte(`{"id":`), id...), `,"rows":[`...)
+	tail := append(append([]byte(`],"tables":`), p.tables...), `,"solver":`...)
+	tail = append(append(tail, solver...), "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	for _, part := range [][]byte{head, rows, tail} {
+		if _, err := w.Write(part); err != nil {
+			return true // client went away
+		}
+	}
+	return true
 }
 
 // ndjsonBlock is the least number of bytes the NDJSON results stream
@@ -912,6 +1108,13 @@ type health struct {
 	// campaigns at boot. Always present (no omitempty): the CI chaos smoke
 	// gates on the exact resumed count, and 0 is an answer, not an absence.
 	Journaled bool `json:"journaled" metric:"pes_journaled" help:"1 when a persistent store journals campaign lifecycles."`
+	// ResultsPending counts results reads served from the bytes a job
+	// worker encoded when the campaign finished, ResultsOnDemand those
+	// encoded when they arrived (a repeat read, an entry already taken
+	// back, or one that failed to encode): the committed and the squashed
+	// frames of PES, for the service.
+	ResultsPending  int64 `json:"results_pending_reads" metric:"pes_results_reads_total,source=pending" help:"Campaign results reads, by where their bytes were encoded."`
+	ResultsOnDemand int64 `json:"results_on_demand_reads" metric:"pes_results_reads_total,source=on_demand" help:"Campaign results reads, by where their bytes were encoded."`
 	RecoverySummary
 }
 
@@ -927,6 +1130,8 @@ func (s *Server) health() health {
 		Workers:         s.setup.Runner.Workers(),
 		QueueDepth:      len(s.queue),
 		Journaled:       s.journal != nil,
+		ResultsPending:  s.resultsPending.Load(),
+		ResultsOnDemand: s.resultsOnDemand.Load(),
 		RecoverySummary: s.recovery,
 	}
 	if s.cfg.Cluster != nil {

@@ -85,11 +85,19 @@ func PredictorKey(cfg predictor.Config) string {
 // from the spec's artifact store, which shares one content hash per trace.
 // Without a store the trace is hashed per session.
 func New(s Spec) (batch.Session, error) {
+	return NewFingerprinted(s, s.Artifacts.Fingerprint(s.Platform, s.Trace))
+}
+
+// NewFingerprinted is New with the memo fingerprint of the spec's platform
+// and trace computed by the caller: it must be
+// s.Artifacts.Fingerprint(s.Platform, s.Trace). A caller that builds many
+// sessions of one platform and trace computes it once for all of them.
+func NewFingerprinted(s Spec, fingerprint string) (batch.Session, error) {
 	name, err := Canonical(s.Scheduler)
 	if err != nil {
 		return batch.Session{}, err
 	}
-	p, tr, store := s.Platform, s.Trace, s.Artifacts
+	p, tr := s.Platform, s.Trace
 	// Populate the platform's lazy config cache now, from this goroutine:
 	// the run closure may execute on any batch worker concurrently with
 	// other sessions sharing the platform.
@@ -99,7 +107,7 @@ func New(s Spec) (batch.Session, error) {
 		App:       tr.App,
 		TraceSeed: tr.Seed,
 		Scheduler: name,
-		Variant:   store.Fingerprint(p, tr),
+		Variant:   fingerprint,
 	}
 	var run func() (*engine.Result, time.Duration, error)
 	switch name {

@@ -11,7 +11,15 @@ import (
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. It panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile of a slice already in sort.Float64s
+// order, read without a copy: sort once, then read several percentiles.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		panic("stats: Percentile of empty slice")
 	}
 	if p < 0 {
@@ -20,8 +28,6 @@ func Percentile(xs []float64, p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
