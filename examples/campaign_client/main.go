@@ -1,6 +1,8 @@
 // Campaign client: drive a running pes-serve instance over HTTP — submit a
 // campaign, poll its progress, print the aggregate energy/QoS tables, and
-// read the server's cache counters from /healthz.
+// read the server's cache counters from /healthz. The submit answers once
+// the campaign is done or after at most 50 ms, so a campaign that finishes
+// in time comes back "done" and the poll loop below never runs.
 //
 // Start the service first, then run the client:
 //

@@ -49,7 +49,7 @@ func TestConcurrentCampaignsBuildArtifactsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := s.Submit(campaign)
+			st, err := submitStatus(s, campaign)
 			if err != nil {
 				t.Error(err)
 				return

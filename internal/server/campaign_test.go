@@ -1,13 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"repro/internal/acmp"
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/predictor"
+	"repro/internal/sessions"
 	"repro/internal/simtime"
 	"repro/internal/stats"
+	"repro/internal/webapp"
 )
 
 // percentileTableReference is Plan.percentileTable as it was before it
@@ -81,4 +89,52 @@ func TestPercentileTableMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzCampaignExpand feeds fuzzed bodies through the campaign POST's
+// decoder and Campaign.Expand. Neither may panic; a body the decoder
+// refuses answers 400 or 413; a rejected campaign returns an error and no
+// plan; an accepted plan has one spec per metadata row, between 1 and
+// cluster.MaxSessions of them, each naming a canonical scheduler, platform
+// and app, and agreeing with its metadata. The seed corpus is in
+// testdata/fuzz/FuzzCampaignExpand. Expand reads only the setup's
+// predictor defaults, so no predictor is trained.
+func FuzzCampaignExpand(f *testing.F) {
+	setup := &experiments.Setup{Config: experiments.Config{Predictor: predictor.DefaultConfig()}}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/campaigns", bytes.NewReader(body))
+		var c Campaign
+		if !decodeBody(w, r, maxCampaignBytes, "campaign", &c) {
+			if w.Code != http.StatusBadRequest && w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("undecodable body answered %d", w.Code)
+			}
+			return
+		}
+		plan, err := c.Expand(setup)
+		if err != nil {
+			if plan != nil || err.Error() == "" {
+				t.Fatalf("rejected campaign returned plan %v and error %q", plan, err)
+			}
+			return
+		}
+		if n := len(plan.Meta); n != len(plan.Specs) || n < 1 || n > cluster.MaxSessions {
+			t.Fatalf("plan has %d metadata rows and %d specs, want the same count in [1, %d]", n, len(plan.Specs), cluster.MaxSessions)
+		}
+		for i, m := range plan.Meta {
+			spec := plan.Specs[i]
+			if canon, err := sessions.Canonical(m.Scheduler); err != nil || canon != m.Scheduler {
+				t.Fatalf("session %d names scheduler %q, not a canonical name", i, m.Scheduler)
+			}
+			if p, err := acmp.ByName(m.Platform); err != nil || p.Name != m.Platform {
+				t.Fatalf("session %d names platform %q, not a canonical name", i, m.Platform)
+			}
+			if a, err := webapp.ByName(m.App); err != nil || a.Name != m.App {
+				t.Fatalf("session %d names app %q, not a canonical name", i, m.App)
+			}
+			if spec.Platform != m.Platform || spec.App != m.App || spec.TraceSeed != m.TraceSeed || spec.Scheduler != m.Scheduler {
+				t.Fatalf("session %d: spec %+v disagrees with its metadata %+v", i, spec, m)
+			}
+		}
+	})
 }

@@ -7,9 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -207,20 +205,14 @@ func (s *Server) recoverJournal() RecoverySummary {
 			// retried forever, and surface the failure as a queryable job.
 			s.log.Warn("resuming campaign failed", "campaign", e.id, "error", err)
 			s.journal.state(e.id, StatusFailed, err.Error())
-			j := &job{id: e.id, plan: &Plan{}, total: e.spec.Sessions, status: StatusFailed, errMsg: err.Error()}
+			j := newJob(e.id, &Plan{}, e.spec.Sessions)
+			j.finish(StatusFailed, err.Error(), nil)
 			s.jobs[e.id] = j
 			s.order = append(s.order, e.id)
 			sum.Failed++
 			continue
 		}
-		j := &job{
-			id:       e.id,
-			plan:     plan,
-			total:    len(plan.Meta),
-			status:   StatusQueued,
-			trace:    obs.NewRecorder(obs.MintTraceID(e.id)),
-			enqueued: time.Now(),
-		}
+		j := newJob(e.id, plan, len(plan.Meta))
 		select {
 		case s.queue <- j:
 		default:

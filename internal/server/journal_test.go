@@ -57,7 +57,7 @@ func TestJournalWritesOnlySpecAndState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	js, err := s.Submit(Campaign{Apps: []string{"cnn", "ebay"}}) // 10 sessions
+	js, err := submitStatus(s, Campaign{Apps: []string{"cnn", "ebay"}}) // 10 sessions
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestJournalCrashResumeTailOnly(t *testing.T) {
 
 	// Uninterrupted reference on the shared (storeless) server.
 	ref := testServer(t)
-	refSt, err := ref.Submit(campaign)
+	refSt, err := submitStatus(ref, campaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestJournalCrashResumeTailOnly(t *testing.T) {
 			// state: the journal is guaranteed non-terminal on disk, however
 			// many results land before Submit returns.
 			in.ArmCrashAfter(int64(2 + rng.Intn(8)))
-			st1, err := s1.Submit(campaign)
+			st1, err := submitStatus(s1, campaign)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestJournalResumesRetiredOracleVersion(t *testing.T) {
 	}
 	campaign := Campaign{Apps: []string{"cnn"}, Schedulers: []string{"Oracle"}}
 	ref := testServer(t)
-	refSt, err := ref.Submit(campaign)
+	refSt, err := submitStatus(ref, campaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestDrainLeavesQueuedCampaignsResumable(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		jst, err := s.Submit(Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "Ondemand", "Interactive"}})
+		jst, err := submitStatus(s, Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "Ondemand", "Interactive"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func TestDrainStopsUnplacedSessions(t *testing.T) {
 	}
 	s, coord := boot(st)
 	defer coord.Close()
-	jst, err := s.Submit(campaign)
+	jst, err := submitStatus(s, campaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestDrainStopsUnplacedSessions(t *testing.T) {
 	}
 
 	ref := testServer(t)
-	rst, err := ref.Submit(campaign)
+	rst, err := submitStatus(ref, campaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,10 +427,10 @@ func TestSubmitQueueFull429(t *testing.T) {
 		jobs:  make(map[string]*job),
 		queue: make(chan *job, 1),
 	}
-	if _, err := s.Submit(Campaign{Apps: []string{"cnn"}}); err != nil {
+	if _, err := submitStatus(s, Campaign{Apps: []string{"cnn"}}); err != nil {
 		t.Fatalf("first Submit: %v", err)
 	}
-	if _, err := s.Submit(Campaign{Apps: []string{"cnn"}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := submitStatus(s, Campaign{Apps: []string{"cnn"}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("second Submit error = %v, want ErrQueueFull", err)
 	}
 	ts := httptest.NewServer(s.Handler())

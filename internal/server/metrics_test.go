@@ -87,7 +87,7 @@ func scrapeMetrics(t *testing.T, h http.Handler) map[string]float64 {
 func TestMetricsEndpointMonotonicAcrossRepeatCampaign(t *testing.T) {
 	s := testServer(t)
 	campaign := Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "PES"}}
-	st1, err := s.Submit(campaign)
+	st1, err := submitStatus(s, campaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMetricsEndpointMonotonicAcrossRepeatCampaign(t *testing.T) {
 			inf, before["pes_session_seconds_count"])
 	}
 
-	st2, err := s.Submit(campaign)
+	st2, err := submitStatus(s, campaign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestHealthzAgreesWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	jst, err := s.Submit(Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "PES"}})
+	jst, err := submitStatus(s, Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "PES"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestHealthzAgreesWithMetrics(t *testing.T) {
 // labeled with the local lane — all stamped with the same trace ID.
 func TestTraceEndpointTimeline(t *testing.T) {
 	s := testServer(t)
-	st, err := s.Submit(Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS"}})
+	st, err := submitStatus(s, Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestTraceTimelineStableAcrossJournalResume(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		jst, err := s1.Submit(Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "Ondemand"}})
+		jst, err := submitStatus(s1, Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "Ondemand"}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func TestPendingEntriesBoundedByJobWorkers(t *testing.T) {
 	const n = 8
 	var ids []string
 	for range n {
-		st, err := s.Submit(Campaign{Apps: []string{"cnn", "ebay"}})
+		st, err := submitStatus(s, Campaign{Apps: []string{"cnn", "ebay"}})
 		if err != nil {
 			t.Fatal(err)
 		}

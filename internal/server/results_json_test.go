@@ -44,7 +44,7 @@ func poolCampaignJob(tb testing.TB, s *Server) *job {
 // campaignJob runs c to completion and checks it expanded to n sessions.
 func campaignJob(tb testing.TB, s *Server, c Campaign, n int) *job {
 	tb.Helper()
-	st, err := s.Submit(c)
+	st, err := submitStatus(s, c)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -61,7 +61,7 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// ErrQueueFull is returned by Submit when QueueDepth campaigns are already
+// ErrQueueFull is returned by submit when QueueDepth campaigns are already
 // waiting — admission control instead of unbounded memory growth. The HTTP
 // layer maps it to 429 Too Many Requests with a Retry-After header.
 var ErrQueueFull = errors.New("campaign queue is full")
@@ -101,6 +101,22 @@ type job struct {
 	// campaign finished; the first results read takes it (nil after that,
 	// and once the worker takes its buffers back).
 	pending *pendingResults
+	// finished is closed when the job reaches a terminal status (finish),
+	// which ends the hold of the POST that submitted it.
+	finished chan struct{}
+}
+
+// newJob returns a queued job for a campaign expanded to total sessions.
+func newJob(id string, plan *Plan, total int) *job {
+	return &job{
+		id:       id,
+		plan:     plan,
+		total:    total,
+		trace:    obs.NewRecorder(obs.MintTraceID(id)),
+		enqueued: time.Now(),
+		status:   StatusQueued,
+		finished: make(chan struct{}),
+	}
 }
 
 // terminal reports whether a status is final.
@@ -108,11 +124,14 @@ func terminal(status string) bool {
 	return status == StatusDone || status == StatusFailed || status == StatusCanceled
 }
 
-func (j *job) setStatus(status, errMsg string) {
+// finish moves the job to a terminal status, with a done campaign's pending
+// entry set in the same critical section, and closes finished. It is the
+// one place a job becomes terminal, and a job becomes terminal once.
+func (j *job) finish(status, errMsg string, pending *pendingResults) {
 	j.mu.Lock()
-	j.status = status
-	j.errMsg = errMsg
+	j.status, j.errMsg, j.pending = status, errMsg, pending
 	j.mu.Unlock()
+	close(j.finished)
 }
 
 // snapshot returns the job's externally visible state.
@@ -202,6 +221,9 @@ type Server struct {
 	// resultsPending and resultsOnDemand count the results reads served
 	// from a pending entry and those encoded when they arrived.
 	resultsPending, resultsOnDemand atomic.Int64
+	// submitsTerminal and submitsPending count the campaign POSTs answered
+	// with a terminal status and those answered still queued or running.
+	submitsTerminal, submitsPending atomic.Int64
 }
 
 // New trains the shared predictor (or loads it from the persistent store)
@@ -317,10 +339,12 @@ func (s *Server) worker() {
 				// queued, which is also what the journal says.
 				continue
 			}
-			j.setStatus(StatusCanceled, "server shut down before the campaign started")
+			j.finish(StatusCanceled, "server shut down before the campaign started", nil)
 			continue
 		}
-		j.setStatus(StatusRunning, "")
+		j.mu.Lock()
+		j.status = StatusRunning
+		j.mu.Unlock()
 		j.trace.Record(obs.Span{
 			Name: "queue_wait", StartUS: j.enqueued.UnixMicro(),
 			DurUS: time.Since(j.enqueued).Microseconds(),
@@ -347,20 +371,21 @@ func (s *Server) worker() {
 		j.results = results
 		j.mu.Unlock()
 		if err != nil {
-			j.setStatus(StatusFailed, err.Error())
+			j.finish(StatusFailed, err.Error(), nil)
 			s.journal.state(j.id, StatusFailed, err.Error())
 			s.log.Warn("campaign failed",
 				"campaign", j.id, "trace", j.trace.TraceID(), "error", err)
 		} else {
 			p := &pendingResults{job: j, ready: make(chan struct{}), resultsBuffers: s.buffers(last)}
-			j.mu.Lock()
-			j.status, j.errMsg, j.pending = StatusDone, "", p
-			j.mu.Unlock()
+			j.finish(StatusDone, "", p)
+			// Encode first: finish has just released a held POST, whose
+			// results read now waits on p.ready, and the journal write and
+			// the log line need not stand in its way.
+			p.encode(j.plan, results)
 			s.journal.state(j.id, StatusDone, "")
 			s.log.Info("campaign done",
 				"campaign", j.id, "trace", j.trace.TraceID(),
 				"sessions", j.total, "elapsed", time.Since(start).Round(time.Millisecond))
-			p.encode(j.plan, results)
 			last = p
 		}
 	}
@@ -517,36 +542,31 @@ func (s *Server) execute(j *job, progress func(completed, total int)) ([]*engine
 	return results, err
 }
 
-// Submit validates and enqueues a campaign, returning its job status. The
+// submit validates and enqueues a campaign, returning its job and whether
+// it was admitted behind another campaign already waiting in the queue. The
 // campaign is expanded into wire specs only, in either mode: submission
 // generates no trace, and the sessions are built when the campaign runs.
-func (s *Server) Submit(c Campaign) (JobStatus, error) {
+// submit does not wait for the campaign; the POST handler's hold does.
+func (s *Server) submit(c Campaign) (j *job, behind bool, err error) {
 	plan, err := c.Expand(s.setup)
 	if err != nil {
-		return JobStatus{}, err
+		return nil, false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return JobStatus{}, fmt.Errorf("server is shutting down")
+		return nil, false, fmt.Errorf("server is shutting down")
 	}
 	s.nextID++
-	id := fmt.Sprintf("c%04d", s.nextID)
-	j := &job{
-		id:       id,
-		plan:     plan,
-		total:    len(plan.Meta),
-		trace:    obs.NewRecorder(obs.MintTraceID(id)),
-		enqueued: time.Now(),
-		status:   StatusQueued,
-	}
+	j = newJob(fmt.Sprintf("c%04d", s.nextID), plan, len(plan.Meta))
+	behind = len(s.queue) > 0
 	// The queue is buffered, so a non-blocking send under s.mu is safe —
 	// and holding the lock here means Close (which closes the channel under
 	// the same lock) cannot race the send.
 	select {
 	case s.queue <- j:
 	default:
-		return JobStatus{}, fmt.Errorf("%w (%d campaigns pending)", ErrQueueFull, s.cfg.QueueDepth)
+		return nil, false, fmt.Errorf("%w (%d campaigns pending)", ErrQueueFull, s.cfg.QueueDepth)
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -554,7 +574,7 @@ func (s *Server) Submit(c Campaign) (JobStatus, error) {
 	// Journal only after the job is actually admitted: a spec record is a
 	// promise the campaign will reach a terminal state.
 	s.journal.spec(j.id, c, j.total)
-	return j.snapshot(), nil
+	return j, behind, nil
 }
 
 // evictLocked drops the oldest finished jobs while more than MaxJobs are
@@ -607,7 +627,8 @@ func (s *Server) figure(name string) (*experiments.Table, error) {
 
 // Handler returns the HTTP API:
 //
-//	POST /v1/campaigns              submit a campaign (JSON body), 202 + job id
+//	POST /v1/campaigns              submit a campaign (JSON body), 202 + job
+//	                                status once it is done or at submitHold
 //	GET  /v1/campaigns/{id}         job status and progress
 //	GET  /v1/campaigns/{id}/results per-session results + aggregate tables
 //	GET  /v1/campaigns/{id}/trace   the campaign's span timeline
@@ -766,7 +787,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxCampaignBytes, "campaign", &c) {
 		return
 	}
-	st, err := s.Submit(c)
+	j, behind, err := s.submit(c)
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			// Admission control, not a client mistake: tell the client when
@@ -778,8 +799,36 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
+	if !behind {
+		// Hold the answer until the campaign finishes, so a short campaign
+		// answers done and its client reads the results next instead of
+		// sleeping through a poll. A campaign queued behind another does
+		// not wait: a client filling the queue pays no bound per campaign.
+		hold := time.NewTimer(submitHold)
+		select {
+		case <-j.finished:
+		case <-hold.C:
+		case <-r.Context().Done():
+		}
+		hold.Stop()
+	}
+	st := j.snapshot()
+	if terminal(st.Status) {
+		s.submitsTerminal.Add(1)
+	} else {
+		s.submitsPending.Add(1)
+	}
+	// 202 even when the campaign is already done: the status in the body
+	// says so, and the answer's contract is the same either way.
 	writeJSON(w, http.StatusAccepted, st)
 }
+
+// submitHold bounds how long a campaign POST waits for its campaign to reach
+// a terminal status before answering with the status it has. An 18-session
+// campaign runs in about a millisecond warm and a few cold, so both come
+// back done; a client that wants a longer campaign's id to show progress
+// gets it after a wait it does not notice.
+const submitHold = 50 * time.Millisecond
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobByID(r.PathValue("id"))
@@ -1115,6 +1164,12 @@ type health struct {
 	// frames of PES, for the service.
 	ResultsPending  int64 `json:"results_pending_reads" metric:"pes_results_reads_total,source=pending" help:"Campaign results reads, by where their bytes were encoded."`
 	ResultsOnDemand int64 `json:"results_on_demand_reads" metric:"pes_results_reads_total,source=on_demand" help:"Campaign results reads, by where their bytes were encoded."`
+	// SubmitsTerminal counts the campaign POSTs whose hold ended with the
+	// campaign finished, SubmitsPending those answered still queued or
+	// running (at the bound, queued behind another campaign, or the client
+	// gone): whether the hold spares clients their status polls.
+	SubmitsTerminal int64 `json:"submits_answered_terminal" metric:"pes_submit_answers_total,status=terminal" help:"Campaign submissions answered, by whether the campaign had finished."`
+	SubmitsPending  int64 `json:"submits_answered_pending" metric:"pes_submit_answers_total,status=pending" help:"Campaign submissions answered, by whether the campaign had finished."`
 	RecoverySummary
 }
 
@@ -1132,6 +1187,8 @@ func (s *Server) health() health {
 		Journaled:       s.journal != nil,
 		ResultsPending:  s.resultsPending.Load(),
 		ResultsOnDemand: s.resultsOnDemand.Load(),
+		SubmitsTerminal: s.submitsTerminal.Load(),
+		SubmitsPending:  s.submitsPending.Load(),
 		RecoverySummary: s.recovery,
 	}
 	if s.cfg.Cluster != nil {

@@ -41,6 +41,16 @@ func testServer(t testing.TB) *Server {
 	return srv
 }
 
+// submitStatus admits a campaign the way the POST handler does, without its
+// hold, and returns the job's status at admission.
+func submitStatus(s *Server, c Campaign) (JobStatus, error) {
+	j, _, err := s.submit(c)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return j.snapshot(), nil
+}
+
 func TestCampaignExpansionDefaults(t *testing.T) {
 	s := testServer(t)
 	plan, err := Campaign{}.Expand(s.Setup())
@@ -371,7 +381,7 @@ func TestShutdownCancelsQueuedJobs(t *testing.T) {
 	// the queue and must be canceled (not run) once shutdown begins.
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, err := s.Submit(Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "Ondemand", "Interactive"}})
+		st, err := submitStatus(s, Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS", "Ondemand", "Interactive"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +400,7 @@ func TestShutdownCancelsQueuedJobs(t *testing.T) {
 			t.Errorf("after Close, job %s is %s, want done or canceled", id, st.Status)
 		}
 	}
-	if _, err := s.Submit(Campaign{}); err == nil {
+	if _, err := submitStatus(s, Campaign{}); err == nil {
 		t.Error("Submit after Close succeeded, want error")
 	}
 	// Close is idempotent.
@@ -412,7 +422,7 @@ func TestJobEviction(t *testing.T) {
 	defer s.Close()
 	submitAndWait := func() string {
 		t.Helper()
-		st, err := s.Submit(Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS"}})
+		st, err := submitStatus(s, Campaign{Apps: []string{"cnn"}, Schedulers: []string{"EBS"}})
 		if err != nil {
 			t.Fatal(err)
 		}
