@@ -8,10 +8,12 @@
 package batch
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,9 +55,14 @@ type Key struct {
 // any worker concurrently. Beside the result it returns the wall time its
 // scheduler spent in the solver: a host measurement the runner feeds to its
 // solve-time histogram and trace spans, and which never enters the result.
+// Cost is the session's relative expected simulation cost: a runner starts
+// its costlier sessions first, so the longest ones do not start last and
+// leave the other workers idle at the end of a batch. Only the order of
+// the costs matters; equal costs keep their input order.
 type Session struct {
-	Key Key
-	Run func() (*engine.Result, time.Duration, error)
+	Key  Key
+	Run  func() (*engine.Result, time.Duration, error)
+	Cost int
 }
 
 // Stats reports the work a Runner has performed.
@@ -291,6 +298,10 @@ func (r *Runner) Run(sessions []Session) ([]*engine.Result, error) {
 // workers and completed counts may arrive out of order; it must be cheap
 // and safe for concurrent use. A nil progress is ignored.
 //
+// Sessions are dispatched in descending Cost, equal costs in input order,
+// so the workers start the longest simulations first; results stay
+// index-aligned with the input whatever the order.
+//
 // The runner checks ctx before dispatching each session and stops
 // dispatching new work once it is done, returning ctx.Err() as the error
 // (unless a session error came first). Simulations already in flight run
@@ -341,8 +352,15 @@ func (r *Runner) RunContext(ctx context.Context, sessions []Session, progress fu
 			}
 		}()
 	}
+	order := make([]int, len(sessions))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(sessions[b].Cost, sessions[a].Cost)
+	})
 feed:
-	for i := range sessions {
+	for _, i := range order {
 		if err := ctx.Err(); err != nil {
 			setErr(err)
 			break

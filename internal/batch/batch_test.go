@@ -415,3 +415,64 @@ func TestRunContextCancellation(t *testing.T) {
 		})
 	}
 }
+
+// TestRunContextDispatchesLongestFirst: a one-worker runner runs its
+// sessions in descending Cost, equal costs in input order, and still
+// returns results index-aligned with the input. Canceled after its second
+// simulation, it has run a prefix of that order: exactly those sessions
+// have results, and the rest stay nil.
+func TestRunContextDispatchesLongestFirst(t *testing.T) {
+	costs := []int{0, 2, 1, 2, 0, 3, 1}
+	want := []int{5, 1, 3, 2, 6, 0, 4}
+	for _, cancelAfter := range []int{0, 2} {
+		t.Run(fmt.Sprintf("cancelAfter=%d", cancelAfter), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var (
+				mu    sync.Mutex
+				order []int
+			)
+			sessions := make([]Session, len(costs))
+			for i, c := range costs {
+				sessions[i] = Session{
+					Key: Key{Platform: "p", App: fmt.Sprint(i), Scheduler: "s"},
+					Run: func() (*engine.Result, time.Duration, error) {
+						mu.Lock()
+						order = append(order, i)
+						if len(order) == cancelAfter {
+							cancel()
+						}
+						mu.Unlock()
+						return &engine.Result{App: fmt.Sprint(i)}, 0, nil
+					},
+					Cost: c,
+				}
+			}
+			out, err := NewRunner(1).RunContext(ctx, sessions, nil)
+			n := len(want) // sessions that must have run
+			if cancelAfter > 0 {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("RunContext error = %v, want context.Canceled", err)
+				}
+				n = min(max(len(order), cancelAfter), len(want))
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(order) != fmt.Sprint(want[:n]) {
+				t.Fatalf("sessions ran in order %v, want %v", order, want[:n])
+			}
+			ran := map[int]bool{}
+			for _, i := range order {
+				ran[i] = true
+			}
+			for i, res := range out {
+				switch {
+				case ran[i] && (res == nil || res.App != fmt.Sprint(i)):
+					t.Errorf("result %d = %v, want session %d's", i, res, i)
+				case !ran[i] && res != nil:
+					t.Errorf("unreached session %d has result %v", i, res)
+				}
+			}
+		})
+	}
+}

@@ -570,6 +570,30 @@ func TestWorkerRejectsOverCapShard(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsOutOfBoundsPredictor: a shard whose spec carries a
+// predictor configuration outside predictor.Config.Validate's bounds (the
+// 696 ms body of a negative threshold and a degree of 100,000) is answered
+// 400 naming the session, before the worker generates a trace.
+func TestWorkerRejectsOutOfBoundsPredictor(t *testing.T) {
+	w := newTestWorker(t)
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	specs := testSpecs()[:5]
+	specs[3].Predictor = predictor.Config{ConfidenceThreshold: -1, MaxDegree: 100000}
+	body, err := json.Marshal(ShardRequest{Sessions: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := w.Setup().Artifacts.Stats().TraceBuilds
+	code, msg := postShard(t, ts.URL, strconv.Itoa(frameVersion), string(body))
+	if code != http.StatusBadRequest || !strings.Contains(msg, "session 3") || !strings.Contains(msg, "confidence threshold") {
+		t.Errorf("out-of-bounds predictor: status %d (%s), want 400 naming session 3's threshold", code, msg)
+	}
+	if after := w.Setup().Artifacts.Stats().TraceBuilds; after != before {
+		t.Errorf("rejected shard generated %d traces, want 0", after-before)
+	}
+}
+
 // TestClientFaultDoesNotPoisonRing is the regression test for the failure
 // taxonomy: a campaign containing one invalid session spec is rejected by
 // whichever worker receives it with a deterministic HTTP 400. The campaign

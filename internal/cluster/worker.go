@@ -101,17 +101,24 @@ func BuildSessions(setup *experiments.Setup, specs []SessionSpec) ([]batch.Sessi
 
 // RunShard executes one shard on the worker's runner, always to the end, so
 // even a shard whose coordinator gave up on it completes into the worker's
-// caches. Invalid specs are the caller's fault (the HTTP layer answers
-// 400); a session simulation error is reported in the response like the
-// in-process runner's first error, with the remaining sessions still
-// completing. A non-empty traceID (from the X-Pes-Trace-Id header) makes
-// the response carry the runner's spans for this shard — "simulate", the
-// shard's wall time, and "solve", the solver time of the sessions this call
-// simulated (0 for a fully warm shard) — for the coordinator to merge into
-// the campaign timeline. An empty traceID records nothing.
+// caches. Invalid specs — an unknown name, or a predictor configuration
+// predictor.Config.Validate refuses — are the caller's fault (the HTTP
+// layer answers 400); a session simulation error is reported in the
+// response like the in-process runner's first error, with the remaining
+// sessions still completing. A non-empty traceID (from the X-Pes-Trace-Id
+// header) makes the response carry the runner's spans for this shard —
+// "simulate", the shard's wall time, and "solve", the solver time of the
+// sessions this call simulated (0 for a fully warm shard) — for the
+// coordinator to merge into the campaign timeline. An empty traceID
+// records nothing.
 func (w *Worker) RunShard(traceID string, req ShardRequest) (ShardResponse, error) {
 	if len(req.Sessions) == 0 {
 		return ShardResponse{}, fmt.Errorf("shard contains no sessions")
+	}
+	for i, spec := range req.Sessions {
+		if err := spec.Predictor.Validate(); err != nil {
+			return ShardResponse{}, fmt.Errorf("session %d: %w", i, err)
+		}
 	}
 	sess, err := BuildSessions(w.setup, req.Sessions)
 	if err != nil {

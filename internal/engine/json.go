@@ -23,6 +23,20 @@ import (
 // tests, the oracle every byte is checked against. Into a buffer with room
 // it does not allocate.
 func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
+	return r.AppendJSONMemo(dst, nil)
+}
+
+// AppendJSONMemo is AppendJSON sharing trace events' bytes through m: an
+// outcome whose event equals one m recorded copies that event's bytes from
+// where they already sit in dst instead of encoding it again. The bytes are
+// AppendJSON's either way. A nil m encodes every event.
+//
+// m records offsets into dst, so it belongs to one buffer: every call with
+// m must pass that buffer as it was returned by the previous call (or with
+// more bytes appended), and the caller resets m whenever it truncates or
+// replaces the buffer. On failure m is reset, since the bytes of the events
+// it recorded in this call were dropped with dst's extension.
+func (r *Result) AppendJSONMemo(dst []byte, m *EventMemo) ([]byte, error) {
 	if r == nil {
 		return append(dst, "null"...), nil
 	}
@@ -47,7 +61,7 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 			if i > 0 {
 				e.lit(",")
 			}
-			e.outcome(&r.Outcomes[i])
+			e.outcome(&r.Outcomes[i], m)
 		}
 		e.lit("]")
 	}
@@ -108,9 +122,54 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	e.int(int64(r.Solver.BudgetAborts))
 	e.lit("}}")
 	if e.err != nil {
+		m.Reset()
 		return dst, e.err
 	}
 	return e.b, nil
+}
+
+// EventMemo records, per event Seq, the last event a buffer's results
+// encoded and where its bytes sit in that buffer (see AppendJSONMemo).
+// Results replaying one trace carry equal events at equal Seqs, so when
+// they are encoded one after the other into one buffer, each event is
+// encoded once; an event of another trace at the same Seq overwrites the
+// slot. The zero EventMemo is empty and ready to use. It grows to the
+// highest Seq it has seen, at most maxMemoEvents slots, and keeps its
+// slots across Reset, so a reused memo does not allocate.
+type EventMemo struct {
+	slots []eventSlot
+}
+
+// eventSlot is one recorded event: a copy of it, and its bytes' offsets in
+// the buffer. end is 0 in an empty slot (an encoding is never empty).
+type eventSlot struct {
+	ev         webevent.Event
+	start, end int
+}
+
+// maxMemoEvents bounds an EventMemo's slots (a trace has at most 70 events
+// by default). Seq arrives from the wire in cluster mode, so an event whose
+// Seq falls outside [0, maxMemoEvents) is encoded plainly.
+const maxMemoEvents = 1024
+
+// Reset empties the memo, keeping its slots for reuse. A nil memo is a
+// no-op.
+func (m *EventMemo) Reset() {
+	if m != nil {
+		clear(m.slots)
+	}
+}
+
+// slot returns the memo's slot for seq, growing the memo to hold it, or
+// nil when m is nil or seq is out of range.
+func (m *EventMemo) slot(seq int) *eventSlot {
+	if m == nil || seq < 0 || seq >= maxMemoEvents {
+		return nil
+	}
+	if seq >= len(m.slots) {
+		m.slots = append(m.slots, make([]eventSlot, seq+1-len(m.slots))...)
+	}
+	return &m.slots[seq]
 }
 
 // jsonAppender accumulates one encoding; the first unsupported float sticks
@@ -120,9 +179,9 @@ type jsonAppender struct {
 	err error
 }
 
-func (e *jsonAppender) outcome(o *Outcome) {
+func (e *jsonAppender) outcome(o *Outcome, m *EventMemo) {
 	e.lit(`{"Event":`)
-	e.event(o.Event)
+	e.event(o.Event, m)
 	e.lit(`,"Start":`)
 	e.int(int64(o.Start))
 	e.lit(`,"Finish":`)
@@ -142,11 +201,22 @@ func (e *jsonAppender) outcome(o *Outcome) {
 	e.lit("}")
 }
 
-func (e *jsonAppender) event(ev *webevent.Event) {
+// event encodes ev, or copies its bytes if m recorded an equal event.
+func (e *jsonAppender) event(ev *webevent.Event, m *EventMemo) {
 	if ev == nil {
 		e.lit("null")
 		return
 	}
+	// Events are compared by value, so results decoded from the wire share
+	// too. == alone would match +0 with -0, which encode differently, so
+	// ViewportY is also compared bit for bit (a NaN never matches).
+	slot := m.slot(ev.Seq)
+	if slot != nil && slot.end != 0 && slot.ev == *ev &&
+		math.Float64bits(slot.ev.ViewportY) == math.Float64bits(ev.ViewportY) {
+		e.b = append(e.b, e.b[slot.start:slot.end]...)
+		return
+	}
+	start := len(e.b)
 	e.lit(`{"Seq":`)
 	e.int(int64(ev.Seq))
 	e.lit(`,"App":`)
@@ -168,6 +238,9 @@ func (e *jsonAppender) event(ev *webevent.Event) {
 	e.lit(`,"Navigation":`)
 	e.bool(ev.Navigation)
 	e.lit("}")
+	if slot != nil {
+		*slot = eventSlot{ev: *ev, start: start, end: len(e.b)}
+	}
 }
 
 // lit appends JSON text verbatim.

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/acmp"
@@ -42,6 +43,14 @@ func TestResultAppendJSONZeroAlloc(t *testing.T) {
 // failure. The seed corpus in testdata/fuzz/FuzzResultJSON covers plain
 // values, HTML-unsafe and invalid-UTF-8 strings, the 'f'/'e' float
 // boundaries, a subnormal, negative zero and the unsupported floats.
+//
+// Then a sequence of results built from variants of the fuzzed event is
+// encoded into one buffer through one EventMemo and, result by result,
+// must give the bytes and errors of plain AppendJSON calls: the event
+// shared by pointer and as a by-value copy (the shard-decode form), the
+// same Seq with other content (another trace), ViewportY +0 against -0, a
+// nil event, Seqs outside the memo's range, and a result that fails after
+// its event was recorded.
 func FuzzResultJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sched, app, evApp string, seq, tick, cycles int64, energy, viewport, rate float64, nav bool) {
 		ev := &webevent.Event{
@@ -77,6 +86,42 @@ func FuzzResultJSON(f *testing.F) {
 			}
 		case !bytes.Equal(got[len(prefix):], want) || !bytes.Equal(got[:len(prefix)], prefix):
 			t.Fatalf("AppendJSON differs from json.Marshal:\n got %s\nwant %s", got[len(prefix):], want)
+		}
+
+		copied, other, zero, negZero, low, high, edge, huge := *ev, *ev, *ev, *ev, *ev, *ev, *ev, *ev
+		other.Work.Cycles++
+		zero.ViewportY, negZero.ViewportY = 0, math.Copysign(0, -1)
+		low.Seq, high.Seq, edge.Seq, huge.Seq = -1, maxMemoEvents-1, maxMemoEvents, math.MaxInt
+		// with replays e twice around an event-less outcome; a failing
+		// result has a NaN energy after its first event. The nil-event
+		// result after the first failure overwrites the bytes that failure
+		// left past the buffer's end, where the memo must not point.
+		with := func(e *webevent.Event, fail bool) *Result {
+			res := *r
+			o := r.Outcomes[0]
+			o.Event = e
+			res.Outcomes = []Outcome{o, r.Outcomes[1], o}
+			if fail {
+				res.Outcomes[0].EnergyMJ = math.NaN()
+			}
+			return &res
+		}
+		steps := []*Result{
+			r, with(ev, false), with(&copied, false), with(&other, false), with(ev, false),
+			with(&zero, false), with(&negZero, false), with(&zero, false),
+			with(&other, true), with(nil, false), with(&other, false), with(&copied, true), with(ev, false),
+			with(&low, false), with(&low, false), with(&high, false), with(&high, false),
+			with(&edge, false), with(&edge, false), with(&huge, false), with(&huge, false),
+		}
+		var memo EventMemo
+		shared, plain := []byte("rows:"), []byte("rows:")
+		for i, res := range steps {
+			var serr, perr error
+			shared, serr = res.AppendJSONMemo(shared, &memo)
+			plain, perr = res.AppendJSON(plain)
+			if (serr == nil) != (perr == nil) || !bytes.Equal(shared, plain) {
+				t.Fatalf("result %d: through the memo (err %v)\n%s\nwithout it (err %v)\n%s", i, serr, shared, perr, plain)
+			}
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package predictor
 
 import (
+	"fmt"
+
 	"repro/internal/dom"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -26,6 +28,27 @@ type Config struct {
 // threshold with DOM analysis enabled.
 func DefaultConfig() Config {
 	return Config{ConfidenceThreshold: 0.70, MaxDegree: 8, UseDOMAnalysis: true}
+}
+
+// MaxDegreeLimit is the largest MaxDegree a session may run with. How far
+// PES predicts per round sets its cost: on a 2-vCPU x86-64 host one cnn
+// session took 0.1 ms at the defaults, ~0.3 ms at this limit with a
+// near-zero threshold, and 0.66 s at a negative threshold and a degree of
+// 100,000.
+const MaxDegreeLimit = 64
+
+// Validate reports whether a session may run with c: ConfidenceThreshold
+// in (0, 1] and MaxDegree in [1, MaxDegreeLimit]. Configurations from
+// outside the process (campaign bodies, shard requests) are checked with
+// it before any session is built.
+func (c Config) Validate() error {
+	if !(c.ConfidenceThreshold > 0 && c.ConfidenceThreshold <= 1) {
+		return fmt.Errorf("predictor confidence threshold %g out of range (0, 1]", c.ConfidenceThreshold)
+	}
+	if c.MaxDegree < 1 || c.MaxDegree > MaxDegreeLimit {
+		return fmt.Errorf("predictor max degree %d out of range [1, %d]", c.MaxDegree, MaxDegreeLimit)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {

@@ -102,7 +102,8 @@ func predictorConfig(base predictor.Config, spec *PredictorSpec) predictor.Confi
 }
 
 // Expand validates the campaign and expands it into wire specs, filling in
-// the setup's predictor defaults. The expansion is the
+// the setup's predictor defaults. The merged predictor configuration must
+// pass predictor.Config.Validate. The expansion is the
 // apps × seeds × schedulers cross product at the base predictor
 // configuration, plus one extra PES pass per distinct sweep threshold. It
 // never touches the artifact store: no trace is generated until the plan
@@ -145,6 +146,9 @@ func (c Campaign) Expand(setup *experiments.Setup) (*Plan, error) {
 	}
 
 	baseCfg := predictorConfig(setup.Config.Predictor, c.Predictor)
+	if err := baseCfg.Validate(); err != nil {
+		return nil, err
+	}
 
 	// Distinct sweep thresholds beyond the base configuration, in ascending
 	// order so the expansion (and the results rows) are deterministic.
@@ -152,8 +156,10 @@ func (c Campaign) Expand(setup *experiments.Setup) (*Plan, error) {
 	if c.Sweep != nil {
 		seen := map[float64]bool{baseCfg.ConfidenceThreshold: true}
 		for _, th := range c.Sweep.ConfidenceThresholds {
-			if th <= 0 || th > 1 {
-				return nil, fmt.Errorf("sweep confidence threshold %g out of range (0, 1]", th)
+			cfg := baseCfg
+			cfg.ConfidenceThreshold = th
+			if err := cfg.Validate(); err != nil {
+				return nil, fmt.Errorf("sweep: %w", err)
 			}
 			if !seen[th] {
 				seen[th] = true

@@ -91,12 +91,43 @@ func TestPercentileTableMatchesReference(t *testing.T) {
 	}
 }
 
+// TestExpandBoundsPredictor: Expand accepts a predictor override only with
+// its threshold in (0, 1] and its max degree in [1, MaxDegreeLimit] (a
+// zero field keeps the default), and rejects a campaign whose override
+// leaves those bounds whichever schedulers it names.
+func TestExpandBoundsPredictor(t *testing.T) {
+	setup := &experiments.Setup{Config: experiments.Config{Predictor: predictor.DefaultConfig()}}
+	for _, c := range []struct {
+		spec PredictorSpec
+		ok   bool
+	}{
+		{PredictorSpec{}, true},
+		{PredictorSpec{ConfidenceThreshold: 1, MaxDegree: 1}, true},
+		{PredictorSpec{ConfidenceThreshold: 5e-324, MaxDegree: predictor.MaxDegreeLimit}, true},
+		{PredictorSpec{ConfidenceThreshold: -1, MaxDegree: 100000}, false},
+		{PredictorSpec{ConfidenceThreshold: -1}, false},
+		{PredictorSpec{ConfidenceThreshold: math.Nextafter(1, 2)}, false},
+		{PredictorSpec{ConfidenceThreshold: math.NaN()}, false},
+		{PredictorSpec{MaxDegree: -1}, false},
+		{PredictorSpec{MaxDegree: predictor.MaxDegreeLimit + 1}, false},
+	} {
+		for _, scheds := range [][]string{{sessions.PES}, {sessions.EBS}} {
+			spec := c.spec
+			plan, err := Campaign{Apps: []string{"cnn"}, Schedulers: scheds, Predictor: &spec}.Expand(setup)
+			if (err == nil) != c.ok || (plan == nil) == c.ok {
+				t.Errorf("%v with %+v: plan %v, error %v; want accepted %t", scheds, c.spec, plan, err, c.ok)
+			}
+		}
+	}
+}
+
 // FuzzCampaignExpand feeds fuzzed bodies through the campaign POST's
 // decoder and Campaign.Expand. Neither may panic; a body the decoder
 // refuses answers 400 or 413; a rejected campaign returns an error and no
 // plan; an accepted plan has one spec per metadata row, between 1 and
 // cluster.MaxSessions of them, each naming a canonical scheduler, platform
-// and app, and agreeing with its metadata. The seed corpus is in
+// and app, and agreeing with its metadata, and every PES spec's predictor
+// is within predictor.Config.Validate's bounds. The seed corpus is in
 // testdata/fuzz/FuzzCampaignExpand. Expand reads only the setup's
 // predictor defaults, so no predictor is trained.
 func FuzzCampaignExpand(f *testing.F) {
@@ -134,6 +165,10 @@ func FuzzCampaignExpand(f *testing.F) {
 			}
 			if spec.Platform != m.Platform || spec.App != m.App || spec.TraceSeed != m.TraceSeed || spec.Scheduler != m.Scheduler {
 				t.Fatalf("session %d: spec %+v disagrees with its metadata %+v", i, spec, m)
+			}
+			if th, deg := spec.Predictor.ConfidenceThreshold, spec.Predictor.MaxDegree; spec.Scheduler == sessions.PES &&
+				!(th > 0 && th <= 1 && deg >= 1 && deg <= predictor.MaxDegreeLimit) {
+				t.Fatalf("session %d: PES predictor %+v outside threshold (0, 1] and degree [1, %d]", i, spec.Predictor, predictor.MaxDegreeLimit)
 			}
 		}
 	})

@@ -192,7 +192,7 @@ func TestPendingEntryBounded(t *testing.T) {
 		i := len(results) % len(j.results)
 		plan.Meta = append(plan.Meta, j.plan.Meta[i])
 		results = append(results, j.results[i])
-		line, err := ResultRow{SessionMeta: j.plan.Meta[i], Result: j.results[i]}.appendJSON(nil)
+		line, err := ResultRow{SessionMeta: j.plan.Meta[i], Result: j.results[i]}.appendJSON(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,5 +208,41 @@ func TestPendingEntryBounded(t *testing.T) {
 	small.encode(&Plan{Meta: plan.Meta[:len(results)-1]}, results[:len(results)-1])
 	if !small.ok {
 		t.Errorf("%d rows within the bound: entry not ok", len(results)-1)
+	}
+}
+
+// pendingEncodeAllocs is what a warm pending encode of the pool campaign
+// allocated before the encode shared trace events through a memo: the
+// per-row metadata and the tables through encoding/json, and the entry's
+// ready channel. The memo rides with the reused buffers, so it must add
+// nothing.
+const pendingEncodeAllocs = 144
+
+// encodePending encodes a finished campaign's answer into a new pending
+// entry on bufs, as the job worker does, and returns its buffers emptied
+// for the next one.
+func encodePending(tb testing.TB, j *job, bufs resultsBuffers) resultsBuffers {
+	p := &pendingResults{job: j, ready: make(chan struct{}), resultsBuffers: bufs}
+	p.encode(j.plan, j.results)
+	if !p.ok {
+		tb.Fatal("the pool campaign's pending encode failed")
+	}
+	return p.emptied()
+}
+
+// TestPendingEncodeSteadyStateAlloc: a job worker's pending encode of a
+// pool campaign on the buffers of its previous entry allocates no more
+// than it did before the event memo joined those buffers.
+func TestPendingEncodeSteadyStateAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under -race")
+	}
+	s := testServer(t)
+	j := poolCampaignJob(t, s)
+	bufs := encodePending(t, j, resultsBuffers{})
+	allocs := testing.AllocsPerRun(20, func() { bufs = encodePending(t, j, bufs) })
+	t.Logf("%.1f allocations per warm pending encode", allocs)
+	if allocs > pendingEncodeAllocs {
+		t.Errorf("a warm pending encode allocates %.1f times, more than %d", allocs, pendingEncodeAllocs)
 	}
 }

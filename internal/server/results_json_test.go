@@ -384,7 +384,9 @@ func nthLine(b []byte, n int) int {
 
 // BenchmarkResultRowsEncode times both results formats over a pool
 // campaign's 18 rows: the encoding/json path the server used before and
-// the append-based one it uses now.
+// the append-based one it uses now. pending times the job worker's encode
+// of the whole answer into a pending entry on the buffers of its previous
+// one: every row through the event memo, then the tables and solver sum.
 func BenchmarkResultRowsEncode(b *testing.B) {
 	s := testServer(b)
 	j := poolCampaignJob(b, s)
@@ -404,7 +406,7 @@ func BenchmarkResultRowsEncode(b *testing.B) {
 		for b.Loop() {
 			for _, row := range out.Rows {
 				var err error
-				if line, err = row.appendJSON(line[:0]); err != nil {
+				if line, err = row.appendJSON(line[:0], nil); err != nil {
 					b.Fatal(err)
 				}
 				_, _ = io.Discard.Write(append(line, '\n'))
@@ -426,6 +428,12 @@ func BenchmarkResultRowsEncode(b *testing.B) {
 				b.Fatal(err)
 			}
 			_, _ = io.Discard.Write(append(body, '\n'))
+		}
+	})
+	b.Run("pending", func(b *testing.B) {
+		bufs := encodePending(b, j, resultsBuffers{})
+		for b.Loop() {
+			bufs = encodePending(b, j, bufs)
 		}
 	})
 }

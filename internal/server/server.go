@@ -419,10 +419,19 @@ type pendingResults struct {
 
 // resultsBuffers are the reusable buffers a pending entry is written into:
 // rows holds every row's JSON followed by '\n', in plan order, and row i
-// ends at ends[i], its newline included.
+// ends at ends[i], its newline included. events is the memo through which
+// the rows share each trace event's bytes: a campaign's rows replaying one
+// trace are contiguous (plan order is app, seed, scheduler), so each of its
+// events is encoded once per answer instead of once per scheduler.
 type resultsBuffers struct {
-	rows []byte
-	ends []int
+	rows   []byte
+	ends   []int
+	events engine.EventMemo
+}
+
+// emptied returns the buffers with no rows in them, for the next entry.
+func (b resultsBuffers) emptied() resultsBuffers {
+	return resultsBuffers{b.rows[:0], b.ends[:0], b.events}
 }
 
 // buffers returns empty buffers for a job worker's next pending entry: those
@@ -438,7 +447,7 @@ func (s *Server) buffers(last *pendingResults) resultsBuffers {
 		}
 		j.mu.Unlock()
 		if parked {
-			return resultsBuffers{last.rows[:0], last.ends[:0]}
+			return last.emptied()
 		}
 	}
 	select {
@@ -453,7 +462,7 @@ func (s *Server) buffers(last *pendingResults) resultsBuffers {
 // buffers once the read is done with them.
 func (s *Server) release(p *pendingResults) {
 	select {
-	case s.spare <- resultsBuffers{p.rows[:0], p.ends[:0]}:
+	case s.spare <- p.emptied():
 	default: // JobWorkers spares are already waiting
 	}
 }
@@ -469,10 +478,11 @@ const maxPendingBytes = 8 << 20
 // when the rows outgrow maxPendingBytes.
 func (p *pendingResults) encode(plan *Plan, results []*engine.Result) {
 	defer close(p.ready)
+	p.events.Reset() // its offsets were into the rows of an earlier entry
 	var solver optimizer.SolverCounts
 	for i, res := range results {
 		var err error
-		if p.rows, err = (ResultRow{SessionMeta: plan.Meta[i], Result: res}).appendJSON(p.rows); err != nil {
+		if p.rows, err = (ResultRow{SessionMeta: plan.Meta[i], Result: res}).appendJSON(p.rows, &p.events); err != nil {
 			return
 		}
 		p.rows = append(p.rows, '\n')
@@ -929,7 +939,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			if !filter.match(j.plan.Meta[i]) {
 				continue
 			}
-			*buf, err = ResultRow{SessionMeta: j.plan.Meta[i], Result: res}.appendJSON(*buf)
+			*buf, err = ResultRow{SessionMeta: j.plan.Meta[i], Result: res}.appendJSON(*buf, nil)
 			if err != nil {
 				e := apiError{Error: "encoding results: " + err.Error()}
 				if !good {
@@ -1073,9 +1083,10 @@ var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendJSON appends the row's JSON encoding, byte for byte what
 // json.Marshal(row) writes: the small metadata object through encoding/json,
-// the result through engine.Result.AppendJSON. On error it returns dst as it
-// was, so the rows already in it stay whole.
-func (row ResultRow) appendJSON(dst []byte) ([]byte, error) {
+// the result through engine.Result.AppendJSONMemo with the given event memo
+// (nil for none). On error it returns dst as it was, so the rows already in
+// it stay whole.
+func (row ResultRow) appendJSON(dst []byte, events *engine.EventMemo) ([]byte, error) {
 	meta, err := json.Marshal(row.SessionMeta)
 	if err != nil {
 		return dst, err
@@ -1083,7 +1094,7 @@ func (row ResultRow) appendJSON(dst []byte) ([]byte, error) {
 	n := len(dst)
 	dst = append(dst, meta[:len(meta)-1]...) // the metadata object, still open
 	dst = append(dst, `,"result":`...)
-	if dst, err = row.Result.AppendJSON(dst); err != nil {
+	if dst, err = row.Result.AppendJSONMemo(dst, events); err != nil {
 		return dst[:n], err
 	}
 	return append(dst, '}'), nil
@@ -1114,7 +1125,7 @@ func (r *Results) appendJSON(dst []byte) ([]byte, error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		if dst, err = row.appendJSON(dst); err != nil {
+		if dst, err = row.appendJSON(dst, nil); err != nil {
 			return dst[:n], err
 		}
 	}

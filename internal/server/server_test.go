@@ -323,7 +323,8 @@ func TestHTTPErrors(t *testing.T) {
 	if code := get("/v1/figures/nosuchfig"); code != http.StatusNotFound {
 		t.Errorf("unknown figure = %d, want 404", code)
 	}
-	for _, body := range []string{"{nonsense", `{"apps":["nosuchapp"]}`, `{"bogus_field":1}`} {
+	for _, body := range []string{"{nonsense", `{"apps":["nosuchapp"]}`, `{"bogus_field":1}`,
+		`{"apps":["cnn"],"schedulers":["PES"],"predictor":{"confidence_threshold":-1,"max_degree":100000}}`} {
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

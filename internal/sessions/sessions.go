@@ -30,6 +30,19 @@ const (
 	Oracle      = "Oracle"
 )
 
+// costRank ranks the schedulers by the expected cost of simulating one
+// session (the traced engine.<scheduler>.session_us): the Oracle solves
+// every window exactly, PES predicts and solves at each step, and the
+// reactive governors only pick a configuration. It is the batch.Session
+// Cost the runner dispatches by, longest first.
+var costRank = map[string]int{
+	Oracle:      3,
+	PES:         2,
+	Interactive: 1,
+	Ondemand:    0,
+	EBS:         0,
+}
+
 // Names lists every scheduler in presentation order.
 func Names() []string { return []string{Interactive, Ondemand, EBS, PES, Oracle} }
 
@@ -152,5 +165,5 @@ func NewFingerprinted(s Spec, fingerprint string) (batch.Session, error) {
 			return res, pes.SolverStats().Wall(), nil
 		}
 	}
-	return batch.Session{Key: key, Run: run}, nil
+	return batch.Session{Key: key, Run: run, Cost: costRank[name]}, nil
 }

@@ -50,6 +50,9 @@ func TestNewBuildsEveryScheduler(t *testing.T) {
 		if sess.Key.Scheduler != name || sess.Key.App != "cnn" || sess.Key.TraceSeed != 7 {
 			t.Errorf("%s: bad key %+v", name, sess.Key)
 		}
+		if sess.Cost != costRank[name] {
+			t.Errorf("%s: cost %d, want its rank %d", name, sess.Cost, costRank[name])
+		}
 		if (sess.Key.Predictor != "") != (name == PES) {
 			t.Errorf("%s: predictor key presence wrong: %q", name, sess.Key.Predictor)
 		}
@@ -67,6 +70,24 @@ func TestNewBuildsEveryScheduler(t *testing.T) {
 	// PES without a learner is rejected up front.
 	if _, err := New(Spec{Platform: p, Trace: tr, Scheduler: PES}); err == nil {
 		t.Error("PES without learner should error")
+	}
+}
+
+// TestCostRankCoversEveryScheduler: every scheduler has a cost rank and
+// the table names no other, and the ranks follow the traced session
+// times: Oracle > PES > Interactive > Ondemand = EBS.
+func TestCostRankCoversEveryScheduler(t *testing.T) {
+	for _, name := range Names() {
+		if _, ok := costRank[name]; !ok {
+			t.Errorf("%s has no cost rank", name)
+		}
+	}
+	if len(costRank) != len(Names()) {
+		t.Errorf("cost ranks %v name schedulers outside %v", costRank, Names())
+	}
+	r := costRank
+	if !(r[Oracle] > r[PES] && r[PES] > r[Interactive] && r[Interactive] > r[Ondemand] && r[Ondemand] == r[EBS]) {
+		t.Errorf("cost ranks %v, want Oracle > PES > Interactive > Ondemand = EBS", r)
 	}
 }
 
