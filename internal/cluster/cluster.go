@@ -830,6 +830,9 @@ type httpTransport struct {
 	// maxResponse caps the shard-response bytes read before decoding; a
 	// larger response is a worker fault.
 	maxResponse int64
+	// results holds the results decoded from earlier frames, so a result
+	// a worker sends again is neither decoded nor encoded twice.
+	results *resultInterner
 }
 
 // maxShardResponseBytes is the production response cap: a warm 16-session
@@ -840,7 +843,7 @@ const maxShardResponseBytes = 64 << 20
 // nil Config.Transport selects. Exported so wrappers (internal/chaos) can
 // interpose on the real transport instead of a test fake.
 func NewHTTPTransport() Transport {
-	return &httpTransport{client: &http.Client{}, maxResponse: maxShardResponseBytes}
+	return &httpTransport{client: &http.Client{}, maxResponse: maxShardResponseBytes, results: newResultInterner()}
 }
 
 // BaseURL normalizes a worker or coordinator address (host:port or URL) to
@@ -902,7 +905,7 @@ func (t *httpTransport) RunShard(ctx context.Context, worker string, req ShardRe
 	if int64(buf.Len()) > t.maxResponse {
 		return ShardResponse{}, fmt.Errorf("cluster: worker %s response exceeds the %d-byte cap", worker, t.maxResponse)
 	}
-	resp, err := decodeShardResponse(buf.Bytes())
+	resp, err := decodeShardResponse(buf.Bytes(), t.results)
 	if err != nil {
 		return ShardResponse{}, fmt.Errorf("cluster: decoding worker %s response: %w", worker, err)
 	}

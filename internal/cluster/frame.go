@@ -11,6 +11,7 @@ import (
 	"repro/internal/acmp"
 	"repro/internal/batch"
 	"repro/internal/engine"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/simtime"
@@ -23,14 +24,15 @@ import (
 // the small fields that change shape with the code (Error, Stats, Spans)
 // ride as one JSON tail.
 //
-// Layout, version 4. Unsigned integers are uvarints, signed ones zig-zag
+// Layout, version 5. Unsigned integers are uvarints, signed ones zig-zag
 // varints, floats their IEEE-754 bits as 8 little-endian bytes (so every
 // result merges bit-identically), strings a uvarint length and the bytes.
 // A slice is written as a uvarint of its length plus one, 0 meaning nil, so
 // a nil slice and an empty one survive as themselves.
 //
 //	magic "PESF", version byte
-//	slice of results, each a presence byte (0 nil, 1 present) then:
+//	slice of results, each a presence byte (0 nil, 1 present) then the
+//	uvarint byte length of the result's record, then the record:
 //	  Scheduler, App
 //	  slice of Outcomes, each:
 //	    flags byte: event present, event App differs from the result's,
@@ -47,9 +49,11 @@ import (
 //	tail: uvarint length, then JSON {"error", "stats", "spans"}
 //
 // The decoder accepts only frames the encoder writes: minimal varints,
-// known flag bits, a canonical tail, no trailing bytes. So a frame that
-// decodes re-encodes to the same bytes, and every count is checked against
-// the bytes left before anything is allocated for it.
+// known flag bits, record lengths that stay inside the frame and that their
+// records consume exactly, a canonical tail, no trailing bytes. So a frame
+// that decodes re-encodes to the same bytes, equal record bytes mean an
+// equal result, and every count is checked against the bytes left before
+// anything is allocated for it.
 //
 // Version 1 also carried the solver's host wall time after BudgetAborts;
 // version 2 results hold only deterministic fields. Version 3 changes only
@@ -59,13 +63,16 @@ import (
 // persistent-store snapshot (a worker serves those on /healthz). A
 // canonical tail makes the tail's shape part of the frame, so a build whose
 // runner counters differ is version skew, not a broken worker; an artifact
-// or store counter no longer is.
+// or store counter no longer is. Version 5 prefixes each present result's
+// record with its byte length, so the coordinator can tell a result it has
+// already decoded by its bytes alone and skip decoding it (see
+// resultInterner).
 
 const (
 	// frameVersion is the frame version this build writes and reads. A
 	// coordinator sends it in frameVersionHeader; a worker built for another
 	// version rejects the shard with a 400 naming both.
-	frameVersion       = 4
+	frameVersion       = 5
 	frameVersionHeader = "X-Pes-Shard-Frame"
 	frameContentType   = "application/x-pes-shard-frame"
 )
@@ -117,15 +124,22 @@ func appendShardResponse(dst []byte, resp ShardResponse) ([]byte, error) {
 			continue
 		}
 		w.b = append(w.b, 1)
+		// The length goes in front of the record, so reserve its width
+		// from an estimate of the record's size and fill it in after;
+		// the record moves only when the estimate picked another width.
+		at, room := len(w.b), uvarintLen(uint64(16+48*len(res.Outcomes)+4*len(res.PFBSamples)))
+		w.b = append(w.b, make([]byte, room)...)
 		w.result(res)
+		w.lengthPrefix(at, room)
 	}
 	w.uvarint(uint64(len(tail)))
 	w.b = append(w.b, tail...)
 	return w.b, nil
 }
 
-// decodeShardResponse decodes one whole frame.
-func decodeShardResponse(frame []byte) (ShardResponse, error) {
+// decodeShardResponse decodes one whole frame, taking each result from
+// results: a record whose bytes it holds is not decoded again.
+func decodeShardResponse(frame []byte, results *resultInterner) (ShardResponse, error) {
 	if len(frame) < len(frameMagic)+1 || !bytes.Equal(frame[:len(frameMagic)], frameMagic[:]) {
 		return ShardResponse{}, fmt.Errorf("%w: bad magic", errFrame)
 	}
@@ -140,8 +154,15 @@ func decodeShardResponse(frame []byte) (ShardResponse, error) {
 			switch r.byte() {
 			case 0:
 			case 1:
-				resp.Results[i] = new(engine.Result)
-				r.result(resp.Results[i])
+				record := r.bytes()
+				if r.err != nil {
+					break
+				}
+				res, err := results.result(record)
+				if err != nil {
+					return ShardResponse{}, fmt.Errorf("result %d: %w", i, err)
+				}
+				resp.Results[i] = res
 			default:
 				r.fail("result %d: bad presence byte", i)
 			}
@@ -168,6 +189,57 @@ func decodeShardResponse(frame []byte) (ShardResponse, error) {
 	return resp, nil
 }
 
+// decodeResult decodes one result record, which it must consume exactly.
+func decodeResult(record []byte) (*engine.Result, error) {
+	r := frameReader{b: record}
+	res := new(engine.Result)
+	r.result(res)
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("record of %d bytes holds %d bytes past its result", len(record), len(r.b))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return res, nil
+}
+
+// resultInterner shares decoded results between the frames one coordinator
+// reads. It keys each result by its record's exact bytes, so a hit means
+// the bytes are equal (not merely their hash), and the frame is canonical,
+// so equal bytes are an equal result: a worker that answers a session from
+// its memo sends the same record every time, and the coordinator decodes
+// it once. An interned result is sealed (engine.Result.Seal) and shared by
+// every campaign that receives it, so it also keeps the JSON of its first
+// encode. Nothing here assumes that a memo key names its result.
+type resultInterner struct {
+	cache memo.Cache[string, *engine.Result]
+}
+
+// maxInternedResults bounds the interner, least recently used first out.
+// Each entry holds its record, the decoded result and, once encoded, its
+// JSON (~8× the record).
+const maxInternedResults = 256
+
+func newResultInterner() *resultInterner {
+	in := new(resultInterner)
+	in.cache.SetMax(maxInternedResults)
+	return in
+}
+
+// result returns the sealed result the record encodes, decoding it only
+// when no equal record was seen before. A record that fails to decode is
+// remembered as failing.
+func (in *resultInterner) result(record []byte) (*engine.Result, error) {
+	res, _, err := in.cache.Get(string(record), func() (*engine.Result, error) {
+		res, err := decodeResult(record)
+		if err == nil {
+			res.Seal()
+		}
+		return res, err
+	})
+	return res, err
+}
+
 type frameWriter struct{ b []byte }
 
 func (w *frameWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
@@ -179,6 +251,33 @@ func (w *frameWriter) float(f float64) {
 func (w *frameWriter) str(s string) {
 	w.uvarint(uint64(len(s)))
 	w.b = append(w.b, s...)
+}
+
+// lengthPrefix writes, into the room bytes reserved at w.b[at:], the
+// uvarint length of everything after them, moving those bytes when the
+// length takes another number of bytes than reserved.
+func (w *frameWriter) lengthPrefix(at, room int) {
+	start := at + room
+	n := len(w.b) - start
+	var prefix [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(prefix[:], uint64(n))
+	if k > room {
+		w.b = append(w.b, make([]byte, k-room)...)
+	}
+	if k != room {
+		copy(w.b[at+k:], w.b[start:start+n])
+		w.b = w.b[:at+k+n]
+	}
+	copy(w.b[at:], prefix[:k])
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 // count writes a slice length, 0 for a nil slice.
@@ -326,7 +425,7 @@ func (r *frameReader) float() float64 {
 func (r *frameReader) bytes() []byte {
 	n := r.uvarint()
 	if n > uint64(len(r.b)) {
-		r.fail("string of %d bytes exceeds the %d remaining", n, len(r.b))
+		r.fail("length %d exceeds the %d bytes remaining", n, len(r.b))
 		return nil
 	}
 	s := r.b[:n]

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,6 +24,8 @@ import (
 // value: pointers get a fresh target, slices two elements, bools true. A
 // kind it does not know (a map, an interface, an unexported field) fails the
 // test, so a new field of such a kind cannot slip past the codec unseen.
+// The one exception is engine.Result's seal, which is not part of a
+// result's value and never travels.
 func fillDistinct(t *testing.T, v reflect.Value, next *int64) {
 	t.Helper()
 	if !v.CanSet() {
@@ -31,6 +35,9 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int64) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
+			if v.Type() == resultType && !v.Type().Field(i).IsExported() {
+				continue
+			}
 			fillDistinct(t, v.Field(i), next)
 		}
 	case reflect.Pointer:
@@ -52,6 +59,32 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int64) {
 	default:
 		t.Fatalf("fillDistinct: unhandled kind %s (%s)", v.Kind(), v.Type())
 	}
+}
+
+var resultType = reflect.TypeFor[engine.Result]()
+
+// onWire returns resp with each result replaced by a new, unsealed result
+// holding its exported fields: what the frame carries, without the seal the
+// coordinator puts on the results it decodes.
+func onWire(resp ShardResponse) ShardResponse {
+	if resp.Results == nil {
+		return resp
+	}
+	results := make([]*engine.Result, len(resp.Results))
+	for i, r := range resp.Results {
+		if r == nil {
+			continue
+		}
+		results[i] = new(engine.Result)
+		src, dst := reflect.ValueOf(r).Elem(), reflect.ValueOf(results[i]).Elem()
+		for f := range src.NumField() {
+			if resultType.Field(f).IsExported() {
+				dst.Field(f).Set(src.Field(f))
+			}
+		}
+	}
+	resp.Results = results
+	return resp
 }
 
 // codecResponse is a response exercising every shape the frame has: a
@@ -96,11 +129,11 @@ func TestFrameRoundTripsEveryResultField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeShardResponse(frame)
+	got, err := decodeShardResponse(frame, newResultInterner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, resp) {
+	if !reflect.DeepEqual(onWire(got), resp) {
 		t.Fatalf("frame round trip lost data:\n got %+v\nwant %+v", got, resp)
 	}
 	if math.Signbit(got.Results[2].Outcomes[0].EnergyMJ) != true {
@@ -112,34 +145,66 @@ func TestFrameRoundTripsEveryResultField(t *testing.T) {
 	}
 }
 
+// firstRecord returns where the first result record's length prefix
+// starts and ends in a frame whose first result is present, and the
+// length it holds.
+func firstRecord(t *testing.T, frame []byte) (at, end int, length uint64) {
+	t.Helper()
+	at = len(frameMagic) + 1
+	_, n := binary.Uvarint(frame[at:])
+	if at += n; frame[at] != 1 {
+		t.Fatal("the frame's first result is nil")
+	}
+	at++
+	length, n = binary.Uvarint(frame[at:])
+	return at, at + n, length
+}
+
+// withRecordLength returns a copy of frame whose first record's length
+// prefix says length, and whose record is followed by pad.
+func withRecordLength(t *testing.T, frame []byte, length uint64, pad ...byte) []byte {
+	at, end, n := firstRecord(t, frame)
+	out := binary.AppendUvarint(bytes.Clone(frame[:at]), length)
+	out = append(append(out, frame[end:end+int(n)]...), pad...)
+	return append(out, frame[end+int(n):]...)
+}
+
 // TestFrameRejectsHostileBytes covers the decoder's refusals: every prefix
 // of a valid frame, wrong magic and version, counts larger than the input,
-// non-minimal varints, unknown flag bits and trailing bytes all fail with an
-// error, never a panic or an oversized allocation.
+// non-minimal varints, unknown flag bits, a record length that runs past
+// the frame or that its record does not consume exactly, and trailing
+// bytes all fail with an error, never a panic or an oversized allocation.
 func TestFrameRejectsHostileBytes(t *testing.T) {
 	frame, err := appendShardResponse(nil, codecResponse(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(frame); n++ {
-		if _, err := decodeShardResponse(frame[:n]); err == nil {
+		if _, err := decodeShardResponse(frame[:n], newResultInterner()); err == nil {
 			t.Fatalf("accepted a frame truncated to %d of %d bytes", n, len(frame))
 		}
 	}
+	_, _, length := firstRecord(t, frame)
 	header := append(frameMagic[:], frameVersion)
 	bad := map[string][]byte{
+		"record past the end": withRecordLength(t, frame, uint64(len(frame))),
+		"record short":        withRecordLength(t, frame, length-1),
+		// A record padded by one byte that its length covers: only the
+		// record's own end can tell.
+		"record long":       withRecordLength(t, frame, length+1, 0),
+		"empty record":      append(bytes.Clone(header), 0x02, 0x01, 0x00, 0x01, 0x02, '{', '}'),
 		"wrong magic":       append([]byte("JSON"), frame[4:]...),
 		"wrong version":     append(append(frameMagic[:], frameVersion+1), frame[5:]...),
 		"trailing bytes":    append(bytes.Clone(frame), 0),
 		"huge result count": append(bytes.Clone(header), 0xff, 0xff, 0xff, 0xff, 0x0f),
 		"non-minimal count": append(bytes.Clone(header), 0x81, 0x00, 0x00, 0x02, '{', '}'),
 		"bad presence":      append(bytes.Clone(header), 0x02, 0x07),
-		"unknown flags": append(bytes.Clone(header), 0x02, 0x01, 0x00, 0x00, 0x02,
+		"unknown flags": append(bytes.Clone(header), 0x02, 0x01, 0x11, 0x00, 0x00, 0x02,
 			0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 		"non-canonical tail": append(bytes.Clone(header), 0x01, 0x0d, '{', '"', 's', 't', 'a', 't', 's', '"', ':', '{', '}', ' ', '}'),
 	}
 	for name, b := range bad {
-		if _, err := decodeShardResponse(b); !errors.Is(err, errFrame) {
+		if _, err := decodeShardResponse(b, newResultInterner()); !errors.Is(err, errFrame) {
 			t.Errorf("%s: err = %v, want a malformed-frame error", name, err)
 		}
 	}
@@ -192,18 +257,196 @@ func TestShardTailCarriesOnlyRunnerCounters(t *testing.T) {
 	}
 }
 
+// TestRecordLengthWidths: a record's length prefix is minimal whatever
+// width the writer reserved for it from its estimate, so records whose
+// lengths sit on either side of a uvarint width (127/128, 16383/16384)
+// round-trip at every outcome count, including counts whose estimate picks
+// a wider or a narrower prefix than the record needs.
+func TestRecordLengthWidths(t *testing.T) {
+	record := func(res *engine.Result) (frame []byte, length int) {
+		frame, err := appendShardResponse(nil, ShardResponse{Results: []*engine.Result{res, nil, res}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, n := firstRecord(t, frame)
+		return frame, int(n)
+	}
+	wants := []int{127, 128, 16383, 16384, 40000}
+	hit := map[int]bool{}
+	for _, outcomes := range []int{0, 1, 300, 800} {
+		_, base := record(&engine.Result{Outcomes: make([]engine.Outcome, outcomes)})
+		for _, want := range wants {
+			// An App of n bytes adds n plus its own length's extra width.
+			n := max(0, want-base-2)
+			for ; n <= want; n++ {
+				if base+n+uvarintLen(uint64(n))-1 >= want {
+					break
+				}
+			}
+			res := &engine.Result{App: strings.Repeat("a", n), Outcomes: make([]engine.Outcome, outcomes)}
+			frame, length := record(res)
+			if length != want {
+				continue // no App length lands exactly on it at this count
+			}
+			got, err := decodeShardResponse(frame, newResultInterner())
+			if err != nil {
+				t.Fatalf("%d outcomes, %d-byte record: %v", outcomes, length, err)
+			}
+			if got.Results[0] != got.Results[2] || !reflect.DeepEqual(onWire(got).Results[0], res) {
+				t.Fatalf("%d outcomes, %d-byte record: round trip lost data", outcomes, length)
+			}
+			hit[want] = true
+		}
+	}
+	for _, want := range wants {
+		if !hit[want] {
+			t.Errorf("no record came out at exactly %d bytes", want)
+		}
+	}
+}
+
+// TestInternedFramesShareResults: the production transport decodes a frame
+// it has read before into the very same result pointers, sealed, so they
+// encode once; a frame that differs in one byte of one result decodes only
+// that result again, and every other pointer is still shared.
+func TestInternedFramesShareResults(t *testing.T) {
+	resp := codecResponse(t)
+	frame, err := appendShardResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rw.Header().Set("Content-Type", frameContentType)
+		_, _ = rw.Write(frame)
+	}))
+	defer ts.Close()
+	tr := NewHTTPTransport()
+	req := ShardRequest{Sessions: make([]SessionSpec, len(resp.Results))}
+	first, err := tr.RunShard(context.Background(), ts.URL, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := tr.RunShard(context.Background(), ts.URL, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first.Results {
+		if first.Results[i] != second.Results[i] {
+			t.Errorf("result %d: two identical frames decoded to two pointers", i)
+		}
+	}
+	if !reflect.DeepEqual(onWire(second), resp) {
+		t.Fatal("an interned frame lost data")
+	}
+	// A sealed result keeps its first encode's bytes: a change made behind
+	// the seal's back does not show.
+	want, err := first.Results[2].AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	energy := first.Results[2].TotalEnergyMJ
+	first.Results[2].TotalEnergyMJ++
+	if got, _ := second.Results[2].AppendJSON(nil); !bytes.Equal(got, want) {
+		t.Error("an interned result is not sealed")
+	}
+	first.Results[2].TotalEnergyMJ = energy
+
+	// Flip the lowest bit of one float of result 2: one byte of the frame.
+	results := tr.(*httpTransport).results
+	held := results.cache.Len()
+	changed := resp
+	changed.Results = slices.Clone(resp.Results)
+	changed.Results[2] = onWire(ShardResponse{Results: resp.Results[2:3]}).Results[0]
+	changed.Results[2].BusyEnergyMJ = math.Float64frombits(math.Float64bits(changed.Results[2].BusyEnergyMJ) ^ 1)
+	other, err := appendShardResponse(nil, changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := countDiff(frame, other); diff != 1 {
+		t.Fatalf("the changed frame differs in %d bytes, want 1", diff)
+	}
+	third, err := decodeShardResponse(other, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range third.Results {
+		if shared := res == first.Results[i]; shared == (i == 2 && res != nil) {
+			t.Errorf("result %d: shared %v after a change to result 2 only", i, shared)
+		}
+	}
+	if got := results.cache.Len(); got != held+1 {
+		t.Errorf("the interner holds %d results after the changed frame, want %d", got, held+1)
+	}
+}
+
+// countDiff counts the positions at which two equally long byte strings
+// differ; unequal lengths count as -1.
+func countDiff(a, b []byte) int {
+	if len(a) != len(b) {
+		return -1
+	}
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestResultInternerBounded: however many distinct results pass through
+// it, the interner holds at most maxInternedResults of them, dropping the
+// least recently used, and a result it dropped decodes afresh.
+func TestResultInternerBounded(t *testing.T) {
+	results := newResultInterner()
+	var firstPtr *engine.Result
+	var frame0 []byte
+	for i := range maxInternedResults + 44 {
+		frame, err := appendShardResponse(nil, ShardResponse{Results: []*engine.Result{{App: "cnn", TotalEnergyMJ: float64(i)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := decodeShardResponse(frame, results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			firstPtr, frame0 = resp.Results[0], frame
+		}
+		if n := results.cache.Len(); n > maxInternedResults {
+			t.Fatalf("after %d results the interner holds %d, more than %d", i+1, n, maxInternedResults)
+		}
+	}
+	if n := results.cache.Len(); n != maxInternedResults {
+		t.Errorf("the interner holds %d results, want %d", n, maxInternedResults)
+	}
+	resp, err := decodeShardResponse(frame0, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Results[0] == firstPtr || resp.Results[0].TotalEnergyMJ != 0 {
+		t.Error("the least recently used result was not dropped, or decoded wrongly")
+	}
+}
+
 // FuzzDecodeShardResponse feeds arbitrary bytes to the decoder: it must
 // never panic, and any frame it accepts must re-encode to the same bytes.
-// The seed corpus lives in testdata/fuzz/FuzzDecodeShardResponse:
-// "two-sessions" is a real traced two-session worker response (Ondemand on
-// cnn) in the current frame version; "truncated" is its first half,
-// "trailing-bytes" appends 0x00 0x01, "wrong-magic" replaces the magic with
-// "PESX", and "huge-count" is the header followed by a 2^32-1 result
-// count. A frame version bump re-encodes "two-sessions" (decode it with the
-// old decoder, encode with the new encoder) and re-derives the rest.
+// Each accepted frame is decoded twice through one interner: the second
+// decode must return the first one's result pointers and re-encode to the
+// same bytes too. The seed corpus lives in
+// testdata/fuzz/FuzzDecodeShardResponse: "two-sessions" is a real traced
+// two-session worker response (Ondemand on cnn) in the current frame
+// version; "truncated" is its first half, "trailing-bytes" appends 0x00
+// 0x01, "wrong-magic" replaces the magic with "PESX", "huge-count" is the
+// header followed by a 2^32-1 result count, and "length-past-end" and
+// "length-short" set its first record's length prefix to the frame's
+// length and to one byte under the record's. A frame version bump
+// re-encodes "two-sessions" (decode it with the old decoder, encode with
+// the new encoder) and re-derives the rest.
 func FuzzDecodeShardResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		resp, err := decodeShardResponse(frame)
+		results := newResultInterner()
+		resp, err := decodeShardResponse(frame, results)
 		if err != nil {
 			return
 		}
@@ -213,6 +456,18 @@ func FuzzDecodeShardResponse(f *testing.F) {
 		}
 		if !bytes.Equal(again, frame) {
 			t.Fatalf("accepted frame re-encodes differently:\n in %x\nout %x", frame, again)
+		}
+		second, err := decodeShardResponse(frame, results)
+		if err != nil {
+			t.Fatalf("accepted frame fails its second decode: %v", err)
+		}
+		for i, res := range second.Results {
+			if res != resp.Results[i] {
+				t.Fatalf("result %d: the second decode returned another pointer", i)
+			}
+		}
+		if again, err = appendShardResponse(nil, second); err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("interned frame re-encodes differently (err %v)", err)
 		}
 	})
 }
@@ -230,7 +485,7 @@ func TestFuzzSeedIsCurrentFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := decodeShardResponse([]byte(frame))
+	resp, err := decodeShardResponse([]byte(frame), newResultInterner())
 	if err != nil {
 		t.Fatalf("seed two-sessions does not decode: %v", err)
 	}
@@ -324,7 +579,7 @@ func TestCoordinatorClassifiesFrameFaults(t *testing.T) {
 	if resp, err := NewHTTPTransport().RunShard(context.Background(), ts.URL, req); err != nil || len(resp.Results) != 1 {
 		t.Fatalf("valid frame: resp %+v, err %v", resp, err)
 	}
-	capped := &httpTransport{client: &http.Client{}, maxResponse: int64(len(frame)) - 1}
+	capped := &httpTransport{client: &http.Client{}, maxResponse: int64(len(frame)) - 1, results: newResultInterner()}
 	if _, err := capped.RunShard(context.Background(), ts.URL, req); err == nil || IsClientFault(err) ||
 		!strings.Contains(err.Error(), "cap") {
 		t.Errorf("oversized response: err = %v, want a worker fault naming the cap", err)
@@ -377,7 +632,7 @@ func BenchmarkShardResponseCodec(b *testing.B) {
 	})
 	b.Run("frame/decode", func(b *testing.B) {
 		for b.Loop() {
-			_, _ = decodeShardResponse(frame)
+			_, _ = decodeShardResponse(frame, newResultInterner())
 		}
 	})
 	b.Run("json/encode", func(b *testing.B) {
@@ -389,6 +644,37 @@ func BenchmarkShardResponseCodec(b *testing.B) {
 		for b.Loop() {
 			var out ShardResponse
 			_ = json.Unmarshal(js, &out)
+		}
+	})
+}
+
+// BenchmarkDecodeShardResponse times the coordinator's decode of a warm
+// 15-session shard: cold, every result decoded into a fresh interner, and
+// interned, the shard a worker answers again from its memo, whose results
+// the interner already holds.
+func BenchmarkDecodeShardResponse(b *testing.B) {
+	frame, err := appendShardResponse(nil, warmShard(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.SetBytes(int64(len(frame)))
+		for b.Loop() {
+			if _, err := decodeShardResponse(frame, newResultInterner()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("interned", func(b *testing.B) {
+		results := newResultInterner()
+		if _, err := decodeShardResponse(frame, results); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(frame)))
+		for b.Loop() {
+			if _, err := decodeShardResponse(frame, results); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

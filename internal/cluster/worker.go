@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -112,13 +113,8 @@ func BuildSessions(setup *experiments.Setup, specs []SessionSpec) ([]batch.Sessi
 // coordinator to merge into the campaign timeline. An empty traceID
 // records nothing.
 func (w *Worker) RunShard(traceID string, req ShardRequest) (ShardResponse, error) {
-	if len(req.Sessions) == 0 {
-		return ShardResponse{}, fmt.Errorf("shard contains no sessions")
-	}
-	for i, spec := range req.Sessions {
-		if err := spec.Predictor.Validate(); err != nil {
-			return ShardResponse{}, fmt.Errorf("session %d: %w", i, err)
-		}
+	if err := checkShard(req); err != nil {
+		return ShardResponse{}, err
 	}
 	sess, err := BuildSessions(w.setup, req.Sessions)
 	if err != nil {
@@ -138,6 +134,30 @@ func (w *Worker) RunShard(traceID string, req ShardRequest) (ShardResponse, erro
 		resp.Error = runErr.Error()
 	}
 	return resp, nil
+}
+
+// checkShard refuses, before anything is built, a shard with no sessions
+// or with a predictor configuration predictor.Config.Validate refuses.
+func checkShard(req ShardRequest) error {
+	if len(req.Sessions) == 0 {
+		return fmt.Errorf("shard contains no sessions")
+	}
+	for i, spec := range req.Sessions {
+		if err := spec.Predictor.Validate(); err != nil {
+			return fmt.Errorf("session %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// decodeShardRequest decodes a shard request body: one JSON object with
+// no field ShardRequest does not know.
+func decodeShardRequest(body io.Reader) (ShardRequest, error) {
+	var req ShardRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
 }
 
 // workerHealth is the body of a worker's GET /healthz.
@@ -186,10 +206,8 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 			theirs, frameVersion)})
 		return
 	}
-	var req ShardRequest
-	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeShardRequest(http.MaxBytesReader(rw, r.Body, maxShardRequestBytes))
+	if err != nil {
 		code := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
 			code = http.StatusRequestEntityTooLarge

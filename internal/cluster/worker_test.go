@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/acmp"
@@ -109,4 +112,45 @@ func BenchmarkBuildSessions(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { run(b, artifacts.NewStore) })
 	warm := artifacts.NewStore()
 	b.Run("warm", func(b *testing.B) { run(b, func() *artifacts.Store { return warm }) })
+}
+
+// FuzzDecodeShardRequest feeds arbitrary bodies to the worker's shard
+// request decoder, the worker's side of the wire: it must never panic, and
+// a body it accepts re-encodes to one that decodes to the same request. A
+// request that also passes checkShard, the checks made before anything is
+// built, has at least one session, each with a predictor configuration
+// within predictor.Config.Validate's bounds and a route key. The seed
+// corpus lives in testdata/fuzz/FuzzDecodeShardRequest: "pool-shard" is
+// the body a coordinator sends for the first nine sessions of a pool
+// campaign, "truncated" its first half and "trailing-bytes" it followed by
+// "}{"; the rest are small hostile bodies (empty and null session lists,
+// unknown fields at both levels, an out-of-range predictor, a trace seed
+// past int64, a frame instead of JSON).
+func FuzzDecodeShardRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeShardRequest(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request does not re-encode: %v", err)
+		}
+		back, err := decodeShardRequest(bytes.NewReader(again))
+		if err != nil || !reflect.DeepEqual(back, req) {
+			t.Fatalf("accepted request does not round-trip (err %v):\n in %+v\nout %+v", err, req, back)
+		}
+		if checkShard(req) != nil {
+			return
+		}
+		if len(req.Sessions) == 0 {
+			t.Fatal("checkShard passed a shard with no sessions")
+		}
+		for i, spec := range req.Sessions {
+			if err := spec.Predictor.Validate(); err != nil {
+				t.Fatalf("session %d: checkShard passed an invalid predictor: %v", i, err)
+			}
+			_ = spec.RouteKey()
+		}
+	})
 }

@@ -20,6 +20,8 @@
 package engine
 
 import (
+	"sync/atomic"
+
 	"repro/internal/acmp"
 	"repro/internal/optimizer"
 	"repro/internal/render"
@@ -96,7 +98,27 @@ type Result struct {
 	// solver's wall time is a host measurement and stays out of the result,
 	// which is thereby a pure function of the session.
 	Solver optimizer.SolverCounts
+
+	// seal is not part of the result's value: Seal sets it. A copy of a
+	// sealed result carries it but does not own it, so the copy is not
+	// sealed.
+	seal *resultSeal
 }
+
+// resultSeal holds a sealed result's JSON once its first encode wrote it.
+type resultSeal struct {
+	owner   *Result
+	encoded atomic.Pointer[[]byte]
+}
+
+// Seal declares r immutable from now on, so the bytes of its first JSON
+// encode can stand for every later one: AppendJSON and AppendJSONMemo keep
+// what they write first and copy it from then on. Call it before r is
+// shared, and change r no more after it; a copy of r by value is not
+// sealed and may be changed. Results are unsealed by default and encode
+// afresh on every call; the cluster coordinator seals the results it
+// shares between campaigns.
+func (r *Result) Seal() { r.seal = &resultSeal{owner: r} }
 
 // finalize computes the derived aggregates.
 func (r *Result) finalize() {

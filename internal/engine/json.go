@@ -36,10 +36,34 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 // more bytes appended), and the caller resets m whenever it truncates or
 // replaces the buffer. On failure m is reset, since the bytes of the events
 // it recorded in this call were dropped with dst's extension.
+//
+// A sealed result (see Seal) writes its bytes once: the first successful
+// call keeps a copy of them, and every later call appends that copy, with
+// or without m, recording nothing in m.
 func (r *Result) AppendJSONMemo(dst []byte, m *EventMemo) ([]byte, error) {
 	if r == nil {
 		return append(dst, "null"...), nil
 	}
+	seal := r.seal
+	if seal == nil || seal.owner != r {
+		return r.appendJSON(dst, m)
+	}
+	if b := seal.encoded.Load(); b != nil {
+		return append(dst, *b...), nil
+	}
+	n := len(dst)
+	dst, err := r.appendJSON(dst, m)
+	if err == nil {
+		// Concurrent first encodes write equal bytes; the first to
+		// finish is kept.
+		b := slices.Clone(dst[n:])
+		seal.encoded.CompareAndSwap(nil, &b)
+	}
+	return dst, err
+}
+
+// appendJSON is AppendJSONMemo's encoder, for a non-nil r.
+func (r *Result) appendJSON(dst []byte, m *EventMemo) ([]byte, error) {
 	// Make room for the whole encoding up front (an outcome takes ~350
 	// bytes), at least doubling a buffer that lacks it: a result costs one
 	// allocation in a nil buffer, and a document of many results grows

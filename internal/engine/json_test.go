@@ -3,7 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/acmp"
@@ -37,6 +40,102 @@ func TestResultAppendJSONZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSealedResultEncodesLikeUnsealed: a sealed result writes its unsealed
+// twin's bytes on its first call and on every later one, without an event
+// memo and through one (the memo's answer buffer holds several results of
+// one trace, so the first calls share events), and goroutines that encode
+// sealed results at once all get those bytes. A later call copies what the
+// first kept, so into a buffer with room it does not allocate. A copy of a
+// sealed result by value is not sealed.
+func TestSealedResultEncodesLikeUnsealed(t *testing.T) {
+	plain := goldenResults(t)
+	keys := slices.Sorted(maps.Keys(plain)) // app-major: one trace's results are contiguous
+	want := map[string][]byte{}
+	var wantRows []byte
+	var memo EventMemo
+	for _, k := range keys {
+		b, err := plain[k].AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = b
+		if wantRows, err = plain[k].AppendJSONMemo(wantRows, &memo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twins := func() map[string]*Result {
+		out := map[string]*Result{}
+		for k, r := range plain {
+			twin := *r
+			twin.Seal()
+			out[k] = &twin
+		}
+		return out
+	}
+
+	sealed := twins()
+	for call := range 2 {
+		for _, k := range keys {
+			if got, err := sealed[k].AppendJSON([]byte("row:")); err != nil || !bytes.Equal(got[4:], want[k]) {
+				t.Fatalf("%s, call %d without a memo (err %v):\n got %.200s\nwant %.200s", k, call, err, got[4:], want[k])
+			}
+		}
+	}
+	buf := make([]byte, 0, 1<<20)
+	for _, k := range keys {
+		if allocs := testing.AllocsPerRun(20, func() { _, _ = sealed[k].AppendJSON(buf) }); allocs != 0 {
+			t.Errorf("%s: a sealed result's later encode allocates %.1f times", k, allocs)
+		}
+	}
+	// A copy by value is not sealed: changed, it encodes its new value.
+	changed := *sealed[keys[0]]
+	changed.TotalEnergyMJ++
+	got, err := changed.AppendJSON(nil)
+	if wantChanged, _ := json.Marshal(&changed); err != nil || !bytes.Equal(got, wantChanged) {
+		t.Errorf("a changed copy of a sealed result encodes %.200s, want %.200s", got, wantChanged)
+	}
+
+	sealed = twins()
+	for call := range 2 {
+		var rows []byte
+		memo.Reset()
+		for _, k := range keys {
+			var err error
+			if rows, err = sealed[k].AppendJSONMemo(rows, &memo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(rows, wantRows) {
+			t.Fatalf("call %d through a memo: sealed rows differ from unsealed ones", call)
+		}
+	}
+
+	sealed = twins()
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var m EventMemo
+			var rows []byte
+			for _, k := range keys {
+				n := len(rows)
+				var err error
+				if g%2 == 0 {
+					rows, err = sealed[k].AppendJSONMemo(rows, &m)
+				} else {
+					rows, err = sealed[k].AppendJSON(rows)
+				}
+				if err != nil || !bytes.Equal(rows[n:], want[k]) {
+					t.Errorf("goroutine %d, %s: concurrent sealed encode differs (err %v)", g, k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // FuzzResultJSON builds a result from fuzzed ints, floats and strings:
 // AppendJSON must write json.Marshal's bytes, fail exactly when it fails
 // (NaN and ±Inf) with the same error, and leave the buffer unextended on
@@ -50,7 +149,8 @@ func TestResultAppendJSONZeroAlloc(t *testing.T) {
 // shared by pointer and as a by-value copy (the shard-decode form), the
 // same Seq with other content (another trace), ViewportY +0 against -0, a
 // nil event, Seqs outside the memo's range, and a result that fails after
-// its event was recorded.
+// its event was recorded. A sealed twin of each result, encoded twice
+// through a memo of its own, must write those bytes on both calls.
 func FuzzResultJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sched, app, evApp string, seq, tick, cycles int64, energy, viewport, rate float64, nav bool) {
 		ev := &webevent.Event{
@@ -113,14 +213,26 @@ func FuzzResultJSON(f *testing.F) {
 			with(&low, false), with(&low, false), with(&high, false), with(&high, false),
 			with(&edge, false), with(&edge, false), with(&huge, false), with(&huge, false),
 		}
-		var memo EventMemo
-		shared, plain := []byte("rows:"), []byte("rows:")
+		// Each result's sealed twin goes through a memo of its own, twice:
+		// the first call encodes, the second copies what the first kept.
+		var memo, sealedMemo EventMemo
+		shared, plain, twice := []byte("rows:"), []byte("rows:"), []byte("rows:")
 		for i, res := range steps {
 			var serr, perr error
+			n := len(plain)
 			shared, serr = res.AppendJSONMemo(shared, &memo)
 			plain, perr = res.AppendJSON(plain)
 			if (serr == nil) != (perr == nil) || !bytes.Equal(shared, plain) {
 				t.Fatalf("result %d: through the memo (err %v)\n%s\nwithout it (err %v)\n%s", i, serr, shared, perr, plain)
+			}
+			sealed := *res
+			sealed.Seal()
+			for call := range 2 {
+				m := len(twice)
+				var err error
+				if twice, err = sealed.AppendJSONMemo(twice, &sealedMemo); (err == nil) != (perr == nil) || !bytes.Equal(twice[m:], plain[n:]) {
+					t.Fatalf("result %d, sealed call %d (err %v): %s\nunsealed (err %v): %s", i, call, err, twice[m:], perr, plain[n:])
+				}
 			}
 		}
 	})

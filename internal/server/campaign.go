@@ -7,7 +7,6 @@ package server
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/acmp"
@@ -217,123 +216,192 @@ func (c Campaign) Expand(setup *experiments.Setup) (*Plan, error) {
 
 // Tables aggregates campaign results into the energy and QoS tables the
 // figure harness computes (the shape of Fig. 11 and 12): one row per
-// application, one column per scheduler label, averaged over trace seeds.
-// Sessions without a result (failed batch entries) are skipped. results must
-// be index-aligned with the plan's specs, as returned by the batch runner or
+// application, one column per scheduler label, averaged over trace seeds,
+// and the latency-percentile table (see tableScratch.tables). Sessions
+// without a result (failed batch entries) are skipped. results must be
+// index-aligned with the plan's specs, as returned by the batch runner or
 // the cluster.
 func (p *Plan) Tables(results []*engine.Result) []*experiments.Table {
-	var labels, apps []string
-	haveLabel := map[string]bool{}
-	haveApp := map[string]bool{}
-	type cell struct{ energy, viol, n float64 }
-	cells := map[[2]string]*cell{}
+	return new(tableScratch).tables(p, results)
+}
+
+// tableScratch is the working memory Plan.Tables builds its tables in. A
+// job worker keeps one with its reused results buffers, so a warm pending
+// encode sizes its slices once and then only reuses them; the tables it
+// returns live in the scratch and are valid until its next use.
+type tableScratch struct {
+	labels, apps []string
+	// at holds, per result with a row, its label's and its app's index.
+	at []int
+	// outcomes and violations count each label's outcomes and violated
+	// ones; next is each label's cursor into samples, which holds every
+	// label's latencies, in label order, followed by their QoS ratios.
+	outcomes, violations, next []int
+	samples                    []float64
+	cells                      []tableCell // app-major: apps × labels
+	values                     []float64   // every row's values
+	rows                       []experiments.Row
+	out                        [3]experiments.Table
+	list                       [3]*experiments.Table
+}
+
+// tableCell sums one app's sessions under one label.
+type tableCell struct{ energy, viol, n float64 }
+
+var percentileColumns = []string{"p50_ms", "p95_ms", "p99_ms", "p95_qos_ratio", "p99_qos_ratio", "violation_pct"}
+
+// tables builds the three tables in two passes over the results: the
+// first indexes each result's label and app and counts outcomes, so the
+// second writes cells and samples in place. The percentile table
+// aggregates the per-event latency distribution of each scheduler label
+// against its QoS targets: tail latencies (p50/p95/p99 in milliseconds),
+// the tail of the latency-to-QoS-target ratio (a ratio above 1 is a
+// violation; p99_qos_ratio says how deep the worst events cut into their
+// deadlines), and the overall violation percentage. Means hide tails;
+// under a heavy-traffic framing the p95/p99 columns are what a QoS budget
+// is set against.
+func (s *tableScratch) tables(p *Plan, results []*engine.Result) []*experiments.Table {
+	s.labels, s.apps, s.at = s.labels[:0], s.apps[:0], s.at[:0]
+	s.outcomes, s.violations = s.outcomes[:0], s.violations[:0]
+	label, app, total := -1, -1, 0
 	for i, r := range results {
 		if i >= len(p.Meta) || r == nil {
 			continue
 		}
-		m := p.Meta[i]
-		if !haveLabel[m.Label] {
-			haveLabel[m.Label] = true
-			labels = append(labels, m.Label)
+		// In plan order the next label follows the last one and the app
+		// repeats, so each lookup usually costs one comparison.
+		m := &p.Meta[i]
+		label = indexOf(&s.labels, m.Label, label+1)
+		app = indexOf(&s.apps, m.App, app)
+		if label == len(s.outcomes) {
+			s.outcomes, s.violations = append(s.outcomes, 0), append(s.violations, 0)
 		}
-		if !haveApp[m.App] {
-			haveApp[m.App] = true
-			apps = append(apps, m.App)
+		s.outcomes[label] += len(r.Outcomes)
+		total += len(r.Outcomes)
+		s.at = append(s.at, label, app)
+	}
+	nl, na := len(s.labels), len(s.apps)
+
+	s.cells = resize(s.cells, na*nl)
+	clear(s.cells)
+	s.samples = resize(s.samples, 2*total)
+	s.next = resize(s.next, nl)
+	off := 0
+	for l, n := range s.outcomes {
+		s.next[l] = off
+		off += n
+	}
+	k := 0
+	for i, r := range results {
+		if i >= len(p.Meta) || r == nil {
+			continue
 		}
-		k := [2]string{m.App, m.Label}
-		c := cells[k]
-		if c == nil {
-			c = &cell{}
-			cells[k] = c
-		}
+		label, app := s.at[k], s.at[k+1]
+		k += 2
+		c := &s.cells[app*nl+label]
 		c.energy += r.TotalEnergyMJ
 		c.viol += 100 * r.ViolationRate
 		c.n++
+		at := s.next[label]
+		for j, o := range r.Outcomes {
+			s.samples[at+j] = float64(o.Latency) / float64(simtime.Millisecond)
+			s.samples[total+at+j] = float64(o.Latency) / float64(o.Event.QoSTarget())
+			if o.Violated {
+				s.violations[label]++
+			}
+		}
+		s.next[label] = at + len(r.Outcomes)
 	}
-	energy := &experiments.Table{
+
+	// The rows and their values are cut from two slices: the energy rows,
+	// the QoS rows, then the percentile rows.
+	s.values = resize(s.values, 2*na*nl+len(percentileColumns)*nl)
+	s.rows = resize(s.rows, 2*na+nl)
+	s.out = [3]experiments.Table{{
 		ID:      "energy",
 		Title:   "Total energy per session (mJ, averaged over trace seeds)",
-		Columns: labels,
-	}
-	qos := &experiments.Table{
+		Columns: s.labels,
+		Rows:    s.rows[:na:na],
+	}, {
 		ID:      "qos",
 		Title:   "QoS violation (%, averaged over trace seeds)",
-		Columns: labels,
-	}
-	for _, app := range apps {
-		eRow := make([]float64, len(labels))
-		vRow := make([]float64, len(labels))
-		for j, label := range labels {
-			if c := cells[[2]string{app, label}]; c != nil && c.n > 0 {
-				eRow[j] = c.energy / c.n
-				vRow[j] = c.viol / c.n
-			}
-		}
-		energy.AddRow(app, eRow...)
-		qos.AddRow(app, vRow...)
-	}
-	return []*experiments.Table{energy, qos, p.percentileTable(results)}
-}
-
-// percentileTable aggregates the per-event latency distribution of each
-// scheduler label against its QoS targets: tail latencies (p50/p95/p99 in
-// milliseconds), the tail of the latency-to-QoS-target ratio (a ratio above
-// 1 is a violation; p99_qos_ratio says how deep the worst events cut into
-// their deadlines), and the overall violation percentage. Means hide tails;
-// under a heavy-traffic framing the p95/p99 columns are what a QoS budget
-// is set against.
-func (p *Plan) percentileTable(results []*engine.Result) *experiments.Table {
-	// One distribution per label, in first-seen order; each result looks
-	// its label up once, not once per outcome.
-	type dist struct {
-		label             string
-		latencies, ratios []float64
-		violations        int
-	}
-	var dists []*dist
-	byLabel := map[string]*dist{}
-	for i, r := range results {
-		if i >= len(p.Meta) || r == nil {
-			continue
-		}
-		d := byLabel[p.Meta[i].Label]
-		if d == nil {
-			d = &dist{label: p.Meta[i].Label}
-			byLabel[d.label] = d
-			dists = append(dists, d)
-		}
-		d.latencies = slices.Grow(d.latencies, len(r.Outcomes))
-		d.ratios = slices.Grow(d.ratios, len(r.Outcomes))
-		for _, o := range r.Outcomes {
-			d.latencies = append(d.latencies, float64(o.Latency)/float64(simtime.Millisecond))
-			d.ratios = append(d.ratios, float64(o.Latency)/float64(o.Event.QoSTarget()))
-			if o.Violated {
-				d.violations++
-			}
-		}
-	}
-	tab := &experiments.Table{
+		Columns: s.labels,
+		Rows:    s.rows[na : 2*na : 2*na],
+	}, {
 		ID:      "latency_percentiles",
 		Title:   "Per-scheduler event latency percentiles vs QoS target (all sessions pooled)",
-		Columns: []string{"p50_ms", "p95_ms", "p99_ms", "p95_qos_ratio", "p99_qos_ratio", "violation_pct"},
+		Columns: percentileColumns,
+		Rows:    s.rows[2*na : 2*na],
+	}}
+	energy, qos, pct := &s.out[0], &s.out[1], &s.out[2]
+	for a, name := range s.apps {
+		eRow := s.values[a*nl : (a+1)*nl : (a+1)*nl]
+		vRow := s.values[(na+a)*nl : (na+a+1)*nl : (na+a+1)*nl]
+		for l, c := range s.cells[a*nl : (a+1)*nl] {
+			eRow[l], vRow[l] = 0, 0
+			if c.n > 0 {
+				eRow[l] = c.energy / c.n
+				vRow[l] = c.viol / c.n
+			}
+		}
+		energy.Rows[a] = experiments.Row{Label: name, Values: eRow}
+		qos.Rows[a] = experiments.Row{Label: name, Values: vRow}
 	}
-	for _, d := range dists {
-		ls, rs := d.latencies, d.ratios
-		if len(ls) == 0 {
+	values := s.values[2*na*nl:]
+	off = 0
+	for l, n := range s.outcomes {
+		ls, rs := s.samples[off:off+n], s.samples[total+off:total+off+n]
+		off += n
+		if n == 0 {
 			continue
 		}
-		// Sort each slice once and read every percentile from it (the
-		// slices are this call's own, so sorting in place is safe).
+		// Sort each label's samples once and read every percentile from
+		// them.
 		sort.Float64s(ls)
 		sort.Float64s(rs)
-		tab.AddRow(d.label,
-			stats.PercentileSorted(ls, 50),
-			stats.PercentileSorted(ls, 95),
-			stats.PercentileSorted(ls, 99),
-			stats.PercentileSorted(rs, 95),
-			stats.PercentileSorted(rs, 99),
-			100*float64(d.violations)/float64(len(ls)),
-		)
+		v := values[:len(percentileColumns):len(percentileColumns)]
+		values = values[len(percentileColumns):]
+		v[0] = stats.PercentileSorted(ls, 50)
+		v[1] = stats.PercentileSorted(ls, 95)
+		v[2] = stats.PercentileSorted(ls, 99)
+		v[3] = stats.PercentileSorted(rs, 95)
+		v[4] = stats.PercentileSorted(rs, 99)
+		v[5] = 100 * float64(s.violations[l]) / float64(n)
+		pct.Rows = append(pct.Rows, experiments.Row{Label: s.labels[l], Values: v})
 	}
-	return tab
+	// encoding/json tells nil from empty: a table with no columns or rows
+	// carries null, as one built by appending would.
+	for t := range s.out {
+		if len(s.out[t].Columns) == 0 {
+			s.out[t].Columns = nil
+		}
+		if len(s.out[t].Rows) == 0 {
+			s.out[t].Rows = nil
+		}
+	}
+	s.list = [3]*experiments.Table{energy, qos, pct}
+	return s.list[:]
+}
+
+// indexOf returns the index of name in *list, appending it when absent; it
+// tries index hint first.
+func indexOf(list *[]string, name string, hint int) int {
+	if hint >= 0 && hint < len(*list) && (*list)[hint] == name {
+		return hint
+	}
+	for i, have := range *list {
+		if have == name {
+			return i
+		}
+	}
+	*list = append(*list, name)
+	return len(*list) - 1
+}
+
+// resize returns s with length n, reusing its array when it has room.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/acmp"
@@ -65,12 +67,120 @@ func percentileTableReference(p *Plan, results []*engine.Result) *experiments.Ta
 	return tab
 }
 
+// tablesReference is Plan.Tables as it was before it built its tables in
+// a reusable scratch: a map of cells keyed by app and label, rows appended
+// one by one, and percentileTableReference. Kept as the reference the
+// tables are pinned to.
+func tablesReference(p *Plan, results []*engine.Result) []*experiments.Table {
+	var labels, apps []string
+	haveLabel := map[string]bool{}
+	haveApp := map[string]bool{}
+	type cell struct{ energy, viol, n float64 }
+	cells := map[[2]string]*cell{}
+	for i, r := range results {
+		if i >= len(p.Meta) || r == nil {
+			continue
+		}
+		m := p.Meta[i]
+		if !haveLabel[m.Label] {
+			haveLabel[m.Label] = true
+			labels = append(labels, m.Label)
+		}
+		if !haveApp[m.App] {
+			haveApp[m.App] = true
+			apps = append(apps, m.App)
+		}
+		k := [2]string{m.App, m.Label}
+		c := cells[k]
+		if c == nil {
+			c = &cell{}
+			cells[k] = c
+		}
+		c.energy += r.TotalEnergyMJ
+		c.viol += 100 * r.ViolationRate
+		c.n++
+	}
+	energy := &experiments.Table{
+		ID:      "energy",
+		Title:   "Total energy per session (mJ, averaged over trace seeds)",
+		Columns: labels,
+	}
+	qos := &experiments.Table{
+		ID:      "qos",
+		Title:   "QoS violation (%, averaged over trace seeds)",
+		Columns: labels,
+	}
+	for _, app := range apps {
+		eRow := make([]float64, len(labels))
+		vRow := make([]float64, len(labels))
+		for j, label := range labels {
+			if c := cells[[2]string{app, label}]; c != nil && c.n > 0 {
+				eRow[j] = c.energy / c.n
+				vRow[j] = c.viol / c.n
+			}
+		}
+		energy.AddRow(app, eRow...)
+		qos.AddRow(app, vRow...)
+	}
+	return []*experiments.Table{energy, qos, percentileTableReference(p, results)}
+}
+
+// TestTablesMatchReference: the tables encode to tablesReference's bytes
+// (encoding/json writes the shortest text that round-trips, so equal bytes
+// are equal bits), on the pool campaign and on plans out of plan order:
+// reversed, with failed sessions, with an app and a label seen once, with
+// no result at all, and with more results than metadata. One scratch
+// serves every plan in turn, as a job worker's does, so a later plan must
+// not see an earlier one's sums.
+func TestTablesMatchReference(t *testing.T) {
+	s := testServer(t)
+	j := poolCampaignJob(t, s)
+	n := len(j.results)
+	reversed := &Plan{Meta: slices.Clone(j.plan.Meta)}
+	slices.Reverse(reversed.Meta)
+	backwards := slices.Clone(j.results)
+	slices.Reverse(backwards)
+	holes := slices.Clone(j.results)
+	for i := range holes {
+		if i%4 == 1 {
+			holes[i] = nil
+		}
+	}
+	odd := &Plan{Meta: slices.Clone(j.plan.Meta)}
+	odd.Meta[n-1].App, odd.Meta[n-1].Label = "solo-app", "solo-label"
+	cases := []struct {
+		name    string
+		plan    *Plan
+		results []*engine.Result
+	}{
+		{"pool", j.plan, j.results},
+		{"reversed", reversed, backwards},
+		{"failed sessions", j.plan, holes},
+		{"one-off app and label", odd, j.results},
+		{"no results", j.plan, make([]*engine.Result, n)},
+		{"results past the metadata", &Plan{Meta: j.plan.Meta[:n/2]}, j.results},
+		{"pool again", j.plan, j.results},
+	}
+	var scratch tableScratch
+	for _, c := range cases {
+		want, err := json.Marshal(tablesReference(c.plan, c.results))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range [][]*experiments.Table{c.plan.Tables(c.results), scratch.tables(c.plan, c.results)} {
+			if b, err := json.Marshal(got); err != nil || !bytes.Equal(b, want) {
+				t.Errorf("%s: tables (err %v)\n%s\nwant\n%s", c.name, err, b, want)
+			}
+		}
+	}
+}
+
 // TestPercentileTableMatchesReference pins the latency-percentile table of
 // the pool campaign, bit for bit, to percentileTableReference.
 func TestPercentileTableMatchesReference(t *testing.T) {
 	s := testServer(t)
 	j := poolCampaignJob(t, s)
-	got := j.plan.percentileTable(j.results)
+	got := j.plan.Tables(j.results)[2]
 	want := percentileTableReference(j.plan, j.results)
 	if got.ID != want.ID || got.Title != want.Title || len(got.Columns) != len(want.Columns) {
 		t.Fatalf("table header %q/%q/%v, want %q/%q/%v", got.ID, got.Title, got.Columns, want.ID, want.Title, want.Columns)

@@ -212,11 +212,11 @@ func TestPendingEntryBounded(t *testing.T) {
 }
 
 // pendingEncodeAllocs is what a warm pending encode of the pool campaign
-// allocated before the encode shared trace events through a memo: the
-// per-row metadata and the tables through encoding/json, and the entry's
-// ready channel. The memo rides with the reused buffers, so it must add
-// nothing.
-const pendingEncodeAllocs = 144
+// allocates: two per row for its metadata through encoding/json, the
+// tables' and the solver sum's bytes, and the entry with its ready
+// channel. The event memo and the tables' working memory ride with the
+// reused buffers, so they add nothing.
+const pendingEncodeAllocs = 41
 
 // encodePending encodes a finished campaign's answer into a new pending
 // entry on bufs, as the job worker does, and returns its buffers emptied
@@ -232,7 +232,7 @@ func encodePending(tb testing.TB, j *job, bufs resultsBuffers) resultsBuffers {
 
 // TestPendingEncodeSteadyStateAlloc: a job worker's pending encode of a
 // pool campaign on the buffers of its previous entry allocates no more
-// than it did before the event memo joined those buffers.
+// than pendingEncodeAllocs.
 func TestPendingEncodeSteadyStateAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not repeatable under -race")

@@ -211,6 +211,48 @@ func TestResultsBodiesByteIdenticalToEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestRepeatClusterCampaignAnswersSameBytes: the same campaign run twice
+// through a coordinator with two workers gets the very same results the
+// second time (the workers answer from their memos, and the coordinator
+// interns what it decodes by its bytes), and both runs answer the same
+// JSON document, apart from the campaign id, and the same NDJSON, each
+// read from the pending entry and again on demand, all equal to what
+// encoding/json renders for the first run's rows.
+func TestRepeatClusterCampaignAnswersSameBytes(t *testing.T) {
+	s := clusterServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	runs := []*job{poolCampaignJob(t, s), poolCampaignJob(t, s)}
+	for i, res := range runs[1].results {
+		if res != runs[0].results[i] {
+			t.Errorf("row %d: the repeat campaign decoded its result again", i)
+		}
+	}
+	want := filteredResults(runs[0], rowFilter{})
+	wantDoc := encodingJSONDocument(t, want)
+	wantRows := encodingJSONRows(t, want.Rows)
+	for r, j := range runs {
+		base := ts.URL + "/v1/campaigns/" + j.id + "/results"
+		for _, read := range []string{"first", "second"} {
+			code, doc := fetchBody(t, base)
+			doc = bytes.Replace(doc, []byte(`"id":"`+j.id+`"`), []byte(`"id":"`+runs[0].id+`"`), 1)
+			if code != http.StatusOK || !bytes.Equal(doc, wantDoc) {
+				t.Errorf("run %d, %s document read: status %d, %d bytes, want encoding/json's %d", r, read, code, len(doc), len(wantDoc))
+			}
+		}
+	}
+	// A fresh run for each NDJSON read pair, so its first read is served
+	// from the pending entry too.
+	for r := range 2 {
+		j := poolCampaignJob(t, s)
+		for _, read := range []string{"first", "second"} {
+			if code, rows := fetchBody(t, ts.URL+"/v1/campaigns/"+j.id+"/results?format=ndjson"); code != http.StatusOK || !bytes.Equal(rows, wantRows) {
+				t.Errorf("run %d, %s NDJSON read: status %d, %d bytes, want encoding/json's %d", r, read, code, len(rows), len(wantRows))
+			}
+		}
+	}
+}
+
 // TestUnencodableResultAnswers500: a NaN energy cannot be encoded as JSON.
 // The results document answers 500 with an error body instead of a 200
 // with an empty one; the NDJSON stream answers 500 when the first row is

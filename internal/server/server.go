@@ -422,16 +422,18 @@ type pendingResults struct {
 // ends at ends[i], its newline included. events is the memo through which
 // the rows share each trace event's bytes: a campaign's rows replaying one
 // trace are contiguous (plan order is app, seed, scheduler), so each of its
-// events is encoded once per answer instead of once per scheduler.
+// events is encoded once per answer instead of once per scheduler. scratch
+// is the working memory the aggregate tables are built in.
 type resultsBuffers struct {
-	rows   []byte
-	ends   []int
-	events engine.EventMemo
+	rows    []byte
+	ends    []int
+	events  engine.EventMemo
+	scratch *tableScratch
 }
 
 // emptied returns the buffers with no rows in them, for the next entry.
 func (b resultsBuffers) emptied() resultsBuffers {
-	return resultsBuffers{b.rows[:0], b.ends[:0], b.events}
+	return resultsBuffers{b.rows[:0], b.ends[:0], b.events, b.scratch}
 }
 
 // buffers returns empty buffers for a job worker's next pending entry: those
@@ -492,8 +494,11 @@ func (p *pendingResults) encode(plan *Plan, results []*engine.Result) {
 		p.ends = append(p.ends, len(p.rows))
 		solver = solver.Add(res.Solver)
 	}
+	if p.scratch == nil {
+		p.scratch = new(tableScratch)
+	}
 	var err error
-	if p.tables, err = json.Marshal(plan.Tables(results)); err != nil {
+	if p.tables, err = json.Marshal(p.scratch.tables(plan, results)); err != nil {
 		return
 	}
 	p.solver, _ = json.Marshal(solver) // integer counters always encode
