@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"slices"
 
 	"repro/internal/acmp"
 	"repro/internal/batch"
@@ -67,6 +69,11 @@ import (
 // record with its byte length, so the coordinator can tell a result it has
 // already decoded by its bytes alone and skip decoding it (see
 // resultInterner).
+//
+// A record depends only on its result, so a worker keeps the record of each
+// result it sends (see recordCache) and writes a warm shard's frame by
+// copying them behind their length prefixes. That changes no byte on the
+// wire, and the frame stays version 5.
 
 const (
 	// frameVersion is the frame version this build writes and reads. A
@@ -108,33 +115,84 @@ type frameTail struct {
 // errFrame prefixes every decode failure.
 var errFrame = errors.New("malformed shard frame")
 
-// appendShardResponse appends resp's frame to dst.
-func appendShardResponse(dst []byte, resp ShardResponse) ([]byte, error) {
+// appendShardResponse appends resp's frame to dst, taking each result's
+// record from records: a result it kept a record for is copied, not
+// encoded again. A nil records writes every record afresh through the same
+// step, so both produce the same bytes.
+func appendShardResponse(dst []byte, resp ShardResponse, records *recordCache) ([]byte, error) {
 	tail, err := json.Marshal(frameTail{Error: resp.Error, Stats: resp.Stats, Spans: resp.Spans})
 	if err != nil {
 		return dst, fmt.Errorf("encoding shard frame tail: %w", err)
 	}
-	w := frameWriter{b: dst}
+	// Every record exists before its length goes in front of it, so the
+	// frame is sized exactly and grown once. The list of records stays on
+	// the stack for shards of up to 32 results (a coordinator sends 16 by
+	// default).
+	var kept [32][]byte
+	recs := kept[:0]
+	var scratch []byte
+	size := len(frameMagic) + 1 + uvarintLen(countValue(len(resp.Results), resp.Results == nil)) +
+		uvarintLen(uint64(len(tail))) + len(tail)
+	for _, res := range resp.Results {
+		var rec []byte
+		if res != nil {
+			rec, scratch = records.record(res, scratch)
+			size += uvarintLen(uint64(len(rec))) + len(rec)
+		}
+		recs = append(recs, rec)
+		size++ // presence byte
+	}
+	w := frameWriter{b: slices.Grow(dst, size)}
 	w.b = append(w.b, frameMagic[:]...)
 	w.b = append(w.b, frameVersion)
 	w.count(len(resp.Results), resp.Results == nil)
-	for _, res := range resp.Results {
+	for i, res := range resp.Results {
 		if res == nil {
 			w.b = append(w.b, 0)
 			continue
 		}
 		w.b = append(w.b, 1)
-		// The length goes in front of the record, so reserve its width
-		// from an estimate of the record's size and fill it in after;
-		// the record moves only when the estimate picked another width.
-		at, room := len(w.b), uvarintLen(uint64(16+48*len(res.Outcomes)+4*len(res.PFBSamples)))
-		w.b = append(w.b, make([]byte, room)...)
-		w.result(res)
-		w.lengthPrefix(at, room)
+		w.uvarint(uint64(len(recs[i])))
+		w.b = append(w.b, recs[i]...)
 	}
 	w.uvarint(uint64(len(tail)))
 	w.b = append(w.b, tail...)
 	return w.b, nil
+}
+
+// recordCache keeps the exact record bytes of each result a worker sends,
+// keyed by the result's pointer. A worker's runner answers a warm session
+// with the same immutable *engine.Result every time, and a key keeps its
+// result alive, so a pointer can never come to name another result: a warm
+// shard's frame is a copy of records already written. It holds at most
+// maxInternedResults records, least recently used first out, so it keeps at
+// most that many results alive past their eviction from the runner's memo.
+type recordCache struct {
+	cache memo.Cache[*engine.Result, []byte]
+}
+
+func newRecordCache() *recordCache {
+	c := new(recordCache)
+	c.cache.SetMax(maxInternedResults)
+	return c
+}
+
+// record returns res's record, the one kept for it or one written now. A
+// record is written over scratch, returned grown for the next one, and
+// copied out: a cache keeps the copy, a nil cache only returns it.
+func (c *recordCache) record(res *engine.Result, scratch []byte) (rec, grown []byte) {
+	write := func() ([]byte, error) {
+		w := frameWriter{b: scratch[:0]}
+		w.result(res)
+		scratch = w.b
+		return slices.Clone(w.b), nil
+	}
+	if c == nil {
+		rec, _ = write()
+	} else {
+		rec, _, _ = c.cache.Get(res, write)
+	}
+	return rec, scratch
 }
 
 // decodeShardResponse decodes one whole frame, taking each result from
@@ -204,24 +262,38 @@ func decodeResult(record []byte) (*engine.Result, error) {
 }
 
 // resultInterner shares decoded results between the frames one coordinator
-// reads. It keys each result by its record's exact bytes, so a hit means
-// the bytes are equal (not merely their hash), and the frame is canonical,
-// so equal bytes are an equal result: a worker that answers a session from
-// its memo sends the same record every time, and the coordinator decodes
-// it once. An interned result is sealed (engine.Result.Seal) and shared by
-// every campaign that receives it, so it also keeps the JSON of its first
-// encode. Nothing here assumes that a memo key names its result.
+// reads. It files each result under a 64-bit hash of its record and keeps
+// the record's exact bytes beside it, so a hit means the bytes are equal
+// (not merely their hash), and the frame is canonical, so equal bytes are
+// an equal result: a worker that answers a session from its memo sends the
+// same record every time, and the coordinator decodes it once. A record
+// whose hash is filed under other bytes is decoded without being interned,
+// so no key is trusted. An interned result is sealed (engine.Result.Seal)
+// and shared by every campaign that receives it, so it also keeps the JSON
+// of its first encode. Nothing here assumes that a memo key names its
+// result.
 type resultInterner struct {
-	cache memo.Cache[string, *engine.Result]
+	cache memo.Cache[uint64, internedResult]
+	seed  maphash.Seed
+	// hash is maphash.Bytes; a test puts a colliding one in its place.
+	hash func(maphash.Seed, []byte) uint64
+}
+
+// internedResult is one record and what it decodes to: a sealed result,
+// or the error that a record failing to decode is remembered with.
+type internedResult struct {
+	record []byte
+	res    *engine.Result
+	err    error
 }
 
 // maxInternedResults bounds the interner, least recently used first out.
 // Each entry holds its record, the decoded result and, once encoded, its
-// JSON (~8× the record).
+// JSON (~8× the record). The worker's record cache shares the bound.
 const maxInternedResults = 256
 
 func newResultInterner() *resultInterner {
-	in := new(resultInterner)
+	in := &resultInterner{seed: maphash.MakeSeed(), hash: maphash.Bytes}
 	in.cache.SetMax(maxInternedResults)
 	return in
 }
@@ -230,14 +302,17 @@ func newResultInterner() *resultInterner {
 // when no equal record was seen before. A record that fails to decode is
 // remembered as failing.
 func (in *resultInterner) result(record []byte) (*engine.Result, error) {
-	res, _, err := in.cache.Get(string(record), func() (*engine.Result, error) {
+	e, _, _ := in.cache.Get(in.hash(in.seed, record), func() (internedResult, error) {
 		res, err := decodeResult(record)
 		if err == nil {
 			res.Seal()
 		}
-		return res, err
+		return internedResult{record: bytes.Clone(record), res: res, err: err}, nil
 	})
-	return res, err
+	if !bytes.Equal(e.record, record) {
+		return decodeResult(record)
+	}
+	return e.res, e.err
 }
 
 type frameWriter struct{ b []byte }
@@ -253,24 +328,6 @@ func (w *frameWriter) str(s string) {
 	w.b = append(w.b, s...)
 }
 
-// lengthPrefix writes, into the room bytes reserved at w.b[at:], the
-// uvarint length of everything after them, moving those bytes when the
-// length takes another number of bytes than reserved.
-func (w *frameWriter) lengthPrefix(at, room int) {
-	start := at + room
-	n := len(w.b) - start
-	var prefix [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(prefix[:], uint64(n))
-	if k > room {
-		w.b = append(w.b, make([]byte, k-room)...)
-	}
-	if k != room {
-		copy(w.b[at+k:], w.b[start:start+n])
-		w.b = w.b[:at+k+n]
-	}
-	copy(w.b[at:], prefix[:k])
-}
-
 // uvarintLen is the number of bytes binary.AppendUvarint writes for v.
 func uvarintLen(v uint64) int {
 	n := 1
@@ -281,12 +338,14 @@ func uvarintLen(v uint64) int {
 }
 
 // count writes a slice length, 0 for a nil slice.
-func (w *frameWriter) count(n int, isNil bool) {
+func (w *frameWriter) count(n int, isNil bool) { w.uvarint(countValue(n, isNil)) }
+
+// countValue is the uvarint count writes for a slice of n elements.
+func countValue(n int, isNil bool) uint64 {
 	if isNil {
-		w.uvarint(0)
-		return
+		return 0
 	}
-	w.uvarint(uint64(n) + 1)
+	return uint64(n) + 1
 }
 
 func (w *frameWriter) result(res *engine.Result) {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/maphash"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -125,7 +127,7 @@ func codecResponse(t *testing.T) ShardResponse {
 // here instead of silently vanishing on the cluster path.
 func TestFrameRoundTripsEveryResultField(t *testing.T) {
 	resp := codecResponse(t)
-	frame, err := appendShardResponse(nil, resp)
+	frame, err := appendShardResponse(nil, resp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestFrameRoundTripsEveryResultField(t *testing.T) {
 	if math.Signbit(got.Results[2].Outcomes[0].EnergyMJ) != true {
 		t.Error("negative zero lost its sign")
 	}
-	again, err := appendShardResponse(nil, got)
+	again, err := appendShardResponse(nil, got, nil)
 	if err != nil || !bytes.Equal(again, frame) {
 		t.Fatalf("re-encoding a decoded frame changed its bytes (err %v)", err)
 	}
@@ -175,7 +177,7 @@ func withRecordLength(t *testing.T, frame []byte, length uint64, pad ...byte) []
 // the frame or that its record does not consume exactly, and trailing
 // bytes all fail with an error, never a panic or an oversized allocation.
 func TestFrameRejectsHostileBytes(t *testing.T) {
-	frame, err := appendShardResponse(nil, codecResponse(t))
+	frame, err := appendShardResponse(nil, codecResponse(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestShardTailCarriesOnlyRunnerCounters(t *testing.T) {
 	if resp.Stats.Sessions != 5 || resp.Stats.UniqueRuns != 5 {
 		t.Errorf("shard stats = %+v, want 5 sessions, 5 unique runs", resp.Stats)
 	}
-	frame, err := appendShardResponse(nil, resp)
+	frame, err := appendShardResponse(nil, resp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +259,12 @@ func TestShardTailCarriesOnlyRunnerCounters(t *testing.T) {
 	}
 }
 
-// TestRecordLengthWidths: a record's length prefix is minimal whatever
-// width the writer reserved for it from its estimate, so records whose
-// lengths sit on either side of a uvarint width (127/128, 16383/16384)
-// round-trip at every outcome count, including counts whose estimate picks
-// a wider or a narrower prefix than the record needs.
+// TestRecordLengthWidths: a record's length prefix is minimal, so records
+// whose lengths sit on either side of a uvarint width (127/128,
+// 16383/16384) round-trip at every outcome count.
 func TestRecordLengthWidths(t *testing.T) {
 	record := func(res *engine.Result) (frame []byte, length int) {
-		frame, err := appendShardResponse(nil, ShardResponse{Results: []*engine.Result{res, nil, res}})
+		frame, err := appendShardResponse(nil, ShardResponse{Results: []*engine.Result{res, nil, res}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestRecordLengthWidths(t *testing.T) {
 // that result again, and every other pointer is still shared.
 func TestInternedFramesShareResults(t *testing.T) {
 	resp := codecResponse(t)
-	frame, err := appendShardResponse(nil, resp)
+	frame, err := appendShardResponse(nil, resp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestInternedFramesShareResults(t *testing.T) {
 	changed.Results = slices.Clone(resp.Results)
 	changed.Results[2] = onWire(ShardResponse{Results: resp.Results[2:3]}).Results[0]
 	changed.Results[2].BusyEnergyMJ = math.Float64frombits(math.Float64bits(changed.Results[2].BusyEnergyMJ) ^ 1)
-	other, err := appendShardResponse(nil, changed)
+	other, err := appendShardResponse(nil, changed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestResultInternerBounded(t *testing.T) {
 	var firstPtr *engine.Result
 	var frame0 []byte
 	for i := range maxInternedResults + 44 {
-		frame, err := appendShardResponse(nil, ShardResponse{Results: []*engine.Result{{App: "cnn", TotalEnergyMJ: float64(i)}}})
+		frame, err := appendShardResponse(nil, ShardResponse{Results: []*engine.Result{{App: "cnn", TotalEnergyMJ: float64(i)}}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,6 +429,218 @@ func TestResultInternerBounded(t *testing.T) {
 	}
 }
 
+// TestInternerCollisionDecodesUninterned: the interner trusts no hash. With
+// every record filed under one constant hash, a second, different record
+// still decodes to its own result, not interned (so it is neither shared
+// nor sealed), while the first record keeps its interned result; a failing
+// record is refused whichever record holds the slot.
+func TestInternerCollisionDecodesUninterned(t *testing.T) {
+	results := newResultInterner()
+	results.hash = func(maphash.Seed, []byte) uint64 { return 7 }
+	frameOf := func(res *engine.Result) []byte {
+		frame, err := appendShardResponse(nil, ShardResponse{Results: []*engine.Result{res}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	a, b := &engine.Result{App: "cnn", TotalEnergyMJ: 1}, &engine.Result{App: "cnn", TotalEnergyMJ: 2}
+	decode := func(frame []byte) *engine.Result {
+		t.Helper()
+		resp, err := decodeShardResponse(frame, results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Results[0]
+	}
+	first := decode(frameOf(a))
+	other, again := decode(frameOf(b)), decode(frameOf(b))
+	if !reflect.DeepEqual(onWire(ShardResponse{Results: []*engine.Result{other}}).Results[0], b) {
+		t.Fatal("a colliding record decoded to another result")
+	}
+	if other == again || other == first {
+		t.Error("a colliding record was interned")
+	}
+	want, _ := other.AppendJSON(nil)
+	other.TotalEnergyMJ++
+	if got, _ := other.AppendJSON(nil); bytes.Equal(got, want) {
+		t.Error("a colliding record's result is sealed")
+	}
+	if decode(frameOf(a)) != first {
+		t.Error("the record that holds the slot lost its interned result")
+	}
+	if results.cache.Len() != 1 {
+		t.Errorf("the interner holds %d entries under one hash, want 1", results.cache.Len())
+	}
+	// A record padded past its result fails, whether or not its hash is
+	// filed under another record.
+	bad := withRecordLength(t, frameOf(a), uint64(len(frameOf(a)))-9, 0)
+	for range 2 {
+		if _, err := decodeShardResponse(bad, results); !errors.Is(err, errFrame) {
+			t.Errorf("a colliding malformed record: err = %v, want a malformed-frame error", err)
+		}
+	}
+}
+
+// cacheTestResults returns n distinct results, some with outcomes.
+func cacheTestResults(n int) []*engine.Result {
+	out := make([]*engine.Result, n)
+	for i := range out {
+		out[i] = &engine.Result{Scheduler: "PES", App: "cnn", TotalEnergyMJ: float64(i),
+			Outcomes: make([]engine.Outcome, i%4), PFBSamples: []engine.PFBSample{{Seq: i, Size: 2}}}
+	}
+	return out
+}
+
+// checkFrame encodes resp through records and checks that the frame equals
+// a fresh encode byte for byte and decodes back to resp.
+func checkFrame(t *testing.T, name string, resp ShardResponse, records *recordCache) {
+	t.Helper()
+	want, err := appendShardResponse(nil, resp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := appendShardResponse(nil, resp, records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: the frame differs from a fresh encode (%d bytes against %d)", name, len(got), len(want))
+	}
+	back, err := decodeShardResponse(got, newResultInterner())
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !reflect.DeepEqual(onWire(back), resp) {
+		t.Fatalf("%s: the frame does not decode to its response", name)
+	}
+}
+
+// TestWarmShardFrameMatchesEncoder: a shard whose records the worker kept
+// is the same frame, byte for byte, as one encoded afresh: cold and warm,
+// with nil results, a nil and an empty result list, a failed session, a
+// mix of kept and new records, and after the cache dropped records at its
+// bound.
+func TestWarmShardFrameMatchesEncoder(t *testing.T) {
+	records := newRecordCache()
+	codec := codecResponse(t)
+	checkFrame(t, "cold", codec, records)
+	held := records.cache.Len()
+	checkFrame(t, "warm", codec, records)
+	if records.cache.Len() != held || held != 4 {
+		t.Errorf("the cache holds %d then %d records, want 4 both times", held, records.cache.Len())
+	}
+
+	results := cacheTestResults(maxInternedResults + 30)
+	checkFrame(t, "nil results", ShardResponse{Results: []*engine.Result{nil, results[0], nil}}, records)
+	checkFrame(t, "no result list", ShardResponse{Stats: codec.Stats}, records)
+	checkFrame(t, "empty result list", ShardResponse{Results: []*engine.Result{}}, records)
+	checkFrame(t, "failed session", ShardResponse{
+		Results: []*engine.Result{results[0], nil, results[1]},
+		Error:   "session 1: boom",
+		Stats:   codec.Stats,
+	}, records)
+	checkFrame(t, "mixed", ShardResponse{Results: append(slices.Clone(results[:5]), codec.Results...)}, records)
+
+	// Past the bound: the first results' records are dropped and written
+	// again, next to records still kept.
+	for i := 0; i < len(results); i += 15 {
+		checkFrame(t, "filling", ShardResponse{Results: results[i:min(i+15, len(results))]}, records)
+	}
+	if records.cache.Evictions() == 0 {
+		t.Fatal("the cache never reached its bound")
+	}
+	mixed := append(slices.Clone(results[:3]), results[len(results)-3:]...)
+	checkFrame(t, "after eviction", ShardResponse{Results: mixed}, records)
+	checkFrame(t, "after eviction, warm", ShardResponse{Results: mixed}, records)
+}
+
+// TestRecordCacheBounded: however many results a worker sends, it keeps at
+// most maxInternedResults records, dropping the least recently used; a
+// dropped result's record is written again on its next shard.
+func TestRecordCacheBounded(t *testing.T) {
+	records := newRecordCache()
+	results := cacheTestResults(maxInternedResults + 44)
+	for _, res := range results {
+		if _, err := appendShardResponse(nil, ShardResponse{Results: []*engine.Result{res}}, records); err != nil {
+			t.Fatal(err)
+		}
+		if n := records.cache.Len(); n > maxInternedResults {
+			t.Fatalf("the cache holds %d records, more than %d", n, maxInternedResults)
+		}
+	}
+	if n, e := records.cache.Len(), records.cache.Evictions(); n != maxInternedResults || e != 44 {
+		t.Errorf("the cache holds %d records after %d evictions, want %d and 44", n, e, maxInternedResults)
+	}
+	// Kept ones first: asking for a dropped one puts it back.
+	for _, c := range []struct {
+		i    int
+		kept bool
+	}{{len(results) - 1, true}, {44, true}, {0, false}, {43, false}} {
+		_, hit, _ := records.cache.Get(results[c.i], func() ([]byte, error) { return nil, nil })
+		if hit != c.kept {
+			t.Errorf("result %d: kept %v, want %v", c.i, hit, c.kept)
+		}
+	}
+}
+
+// TestConcurrentShardsShareRecords: shards encoded at once through one
+// cache, sharing results, each get the frame a fresh encode writes (run it
+// under -race).
+func TestConcurrentShardsShareRecords(t *testing.T) {
+	records := newRecordCache()
+	results := cacheTestResults(40)
+	shards := []ShardResponse{{Results: results[:30]}, {Results: results[10:]}}
+	want := make([][]byte, len(shards))
+	for i, resp := range shards {
+		var err error
+		if want[i], err = appendShardResponse(nil, resp, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				got, err := appendShardResponse(nil, shards[g%2], records)
+				if err != nil || !bytes.Equal(got, want[g%2]) {
+					t.Errorf("goroutine %d: the frame differs from a fresh encode (err %v)", g, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := records.cache.Len(); n != len(results) {
+		t.Errorf("the cache holds %d records, want %d", n, len(results))
+	}
+}
+
+// warmShardEncodeAllocs is what encoding a warm shard allocates: the
+// frame and its JSON tail, which encoding/json takes boxed and returns in
+// a buffer of its own.
+const warmShardEncodeAllocs = 3
+
+// TestWarmShardEncodeSteadyStateAlloc: a worker's frame for a warm shard,
+// whose records it kept, allocates no more than warmShardEncodeAllocs.
+func TestWarmShardEncodeSteadyStateAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not repeatable under -race")
+	}
+	resp := warmShard(t)
+	records := newRecordCache()
+	if _, err := appendShardResponse(nil, resp, records); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() { _, _ = appendShardResponse(nil, resp, records) })
+	t.Logf("%.1f allocations per warm shard encode", allocs)
+	if allocs > warmShardEncodeAllocs {
+		t.Errorf("a warm shard encode allocates %.1f times, more than %d", allocs, warmShardEncodeAllocs)
+	}
+}
+
 // FuzzDecodeShardResponse feeds arbitrary bytes to the decoder: it must
 // never panic, and any frame it accepts must re-encode to the same bytes.
 // Each accepted frame is decoded twice through one interner: the second
@@ -450,7 +662,7 @@ func FuzzDecodeShardResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := appendShardResponse(nil, resp)
+		again, err := appendShardResponse(nil, resp, nil)
 		if err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", err)
 		}
@@ -466,7 +678,7 @@ func FuzzDecodeShardResponse(f *testing.F) {
 				t.Fatalf("result %d: the second decode returned another pointer", i)
 			}
 		}
-		if again, err = appendShardResponse(nil, second); err != nil || !bytes.Equal(again, frame) {
+		if again, err = appendShardResponse(nil, second, nil); err != nil || !bytes.Equal(again, frame) {
 			t.Fatalf("interned frame re-encodes differently (err %v)", err)
 		}
 	})
@@ -543,7 +755,7 @@ func TestWorkerRejectsFrameVersionSkew(t *testing.T) {
 // from before the frame) is a client fault naming the version; a truncated,
 // garbled or oversized frame is a worker fault.
 func TestCoordinatorClassifiesFrameFaults(t *testing.T) {
-	frame, err := appendShardResponse(nil, ShardResponse{Results: make([]*engine.Result, 1)})
+	frame, err := appendShardResponse(nil, ShardResponse{Results: make([]*engine.Result, 1)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,24 +811,27 @@ func TestWorkerShardRequestBodyLimit(t *testing.T) {
 }
 
 // warmShard returns a worker's answer to a warm 15-session shard.
-func warmShard(b *testing.B) ShardResponse {
-	w := newTestWorker(b)
+func warmShard(tb testing.TB) ShardResponse {
+	w := newTestWorker(tb)
 	req := ShardRequest{Sessions: testSpecs()[:15]}
 	if _, err := w.RunShard("", req); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	resp, err := w.RunShard("bench", req)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return resp
 }
 
 // BenchmarkShardResponseCodec times the frame against the JSON encoding it
-// replaced, on a warm 15-session shard.
+// replaced, on a warm 15-session shard: frame/encode writes every record
+// with no cache, frame/encode-cold writes and keeps them in a fresh cache
+// (a worker's first answer), and frame/encode-warm copies the records a
+// worker kept for the shard's results.
 func BenchmarkShardResponseCodec(b *testing.B) {
 	resp := warmShard(b)
-	frame, err := appendShardResponse(nil, resp)
+	frame, err := appendShardResponse(nil, resp, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -627,7 +842,21 @@ func BenchmarkShardResponseCodec(b *testing.B) {
 	b.Logf("frame %d bytes, JSON %d bytes", len(frame), len(js))
 	b.Run("frame/encode", func(b *testing.B) {
 		for b.Loop() {
-			_, _ = appendShardResponse(nil, resp)
+			_, _ = appendShardResponse(nil, resp, nil)
+		}
+	})
+	b.Run("frame/encode-cold", func(b *testing.B) {
+		for b.Loop() {
+			_, _ = appendShardResponse(nil, resp, newRecordCache())
+		}
+	})
+	b.Run("frame/encode-warm", func(b *testing.B) {
+		records := newRecordCache()
+		if _, err := appendShardResponse(nil, resp, records); err != nil {
+			b.Fatal(err)
+		}
+		for b.Loop() {
+			_, _ = appendShardResponse(nil, resp, records)
 		}
 	})
 	b.Run("frame/decode", func(b *testing.B) {
@@ -653,7 +882,7 @@ func BenchmarkShardResponseCodec(b *testing.B) {
 // interned, the shard a worker answers again from its memo, whose results
 // the interner already holds.
 func BenchmarkDecodeShardResponse(b *testing.B) {
-	frame, err := appendShardResponse(nil, warmShard(b))
+	frame, err := appendShardResponse(nil, warmShard(b), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

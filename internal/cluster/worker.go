@@ -25,6 +25,9 @@ import (
 // and because routing is consistent, repeat campaigns hit its warm caches.
 type Worker struct {
 	setup *experiments.Setup
+	// records keeps the frame record of each result the worker sends, so a
+	// warm session's record is written once (see recordCache).
+	records *recordCache
 }
 
 // NewWorker trains the worker's harness (predictor, corpus, runner) from
@@ -35,7 +38,7 @@ func NewWorker(cfg experiments.Config) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Worker{setup: setup}, nil
+	return &Worker{setup: setup, records: newRecordCache()}, nil
 }
 
 // Setup exposes the worker's harness state.
@@ -220,7 +223,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		w.writeJSON(rw, http.StatusBadRequest, shardError{Error: err.Error()})
 		return
 	}
-	frame, err := appendShardResponse(nil, resp)
+	frame, err := appendShardResponse(nil, resp, w.records)
 	if err != nil {
 		w.writeJSON(rw, http.StatusInternalServerError, shardError{Error: err.Error()})
 		return

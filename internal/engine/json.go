@@ -274,41 +274,50 @@ func (e *jsonAppender) int(v int64) { e.b = strconv.AppendInt(e.b, v, 10) }
 
 func (e *jsonAppender) bool(v bool) { e.b = strconv.AppendBool(e.b, v) }
 
-// float follows encoding/json's float64 rule: the shortest 'f' form, or 'e'
-// for magnitudes below 1e-6 or from 1e21 on, with a two-digit negative
-// exponent trimmed to one (1e-07 becomes 1e-7).
 func (e *jsonAppender) float(f float64) {
+	b, err := AppendJSONFloat(e.b, f)
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+	e.b = b
+}
+
+func (e *jsonAppender) str(s string) { e.b = AppendJSONString(e.b, s) }
+
+// AppendJSONFloat appends f as encoding/json writes a float64: the
+// shortest 'f' form, or 'e' for magnitudes below 1e-6 or from 1e21 on, with
+// a two-digit negative exponent trimmed to one (1e-07 becomes 1e-7). A NaN
+// or infinite f fails with the error json.Marshal returns, and dst comes
+// back unextended.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if e.err == nil {
-			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-		}
-		return
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
-	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
-		e.b[n-2] = e.b[n-1]
-		e.b = e.b[:n-1]
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
 	}
+	return dst, nil
 }
 
-// str quotes a string. Plain printable ASCII without the characters
-// encoding/json escapes (quote, backslash, and the HTML-unsafe <, >, &) is
-// copied as is; anything else is rare in results and goes through
-// json.Marshal, so escaping, U+2028/U+2029 and invalid UTF-8 match it
-// exactly.
-func (e *jsonAppender) str(s string) {
+// AppendJSONString appends s quoted as encoding/json writes it. Plain
+// printable ASCII without the characters encoding/json escapes (quote,
+// backslash, and the HTML-unsafe <, >, &) is copied as is; anything else is
+// rare in results and goes through json.Marshal, so escaping, U+2028/U+2029
+// and invalid UTF-8 match it exactly.
+func AppendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			quoted, _ := json.Marshal(s) // a string always encodes
-			e.b = append(e.b, quoted...)
-			return
+			return append(dst, quoted...)
 		}
 	}
-	e.b = append(e.b, '"')
-	e.b = append(e.b, s...)
-	e.b = append(e.b, '"')
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }

@@ -355,17 +355,10 @@ func (s *tableScratch) tables(p *Plan, results []*engine.Result) []*experiments.
 		if n == 0 {
 			continue
 		}
-		// Sort each label's samples once and read every percentile from
-		// them.
-		sort.Float64s(ls)
-		sort.Float64s(rs)
 		v := values[:len(percentileColumns):len(percentileColumns)]
 		values = values[len(percentileColumns):]
-		v[0] = stats.PercentileSorted(ls, 50)
-		v[1] = stats.PercentileSorted(ls, 95)
-		v[2] = stats.PercentileSorted(ls, 99)
-		v[3] = stats.PercentileSorted(rs, 95)
-		v[4] = stats.PercentileSorted(rs, 99)
+		stats.SelectPercentiles(v[0:3], ls, 50, 95, 99)
+		stats.SelectPercentiles(v[3:5], rs, 95, 99)
 		v[5] = 100 * float64(s.violations[l]) / float64(n)
 		pct.Rows = append(pct.Rows, experiments.Row{Label: s.labels[l], Values: v})
 	}

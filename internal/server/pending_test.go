@@ -212,11 +212,11 @@ func TestPendingEntryBounded(t *testing.T) {
 }
 
 // pendingEncodeAllocs is what a warm pending encode of the pool campaign
-// allocates: two per row for its metadata through encoding/json, the
-// tables' and the solver sum's bytes, and the entry with its ready
-// channel. The event memo and the tables' working memory ride with the
-// reused buffers, so they add nothing.
-const pendingEncodeAllocs = 41
+// allocates: the tables' and the solver sum's JSON through encoding/json,
+// and the entry with its ready channel. The rows, their metadata included,
+// are appended into the reused buffers, and the event memo and the tables'
+// working memory ride with them, so they add nothing.
+const pendingEncodeAllocs = 5
 
 // encodePending encodes a finished campaign's answer into a new pending
 // entry on bufs, as the job worker does, and returns its buffers emptied

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -163,6 +164,7 @@ func fetchBody(t *testing.T, url string) (int, []byte) {
 // encoded when the campaign finished, and its second read, encoded on
 // demand, must match it.
 func TestResultsBodiesByteIdenticalToEncodingJSON(t *testing.T) {
+	t.Run("hostile metadata", testHostileRowMetadata)
 	reg := webapp.Registry()
 	filters := []struct {
 		query  string
@@ -208,6 +210,43 @@ func TestResultsBodiesByteIdenticalToEncodingJSON(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// testHostileRowMetadata holds a row's metadata, written without
+// encoding/json, to json.Marshal's bytes for labels and apps that need
+// escaping (quotes, backslashes, HTML-unsafe bytes, U+2028, invalid UTF-8)
+// and for thresholds on either side of the float format's switches; a NaN
+// threshold fails as json.Marshal does and leaves the buffer as it was.
+func testHostileRowMetadata(t *testing.T) {
+	if n := reflect.TypeFor[SessionMeta]().NumField(); n != 6 {
+		t.Fatalf("SessionMeta has %d fields; ResultRow.appendJSON writes 6", n)
+	}
+	texts := []string{"", "cnn", `a"b`, `back\slash`, "<script>&amp;", "line\u2028sep\u2029", "bad\xffutf8\xc3", "tab\tnl\n\x00"}
+	thresholds := []float64{0, math.Copysign(0, -1), 0.3, 1, 1e-7, 1e-6, 9.99e-7, 1e20, 1e21, 5e-324, math.MaxFloat64, -0.5}
+	res := &engine.Result{Scheduler: "PES", App: "cnn", Outcomes: []engine.Outcome{}, TotalEnergyMJ: 12.5}
+	prefix := []byte(`[{"x":1},`)
+	for i, text := range texts {
+		for j, threshold := range thresholds {
+			row := ResultRow{SessionMeta: SessionMeta{
+				Platform: texts[(i+1)%len(texts)], App: text, TraceSeed: int64(j) - 3,
+				Scheduler: texts[(i+j)%len(texts)], ConfidenceThreshold: threshold, Label: text + "@" + texts[j%len(texts)],
+			}, Result: res}
+			want, err := json.Marshal(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := row.appendJSON(bytes.Clone(prefix), nil)
+			if err != nil || !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+				t.Errorf("app %q, threshold %v: appendJSON wrote %s (err %v), json.Marshal %s", text, threshold, got[min(len(got), len(prefix)):], err, want)
+			}
+		}
+	}
+	row := ResultRow{SessionMeta: SessionMeta{App: "cnn", ConfidenceThreshold: math.NaN()}, Result: res}
+	_, want := json.Marshal(row)
+	got, err := row.appendJSON(bytes.Clone(prefix), nil)
+	if err == nil || want == nil || err.Error() != want.Error() || !bytes.Equal(got, prefix) {
+		t.Errorf("NaN threshold: appendJSON gave %q with error %v, want the buffer unchanged and %v", got, err, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1087,17 +1088,30 @@ func writeBlock(w http.ResponseWriter, flusher http.Flusher, block []byte) bool 
 var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendJSON appends the row's JSON encoding, byte for byte what
-// json.Marshal(row) writes: the small metadata object through encoding/json,
-// the result through engine.Result.AppendJSONMemo with the given event memo
-// (nil for none). On error it returns dst as it was, so the rows already in
-// it stay whole.
+// json.Marshal(row) writes: the metadata fields in declaration order through
+// the engine's string and float appenders, the result through
+// engine.Result.AppendJSONMemo with the given event memo (nil for none). On
+// error it returns dst as it was, so the rows already in it stay whole.
 func (row ResultRow) appendJSON(dst []byte, events *engine.EventMemo) ([]byte, error) {
-	meta, err := json.Marshal(row.SessionMeta)
-	if err != nil {
-		return dst, err
-	}
+	m := &row.SessionMeta
 	n := len(dst)
-	dst = append(dst, meta[:len(meta)-1]...) // the metadata object, still open
+	dst = append(dst, `{"platform":`...)
+	dst = engine.AppendJSONString(dst, m.Platform)
+	dst = append(dst, `,"app":`...)
+	dst = engine.AppendJSONString(dst, m.App)
+	dst = append(dst, `,"trace_seed":`...)
+	dst = strconv.AppendInt(dst, m.TraceSeed, 10)
+	dst = append(dst, `,"scheduler":`...)
+	dst = engine.AppendJSONString(dst, m.Scheduler)
+	var err error
+	if m.ConfidenceThreshold != 0 { // omitempty
+		dst = append(dst, `,"confidence_threshold":`...)
+		if dst, err = engine.AppendJSONFloat(dst, m.ConfidenceThreshold); err != nil {
+			return dst[:n], err
+		}
+	}
+	dst = append(dst, `,"label":`...)
+	dst = engine.AppendJSONString(dst, m.Label)
 	dst = append(dst, `,"result":`...)
 	if dst, err = row.Result.AppendJSONMemo(dst, events); err != nil {
 		return dst[:n], err

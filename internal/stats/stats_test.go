@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -92,5 +95,45 @@ func TestPercentileBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSelectPercentilesMatchesSort: on 20,000 random slices of 1 to 600
+// values, with many ties, NaNs, infinities and both ends of the float
+// range, every percentile SelectPercentiles reads has the bits that
+// sort.Float64s plus PercentileSorted give, for the ranks the results
+// tables read and for rank sets that repeat or sit at the ends.
+func TestSelectPercentilesMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	pick := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1, 2.5, 5e-324, math.MaxFloat64, -math.MaxFloat64}
+	sets := [][]float64{{50, 95, 99}, {95, 99}, {0, 100}, {50, 50, 50}, {1, 2, 3, 4, 99.9}, {-5, 0.1, 100, 150}}
+	for trial := range 20_000 {
+		n := 1 + rng.IntN(600)
+		xs := make([]float64, n)
+		distinct := 1 + rng.IntN(n) // few distinct values make many ties
+		for i := range xs {
+			switch r := rng.IntN(20); {
+			case r == 0:
+				xs[i] = pick[rng.IntN(len(pick))]
+			case r < 10:
+				xs[i] = float64(rng.IntN(distinct))
+			default:
+				xs[i] = rng.NormFloat64() * 100
+			}
+		}
+		sorted := slices.Clone(xs)
+		sort.Float64s(sorted)
+		ps := sets[trial%len(sets)]
+		got := make([]float64, len(ps))
+		SelectPercentiles(got, xs, ps...)
+		for i, p := range ps {
+			if want := PercentileSorted(sorted, p); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d (n %d): p%v = %v, want %v", trial, n, p, got[i], want)
+			}
+		}
+		slices.SortFunc(xs, cmp.Compare[float64])
+		if !slices.EqualFunc(xs, sorted, func(a, b float64) bool { return a == b || a != a && b != b }) {
+			t.Fatalf("trial %d: selection lost or changed values", trial)
+		}
 	}
 }
